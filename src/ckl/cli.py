@@ -205,7 +205,7 @@ def _cmd_scan(args) -> int:
                   + ["e1", "e2", "residual", "spread", "class"])
         lines = [",".join(header)]
         for i in range(scan.coords.shape[0]):
-            row = [str(int(scan.chart_indices[i]))]
+            row = ["0"]
             row += [_fmt(c) for c in scan.coords[i]]
             row += [_fmt(k) for k in scan.kappas[i]]
             row += [_fmt(scan.e1[i]), _fmt(scan.e2[i]),
@@ -259,7 +259,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("curvature", help="curvature report at a point")
     p.add_argument("--manifold", required=True)
-    p.add_argument("--point", help="chart:c1,c2,... (default: box center)")
+    p.add_argument("--point", help="[0:]c1,c2,... (default: box center)")
     common(p)
 
     p = sub.add_parser("operator", help="kernel-operator values over bandwidths")

@@ -5,9 +5,9 @@ scalar bilinear form against the unit normal; its eigenvalues relative to the
 metric are the principal curvatures.  A point is equicurved when
 ``e1(kappa)^2 = 4 e2(kappa)``, equivalently ``d^2 H^2 = 2 R``; at such points
 the bandwidth slope of ``f - K_eps f`` reproduces the Laplace-Beltrami
-operator.  Scans evaluate the residual ``e1^2 - 4 e2`` over chart grids,
-refine sign changes and sub-threshold dips along grid edges by bisection, and
-cluster the refined points by ambient position.
+operator.  Scans evaluate the residual ``e1^2 - 4 e2`` over a grid on the
+chart box, refine sign changes and sub-threshold dips along grid edges by
+bisection, and cluster the refined points by ambient position.
 
 Classification thresholds scale with the curvature magnitudes
 (``tol * (1 + e1^2)`` for equicurvature, ``tol * (1 + |kappa_1|)`` for
@@ -80,7 +80,7 @@ def _unit_normals(jac: np.ndarray) -> np.ndarray:
 
 def _shape_arrays(M: EmbeddedManifold, ci: int, coords: np.ndarray,
                   orientation: float = 1.0):
-    """Batched principal curvature data at coords of shape (..., d)."""
+    """Batched ``(normal, kappas, directions, jacobian, b)`` at coords (..., d)."""
     jac = M.jacobian(ci, coords)
     hess = M.hessian(ci, coords)
     g = M.metric(ci, coords)
@@ -96,7 +96,7 @@ def _shape_arrays(M: EmbeddedManifold, ci: int, coords: np.ndarray,
     eigvecs = eigvecs[..., ::-1]
     w = np.linalg.solve(np.swapaxes(chol, -1, -2), eigvecs)
     directions = np.einsum("...ni,...ik->...kn", jac, w)
-    return normal, eigvals, directions, g, b
+    return normal, eigvals, directions, jac, b
 
 
 def shape_at(M: EmbeddedManifold, p: ChartPoint,
@@ -111,13 +111,11 @@ def shape_at(M: EmbeddedManifold, p: ChartPoint,
     """
     _require_hypersurface(M)
     M.chart(p.chart).require_inside(p.coords)
-    normal, kappas, directions, g, b = _shape_arrays(
+    normal, kappas, directions, jac, b = _shape_arrays(
         M, p.chart, np.asarray(p.coords, dtype=float), orientation)
     # eigen residual check: |b w - kappa g w| <= 1e-10 |b|
-    w_chart = np.linalg.solve(
-        np.einsum("ni,nk->ik", M.jacobian(p.chart, p.coords),
-                  M.jacobian(p.chart, p.coords)),
-        np.einsum("ni,kn->ik", M.jacobian(p.chart, p.coords, ), directions))
+    g = np.einsum("ni,nk->ik", jac, jac)
+    w_chart = np.linalg.solve(g, np.einsum("ni,kn->ik", jac, directions))
     scale = max(float(np.max(np.abs(b))), 1e-30)
     for i in range(M.dim):
         resid = b @ w_chart[:, i] - kappas[i] * (g @ w_chart[:, i])
@@ -213,8 +211,7 @@ class ScanResult:
     representatives of the near-zero locus (coordinates may sit on the chart
     boundary when the locus runs into it).
     """
-    grid_shape: tuple[tuple[int, ...], ...]
-    chart_indices: np.ndarray
+    grid_shape: tuple[int, ...]
     coords: np.ndarray
     kappas: np.ndarray
     e1: np.ndarray
@@ -228,7 +225,7 @@ class ScanResult:
 
     def result_at(self, idx: int) -> EquicurvatureResult:
         return EquicurvatureResult(
-            point=ChartPoint(int(self.chart_indices[idx]), self.coords[idx]),
+            point=ChartPoint(0, self.coords[idx]),
             kappas=self.kappas[idx], e1=float(self.e1[idx]),
             e2=float(self.e2[idx]), residual=float(self.residual[idx]),
             umbilic_spread=float(self.umbilic_spread[idx]),
@@ -264,7 +261,7 @@ def scan_equicurved(M: EmbeddedManifold, grid: Sequence[int],
                     tol_eq: float | None = None, tol_umb: float | None = None,
                     refine: bool = True, orientation: float = 1.0
                     ) -> ScanResult:
-    """Residual scan over per-chart grids with edge refinement.
+    """Residual scan over a grid on the chart box, with edge refinement.
 
     ``grid`` gives cells per axis: non-periodic axes get ``n + 1`` nodes
     (inset slightly from the box edge so degenerate chart boundaries stay
@@ -276,36 +273,21 @@ def scan_equicurved(M: EmbeddedManifold, grid: Sequence[int],
     grid = [int(g) for g in grid]
     if len(grid) != M.dim:
         raise ValidationError(f"grid needs {M.dim} axis counts, got {len(grid)}")
-    all_chart_idx = []
-    all_coords = []
-    grid_shapes = []
-    for ci, chart in enumerate(M.charts):
-        axes = _grid_axes(chart, grid)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        coords = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-        grid_shapes.append(tuple(len(a) for a in axes))
-        all_coords.append(coords)
-        all_chart_idx.append(np.full(coords.shape[0], ci, dtype=int))
-    coords = np.concatenate(all_coords, axis=0)
-    chart_idx = np.concatenate(all_chart_idx, axis=0)
+    axes = _grid_axes(M.chart(0), grid)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    coords = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    grid_shape = tuple(len(a) for a in axes)
 
-    def eval_chunk(args):
-        ci, chunk = args
-        _, kappas, _, _, _ = _shape_arrays(M, ci, chunk, orientation)
-        return kappas
+    def eval_chunk(chunk):
+        return _shape_arrays(M, 0, chunk, orientation)[1]
 
     threads = max(int(os.environ.get("CKL_THREADS", "1") or 1), 1)
-    kappas = np.empty((coords.shape[0], M.dim))
-    for ci in range(len(M.charts)):
-        mask = chart_idx == ci
-        pts = coords[mask]
-        if threads > 1 and pts.shape[0] > 4 * threads:
-            chunks = np.array_split(pts, threads)
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(eval_chunk, [(ci, c) for c in chunks]))
-            kappas[mask] = np.concatenate(parts, axis=0)
-        else:
-            kappas[mask] = eval_chunk((ci, pts))
+    if threads > 1 and coords.shape[0] > 4 * threads:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(eval_chunk, np.array_split(coords, threads)))
+    else:
+        parts = [eval_chunk(coords)]
+    kappas = np.concatenate(parts, axis=0)
 
     e1 = np.sum(kappas, axis=-1)
     sq = np.sum(kappas ** 2, axis=-1)
@@ -323,104 +305,99 @@ def scan_equicurved(M: EmbeddedManifold, grid: Sequence[int],
         flags.append(fl)
 
     result = ScanResult(
-        grid_shape=tuple(grid_shapes), chart_indices=chart_idx, coords=coords,
-        kappas=kappas, e1=e1, e2=e2, residual=residual, umbilic_spread=spread,
+        grid_shape=grid_shape, coords=coords, kappas=kappas, e1=e1, e2=e2,
+        residual=residual, umbilic_spread=spread,
         classification=classification, flags=flags, zero_set=[],
         refined_zeros=[])
     in_zero = np.abs(residual) <= tol_eq_arr
     result.zero_set.extend(result.result_at(i) for i in np.where(in_zero)[0])
     if refine:
         result.refined_zeros.extend(
-            _refine_zeros(M, grid_shapes, chart_idx, coords, residual,
-                          tol_eq_arr, orientation, tol_eq, tol_umb))
+            _refine_zeros(M, grid_shape, coords, residual, tol_eq_arr,
+                          orientation, tol_eq, tol_umb))
     return result
 
 
-def _residuals_at(M, ci, coords, orientation):
-    _, kappas, _, _, _ = _shape_arrays(M, ci, np.asarray(coords), orientation)
+def _residuals_at(M, coords, orientation):
+    kappas = _shape_arrays(M, 0, np.asarray(coords), orientation)[1]
     e1 = np.sum(kappas, axis=-1)
     sq = np.sum(kappas ** 2, axis=-1)
     return e1 ** 2 - 4.0 * (0.5 * (e1 ** 2 - sq)), kappas
 
 
-def _refine_zeros(M, grid_shapes, chart_idx, coords, residual, tol_arr,
-                  orientation, tol_eq, tol_umb):
+def _refine_zeros(M, shape, coords, residual, tol_arr, orientation, tol_eq,
+                  tol_umb):
     """One bisection pass along grid edges that cross or dip below threshold."""
-    refined_pts: list[tuple[int, np.ndarray]] = []
-    offset = 0
-    for ci, shape in enumerate(grid_shapes):
-        size = int(np.prod(shape))
-        res = residual[offset:offset + size].reshape(shape)
-        tol = tol_arr[offset:offset + size].reshape(shape)
-        pts = coords[offset:offset + size].reshape(shape + (len(shape),))
-        chart = M.chart(ci)
-        d = len(shape)
-        for axis in range(d):
-            lead = [slice(None)] * d
-            trail = [slice(None)] * d
-            lead[axis] = slice(0, -1)
-            trail[axis] = slice(1, None)
-            ra, rb = res[tuple(lead)], res[tuple(trail)]
-            pa, pb = pts[tuple(lead)], pts[tuple(trail)]
-            sign_change = (ra * rb) < 0.0
-            below = (np.abs(ra) <= tol[tuple(lead)]) \
-                | (np.abs(rb) <= tol[tuple(trail)])
-            crossing = sign_change & ~below
-            if np.any(crossing):
-                a = pa[crossing].reshape(-1, d)
-                b = pb[crossing].reshape(-1, d)
-                fa = ra[crossing].reshape(-1)
-                for _ in range(45):
-                    mid = 0.5 * (a + b)
-                    fm, _ = _residuals_at(M, ci, mid, orientation)
-                    went_left = (fa * fm) <= 0.0
-                    b = np.where(went_left[:, None], mid, b)
-                    a = np.where(went_left[:, None], a, mid)
-                    fa = np.where(went_left, fa, fm)
-                refined_pts.extend((ci, row, False) for row in 0.5 * (a + b))
-            # sub-threshold dips: walk the minimum along this axis, out to the
-            # domain boundary when the chart allows and the dip sits at the
-            # first or last grid node
-            if np.any(below):
-                idxs = np.argwhere(below)
-                picked = set()
-                for idx in idxs:
-                    node = tuple(idx)
-                    key = node[:axis] + node[axis + 1:]
-                    if key in picked:
-                        continue
-                    picked.add(key)
-                    line_sel = list(node)
-                    line_sel[axis] = slice(None)
-                    line_res = res[tuple(line_sel)]
-                    line_pts = pts[tuple(line_sel)]
-                    j = int(np.argmin(np.abs(line_res)))
-                    best, snapped = _refine_on_line(M, ci, chart, axis,
-                                                    line_pts, j, orientation)
-                    refined_pts.append((ci, best, snapped))
-        offset += size
+    refined_pts: list[tuple[np.ndarray, bool]] = []
+    res = residual.reshape(shape)
+    tol = tol_arr.reshape(shape)
+    pts = coords.reshape(shape + (len(shape),))
+    d = len(shape)
+    for axis in range(d):
+        lead = [slice(None)] * d
+        trail = [slice(None)] * d
+        lead[axis] = slice(0, -1)
+        trail[axis] = slice(1, None)
+        ra, rb = res[tuple(lead)], res[tuple(trail)]
+        pa, pb = pts[tuple(lead)], pts[tuple(trail)]
+        sign_change = (ra * rb) < 0.0
+        below = (np.abs(ra) <= tol[tuple(lead)]) \
+            | (np.abs(rb) <= tol[tuple(trail)])
+        crossing = sign_change & ~below
+        if np.any(crossing):
+            a = pa[crossing].reshape(-1, d)
+            b = pb[crossing].reshape(-1, d)
+            fa = ra[crossing].reshape(-1)
+            for _ in range(45):
+                mid = 0.5 * (a + b)
+                fm, _ = _residuals_at(M, mid, orientation)
+                went_left = (fa * fm) <= 0.0
+                b = np.where(went_left[:, None], mid, b)
+                a = np.where(went_left[:, None], a, mid)
+                fa = np.where(went_left, fa, fm)
+            refined_pts.extend((row, False) for row in 0.5 * (a + b))
+        # sub-threshold dips: walk the minimum along this axis, out to the
+        # domain boundary when the chart allows and the dip sits at the
+        # first or last grid node
+        if np.any(below):
+            idxs = np.argwhere(below)
+            picked = set()
+            for idx in idxs:
+                node = tuple(idx)
+                key = node[:axis] + node[axis + 1:]
+                if key in picked:
+                    continue
+                picked.add(key)
+                line_sel = list(node)
+                line_sel[axis] = slice(None)
+                line_res = res[tuple(line_sel)]
+                line_pts = pts[tuple(line_sel)]
+                j = int(np.argmin(np.abs(line_res)))
+                refined_pts.append(
+                    _refine_on_line(M, axis, line_pts, j, orientation))
     return _cluster_refined(M, refined_pts, orientation, tol_eq, tol_umb)
 
 
-def _refine_on_line(M, ci, chart, axis, line_pts, j, orientation):
+def _refine_on_line(M, axis, line_pts, j, orientation):
     """Golden-section minimization of |residual| along one grid line.
 
     Returns ``(coords, snapped)``.  When the residual plateaus at rounding
     level all the way into a chart boundary, minimization cannot localize the
     zero; the boundary point itself is reported (snapped) in that case.
     """
+    chart = M.chart(0)
     lo_pt = line_pts[max(j - 1, 0)].copy()
     hi_pt = line_pts[min(j + 1, line_pts.shape[0] - 1)].copy()
     # when the dip touches the first/last node, extend toward the domain edge
     snap_lo = snap_hi = None
     if not chart.periodic[axis]:
         if j == 0:
-            lo_pt[axis] = chart.lo[axis] + _eval_floor(M, ci, chart, axis,
-                                                       lo_pt, at_low=True)
+            lo_pt[axis] = chart.lo[axis] + _eval_floor(M, axis, lo_pt,
+                                                       at_low=True)
             snap_lo = chart.lo[axis]
         if j == line_pts.shape[0] - 1:
-            hi_pt[axis] = chart.hi[axis] - _eval_floor(M, ci, chart, axis,
-                                                       hi_pt, at_low=False)
+            hi_pt[axis] = chart.hi[axis] - _eval_floor(M, axis, hi_pt,
+                                                       at_low=False)
             snap_hi = chart.hi[axis]
     a, b = lo_pt[axis], hi_pt[axis]
     base = lo_pt.copy()
@@ -428,7 +405,7 @@ def _refine_on_line(M, ci, chart, axis, line_pts, j, orientation):
     def res_at(t):
         q = base.copy()
         q[axis] = t
-        r, kap = _residuals_at(M, ci, q[None, :], orientation)
+        r, kap = _residuals_at(M, q[None, :], orientation)
         e1 = float(np.sum(kap[0]))
         return abs(float(r[0])), 1e-12 * (1.0 + e1 * e1)
 
@@ -477,15 +454,16 @@ def _refine_on_line(M, ci, chart, axis, line_pts, j, orientation):
     return out, False
 
 
-def _eval_floor(M, ci, chart, axis, probe, at_low):
+def _eval_floor(M, axis, probe, at_low):
     """Smallest offset from the boundary where the metric stays invertible."""
+    chart = M.chart(0)
     width = chart.hi[axis] - chart.lo[axis]
     for frac in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3):
         q = probe.copy()
         q[axis] = (chart.lo[axis] + frac * width if at_low
                    else chart.hi[axis] - frac * width)
         try:
-            M.metric(ci, q)
+            M.metric(0, q)
             return frac * width
         except Exception:
             continue
@@ -501,62 +479,54 @@ def _cluster_refined(M, refined_pts, orientation, tol_eq, tol_umb):
     """
     if not refined_pts:
         return []
-    entries = []
-    for ci in range(len(M.charts)):
-        chart = M.chart(ci)
-        rows = [(coord, snapped) for c, coord, snapped in refined_pts if c == ci]
-        if not rows:
+    chart = M.chart(0)
+    clipped = np.clip(np.array([r[0] for r in refined_pts]), chart.lo, chart.hi)
+    ambient = M.embed(0, clipped)
+    inset = clipped.copy()
+    for i in range(chart.dim):
+        if chart.periodic[i]:
             continue
-        clipped = np.clip(np.array([r[0] for r in rows]), chart.lo, chart.hi)
-        snapped_flags = [r[1] for r in rows]
-        ambient = M.embed(ci, clipped)
-        inset = clipped.copy()
-        for i in range(chart.dim):
-            if chart.periodic[i]:
-                continue
-            width = chart.hi[i] - chart.lo[i]
-            near_lo = inset[:, i] - chart.lo[i] < 1e-2 * width
-            near_hi = chart.hi[i] - inset[:, i] < 1e-2 * width
-            for row in np.where(near_lo | near_hi)[0]:
-                floor = _eval_floor(M, ci, chart, i, inset[row],
-                                    at_low=bool(near_lo[row]))
-                inset[row, i] = np.clip(inset[row, i], chart.lo[i] + floor,
-                                        chart.hi[i] - floor)
-        res, kappas = _residuals_at(M, ci, inset, orientation)
-        entries.extend(
-            (ci, clipped[r], ambient[r], float(res[r]), kappas[r],
-             snapped_flags[r]) for r in range(clipped.shape[0]))
-    scale = max(np.max(np.abs(e[2])) for e in entries) + 1e-12
+        width = chart.hi[i] - chart.lo[i]
+        near_lo = inset[:, i] - chart.lo[i] < 1e-2 * width
+        near_hi = chart.hi[i] - inset[:, i] < 1e-2 * width
+        for row in np.where(near_lo | near_hi)[0]:
+            floor = _eval_floor(M, i, inset[row], at_low=bool(near_lo[row]))
+            inset[row, i] = np.clip(inset[row, i], chart.lo[i] + floor,
+                                    chart.hi[i] - floor)
+    res, kappas = _residuals_at(M, inset, orientation)
+    entries = [(clipped[r], ambient[r], float(res[r]), kappas[r],
+                refined_pts[r][1]) for r in range(clipped.shape[0])]
+    scale = max(np.max(np.abs(e[1])) for e in entries) + 1e-12
     radius = 1e-3 * scale
     clusters: list[list] = []
     reps: list[np.ndarray] = []
     for entry in entries:
         if reps:
-            dists = np.linalg.norm(np.array(reps) - entry[2], axis=1)
+            dists = np.linalg.norm(np.array(reps) - entry[1], axis=1)
             hit = int(np.argmin(dists))
             if dists[hit] <= radius:
                 clusters[hit].append(entry)
                 continue
         clusters.append([entry])
-        reps.append(entry[2])
+        reps.append(entry[1])
     out = []
     for cluster in clusters:
-        best_res = min(abs(e[3]) for e in cluster)
+        best_res = min(abs(e[2]) for e in cluster)
 
         def sort_key(e):
-            e1_val = float(np.sum(e[4]))
+            e1_val = float(np.sum(e[3]))
             noise = 1e-10 * (1.0 + e1_val * e1_val)
-            return (max(abs(e[3]) - max(best_res, noise), 0.0),
-                    0 if e[5] else 1, tuple(e[1]))
+            return (max(abs(e[2]) - max(best_res, noise), 0.0),
+                    0 if e[4] else 1, tuple(e[0]))
 
-        ci, coord, ambient, res, kappas, _ = min(cluster, key=sort_key)
+        coord, _, res, kappas, _ = min(cluster, key=sort_key)
         e1 = float(np.sum(kappas))
         e2 = _elementary_symmetric(kappas, 2)
         spread = float(kappas[0] - kappas[-1])
         te, tu = _tolerances(np.atleast_1d(e1), kappas[None, :], tol_eq, tol_umb)
         label, fl = _classify(kappas, e1, e2, res, spread, te[0], tu[0])
         out.append(EquicurvatureResult(
-            point=ChartPoint(ci, coord), kappas=kappas, e1=e1, e2=e2,
+            point=ChartPoint(0, coord), kappas=kappas, e1=e1, e2=e2,
             residual=res, umbilic_spread=spread, classification=label,
             flags=fl))
     out.sort(key=lambda r: tuple(r.point.coords))

@@ -1,7 +1,7 @@
 """Embedded submanifolds of Euclidean space, given by chart parametrizations.
 
-A manifold is a list of charts, each an embedding of an axis-aligned box in
-R^d into R^n.  Everything downstream (metric, second fundamental form,
+A manifold is a single chart: an embedding of an axis-aligned box in R^d into
+R^n.  Everything downstream (metric, second fundamental form,
 curvature, geodesics, normal-coordinate volume density, Laplace-Beltrami
 operator) is computed from the embedding map and its derivatives.  Charts may
 carry analytic derivative closures; otherwise central finite differences with
@@ -187,20 +187,18 @@ class ChartPoint:
 
 
 class EmbeddedManifold:
-    """A d-dimensional submanifold of R^n described by a chart atlas.
+    """A d-dimensional submanifold of R^n described by a single chart.
 
+    ``charts`` is the one-element list ``[chart]``; its index is 0.
     ``delta`` is a caller-supplied lower bound on the injectivity radius; all
     normal-coordinate constructions stay inside geodesic balls of this radius.
     """
 
     def __init__(self, charts: Sequence[Chart], delta: float,
                  catalog_id: str | None = None):
-        if not charts:
-            raise ValidationError("manifold needs at least one chart")
-        dims = {c.dim for c in charts}
-        ambs = {c.ambient_dim for c in charts}
-        if len(dims) != 1 or len(ambs) != 1:
-            raise ValidationError("all charts must share (d, n)")
+        if len(charts) != 1:
+            raise ValidationError(
+                f"manifold needs exactly one chart, got {len(charts)}")
         self.charts = list(charts)
         self.dim = charts[0].dim
         self.ambient_dim = charts[0].ambient_dim
@@ -215,10 +213,9 @@ class EmbeddedManifold:
     # -- chart-level batched evaluation --------------------------------------
 
     def chart(self, ci: int) -> Chart:
-        try:
-            return self.charts[ci]
-        except IndexError:
-            raise ValidationError(f"chart index {ci} out of range") from None
+        if ci != 0:
+            raise ValidationError(f"chart index {ci} out of range")
+        return self.charts[0]
 
     def embed(self, ci: int, coords: np.ndarray) -> np.ndarray:
         return self.chart(ci).embed(coords)
@@ -278,16 +275,14 @@ class EmbeddedManifold:
         return gamma[0] if single else gamma
 
     def volume(self, order: int = 96) -> float:
-        """Total volume of the atlas (cached), by tensor quadrature."""
+        """Total volume of the chart box (cached), by tensor quadrature."""
         cached = getattr(self, "_volume_cache", None)
         if cached is not None and cached[0] == order:
             return cached[1]
         from .operator import build_full_rule  # local import to avoid a cycle
-        rule = build_full_rule(self, order=order)
-        total = 0.0
-        for block in rule.blocks:
-            total += float(np.sum(block.weights
-                                  * self.sqrt_det_metric(block.chart, block.nodes)))
+        (block,) = build_full_rule(self, order=order).blocks
+        total = float(np.sum(block.weights
+                             * self.sqrt_det_metric(block.chart, block.nodes)))
         self._volume_cache = (order, total)
         return total
 

@@ -1,7 +1,7 @@
 """Gaussian-kernel integral operator by tensor quadrature and Monte Carlo.
 
 The operator integrates ``k_eps(x, y) f(y)`` against the Riemannian volume
-form over the chart atlas.  For small bandwidths the quadrature window is
+form over the chart box.  For small bandwidths the quadrature window is
 restricted to a chart-coordinate box around the geodesic ball of radius
 ``min(delta, 8 sqrt(eps * max(1, log(1/eps))))``; the mass excluded by the
 window is controlled by an explicit far-field bound reported alongside the
@@ -55,12 +55,12 @@ class QuadratureBlock:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Tensor quadrature nodes over the atlas or a localized window of it."""
+    """Nodes over the whole chart box (``covers_atlas``) or a window of it."""
     blocks: list[QuadratureBlock]
     order: int
     localized_radius: float | None
     covers_atlas: bool
-    window: list[tuple[np.ndarray, np.ndarray]] | None = None
+    window: tuple[np.ndarray, np.ndarray] | None = None
 
     def node_count(self) -> int:
         return sum(b.nodes.shape[0] for b in self.blocks)
@@ -77,32 +77,28 @@ def _axis_rule(lo: float, hi: float, periodic_full: bool, order: int):
     return nodes, weights
 
 
-def _tensor_block(chart_index: int, axes: list[tuple[np.ndarray, np.ndarray]]
-                  ) -> QuadratureBlock:
+def _tensor_block(axes: list[tuple[np.ndarray, np.ndarray]]) -> QuadratureBlock:
     grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
     nodes = np.stack([g.reshape(-1) for g in grids], axis=-1)
     wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
     weights = np.ones(nodes.shape[0])
     for w in wgrids:
         weights = weights * w.reshape(-1)
-    return QuadratureBlock(chart=chart_index, nodes=nodes, weights=weights)
+    return QuadratureBlock(chart=0, nodes=nodes, weights=weights)
 
 
 def build_full_rule(M: EmbeddedManifold, order: int = DEFAULT_ORDER,
                     axis_orders: Sequence[int] | None = None) -> QuadratureRule:
-    """Quadrature covering every chart box entirely."""
+    """Quadrature covering the whole chart box."""
     if order < 2:
         raise ValidationError("quadrature order must be at least 2")
-    blocks = []
-    for ci, chart in enumerate(M.charts):
-        axes = []
-        for i in range(chart.dim):
-            n_i = axis_orders[i] if axis_orders is not None else order
-            axes.append(_axis_rule(chart.lo[i], chart.hi[i],
-                                   chart.periodic[i], n_i))
-        blocks.append(_tensor_block(ci, axes))
-    return QuadratureRule(blocks=blocks, order=order, localized_radius=None,
-                          covers_atlas=True)
+    chart = M.chart(0)
+    axes = []
+    for i in range(chart.dim):
+        n_i = axis_orders[i] if axis_orders is not None else order
+        axes.append(_axis_rule(chart.lo[i], chart.hi[i], chart.periodic[i], n_i))
+    return QuadratureRule(blocks=[_tensor_block(axes)], order=order,
+                          localized_radius=None, covers_atlas=True)
 
 
 def localization_radius(M: EmbeddedManifold, eps: float) -> float:
@@ -119,10 +115,10 @@ def build_localized_rule(M: EmbeddedManifold, x: ChartPoint, eps: float,
 
     The ball radius is ``min(delta, 8 sqrt(eps max(1, log 1/eps)))``, mapped
     to per-axis halfwidths through the inverse metric at ``x`` with a 30%
-    margin.  When the window covers the whole box the full-atlas rule is
+    margin.  When the window covers the whole box the full-box rule is
     returned.  When the injectivity cap binds *and* the window would exclude
     non-negligible kernel mass (far-field bound above 1e-6), the rule falls
-    back to the full atlas with the per-axis node count raised until the node
+    back to the full box with the per-axis node count raised until the node
     spacing resolves the kernel width; this only happens at large bandwidths,
     where the escalation stays cheap.
     """
@@ -137,7 +133,7 @@ def build_localized_rule(M: EmbeddedManifold, x: ChartPoint, eps: float,
     half = 1.3 * radius * np.sqrt(np.diagonal(ginv))
     axes = []
     window = []
-    full = len(M.charts) == 1
+    full = True
     for i in range(chart.dim):
         lo_i, hi_i = chart.lo[i], chart.hi[i]
         width = hi_i - lo_i
@@ -163,9 +159,9 @@ def build_localized_rule(M: EmbeddedManifold, x: ChartPoint, eps: float,
                               localized_radius=radius, covers_atlas=True)
     lo = np.array([w[0] for w in window])
     hi = np.array([w[1] for w in window])
-    windowed = QuadratureRule(blocks=[_tensor_block(x.chart, axes)], order=order,
+    windowed = QuadratureRule(blocks=[_tensor_block(axes)], order=order,
                               localized_radius=radius, covers_atlas=False,
-                              window=[(lo, hi)])
+                              window=(lo, hi))
     if raw_radius < M.delta:
         return windowed
     # the injectivity cap binds: keep the window only if the mass it excludes
@@ -198,7 +194,7 @@ class TailEstimate:
     """Far-field bound for the mass outside the quadrature window.
 
     ``m_delta`` approximates the infimum of |y - x| over the part of the
-    atlas outside the window (estimated on a coarse grid, like the sup norm
+    chart box outside the window (estimated on a coarse grid, like the sup norm
     of f; both are diagnostics, not certified bounds).
     """
     m_delta: float
@@ -215,64 +211,54 @@ def _coarse_grid(M: EmbeddedManifold):
     cache = getattr(M, "_coarse_grid_cache", None)
     if cache is not None:
         return cache
-    data = []
-    for ci, chart in enumerate(M.charts):
-        axes = []
-        for i in range(chart.dim):
-            lo_i, hi_i = chart.lo[i], chart.hi[i]
-            if chart.periodic[i]:
-                axes.append(lo_i + (hi_i - lo_i) * np.arange(_COARSE_RES)
-                            / _COARSE_RES)
-            else:
-                inset = 1e-3 * (hi_i - lo_i)
-                axes.append(np.linspace(lo_i + inset, hi_i - inset, _COARSE_RES))
-        grids = np.meshgrid(*axes, indexing="ij")
-        coords = np.stack([g.reshape(-1) for g in grids], axis=-1)
-        data.append((coords, M.embed(ci, coords)))
-    M._coarse_grid_cache = data
-    return data
+    chart = M.chart(0)
+    axes = []
+    for i in range(chart.dim):
+        lo_i, hi_i = chart.lo[i], chart.hi[i]
+        if chart.periodic[i]:
+            axes.append(lo_i + (hi_i - lo_i) * np.arange(_COARSE_RES)
+                        / _COARSE_RES)
+        else:
+            inset = 1e-3 * (hi_i - lo_i)
+            axes.append(np.linspace(lo_i + inset, hi_i - inset, _COARSE_RES))
+    grids = np.meshgrid(*axes, indexing="ij")
+    coords = np.stack([g.reshape(-1) for g in grids], axis=-1)
+    M._coarse_grid_cache = (coords, M.embed(0, coords))
+    return M._coarse_grid_cache
 
 
 def _excluded_min_distance(M: EmbeddedManifold, x0: np.ndarray,
                            rule: QuadratureRule) -> float:
-    """Coarse-grid minimum of |y - x| over atlas points outside the window."""
+    """Coarse-grid minimum of |y - x| over chart points outside the window."""
     if rule.covers_atlas:
         return math.inf
-    m_best = math.inf
-    for ci, (coords, embeds) in enumerate(_coarse_grid(M)):
-        outside = np.zeros(coords.shape[0], dtype=bool)
-        if ci != rule.blocks[0].chart:
-            outside[:] = True
+    coords, embeds = _coarse_grid(M)
+    lo, hi = rule.window
+    chart = M.chart(0)
+    outside = np.zeros(coords.shape[0], dtype=bool)
+    for i in range(chart.dim):
+        col = coords[:, i]
+        if chart.periodic[i]:
+            width = chart.hi[i] - chart.lo[i]
+            outside |= np.mod(col - lo[i], width) > (hi[i] - lo[i])
         else:
-            lo, hi = rule.window[0]
-            chart = M.chart(ci)
-            for i in range(chart.dim):
-                col = coords[:, i]
-                if chart.periodic[i]:
-                    width = chart.hi[i] - chart.lo[i]
-                    rel = np.mod(col - lo[i], width)
-                    outside |= rel > (hi[i] - lo[i])
-                else:
-                    outside |= (col < lo[i]) | (col > hi[i])
-        if np.any(outside):
-            dist = np.linalg.norm(embeds[outside] - x0, axis=-1)
-            m_best = min(m_best, float(np.min(dist)))
-    return m_best
+            outside |= (col < lo[i]) | (col > hi[i])
+    if not np.any(outside):
+        return math.inf
+    return float(np.min(np.linalg.norm(embeds[outside] - x0, axis=-1)))
 
 
 def tail_estimate(M: EmbeddedManifold, x: ChartPoint, eps: float,
                   rule: QuadratureRule, f: Callable) -> TailEstimate:
     """Bound (4 pi eps)^(-d/2) e^(-m^2/4eps) Vol(M) sup|f| for excluded mass."""
-    f_sup = 0.0
-    for coords, embeds in _coarse_grid(M):
-        vals = np.abs(np.asarray(f(coords, embeds), dtype=float))
-        f_sup = max(f_sup, float(np.max(vals)))
+    coords, embeds = _coarse_grid(M)
+    vals = np.abs(np.asarray(f(coords, embeds), dtype=float))
+    f_sup = max(0.0, float(np.max(vals)))   # max() turns a NaN sup into 0
     x0 = M.embed(x.chart, x.coords)
     m_best = _excluded_min_distance(M, x0, rule)
-    if not math.isfinite(m_best):
-        return TailEstimate(m_delta=math.inf, volume=M.volume(), f_sup=f_sup,
-                            bound=0.0)
     vol = M.volume()
+    if not math.isfinite(m_best):
+        return TailEstimate(m_delta=math.inf, volume=vol, f_sup=f_sup, bound=0.0)
     bound = ((4.0 * math.pi * eps) ** (-M.dim / 2.0)
              * math.exp(-m_best ** 2 / (4.0 * eps)) * vol * f_sup)
     return TailEstimate(m_delta=m_best, volume=vol, f_sup=f_sup, bound=bound)
@@ -292,20 +278,18 @@ def apply_operator(M: EmbeddedManifold, f: Callable, x: ChartPoint, eps: float,
     """
     if rule is None:
         rule = build_localized_rule(M, x, eps)
-    for block in rule.blocks:
-        if block.chart >= len(M.charts) or block.nodes.shape[-1] != M.dim:
-            raise ValidationError(
-                "quadrature rule does not match the manifold's atlas")
+    block = rule.blocks[0]
+    if len(rule.blocks) != 1 or block.nodes.shape[-1] != M.dim:
+        raise ValidationError(
+            "quadrature rule does not match the manifold's chart")
     x0 = M.embed(x.chart, x.coords)
-    total = 0.0
-    for block in rule.blocks:
-        # fields see wrapped coordinates (windows may straddle a period seam)
-        nodes = M.chart(block.chart).wrap(block.nodes)
-        ambient = M.embed(block.chart, nodes)
-        dens = M.sqrt_det_metric(block.chart, nodes)
-        fvals = np.asarray(f(nodes, ambient), dtype=float)
-        kern = k_eps(x0, ambient, eps, M.dim)
-        total += float(np.sum(block.weights * dens * fvals * kern))
+    # fields see wrapped coordinates (windows may straddle a period seam)
+    nodes = M.chart(block.chart).wrap(block.nodes)
+    ambient = M.embed(block.chart, nodes)
+    dens = M.sqrt_det_metric(block.chart, nodes)
+    fvals = np.asarray(f(nodes, ambient), dtype=float)
+    kern = k_eps(x0, ambient, eps, M.dim)
+    total = float(np.sum(block.weights * dens * fvals * kern))
     tail = tail_estimate(M, x, eps, rule, f)
     return total, tail.bound
 
@@ -380,8 +364,8 @@ def monte_carlo_operator(M: EmbeddedManifold, f: Callable, x: ChartPoint,
                          ) -> tuple[float, float]:
     """Monte Carlo estimate of the kernel integral with its standard error.
 
-    Samples uniformly with respect to the volume form by per-chart rejection
-    against sqrt(det g), using a counter-based (Philox) generator so a fixed
+    Samples uniformly with respect to the volume form by rejection against
+    sqrt(det g), using a counter-based (Philox) generator so a fixed
     seed reproduces results exactly regardless of batch scheduling.
     """
     if n_samples < 1000:
@@ -391,49 +375,32 @@ def monte_carlo_operator(M: EmbeddedManifold, f: Callable, x: ChartPoint,
     rng = np.random.Generator(np.random.Philox(seed))
     x0 = M.embed(x.chart, x.coords)
     vol = M.volume()
-
-    # per-chart volumes for deterministic sample allocation
-    chart_vols = []
-    full = build_full_rule(M, order=48)
-    for block in full.blocks:
-        chart_vols.append(float(np.sum(
-            block.weights * M.sqrt_det_metric(block.chart, block.nodes))))
-    alloc = [int(round(n_samples * v / sum(chart_vols))) for v in chart_vols]
-    alloc[-1] += n_samples - sum(alloc)
-
-    grid = _coarse_grid(M)
-    kernel_vals = []
-    for ci, chart in enumerate(M.charts):
-        target = alloc[ci]
-        if target == 0:
-            continue
-        coords_grid = grid[ci][0]
-        dens_cap = 1.1 * float(np.max(M.sqrt_det_metric(ci, coords_grid)))
-        accepted = []
-        proposed = 0
-        lo, hi = chart.lo, chart.hi
-        while sum(a.shape[0] for a in accepted) < target:
-            batch = max(2048, 2 * target)
-            cand = rng.uniform(lo, hi, size=(batch, chart.dim))
-            u = rng.uniform(0.0, 1.0, size=batch)
-            dens = M.sqrt_det_metric(ci, cand)
-            if np.any(dens > dens_cap):
-                raise NumericsError(
-                    "density cap exceeded during rejection sampling; "
-                    "refine the chart or its coarse grid")
-            keep = u < dens / dens_cap
-            proposed += batch
-            accepted.append(cand[keep])
-            if proposed >= 100 * target and sum(
-                    a.shape[0] for a in accepted) < 0.01 * proposed:
-                raise NumericsError(
-                    "rejection efficiency below 1%; refine the chart "
-                    "parametrization")
-        coords = np.concatenate(accepted, axis=0)[:target]
-        ambient = M.embed(ci, coords)
-        fvals = np.asarray(f(coords, ambient), dtype=float)
-        kernel_vals.append(k_eps(x0, ambient, eps, M.dim) * fvals)
-    pooled = np.concatenate(kernel_vals)
+    chart = M.chart(x.chart)
+    coords_grid, _ = _coarse_grid(M)
+    dens_cap = 1.1 * float(np.max(M.sqrt_det_metric(x.chart, coords_grid)))
+    accepted = []
+    proposed = 0
+    while sum(a.shape[0] for a in accepted) < n_samples:
+        batch = max(2048, 2 * n_samples)
+        cand = rng.uniform(chart.lo, chart.hi, size=(batch, chart.dim))
+        u = rng.uniform(0.0, 1.0, size=batch)
+        dens = M.sqrt_det_metric(x.chart, cand)
+        if np.any(dens > dens_cap):
+            raise NumericsError(
+                "density cap exceeded during rejection sampling; "
+                "refine the chart or its coarse grid")
+        keep = u < dens / dens_cap
+        proposed += batch
+        accepted.append(cand[keep])
+        if proposed >= 100 * n_samples and sum(
+                a.shape[0] for a in accepted) < 0.01 * proposed:
+            raise NumericsError(
+                "rejection efficiency below 1%; refine the chart "
+                "parametrization")
+    coords = np.concatenate(accepted, axis=0)[:n_samples]
+    ambient = M.embed(x.chart, coords)
+    fvals = np.asarray(f(coords, ambient), dtype=float)
+    pooled = k_eps(x0, ambient, eps, M.dim) * fvals
     estimate = vol * float(np.mean(pooled))
     std_error = vol * float(np.std(pooled, ddof=1)) / math.sqrt(pooled.size)
     return estimate, std_error

@@ -169,6 +169,13 @@ class TestErrors:
         code, _, err = run(capsys, "curvature", "--manifold", "quadric411",
                            "--point", "3,0,0")
         assert code == 1
+        # the only chart index is 0
+        code, out, err = run(capsys, "curvature", "--manifold", "torus",
+                             "--point", "1:0.3,0.0")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"]["type"] == "validation"
 
     def test_numerics_exit_code(self, capsys, monkeypatch):
         def boom(args):

@@ -94,6 +94,17 @@ class TestMetric:
         with pytest.raises(DegenerateChartError):
             metric_at(S2, ChartPoint(0, [1e-9, 0.0]))
 
+    def test_exactly_one_chart(self):
+        # a second copy of the chart would double every integral
+        from ckl.manifold import EmbeddedManifold
+        chart = TORUS.charts[0]
+        for charts in ([chart, chart], []):
+            with pytest.raises(ValidationError):
+                EmbeddedManifold(charts, delta=0.9)
+        for ci in (1, -1):
+            with pytest.raises(ValidationError):
+                TORUS.chart(ci)
+
 
 # ---------------------------------------------------------------------------
 # Curvature
