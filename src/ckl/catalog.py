@@ -2,8 +2,9 @@
 
 Catalog surfaces ship analytic embedding derivatives (generated symbolically
 once per construction and lambdified to vectorized numpy closures), so the
-geometry layer runs at full accuracy on them.  User-defined charts fall back
-to finite differences.
+geometry layer runs at full accuracy on them.  Polynomial graph charts also
+ship the closed-form volume element ``sqrt(1 + |grad P|^2)``.  User-defined
+charts fall back to finite differences.
 
 Description files are UTF-8 ``key=value`` tokens, e.g.::
 
@@ -131,9 +132,17 @@ def graph_chart(poly: PolyTerms, halfwidth: float, name: str = "") -> Chart:
                 out[..., d, i, j] = hess[i][j](coords)
         return out
 
+    def volume_element(coords):
+        # sqrt(det g) = sqrt(1 + |grad P|^2) for the metric I + grad P grad P^T
+        coords = np.asarray(coords, dtype=float)
+        sq = np.ones(coords.shape[:-1])
+        for g in grad:
+            sq += g(coords) ** 2
+        return np.sqrt(sq)
+
     return Chart(embed=embed, lo=[-halfwidth] * d, hi=[halfwidth] * d,
                  periodic=[False] * d, jacobian=jacobian, hessian=hessian,
-                 name=name)
+                 volume_element=volume_element, name=name)
 
 
 # ---------------------------------------------------------------------------

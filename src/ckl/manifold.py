@@ -5,7 +5,9 @@ R^n.  Everything downstream (metric, second fundamental form,
 curvature, geodesics, normal-coordinate volume density, Laplace-Beltrami
 operator) is computed from the embedding map and its derivatives.  Charts may
 carry analytic derivative closures; otherwise central finite differences with
-one Richardson step are used.
+one Richardson step are used.  A chart may also carry a closed-form volume
+element ``volume_element`` (shape ``(...,)``); without one the volume element
+is ``sqrt(det J^T J)`` from the Jacobian.
 
 All evaluation entry points accept batched coordinates with shape ``(..., d)``
 and return correspondingly batched results.  Geometry objects are immutable
@@ -108,10 +110,13 @@ class Chart:
         Analytic derivatives with shapes ``(..., n, d)`` and ``(..., n, d, d)``.
         When absent, central finite differences with step
         ``eps_machine^(1/3) * (1 + |coord|)`` and one Richardson step are used.
+    volume_element : callable, optional
+        Closed-form Riemannian volume element ``sqrt(det g)`` with shape
+        ``(...,)``.  When absent it is computed as ``sqrt(det J^T J)``.
     """
 
     def __init__(self, embed, lo, hi, periodic=None, jacobian=None,
-                 hessian=None, name: str = ""):
+                 hessian=None, volume_element=None, name: str = ""):
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
         if self.lo.shape != self.hi.shape or self.lo.ndim != 1:
@@ -130,6 +135,7 @@ class Chart:
         self.ambient_dim = probe.size
         self._jacobian = jacobian
         self._hessian = hessian
+        self._volume_element = volume_element
 
     # -- domain helpers -----------------------------------------------------
 
@@ -173,6 +179,22 @@ class Chart:
         if self._hessian is not None:
             return np.asarray(self._hessian(coords), dtype=float)
         return _fd_hessian(self._embed, coords, self.ambient_dim)
+
+    def volume_element(self, coords: np.ndarray) -> np.ndarray:
+        """Volume element sqrt(det g), from the closed form when the chart has one.
+
+        Unlike :meth:`EmbeddedManifold.metric`, no determinant floor is
+        enforced: quadrature legitimately samples points where a chart
+        degenerates (sphere poles) and the volume element vanishes smoothly
+        there.
+        """
+        if self._volume_element is None:
+            jac = self.jacobian(coords)
+            g = np.einsum("...ni,...nj->...ij", jac, jac)
+            return np.sqrt(np.maximum(np.linalg.det(g), 0.0))
+        coords = self.wrap(coords)
+        self.require_inside(coords)
+        return np.asarray(self._volume_element(coords), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -237,15 +259,8 @@ class EmbeddedManifold:
         return g
 
     def sqrt_det_metric(self, ci: int, coords: np.ndarray) -> np.ndarray:
-        """Volume element sqrt(det J^T J).
-
-        Unlike :meth:`metric`, no determinant floor is enforced: quadrature
-        legitimately samples points where a chart degenerates (sphere poles)
-        and the volume element vanishes smoothly there.
-        """
-        jac = self.jacobian(ci, coords)
-        g = np.einsum("...ni,...nj->...ij", jac, jac)
-        return np.sqrt(np.maximum(np.linalg.det(g), 0.0))
+        """Volume element sqrt(det g); see :meth:`Chart.volume_element`."""
+        return self.chart(ci).volume_element(coords)
 
     def christoffel(self, ci: int, coords: np.ndarray) -> np.ndarray:
         """Christoffel symbols ``Gamma[..., k, i, j]`` from the differenced metric."""

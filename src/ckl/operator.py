@@ -67,6 +67,8 @@ class QuadratureRule:
 
 
 def _axis_rule(lo: float, hi: float, periodic_full: bool, order: int):
+    if order < 2:
+        raise ValidationError("quadrature order must be at least 2")
     if periodic_full:
         nodes = lo + (hi - lo) * np.arange(order) / order
         weights = np.full(order, (hi - lo) / order)
@@ -90,8 +92,6 @@ def _tensor_block(axes: list[tuple[np.ndarray, np.ndarray]]) -> QuadratureBlock:
 def build_full_rule(M: EmbeddedManifold, order: int = DEFAULT_ORDER,
                     axis_orders: Sequence[int] | None = None) -> QuadratureRule:
     """Quadrature covering the whole chart box."""
-    if order < 2:
-        raise ValidationError("quadrature order must be at least 2")
     chart = M.chart(0)
     axes = []
     for i in range(chart.dim):
@@ -250,10 +250,15 @@ def _excluded_min_distance(M: EmbeddedManifold, x0: np.ndarray,
 
 def tail_estimate(M: EmbeddedManifold, x: ChartPoint, eps: float,
                   rule: QuadratureRule, f: Callable) -> TailEstimate:
-    """Bound (4 pi eps)^(-d/2) e^(-m^2/4eps) Vol(M) sup|f| for excluded mass."""
+    """Bound (4 pi eps)^(-d/2) e^(-m^2/4eps) Vol(M) sup|f| for excluded mass.
+
+    A sup norm that is not finite raises :class:`NumericsError`.
+    """
     coords, embeds = _coarse_grid(M)
     vals = np.abs(np.asarray(f(coords, embeds), dtype=float))
-    f_sup = max(0.0, float(np.max(vals)))   # max() turns a NaN sup into 0
+    f_sup = float(np.max(vals))
+    if not math.isfinite(f_sup):
+        raise NumericsError("sup |f| over the chart box is not finite")
     x0 = M.embed(x.chart, x.coords)
     m_best = _excluded_min_distance(M, x0, rule)
     vol = M.volume()
@@ -274,7 +279,8 @@ def apply_operator(M: EmbeddedManifold, f: Callable, x: ChartPoint, eps: float,
 
     ``f`` is a scalar field callable ``f(coords, ambient) -> values``.  The
     reduction is a fixed-order pairwise sum, so results are deterministic and
-    independent of any node-level parallelism.
+    independent of any node-level parallelism.  A value that is not finite
+    raises :class:`NumericsError`.
     """
     if rule is None:
         rule = build_localized_rule(M, x, eps)
@@ -290,6 +296,8 @@ def apply_operator(M: EmbeddedManifold, f: Callable, x: ChartPoint, eps: float,
     fvals = np.asarray(f(nodes, ambient), dtype=float)
     kern = k_eps(x0, ambient, eps, M.dim)
     total = float(np.sum(block.weights * dens * fvals * kern))
+    if not math.isfinite(total):
+        raise NumericsError(f"operator value at eps={eps:g} is not finite")
     tail = tail_estimate(M, x, eps, rule, f)
     return total, tail.bound
 

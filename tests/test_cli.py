@@ -177,6 +177,27 @@ class TestErrors:
         assert err.count("\n") == 1
         assert json.loads(err)["error"]["type"] == "validation"
 
+    @pytest.mark.parametrize("order", ["1", "0"])
+    def test_order_below_two_rejected(self, capsys, order):
+        # every rule, windowed or full, needs at least 2 nodes per axis
+        code, out, err = run(capsys, "operator", "--manifold", "torus",
+                             "--order", order, "--eps", "0.001",
+                             "--point", "0.3,0.0")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"]["type"] == "validation"
+
+    def test_nonfinite_field_is_numerics_error(self, capsys):
+        # inf - inf in f must not print nan with exit 0
+        code, out, err = run(capsys, "operator", "--manifold", "plane",
+                             "--f", "poly:1e308:(2,0),-1e308:(0,2)",
+                             "--eps", "0.1,0.001", "--format", "csv")
+        assert code == 2
+        assert out == ""
+        last = err.strip().split("\n")[-1]
+        assert json.loads(last)["error"]["type"] == "NumericsError"
+
     def test_numerics_exit_code(self, capsys, monkeypatch):
         def boom(args):
             raise NumericsError("synthetic numerical failure")

@@ -22,6 +22,9 @@ CASES = {
     "operator_torus.csv": ["operator", "--manifold", "torus",
                            "--point", "0.3,0.0", "--eps", "0.05,0.01",
                            "--format", "csv"],
+    # one full-atlas rule and one windowed rule on the determinant path
+    "operator_sphere3.csv": ["operator", "--manifold", "sphere3",
+                             "--eps", "0.05,0.0125", "--format", "csv"],
 }
 
 

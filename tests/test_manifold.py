@@ -1,5 +1,6 @@
 """Geometry-layer tests: metric, curvature, Laplacian, geodesics, density."""
 
+import itertools
 import math
 
 import numpy as np
@@ -26,6 +27,8 @@ TORUS = catalog_manifold("torus")
 SPHEROID = catalog_manifold("spheroid")
 PLANE = catalog_manifold("plane")
 QUADRIC = catalog_manifold("quadric411")
+GRAPH = load_manifold_text(
+    "type=graph d=2 poly=0.3:(1,1),0.2:(3,0),-0.4:(0,2) box=1.0")
 
 EQUATOR = ChartPoint(0, [math.pi / 2, 1.0])
 
@@ -104,6 +107,63 @@ class TestMetric:
         for ci in (1, -1):
             with pytest.raises(ValidationError):
                 TORUS.chart(ci)
+
+
+# ---------------------------------------------------------------------------
+# Volume element
+# ---------------------------------------------------------------------------
+
+def det_chain(M, coords):
+    """sqrt(det J^T J) from the chart Jacobian, the reference volume element."""
+    jac = M.jacobian(0, coords)
+    return np.sqrt(np.linalg.det(np.einsum("...ni,...nj->...ij", jac, jac)))
+
+
+class TestVolumeElement:
+    @pytest.mark.parametrize("M", [QUADRIC, PLANE, GRAPH],
+                             ids=["quadric411", "plane", "graph"])
+    def test_graph_closed_form_matches_determinant(self, M, rng):
+        chart = M.charts[0]
+        corners = np.array(list(itertools.product(*zip(chart.lo, chart.hi))))
+        pts = np.concatenate([random_points(M, 2000, rng, margin=0.0), corners])
+        dens = M.sqrt_det_metric(0, pts)
+        assert dens.shape == (pts.shape[0],)
+        np.testing.assert_allclose(dens, det_chain(M, pts), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("M", [QUADRIC, PLANE, GRAPH],
+                             ids=["quadric411", "plane", "graph"])
+    def test_outside_box_rejected(self, M):
+        chart = M.charts[0]
+        outside = chart.hi + 0.5 * (chart.hi - chart.lo)
+        with pytest.raises(DomainError):
+            M.sqrt_det_metric(0, outside[None, :])
+
+    def test_quadric_volume_matches_determinant_chain(self):
+        from ckl.operator import build_full_rule
+        (block,) = build_full_rule(QUADRIC, order=96).blocks
+        reference = float(np.sum(block.weights * det_chain(QUADRIC, block.nodes)))
+        assert QUADRIC.volume() == pytest.approx(reference, rel=1e-12)
+
+    def test_graph_density_never_uses_jacobian(self, monkeypatch, rng):
+        # the closed form must stay the only route for graph densities
+        from ckl.operator import apply_operator, build_localized_rule
+        x = ChartPoint(0, [0.1, 0.0, -0.05])
+        cases = []
+        for eps in (0.1, 1e-3):    # one full-box rule, one windowed rule
+            rule = build_localized_rule(QUADRIC, x, eps, order=16)
+            cases.append((eps, rule, apply_operator(QUADRIC, const_one, x, eps, rule)))
+
+        def boom(coords):
+            raise AssertionError("graph volume element evaluated the Jacobian")
+
+        M = catalog_manifold("quadric411")
+        monkeypatch.setattr(M.charts[0], "_jacobian", boom)
+        pts = random_points(M, 100, rng)
+        np.testing.assert_array_equal(M.sqrt_det_metric(0, pts),
+                                      QUADRIC.sqrt_det_metric(0, pts))
+        assert M.volume() == QUADRIC.volume()
+        for eps, rule, expected in cases:
+            assert apply_operator(M, const_one, x, eps, rule) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,16 @@ class TestRules:
         rule = build_localized_rule(S2, EQUATOR, 0.1)
         assert rule.covers_atlas
 
+    def test_order_below_two_rejected(self):
+        # the check holds for windowed rules too, not only the full box
+        pt = ChartPoint(0, [0.3, 0.0])
+        assert not build_localized_rule(TORUS, pt, 1e-3, order=2).covers_atlas
+        for order in (1, 0):
+            with pytest.raises(ValidationError):
+                build_localized_rule(TORUS, pt, 1e-3, order=order)
+            with pytest.raises(ValidationError):
+                build_full_rule(TORUS, order=order)
+
 
 class TestApplyOperator:
     def test_sphere_closed_form_ladder(self):
@@ -171,6 +181,26 @@ class TestTail:
         assert est.f_sup == pytest.approx(1.0)
         assert est.volume == pytest.approx(4 * math.pi ** 2 * 2, rel=1e-6)
         assert est.bound >= 0
+
+    def test_nonfinite_field_rejected(self):
+        # a NaN sup of f must not read as f_sup = 0 and a tail bound of 0
+        def nan_far(coords, ambient):
+            return np.where(coords[..., 0] > 1.0, np.nan, 1.0)
+
+        pt = ChartPoint(0, [0.0, 0.0])
+        rule = build_localized_rule(PLANE, pt, 1e-3)
+        assert not rule.covers_atlas
+        with pytest.raises(NumericsError):
+            tail_estimate(PLANE, pt, 1e-3, rule, nan_far)
+        with pytest.raises(NumericsError):
+            apply_operator(PLANE, nan_far, pt, 1e-3, rule)
+
+    def test_nonfinite_value_rejected(self):
+        def nan_everywhere(coords, ambient):
+            return np.full(np.asarray(coords).shape[:-1], np.nan)
+
+        with pytest.raises(NumericsError):
+            apply_operator(S2, nan_everywhere, EQUATOR, 0.05)
 
 
 class TestSweep:
