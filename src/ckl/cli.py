@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -35,11 +34,18 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _emit(text: str, out: str):
+# CSV rows per formatted block: the table never sits in memory as one string
+_CSV_BLOCK_ROWS = 4096
+
+
+def _emit(text, out: str):
+    """Write a string, or an iterable of strings as it yields them."""
+    chunks = [text] if isinstance(text, str) else text
     if out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
 
 
 def _json_dump(obj) -> str:
@@ -79,8 +85,8 @@ def _parse_eps_list(text: str) -> list[float]:
         eps = [float(t) for t in text.split(",") if t.strip()]
     except ValueError:
         raise ValidationError(f"bad eps list {text!r}") from None
-    if not eps or any(e <= 0 for e in eps):
-        raise ValidationError("eps values must be positive")
+    if not eps or not all(0 < e < np.inf for e in eps):
+        raise ValidationError("eps values must be positive and finite")
     return sorted(eps, reverse=True)
 
 
@@ -193,9 +199,9 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    if args.tol_eq is not None and not 0 <= args.tol_eq < np.inf:
+        raise ValidationError("--tol-eq must be finite and >= 0")
     M = load_manifold(args.manifold)
-    if M.ambient_dim != M.dim + 1:
-        raise ValidationError("equicurved-scan needs a hypersurface (n = d+1)")
     grid = _parse_grid(args.grid, M.dim)
     scan = scan_equicurved(M, grid, tol_eq=args.tol_eq)
     if args.format == "csv":
@@ -203,16 +209,18 @@ def _cmd_scan(args) -> int:
         header = (["chart"] + [f"s{i + 1}" for i in range(d)]
                   + [f"kappa_{i + 1}" for i in range(d)]
                   + ["e1", "e2", "residual", "spread", "class"])
-        lines = [",".join(header)]
-        for i in range(scan.coords.shape[0]):
-            row = ["0"]
-            row += [_fmt(c) for c in scan.coords[i]]
-            row += [_fmt(k) for k in scan.kappas[i]]
-            row += [_fmt(scan.e1[i]), _fmt(scan.e2[i]),
-                    _fmt(scan.residual[i]), _fmt(scan.umbilic_spread[i]),
-                    scan.classification[i]]
-            lines.append(",".join(row))
-        _emit("\n".join(lines) + "\n", args.out)
+        # object rows: Python floats for %.17g, then the class label
+        table = np.column_stack([scan.coords, scan.kappas, scan.e1, scan.e2,
+                                 scan.residual, scan.umbilic_spread,
+                                 np.array(scan.classification, dtype=object)])
+        row_fmt = "0," + "%.17g," * (table.shape[1] - 1) + "%s\n"
+
+        def blocks():
+            yield ",".join(header) + "\n"
+            for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
+                block = table[start:start + _CSV_BLOCK_ROWS]
+                yield row_fmt * block.shape[0] % tuple(block.ravel())
+        _emit(blocks(), args.out)
     else:
         def res_to_dict(r):
             return {"chart": r.point.chart,

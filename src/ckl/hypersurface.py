@@ -9,9 +9,14 @@ operator.  Scans evaluate the residual ``e1^2 - 4 e2`` over a grid on the
 chart box, refine sign changes and sub-threshold dips along grid edges by
 bisection, and cluster the refined points by ambient position.
 
-Classification thresholds scale with the curvature magnitudes
-(``tol * (1 + e1^2)`` for equicurvature, ``tol * (1 + |kappa_1|)`` for
-umbilicity); they are engineering choices, not intrinsic definitions.
+Scan points are classified over whole arrays: ``flat`` when ``max |kappa_i|
+<= tol_umb``; ``umbilic`` when flat or ``kappa_1 - kappa_d <= tol_umb``;
+``equicurved`` when flat or ``|e1^2 - 4 e2| <= tol_eq``, or when d = 2 and
+umbilic.  The label is the first of these that holds, else ``generic``; a row
+of NaNs is generic with no flags and stays out of the zero set.  The default
+thresholds scale with the curvature magnitudes (``1e-6 (1 + e1^2)`` and
+``1e-6 (1 + max |kappa_i|)``); they are engineering choices, not intrinsic
+definitions.
 """
 
 from __future__ import annotations
@@ -170,9 +175,6 @@ def equicurvature_residual(sd: ShapeData) -> float:
 # Classification and scans
 # ---------------------------------------------------------------------------
 
-CLASS_LABELS = ("flat", "umbilic", "equicurved", "generic")
-
-
 @dataclass(frozen=True)
 class EquicurvatureResult:
     point: ChartPoint
@@ -185,21 +187,24 @@ class EquicurvatureResult:
     flags: tuple[str, ...]
 
 
-def _classify(kappas, e1, e2, residual, spread, tol_eq, tol_umb):
-    flat = bool(np.max(np.abs(kappas)) <= tol_umb)
-    umbilic = flat or bool(spread <= tol_umb)
-    equicurved = flat or bool(abs(residual) <= tol_eq)
-    if kappas.size == 2 and umbilic:
-        equicurved = True
-    flags = []
-    if flat:
-        flags.append("flat")
-    if umbilic:
-        flags.append("umbilic")
-    if equicurved:
-        flags.append("equicurved")
-    label = flags[0] if flags else "generic"
-    return label, tuple(flags)
+_FLAG_BITS = (("flat", 4), ("umbilic", 2), ("equicurved", 1))
+_FLAG_SETS = [tuple(name for name, bit in _FLAG_BITS if code & bit)
+              for code in range(8)]
+# (label, flags) indexed by the code flat*4 + umbilic*2 + equicurved
+_CLASS_TABLE = tuple((flags[0] if flags else "generic", flags)
+                     for flags in _FLAG_SETS)
+
+
+def _classify_arrays(kappas, residual, spread, tol_eq, tol_umb):
+    """Labels and flags for rows of ``kappas`` (N, d) and their (N,) data."""
+    flat = np.max(np.abs(kappas), axis=-1) <= tol_umb
+    umbilic = flat | (spread <= tol_umb)
+    equicurved = flat | (np.abs(residual) <= tol_eq)
+    if kappas.shape[-1] == 2:
+        equicurved |= umbilic
+    codes = (4 * flat + 2 * umbilic + equicurved).tolist()
+    entries = [_CLASS_TABLE[c] for c in codes]
+    return [e[0] for e in entries], [e[1] for e in entries]
 
 
 @dataclass(frozen=True)
@@ -231,10 +236,6 @@ class ScanResult:
             umbilic_spread=float(self.umbilic_spread[idx]),
             classification=self.classification[idx], flags=self.flags[idx])
 
-    @property
-    def results(self) -> list[EquicurvatureResult]:
-        return [self.result_at(i) for i in range(self.coords.shape[0])]
-
 
 def _grid_axes(chart, counts: Sequence[int]) -> list[np.ndarray]:
     axes = []
@@ -248,6 +249,16 @@ def _grid_axes(chart, counts: Sequence[int]) -> list[np.ndarray]:
             inset = _BOUNDARY_INSET * (hi_i - lo_i)
             axes.append(np.linspace(lo_i + inset, hi_i - inset, n + 1))
     return axes
+
+
+def _thread_count(value: str | None) -> int:
+    """Scan threads from a CKL_THREADS value, clamped to [1, cpu count]."""
+    try:
+        threads = int(value or 1)
+    except ValueError:
+        raise ValidationError(
+            f"CKL_THREADS must be an integer, got {value!r}") from None
+    return min(max(threads, 1), os.cpu_count() or 1)
 
 
 def _tolerances(e1, kappas, tol_eq, tol_umb):
@@ -266,8 +277,8 @@ def scan_equicurved(M: EmbeddedManifold, grid: Sequence[int],
     ``grid`` gives cells per axis: non-periodic axes get ``n + 1`` nodes
     (inset slightly from the box edge so degenerate chart boundaries stay
     evaluable; symmetric boxes keep their center on the grid), periodic axes
-    get ``n`` nodes.  Thread count honors the CKL_THREADS environment
-    variable; chunk results are reassembled in grid order either way.
+    get ``n`` nodes.  CKL_THREADS sets the thread count, clamped to
+    [1, cpu count]; chunk results are reassembled in grid order either way.
     """
     _require_hypersurface(M)
     grid = [int(g) for g in grid]
@@ -281,7 +292,7 @@ def scan_equicurved(M: EmbeddedManifold, grid: Sequence[int],
     def eval_chunk(chunk):
         return _shape_arrays(M, 0, chunk, orientation)[1]
 
-    threads = max(int(os.environ.get("CKL_THREADS", "1") or 1), 1)
+    threads = _thread_count(os.environ.get("CKL_THREADS"))
     if threads > 1 and coords.shape[0] > 4 * threads:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(eval_chunk, np.array_split(coords, threads)))
@@ -296,13 +307,8 @@ def scan_equicurved(M: EmbeddedManifold, grid: Sequence[int],
     spread = kappas[..., 0] - kappas[..., -1]
     tol_eq_arr, tol_umb_arr = _tolerances(e1, kappas, tol_eq, tol_umb)
 
-    classification = []
-    flags = []
-    for i in range(coords.shape[0]):
-        label, fl = _classify(kappas[i], e1[i], e2[i], residual[i], spread[i],
-                              tol_eq_arr[i], tol_umb_arr[i])
-        classification.append(label)
-        flags.append(fl)
+    classification, flags = _classify_arrays(kappas, residual, spread,
+                                             tol_eq_arr, tol_umb_arr)
 
     result = ScanResult(
         grid_shape=grid_shape, coords=coords, kappas=kappas, e1=e1, e2=e2,
@@ -524,7 +530,8 @@ def _cluster_refined(M, refined_pts, orientation, tol_eq, tol_umb):
         e2 = _elementary_symmetric(kappas, 2)
         spread = float(kappas[0] - kappas[-1])
         te, tu = _tolerances(np.atleast_1d(e1), kappas[None, :], tol_eq, tol_umb)
-        label, fl = _classify(kappas, e1, e2, res, spread, te[0], tu[0])
+        (label,), (fl,) = _classify_arrays(kappas[None, :], np.array([res]),
+                                           np.array([spread]), te, tu)
         out.append(EquicurvatureResult(
             point=ChartPoint(0, coord), kappas=kappas, e1=e1, e2=e2,
             residual=res, umbilic_spread=spread, classification=label,

@@ -134,6 +134,21 @@ class TestScan:
         assert code == 1
         assert json.loads(err)["error"]["type"] == "validation"
 
+    def test_stdout_and_file_bytes_equal(self, capsys, tmp_path):
+        argv = ["equicurved-scan", "--manifold", "sphere2", "--grid", "8x4"]
+        code, out, _ = run(capsys, *argv, "--out", "-")
+        assert code == 0
+        path = tmp_path / "scan.csv"
+        assert cli.main(argv + ["--out", str(path)]) == 0
+        assert out.encode("utf-8") == path.read_bytes()
+
+
+def assert_one_validation_line(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"]["type"] == "validation"
+
 
 class TestFunctionSpecs:
     def test_poly_field(self, capsys):
@@ -197,6 +212,22 @@ class TestErrors:
         assert out == ""
         last = err.strip().split("\n")[-1]
         assert json.loads(last)["error"]["type"] == "NumericsError"
+
+    @pytest.mark.parametrize("eps", ["inf", "nan", "0.1,inf"])
+    def test_nonfinite_eps_rejected(self, capsys, eps):
+        assert_one_validation_line(*run(capsys, "operator", "--manifold",
+                                        "sphere2", "--eps", eps))
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_tol_eq_rejected(self, capsys, tol):
+        assert_one_validation_line(*run(
+            capsys, "equicurved-scan", "--manifold", "torus", "--grid", "4x4",
+            "--tol-eq", tol))
+
+    def test_bad_thread_count_rejected(self, capsys, monkeypatch):
+        monkeypatch.setenv("CKL_THREADS", "abc")
+        assert_one_validation_line(*run(
+            capsys, "equicurved-scan", "--manifold", "torus", "--grid", "4x4"))
 
     def test_numerics_exit_code(self, capsys, monkeypatch):
         def boom(args):

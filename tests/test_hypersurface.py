@@ -2,15 +2,19 @@
 proposition checks, limit criterion."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+import ckl.hypersurface as hypersurface
 from ckl import ValidationError
 from ckl.catalog import catalog_manifold
 from ckl.manifold import ChartPoint, curvature_at
 from ckl.operator import eps_sweep
 from ckl.hypersurface import (
+    _classify_arrays,
+    _thread_count,
     check_propositions,
     equicurvature_residual,
     limit_criterion_check,
@@ -214,6 +218,92 @@ class TestScan:
         monkeypatch.setenv("CKL_THREADS", "3")
         threaded = scan_equicurved(TORUS, [16, 12])
         np.testing.assert_array_equal(base.residual, threaded.residual)
+
+
+def classify_row(kappas, residual, spread, tol_eq, tol_umb):
+    """Reference: the module docstring's rules applied to one row."""
+    flat = max(abs(k) for k in kappas) <= tol_umb
+    umbilic = flat or spread <= tol_umb
+    equicurved = flat or abs(residual) <= tol_eq
+    if len(kappas) == 2 and umbilic:
+        equicurved = True
+    flags = tuple(name for name, on in (("flat", flat), ("umbilic", umbilic),
+                                        ("equicurved", equicurved)) if on)
+    return (flags[0] if flags else "generic"), flags
+
+
+class TestClassifier:
+    TOL = 1e-6
+    # (kappas, tol_eq, expected label, expected flags)
+    ROWS = {
+        2: [([0.0, 0.0], TOL, "flat", ("flat", "umbilic", "equicurved")),
+            ([1.0, 1.0], TOL, "umbilic", ("umbilic", "equicurved")),
+            # umbilic implies equicurved in d = 2, whatever the residual
+            ([1.0, 1.0 - 1e-7], 0.0, "umbilic", ("umbilic", "equicurved")),
+            # residual 1e-8 within tolerance, spread 1e-4 outside it
+            ([2.0, 2.0 - 1e-4], TOL, "equicurved", ("equicurved",)),
+            ([1.0, -1.0], TOL, "generic", ()),
+            ([math.nan, math.nan], TOL, "generic", ())],
+        3: [([0.0, 0.0, 0.0], TOL, "flat", ("flat", "umbilic", "equicurved")),
+            # umbilic but not equicurved: the residual is -3
+            ([1.0, 1.0, 1.0], TOL, "umbilic", ("umbilic",)),
+            ([1.0, 1.0, 1.0 - 1e-7], 0.0, "umbilic", ("umbilic",)),
+            ([4.0, 1.0, 1.0], TOL, "equicurved", ("equicurved",)),
+            ([3.0, 1.0, 0.0], TOL, "generic", ()),
+            ([math.nan, math.nan, math.nan], TOL, "generic", ())],
+    }
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rows_match_rules(self, d):
+        rows = self.ROWS[d]
+        kappas = np.array([r[0] for r in rows])
+        e1 = np.sum(kappas, axis=-1)
+        residual = 2.0 * np.sum(kappas ** 2, axis=-1) - e1 ** 2
+        spread = kappas[:, 0] - kappas[:, -1]
+        tol_eq = np.array([r[1] for r in rows])
+        tol_umb = np.full(e1.shape, self.TOL)
+        labels, flags = _classify_arrays(kappas, residual, spread, tol_eq,
+                                         tol_umb)
+        assert labels == [r[2] for r in rows]
+        assert flags == [r[3] for r in rows]
+        for i in range(kappas.shape[0]):
+            assert (labels[i], flags[i]) == classify_row(
+                kappas[i].tolist(), residual[i], spread[i], tol_eq[i],
+                tol_umb[i])
+
+    def test_nan_row_generic_and_outside_zero_set(self, monkeypatch):
+        shape_arrays = hypersurface._shape_arrays
+
+        def nan_first_row(*args, **kwargs):
+            out = shape_arrays(*args, **kwargs)
+            out[1][0] = math.nan
+            return out
+
+        monkeypatch.setattr(hypersurface, "_shape_arrays", nan_first_row)
+        scan = scan_equicurved(PLANE, [2, 2], refine=False)
+        assert scan.classification[0] == "generic"
+        assert scan.flags[0] == ()
+        assert set(scan.classification[1:]) == {"flat"}
+        zero_rows = [tuple(r.point.coords) for r in scan.zero_set]
+        assert tuple(scan.coords[0]) not in zero_rows
+        assert len(zero_rows) == scan.coords.shape[0] - 1
+
+
+class TestThreadCount:
+    def test_unset_or_empty_is_one(self):
+        assert _thread_count(None) == 1
+        assert _thread_count("") == 1
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_below_one_becomes_one(self, value):
+        assert _thread_count(value) == 1
+
+    def test_clamped_to_cpu_count(self):
+        assert _thread_count("100000") == (os.cpu_count() or 1)
+
+    def test_non_integer_rejected(self):
+        with pytest.raises(ValidationError, match="CKL_THREADS"):
+            _thread_count("abc")
 
 
 class TestPropositions:
