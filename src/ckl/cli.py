@@ -21,7 +21,8 @@ from .fields import parse_function
 from .fit import compare_closed_form, fit_polynomial, richardson_sequence
 from .hypersurface import scan_equicurved, shape_at
 from .manifold import ChartPoint, EmbeddedManifold, curvature_at
-from .operator import default_eps_ladder, eps_sweep, monte_carlo_operator
+from .operator import (default_eps_ladder, eps_sweep, max_axis_order,
+                       monte_carlo_operator)
 from . import verify as verify_module
 
 
@@ -80,6 +81,16 @@ def _parse_point(spec: str | None, M: EmbeddedManifold) -> ChartPoint:
     return point
 
 
+def _load_inputs(args):
+    """Manifold, point and field of ``operator``/``expand``; --order in range."""
+    M = load_manifold(args.manifold)
+    cap = max_axis_order(M.dim)
+    if not 2 <= args.order <= cap:
+        raise ValidationError(f"--order must lie in [2, {cap}] in dimension "
+                              f"{M.dim}, got {args.order}")
+    return M, _parse_point(args.point, M), parse_function(args.f, M)
+
+
 def _parse_eps_list(text: str) -> list[float]:
     try:
         eps = [float(t) for t in text.split(",") if t.strip()]
@@ -127,21 +138,19 @@ def _cmd_curvature(args) -> int:
         "mean_curvature_norm_sq": rep.mean_curvature_norm_sq,
         "scalar_curvature": rep.scalar_curvature,
     }
-    if M.ambient_dim == M.dim + 1:
-        sd = shape_at(M, point)
-        payload["principal_curvatures"] = [float(k)
-                                           for k in sd.principal_curvatures]
-        payload["e1"] = sd.e1
-        payload["e2"] = sd.e2
-        payload["equicurvature_residual"] = sd.e1 ** 2 - 4.0 * sd.e2
+    sd = shape_at(M, point)
+    payload["principal_curvatures"] = [float(k) for k in sd.principal_curvatures]
+    payload["e1"] = sd.e1
+    payload["e2"] = sd.e2
+    payload["equicurvature_residual"] = sd.e1 ** 2 - 4.0 * sd.e2
     _emit(_json_dump(payload), args.out)
     return 0
 
 
 def _cmd_operator(args) -> int:
-    M = load_manifold(args.manifold)
-    point = _parse_point(args.point, M)
-    f = parse_function(args.f, M)
+    if args.seed < 0:
+        raise ValidationError("--seed must be >= 0")
+    M, point, f = _load_inputs(args)
     eps_list = (_parse_eps_list(args.eps) if args.eps
                 else default_eps_ladder())
     ladder = eps_sweep(M, f, point, eps_list, order=args.order,
@@ -173,9 +182,9 @@ def _cmd_operator(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    M = load_manifold(args.manifold)
-    point = _parse_point(args.point, M)
-    f = parse_function(args.f, M)
+    if not 0 < args.eps0 < np.inf:
+        raise ValidationError("--eps0 must be finite and > 0")
+    M, point, f = _load_inputs(args)
     eps_list = default_eps_ladder(args.eps0, args.eps_count)
     ladder = eps_sweep(M, f, point, eps_list, order=args.order,
                        f_id=f.field_id)

@@ -13,10 +13,10 @@ Scan points are classified over whole arrays: ``flat`` when ``max |kappa_i|
 <= tol_umb``; ``umbilic`` when flat or ``kappa_1 - kappa_d <= tol_umb``;
 ``equicurved`` when flat or ``|e1^2 - 4 e2| <= tol_eq``, or when d = 2 and
 umbilic.  The label is the first of these that holds, else ``generic``; a row
-of NaNs is generic with no flags and stays out of the zero set.  The default
-thresholds scale with the curvature magnitudes (``1e-6 (1 + e1^2)`` and
-``1e-6 (1 + max |kappa_i|)``); they are engineering choices, not intrinsic
-definitions.
+of NaNs is generic with no flags and stays out of the zero set.  ``tol_umb``
+is ``1e-6 (1 + max |kappa_i|)`` and ``tol_eq`` defaults to ``1e-6 (1 +
+e1^2)``; both scale with the curvature magnitudes and are engineering
+choices, not intrinsic definitions.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .errors import NumericsError, ValidationError
 from .manifold import (
     ChartPoint,
     EmbeddedManifold,
+    _gram,
     _orthonormal_frame,
     laplace_beltrami,
 )
@@ -88,7 +89,7 @@ def _shape_arrays(M: EmbeddedManifold, ci: int, coords: np.ndarray,
     """Batched ``(normal, kappas, directions, jacobian, b)`` at coords (..., d)."""
     jac = M.jacobian(ci, coords)
     hess = M.hessian(ci, coords)
-    g = M.metric(ci, coords)
+    g = _gram(jac)
     normal = orientation * _unit_normals(jac)
     b = np.einsum("...nij,...n->...ij", hess, normal)
     chol = np.linalg.cholesky(g)
@@ -261,16 +262,14 @@ def _thread_count(value: str | None) -> int:
     return min(max(threads, 1), os.cpu_count() or 1)
 
 
-def _tolerances(e1, kappas, tol_eq, tol_umb):
+def _tolerances(e1, kappas, tol_eq):
     tol_eq_arr = tol_eq if tol_eq is not None else 1e-6 * (1.0 + e1 ** 2)
-    kmax = np.max(np.abs(kappas), axis=-1)
-    tol_umb_arr = tol_umb if tol_umb is not None else 1e-6 * (1.0 + kmax)
-    return tol_eq_arr * np.ones_like(e1), tol_umb_arr * np.ones_like(e1)
+    tol_umb_arr = 1e-6 * (1.0 + np.max(np.abs(kappas), axis=-1))
+    return tol_eq_arr * np.ones_like(e1), tol_umb_arr
 
 
 def scan_equicurved(M: EmbeddedManifold, grid: Sequence[int],
-                    tol_eq: float | None = None, tol_umb: float | None = None,
-                    refine: bool = True, orientation: float = 1.0
+                    tol_eq: float | None = None, refine: bool = True
                     ) -> ScanResult:
     """Residual scan over a grid on the chart box, with edge refinement.
 
@@ -290,7 +289,7 @@ def scan_equicurved(M: EmbeddedManifold, grid: Sequence[int],
     grid_shape = tuple(len(a) for a in axes)
 
     def eval_chunk(chunk):
-        return _shape_arrays(M, 0, chunk, orientation)[1]
+        return _shape_arrays(M, 0, chunk)[1]
 
     threads = _thread_count(os.environ.get("CKL_THREADS"))
     if threads > 1 and coords.shape[0] > 4 * threads:
@@ -305,7 +304,7 @@ def scan_equicurved(M: EmbeddedManifold, grid: Sequence[int],
     e2 = 0.5 * (e1 ** 2 - sq)
     residual = e1 ** 2 - 4.0 * e2
     spread = kappas[..., 0] - kappas[..., -1]
-    tol_eq_arr, tol_umb_arr = _tolerances(e1, kappas, tol_eq, tol_umb)
+    tol_eq_arr, tol_umb_arr = _tolerances(e1, kappas, tol_eq)
 
     classification, flags = _classify_arrays(kappas, residual, spread,
                                              tol_eq_arr, tol_umb_arr)
@@ -319,20 +318,18 @@ def scan_equicurved(M: EmbeddedManifold, grid: Sequence[int],
     result.zero_set.extend(result.result_at(i) for i in np.where(in_zero)[0])
     if refine:
         result.refined_zeros.extend(
-            _refine_zeros(M, grid_shape, coords, residual, tol_eq_arr,
-                          orientation, tol_eq, tol_umb))
+            _refine_zeros(M, grid_shape, coords, residual, tol_eq_arr, tol_eq))
     return result
 
 
-def _residuals_at(M, coords, orientation):
-    kappas = _shape_arrays(M, 0, np.asarray(coords), orientation)[1]
+def _residuals_at(M, coords):
+    kappas = _shape_arrays(M, 0, np.asarray(coords))[1]
     e1 = np.sum(kappas, axis=-1)
     sq = np.sum(kappas ** 2, axis=-1)
     return e1 ** 2 - 4.0 * (0.5 * (e1 ** 2 - sq)), kappas
 
 
-def _refine_zeros(M, shape, coords, residual, tol_arr, orientation, tol_eq,
-                  tol_umb):
+def _refine_zeros(M, shape, coords, residual, tol_arr, tol_eq):
     """One bisection pass along grid edges that cross or dip below threshold."""
     refined_pts: list[tuple[np.ndarray, bool]] = []
     res = residual.reshape(shape)
@@ -356,7 +353,7 @@ def _refine_zeros(M, shape, coords, residual, tol_arr, orientation, tol_eq,
             fa = ra[crossing].reshape(-1)
             for _ in range(45):
                 mid = 0.5 * (a + b)
-                fm, _ = _residuals_at(M, mid, orientation)
+                fm, _ = _residuals_at(M, mid)
                 went_left = (fa * fm) <= 0.0
                 b = np.where(went_left[:, None], mid, b)
                 a = np.where(went_left[:, None], a, mid)
@@ -380,11 +377,11 @@ def _refine_zeros(M, shape, coords, residual, tol_arr, orientation, tol_eq,
                 line_pts = pts[tuple(line_sel)]
                 j = int(np.argmin(np.abs(line_res)))
                 refined_pts.append(
-                    _refine_on_line(M, axis, line_pts, j, orientation))
-    return _cluster_refined(M, refined_pts, orientation, tol_eq, tol_umb)
+                    _refine_on_line(M, axis, line_pts, j))
+    return _cluster_refined(M, refined_pts, tol_eq)
 
 
-def _refine_on_line(M, axis, line_pts, j, orientation):
+def _refine_on_line(M, axis, line_pts, j):
     """Golden-section minimization of |residual| along one grid line.
 
     Returns ``(coords, snapped)``.  When the residual plateaus at rounding
@@ -411,7 +408,7 @@ def _refine_on_line(M, axis, line_pts, j, orientation):
     def res_at(t):
         q = base.copy()
         q[axis] = t
-        r, kap = _residuals_at(M, q[None, :], orientation)
+        r, kap = _residuals_at(M, q[None, :])
         e1 = float(np.sum(kap[0]))
         return abs(float(r[0])), 1e-12 * (1.0 + e1 * e1)
 
@@ -476,7 +473,7 @@ def _eval_floor(M, axis, probe, at_low):
     return 1e-2 * width
 
 
-def _cluster_refined(M, refined_pts, orientation, tol_eq, tol_umb):
+def _cluster_refined(M, refined_pts, tol_eq):
     """Cluster refined points by ambient distance; keep best residual each.
 
     Within the rounding-noise band of the best residual, boundary-snapped
@@ -499,7 +496,7 @@ def _cluster_refined(M, refined_pts, orientation, tol_eq, tol_umb):
             floor = _eval_floor(M, i, inset[row], at_low=bool(near_lo[row]))
             inset[row, i] = np.clip(inset[row, i], chart.lo[i] + floor,
                                     chart.hi[i] - floor)
-    res, kappas = _residuals_at(M, inset, orientation)
+    res, kappas = _residuals_at(M, inset)
     entries = [(clipped[r], ambient[r], float(res[r]), kappas[r],
                 refined_pts[r][1]) for r in range(clipped.shape[0])]
     scale = max(np.max(np.abs(e[1])) for e in entries) + 1e-12
@@ -529,7 +526,7 @@ def _cluster_refined(M, refined_pts, orientation, tol_eq, tol_umb):
         e1 = float(np.sum(kappas))
         e2 = _elementary_symmetric(kappas, 2)
         spread = float(kappas[0] - kappas[-1])
-        te, tu = _tolerances(np.atleast_1d(e1), kappas[None, :], tol_eq, tol_umb)
+        te, tu = _tolerances(np.atleast_1d(e1), kappas[None, :], tol_eq)
         (label,), (fl,) = _classify_arrays(kappas[None, :], np.array([res]),
                                            np.array([spread]), te, tu)
         out.append(EquicurvatureResult(

@@ -3,11 +3,14 @@
 A manifold is a single chart: an embedding of an axis-aligned box in R^d into
 R^n.  Everything downstream (metric, second fundamental form,
 curvature, geodesics, normal-coordinate volume density, Laplace-Beltrami
-operator) is computed from the embedding map and its derivatives.  Charts may
-carry analytic derivative closures; otherwise central finite differences with
-one Richardson step are used.  A chart may also carry a closed-form volume
-element ``volume_element`` (shape ``(...,)``); without one the volume element
-is ``sqrt(det J^T J)`` from the Jacobian.
+operator) is computed from the embedding map's Jacobian and Hessian: the
+Christoffel symbols are ``g^{kl} <d_l X, d_i d_j X>`` and the metric is never
+differenced, except by ``scalar_curvature_intrinsic``, the deliberately
+independent cross-check.  Charts may carry analytic derivative closures;
+otherwise central finite differences with one Richardson step are used.  A
+chart may also carry a closed-form volume element ``volume_element`` (shape
+``(...,)``); without one the volume element is ``sqrt(det J^T J)`` from the
+Jacobian.
 
 All evaluation entry points accept batched coordinates with shape ``(..., d)``
 and return correspondingly batched results.  Geometry objects are immutable
@@ -31,7 +34,8 @@ from .errors import (
 
 DET_FLOOR = 1e-12
 _EPS = np.finfo(float).eps
-_H1 = _EPS ** (1.0 / 3.0)   # step scale for first/second embedding derivatives
+_H1 = _EPS ** (1.0 / 3.0)   # step scale for first differences
+_H2 = _EPS ** (1.0 / 6.0)   # step scale for second differences of the embedding
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +68,7 @@ def _fd_hessian(embed: Callable, coords: np.ndarray, n: int) -> np.ndarray:
     d = coords.shape[-1]
     out = np.empty(coords.shape[:-1] + (n, d, d))
     f0 = embed(coords)
-    h = _H1 * (1.0 + np.abs(coords))
+    h = _H2 * (1.0 + np.abs(coords))
 
     def shifted(iv, jv):
         step = np.zeros_like(coords)
@@ -108,8 +112,9 @@ class Chart:
         Per-axis periodicity; periodic axes wrap modulo ``hi - lo``.
     jacobian, hessian : callable, optional
         Analytic derivatives with shapes ``(..., n, d)`` and ``(..., n, d, d)``.
-        When absent, central finite differences with step
-        ``eps_machine^(1/3) * (1 + |coord|)`` and one Richardson step are used.
+        When absent, central finite differences with one Richardson step are
+        used, at step ``eps_machine^(1/3) * (1 + |coord|)`` for the Jacobian
+        and ``eps_machine^(1/6) * (1 + |coord|)`` for the Hessian.
     volume_element : callable, optional
         Closed-form Riemannian volume element ``sqrt(det g)`` with shape
         ``(...,)``.  When absent it is computed as ``sqrt(det J^T J)``.
@@ -208,6 +213,16 @@ class ChartPoint:
                            np.atleast_1d(np.asarray(self.coords, dtype=float)))
 
 
+def _gram(jac: np.ndarray) -> np.ndarray:
+    """Metric ``J^T J`` of a batched Jacobian, refused at the determinant floor."""
+    g = np.einsum("...ni,...nj->...ij", jac, jac)
+    det = np.linalg.det(g)
+    if np.any(det <= DET_FLOOR):
+        raise DegenerateChartError(f"metric determinant {np.min(det):.3e} at "
+                                   f"or below floor {DET_FLOOR:g}")
+    return g
+
+
 class EmbeddedManifold:
     """A d-dimensional submanifold of R^n described by a single chart.
 
@@ -249,45 +264,23 @@ class EmbeddedManifold:
         return self.chart(ci).hessian(coords)
 
     def metric(self, ci: int, coords: np.ndarray) -> np.ndarray:
-        jac = self.jacobian(ci, coords)
-        g = np.einsum("...ni,...nj->...ij", jac, jac)
-        det = np.linalg.det(g)
-        if np.any(det <= DET_FLOOR):
-            raise DegenerateChartError(
-                f"metric determinant {np.min(det):.3e} at or below floor "
-                f"{DET_FLOOR:g} in chart {ci}")
-        return g
+        return _gram(self.jacobian(ci, coords))
 
     def sqrt_det_metric(self, ci: int, coords: np.ndarray) -> np.ndarray:
         """Volume element sqrt(det g); see :meth:`Chart.volume_element`."""
         return self.chart(ci).volume_element(coords)
 
     def christoffel(self, ci: int, coords: np.ndarray) -> np.ndarray:
-        """Christoffel symbols ``Gamma[..., k, i, j]`` from the differenced metric."""
-        coords = np.asarray(coords, dtype=float)
-        single = coords.ndim == 1
-        pts = coords[None, :] if single else coords
-        batch = pts.shape[:-1]
-        d = self.dim
-        h = _H1 * (1.0 + np.abs(pts))
-        shifted = []
-        for k in range(d):
-            step = np.zeros_like(pts)
-            step[..., k] = h[..., k]
-            shifted.append(pts + step)
-            shifted.append(pts - step)
-        stacked = np.concatenate([s.reshape(-1, d) for s in shifted], axis=0)
-        g_all = self.metric(ci, stacked).reshape((2 * d,) + batch + (d, d))
-        dg = np.empty(batch + (d, d, d))
-        for k in range(d):
-            dg[..., k, :, :] = (g_all[2 * k] - g_all[2 * k + 1]) \
-                / (2.0 * h[..., k])[..., None, None]
-        ginv = np.linalg.inv(self.metric(ci, pts))
-        # dg[..., k, i, j] = d_k g_ij; need T[..., i, j, l] =
-        #   d_i g_jl + d_j g_il - d_l g_ij
-        term = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
-        gamma = 0.5 * np.einsum("...kl,...ijl->...kij", ginv, term)
-        return gamma[0] if single else gamma
+        """Christoffel symbols ``Gamma[..., k, i, j] = g^{kl} <d_l X, d_i d_j X>``."""
+        return self._connection(ci, coords)[1]
+
+    def _connection(self, ci: int, coords: np.ndarray):
+        """``(g^{-1}, Gamma)`` from one Jacobian and one Hessian evaluation."""
+        jac = self.jacobian(ci, coords)
+        ginv = np.linalg.inv(_gram(jac))
+        first_kind = np.einsum("...nl,...nij->...lij", jac,
+                               self.hessian(ci, coords))
+        return ginv, np.einsum("...kl,...lij->...kij", ginv, first_kind)
 
     def volume(self, order: int = 96) -> float:
         """Total volume of the chart box (cached), by tensor quadrature."""
@@ -459,9 +452,11 @@ def ricci_frame(M: EmbeddedManifold, p: ChartPoint) -> np.ndarray:
 def laplace_beltrami(M: EmbeddedManifold, f, p: ChartPoint) -> float:
     """Laplace-Beltrami operator with positive spectrum.
 
-    Computes ``-(1/sqrt(G)) d_i (sqrt(G) g^{ij} d_j f)`` by finite differences
-    in chart coordinates (so the flat-plane value of ``u^2 + v^2`` is -4).
-    ``f`` is a scalar field callable ``f(coords, ambient) -> values``.
+    Computes ``-(1/sqrt(G)) d_i (sqrt(G) g^{ij} d_j f)`` in chart coordinates
+    (so the flat-plane value of ``u^2 + v^2`` is -4): the derivatives of ``f``
+    by finite differences, the divergence term ``-g^{kl} Gamma^j_kl`` from the
+    chart's Jacobian and Hessian.  ``f`` is a scalar field callable
+    ``f(coords, ambient) -> values``.
     """
     ci, c0 = p.chart, np.asarray(p.coords, dtype=float)
     M.chart(ci).require_inside(c0)
@@ -475,8 +470,7 @@ def laplace_beltrami(M: EmbeddedManifold, f, p: ChartPoint) -> float:
             raise ValidationError("scalar field is not finite near the point")
         return vals
 
-    g = M.metric(ci, c0)
-    ginv = np.linalg.inv(g)
+    ginv, gamma = M._connection(ci, c0)
 
     # gradient: Richardson-extrapolated central differences
     h1 = _H1 * (1.0 + np.abs(c0))
@@ -510,24 +504,8 @@ def laplace_beltrami(M: EmbeddedManifold, f, p: ChartPoint) -> float:
             hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4 * h2[i] * h2[j])
 
     # divergence coefficients: c_j = (1/sqrt G) d_i (sqrt G g^{ij})
-    def wmat(coords):
-        gg = M.metric(ci, coords)
-        return np.sqrt(np.linalg.det(gg))[..., None, None] * np.linalg.inv(gg)
-
-    sqrtg0 = math.sqrt(float(np.linalg.det(g)))
-    div = np.zeros(d)
-    for i in range(d):
-        step = np.zeros(d)
-        step[i] = h1[i]
-        for scale, weight in ((1.0, -1.0 / 3.0), (0.5, 4.0 / 3.0)):
-            dw = (wmat(c0 + scale * step) - wmat(c0 - scale * step)) \
-                / (2 * scale * h1[i])
-            if scale == 1.0:
-                acc = weight * dw
-            else:
-                acc = acc + weight * dw
-        div += acc[i, :]
-    div /= sqrtg0
+    #                               = -g^{kl} Gamma^j_kl
+    div = -np.einsum("kl,jkl->j", ginv, gamma)
 
     return float(-(np.einsum("ij,ij->", ginv, hess) + div @ grad))
 

@@ -101,12 +101,13 @@ def build_full_rule(M: EmbeddedManifold, order: int = DEFAULT_ORDER,
                           localized_radius=None, covers_atlas=True)
 
 
-def localization_radius(M: EmbeddedManifold, eps: float) -> float:
-    return min(M.delta, 8.0 * math.sqrt(eps * max(1.0, math.log(1.0 / eps))))
-
-
 _EXCLUDED_MASS_LIMIT = 1e-6
 _MAX_AXIS_ORDER = {1: 1024, 2: 512, 3: 192}
+
+
+def max_axis_order(dim: int) -> int:
+    """Largest per-axis node count a rule may use in dimension ``dim``."""
+    return _MAX_AXIS_ORDER.get(dim, 128)
 
 
 def build_localized_rule(M: EmbeddedManifold, x: ChartPoint, eps: float,
@@ -174,7 +175,7 @@ def build_localized_rule(M: EmbeddedManifold, x: ChartPoint, eps: float,
         if bound <= _EXCLUDED_MASS_LIMIT:
             return windowed
     sigma = math.sqrt(2.0 * eps)
-    cap = _MAX_AXIS_ORDER.get(M.dim, 128)
+    cap = max_axis_order(M.dim)
     axis_orders = []
     for i in range(chart.dim):
         extent = (chart.hi[i] - chart.lo[i]) * math.sqrt(max(g_x[i, i], 1e-30))

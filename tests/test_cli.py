@@ -192,16 +192,17 @@ class TestErrors:
         assert err.count("\n") == 1
         assert json.loads(err)["error"]["type"] == "validation"
 
-    @pytest.mark.parametrize("order", ["1", "0"])
+    @pytest.mark.parametrize("order", ["1", "0", "513"])
     def test_order_below_two_rejected(self, capsys, order):
-        # every rule, windowed or full, needs at least 2 nodes per axis
-        code, out, err = run(capsys, "operator", "--manifold", "torus",
-                             "--order", order, "--eps", "0.001",
-                             "--point", "0.3,0.0")
-        assert code == 1
-        assert out == ""
-        assert err.count("\n") == 1
-        assert json.loads(err)["error"]["type"] == "validation"
+        # every rule, windowed or full, needs at least 2 nodes per axis, and
+        # a 2-d chart allows at most 512
+        for argv in (("operator", "--eps", "0.001"), ("expand",)):
+            code, out, err = run(capsys, *argv, "--manifold", "torus",
+                                 "--order", order, "--point", "0.3,0.0")
+            assert code == 1
+            assert out == ""
+            assert err.count("\n") == 1
+            assert json.loads(err)["error"]["type"] == "validation"
 
     def test_nonfinite_field_is_numerics_error(self, capsys):
         # inf - inf in f must not print nan with exit 0
@@ -213,10 +214,19 @@ class TestErrors:
         last = err.strip().split("\n")[-1]
         assert json.loads(last)["error"]["type"] == "NumericsError"
 
-    @pytest.mark.parametrize("eps", ["inf", "nan", "0.1,inf"])
-    def test_nonfinite_eps_rejected(self, capsys, eps):
-        assert_one_validation_line(*run(capsys, "operator", "--manifold",
-                                        "sphere2", "--eps", eps))
+    @pytest.mark.parametrize("argv", [
+        ("operator", "--eps", "inf"),
+        ("operator", "--eps", "nan"),
+        ("operator", "--eps", "0.1,inf"),
+        ("expand", "--eps0", "inf"),
+        ("expand", "--eps0", "0"),
+        ("operator", "--mc", "2000", "--seed", "-1", "--eps", "0.1"),
+    ], ids=["inf", "nan", "0.1,inf", "eps0=inf", "eps0=0", "seed=-1"])
+    def test_nonfinite_eps_rejected(self, capsys, argv):
+        # bandwidths and the Monte Carlo seed are range-checked at parse time
+        command, *rest = argv
+        assert_one_validation_line(*run(capsys, command, "--manifold",
+                                        "sphere2", *rest))
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     def test_bad_tol_eq_rejected(self, capsys, tol):

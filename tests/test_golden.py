@@ -32,6 +32,9 @@ CASES = {
     "operator_torus.csv": ["operator", "--manifold", "torus",
                            "--point", "0.3,0.0", "--eps", "0.05,0.01",
                            "--format", "csv"],
+    # fit and closed form; a1 holds the Laplacian of z on a non-constant metric
+    "expand_torus_z.json": ["expand", "--manifold", "torus",
+                            "--point", "0.3,0.7", "--f", "ambient:3"],
     # one full-atlas rule and one windowed rule on the determinant path
     "operator_sphere3.csv": ["operator", "--manifold", "sphere3",
                              "--eps", "0.05,0.0125", "--format", "csv"],

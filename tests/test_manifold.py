@@ -167,6 +167,51 @@ class TestVolumeElement:
 
 
 # ---------------------------------------------------------------------------
+# Christoffel symbols
+# ---------------------------------------------------------------------------
+
+def fd_copy(M):
+    """The manifold's chart with its analytic derivatives dropped."""
+    from ckl.manifold import EmbeddedManifold
+    chart = M.charts[0]
+    return EmbeddedManifold([Chart(embed=chart._embed, lo=chart.lo, hi=chart.hi,
+                                   periodic=chart.periodic)], delta=M.delta)
+
+
+class TestChristoffel:
+    def test_sphere_closed_form(self, rng):
+        pts = random_points(S2, 200, rng)
+        theta = pts[:, 0]
+        expected = np.zeros((pts.shape[0], 2, 2, 2))
+        expected[:, 0, 1, 1] = -np.sin(theta) * np.cos(theta)
+        expected[:, 1, 0, 1] = expected[:, 1, 1, 0] = np.cos(theta) / np.sin(theta)
+        np.testing.assert_allclose(S2.christoffel(0, pts), expected,
+                                   rtol=0, atol=1e-12)
+
+    def test_torus_closed_form(self, rng):
+        R, r = 2.0, 1.0
+        pts = random_points(TORUS, 200, rng, margin=0.0)
+        v = pts[:, 1]
+        w = R + r * np.cos(v)
+        expected = np.zeros((pts.shape[0], 2, 2, 2))
+        expected[:, 0, 0, 1] = expected[:, 0, 1, 0] = -r * np.sin(v) / w
+        expected[:, 1, 0, 0] = w * np.sin(v) / r
+        np.testing.assert_allclose(TORUS.christoffel(0, pts), expected,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("M", [TORUS, S3], ids=["torus", "sphere3"])
+    def test_finite_difference_chart(self, M, rng):
+        # charts without analytic derivatives take the same path through
+        # their differenced Hessian
+        fd = fd_copy(M)
+        pts = random_points(M, 20, rng)
+        np.testing.assert_allclose(fd.hessian(0, pts), M.hessian(0, pts),
+                                   rtol=0, atol=1e-8)
+        np.testing.assert_allclose(fd.christoffel(0, pts), M.christoffel(0, pts),
+                                   rtol=0, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
 # Curvature
 # ---------------------------------------------------------------------------
 
@@ -247,6 +292,15 @@ class TestLaplaceBeltrami:
             minus = geodesic_shoot(S2, p, -direction, h, steps=50).final.position
             acc += (ambient_z(None, plus) - 2 * f0 + ambient_z(None, minus)) / h ** 2
         assert val == pytest.approx(-acc, abs=5e-5)
+
+    def test_torus_ambient_z(self):
+        # non-constant metric: the divergence term carries sin v / (R + r cos v)
+        R, r = 2.0, 1.0
+        for u, v in ((0.3, 0.7), (1.0, 2.0), (2.5, 4.0), (4.0, 5.5), (5.9, 0.1)):
+            expected = (math.sin(v) * (R + 2 * r * math.cos(v))
+                        / (r * (R + r * math.cos(v))))
+            val = laplace_beltrami(TORUS, ambient_z, ChartPoint(0, [u, v]))
+            assert val == pytest.approx(expected, abs=5e-7)
 
     def test_plane_quadratic(self):
         f = lambda coords, ambient: coords[..., 0] ** 2 + coords[..., 1] ** 2
