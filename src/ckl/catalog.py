@@ -1,10 +1,11 @@
 """Built-in manifolds and the plain-text manifold description format.
 
-Catalog surfaces ship analytic embedding derivatives (generated symbolically
-once per construction and lambdified to vectorized numpy closures), so the
-geometry layer runs at full accuracy on them.  Polynomial graph charts also
-ship the closed-form volume element ``sqrt(1 + |grad P|^2)``.  User-defined
-charts fall back to finite differences.
+Catalog surfaces ship exact embedding derivatives.  The trig charts (spheres,
+spheroid, torus) write each embedding component as a sum of products of
+per-axis sinusoids ``a + b sin x_i + c cos x_i``, whose derivatives are phase
+shifts; polynomial graph charts differentiate their monomials and also ship
+the closed-form volume element ``sqrt(1 + |grad P|^2)``.  User-defined charts
+fall back to finite differences.
 
 Description files are UTF-8 ``key=value`` tokens, e.g.::
 
@@ -19,10 +20,11 @@ from __future__ import annotations
 
 import math
 import re
+from functools import reduce
+from operator import mul
 from pathlib import Path
 
 import numpy as np
-import sympy as sym
 
 from .errors import ValidationError
 from .manifold import Chart, EmbeddedManifold
@@ -31,39 +33,50 @@ TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
-# Symbolic chart construction
+# Trigonometric charts (sums of products of per-axis sinusoids)
 # ---------------------------------------------------------------------------
 
-def _lambdify_stack(syms, exprs, shape):
-    """Lambdify a flat list of expressions into one batched array closure."""
-    fns = [sym.lambdify(syms, e, "numpy") for e in exprs]
-
-    def call(coords):
-        coords = np.asarray(coords, dtype=float)
-        args = [coords[..., i] for i in range(len(syms))]
-        base = coords.shape[:-1]
-        flat = [np.broadcast_to(np.asarray(fn(*args), dtype=float), base)
-                for fn in fns]
-        return np.stack(flat, axis=-1).reshape(base + shape)
-
-    return call
+# A trig term (coef, {i: (a, b, c)}) is coef times the product over its axes i
+# of a + b sin x_i + c cos x_i; an embedding component is a list of terms.
+TrigTerm = tuple[float, dict[int, tuple[float, float, float]]]
 
 
-def symbolic_chart(coord_names: list[str], embed_exprs: list, lo, hi,
-                   periodic, name: str = "") -> Chart:
-    """Build a chart with exact jacobian/hessian from sympy expressions."""
-    syms = [sym.Symbol(c, real=True) for c in coord_names]
-    d, n = len(syms), len(embed_exprs)
-    jac_exprs = [sym.diff(e, s) for e in embed_exprs for s in syms]
-    hess_exprs = [sym.diff(e, s1, s2)
-                  for e in embed_exprs for s1 in syms for s2 in syms]
-    return Chart(
-        embed=_lambdify_stack(syms, embed_exprs, (n,)),
-        lo=lo, hi=hi, periodic=periodic,
-        jacobian=_lambdify_stack(syms, jac_exprs, (n, d)),
-        hessian=_lambdify_stack(syms, hess_exprs, (n, d, d)),
-        name=name,
-    )
+def trig_diff(terms: list[TrigTerm], i: int) -> list[TrigTerm]:
+    """d/dx_i, exactly: the factor (a, b, c) of axis i becomes (0, -c, b)."""
+    return [(coef, {**fs, i: (0.0, -fs[i][2], fs[i][1])})
+            for coef, fs in terms if i in fs and (fs[i][1] or fs[i][2])]
+
+
+def trig_chart(components: list[list[TrigTerm]], lo, hi, periodic,
+               name: str = "") -> Chart:
+    """A chart with exact derivatives whose embedding components are trig terms."""
+    d, n = len(lo), len(components)
+    jac = [trig_diff(X, i) for X in components for i in range(d)]
+    hess = [trig_diff(J, j) for J in jac for j in range(d)]
+
+    def closure(entries, shape):
+        keys = {(i, *abc) for terms in entries for _, fs in terms
+                for i, abc in fs.items()}
+
+        def call(coords):
+            coords = np.asarray(coords, dtype=float)
+            sin, cos, val = np.sin(coords), np.cos(coords), {}
+            for i, a, b, c in keys:      # only nonzero parts: zeros keep their sign
+                parts = [w * t[..., i] for w, t in ((b, sin), (c, cos)) if w]
+                parts += [a] if a else []
+                val[i, a, b, c] = sum(parts[1:], parts[0])
+            out = np.zeros(coords.shape[:-1] + (len(entries),))
+            for k, terms in enumerate(entries):
+                if terms:
+                    values = [reduce(mul, (val[(i, *abc)] for i, abc in fs.items()),
+                                     coef) for coef, fs in terms]
+                    out[..., k] = sum(values[1:], values[0])
+            return out.reshape(coords.shape[:-1] + shape)
+        return call
+
+    return Chart(embed=closure(components, (n,)), lo=lo, hi=hi,
+                 periodic=periodic, jacobian=closure(jac, (n, d)),
+                 hessian=closure(hess, (n, d, d)), name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -149,32 +162,32 @@ def graph_chart(poly: PolyTerms, halfwidth: float, name: str = "") -> Chart:
 # Catalog builders
 # ---------------------------------------------------------------------------
 
+SIN, COS = (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
+
+
+def _spheroid_chart(a: float, c: float, name: str) -> Chart:
+    """(a sin t cos p, a sin t sin p, c cos t) over (t, p) in [0, pi] x [0, 2 pi)."""
+    return trig_chart([[(a, {0: SIN, 1: COS})], [(a, {0: SIN, 1: SIN})],
+                       [(c, {0: COS})]], lo=[0.0, 0.0], hi=[math.pi, TWO_PI],
+                      periodic=[False, True], name=name)
+
+
 def make_sphere(radius: float = 1.0, dim: int = 2,
                 delta: float | None = None) -> EmbeddedManifold:
     if radius <= 0:
         raise ValidationError("sphere radius must be positive")
-    r = sym.Float(radius)
     if dim == 2:
-        th, ph = "theta", "phi"
-        t, p = sym.symbols("theta phi", real=True)
-        exprs = [r * sym.sin(t) * sym.cos(p), r * sym.sin(t) * sym.sin(p),
-                 r * sym.cos(t)]
-        chart = symbolic_chart([th, ph], exprs,
-                               lo=[0.0, 0.0], hi=[math.pi, TWO_PI],
-                               periodic=[False, True], name="sphere2")
+        chart = _spheroid_chart(radius, radius, "sphere2")
     elif dim == 3:
-        a, b, p = sym.symbols("psi theta phi", real=True)
-        exprs = [r * sym.sin(a) * sym.sin(b) * sym.cos(p),
-                 r * sym.sin(a) * sym.sin(b) * sym.sin(p),
-                 r * sym.sin(a) * sym.cos(b),
-                 r * sym.cos(a)]
-        chart = symbolic_chart(["psi", "theta", "phi"], exprs,
-                               lo=[0.0, 0.0, 0.0], hi=[math.pi, math.pi, TWO_PI],
-                               periodic=[False, False, True], name="sphere3")
+        chart = trig_chart([[(radius, {0: SIN, 1: SIN, 2: COS})],
+                            [(radius, {0: SIN, 1: SIN, 2: SIN})],
+                            [(radius, {0: SIN, 1: COS})],
+                            [(radius, {0: COS})]],
+                           lo=[0.0, 0.0, 0.0], hi=[math.pi, math.pi, TWO_PI],
+                           periodic=[False, False, True], name="sphere3")
     else:
         raise ValidationError(f"sphere charts are provided for dim 2 and 3, not {dim}")
-    return EmbeddedManifold([chart],
-                            delta=delta if delta else (math.pi - 0.1) * radius,
+    return EmbeddedManifold([chart], delta=delta or (math.pi - 0.1) * radius,
                             catalog_id=f"sphere{dim}")
 
 
@@ -182,48 +195,27 @@ def make_spheroid(a: float = 1.0, c: float = 1.6,
                   delta: float | None = None) -> EmbeddedManifold:
     if a <= 0 or c <= 0:
         raise ValidationError("spheroid semi-axes must be positive")
-    t, p = sym.symbols("theta phi", real=True)
-    exprs = [sym.Float(a) * sym.sin(t) * sym.cos(p),
-             sym.Float(a) * sym.sin(t) * sym.sin(p),
-             sym.Float(c) * sym.cos(t)]
-    chart = symbolic_chart(["theta", "phi"], exprs,
-                           lo=[0.0, 0.0], hi=[math.pi, TWO_PI],
-                           periodic=[False, True], name="spheroid")
-    return EmbeddedManifold([chart], delta=delta if delta else 0.5,
-                            catalog_id="spheroid")
+    return EmbeddedManifold([_spheroid_chart(a, c, "spheroid")],
+                            delta=delta or 0.5, catalog_id="spheroid")
 
 
 def make_torus(R: float = 2.0, r: float = 1.0,
                delta: float | None = None) -> EmbeddedManifold:
     if not R > r > 0:
         raise ValidationError("torus needs R > r > 0")
-    u, v = sym.symbols("u v", real=True)
-    exprs = [(sym.Float(R) + sym.Float(r) * sym.cos(v)) * sym.cos(u),
-             (sym.Float(R) + sym.Float(r) * sym.cos(v)) * sym.sin(u),
-             sym.Float(r) * sym.sin(v)]
-    chart = symbolic_chart(["u", "v"], exprs,
-                           lo=[0.0, 0.0], hi=[TWO_PI, TWO_PI],
-                           periodic=[True, True], name="torus")
-    return EmbeddedManifold([chart], delta=delta if delta else 0.9 * r,
-                            catalog_id="torus")
+    # (u, v) -> ((R + r cos v) cos u, (R + r cos v) sin u, r sin v)
+    tube = (R, 0.0, r)
+    chart = trig_chart([[(1.0, {0: COS, 1: tube})], [(1.0, {0: SIN, 1: tube})],
+                        [(r, {1: SIN})]], lo=[0.0, 0.0], hi=[TWO_PI, TWO_PI],
+                       periodic=[True, True], name="torus")
+    return EmbeddedManifold([chart], delta=delta or 0.9 * r, catalog_id="torus")
 
 
 def make_graph(poly: PolyTerms, halfwidth: float = 1.0,
                delta: float | None = None,
                catalog_id: str = "graph") -> EmbeddedManifold:
-    chart = graph_chart(poly, halfwidth, name=catalog_id)
-    return EmbeddedManifold([chart],
-                            delta=delta if delta else halfwidth,
-                            catalog_id=catalog_id)
-
-
-def _quadric411() -> EmbeddedManifold:
-    poly = PolyTerms(3, [(0.5, (2, 0, 0)), (0.5, (0, 2, 0)), (2.0, (0, 0, 2))])
-    return make_graph(poly, halfwidth=1.0, catalog_id="quadric411")
-
-
-def _plane() -> EmbeddedManifold:
-    return make_graph(PolyTerms(2, []), halfwidth=2.0, catalog_id="plane")
+    return EmbeddedManifold([graph_chart(poly, halfwidth, name=catalog_id)],
+                            delta=delta or halfwidth, catalog_id=catalog_id)
 
 
 CATALOG = {
@@ -231,8 +223,10 @@ CATALOG = {
     "sphere3": (lambda: make_sphere(1.0, 3), "unit 3-sphere in R^4"),
     "torus": (lambda: make_torus(2.0, 1.0), "torus of revolution, R=2, r=1"),
     "spheroid": (lambda: make_spheroid(1.0, 1.6), "prolate spheroid, a=1, c=1.6"),
-    "plane": (_plane, "flat plane patch z=0 over [-2,2]^2"),
-    "quadric411": (_quadric411,
+    "plane": (lambda: make_graph(PolyTerms(2, []), 2.0, catalog_id="plane"),
+              "flat plane patch z=0 over [-2,2]^2"),
+    "quadric411": (lambda: make_graph(parse_poly("0.5*x1^2+0.5*x2^2+2*x3^2", 3),
+                                      1.0, catalog_id="quadric411"),
                    "graph of (x1^2 + x2^2 + 4 x3^2)/2 over [-1,1]^3"),
 }
 
@@ -262,7 +256,6 @@ def parse_poly(text: str, dim: int) -> PolyTerms:
         return PolyTerms(dim, [])
     if ":" in text:
         terms = []
-        matched_span = 0
         for m in _MONO_RE.finditer(text):
             coeff = float(m.group(1))
             alpha = tuple(int(t) for t in m.group(2).split(",") if t.strip())
@@ -270,15 +263,13 @@ def parse_poly(text: str, dim: int) -> PolyTerms:
                 raise ValidationError(
                     f"exponent tuple {alpha} does not match d={dim}")
             terms.append((coeff, alpha))
-            matched_span += m.end() - m.start()
         leftover = _MONO_RE.sub("", text).replace(",", "").strip()
         if not terms or leftover:
             raise ValidationError(f"cannot parse monomial list {text!r}")
         return PolyTerms(dim, terms)
     # human form: terms joined by +/-, factors joined by *
-    chunks = text.replace("-", "+-").split("+")
     terms = []
-    for chunk in chunks:
+    for chunk in text.replace("-", "+-").split("+"):
         chunk = chunk.strip()
         if not chunk:
             continue
@@ -318,37 +309,42 @@ def load_manifold_text(text: str) -> EmbeddedManifold:
     if "type" not in fields:
         raise ValidationError("manifold description is missing the 'type' field")
     kind = fields.pop("type")
-    delta = float(fields.pop("delta")) if "delta" in fields else None
 
     def want(*names):
-        unknown = set(fields) - set(names)
-        if unknown:
+        if unknown := set(fields) - {*names, "delta"}:
             raise ValidationError(
                 f"unknown fields for type={kind}: {', '.join(sorted(unknown))}")
 
+    def num(key, default, cast=float):
+        if key not in fields:
+            return default
+        try:
+            if math.isfinite(value := cast(fields[key])):
+                return value
+        except ValueError:
+            pass
+        raise ValidationError(f"field {key}={fields[key]!r} is not a finite "
+                              f"{'integer' if cast is int else 'number'}")
+
+    delta = num("delta", None)
     if kind == "sphere":
         want("radius", "dim")
-        return make_sphere(float(fields.get("radius", 1.0)),
-                           int(fields.get("dim", 2)), delta=delta)
+        return make_sphere(num("radius", 1.0), num("dim", 2, int), delta=delta)
     if kind == "spheroid":
         want("a", "c")
-        return make_spheroid(float(fields.get("a", 1.0)),
-                             float(fields.get("c", 1.6)), delta=delta)
+        return make_spheroid(num("a", 1.0), num("c", 1.6), delta=delta)
     if kind == "torus":
         want("R", "r")
-        return make_torus(float(fields.get("R", 2.0)),
-                          float(fields.get("r", 1.0)), delta=delta)
+        return make_torus(num("R", 2.0), num("r", 1.0), delta=delta)
     if kind == "graph":
         want("d", "poly", "box")
         if "d" not in fields:
             raise ValidationError("graph manifolds need the field d=<dim>")
-        d = int(fields["d"])
+        d = num("d", None, int)
         poly = parse_poly(fields.get("poly", "0"), d)
-        halfwidth = float(fields.get("box", 1.0))
+        halfwidth = num("box", 1.0)
         if halfwidth <= 0:
             raise ValidationError("graph box halfwidth must be positive")
-        if delta is None:
-            delta = 0.5 * (2.0 * halfwidth)
         return make_graph(poly, halfwidth, delta=delta)
     raise ValidationError(f"unknown manifold type {kind!r}")
 

@@ -21,8 +21,8 @@ from .fields import parse_function
 from .fit import compare_closed_form, fit_polynomial, richardson_sequence
 from .hypersurface import scan_equicurved, shape_at
 from .manifold import ChartPoint, EmbeddedManifold, curvature_at
-from .operator import (default_eps_ladder, eps_sweep, max_axis_order,
-                       monte_carlo_operator)
+from .operator import (MC_SAMPLES, default_eps_ladder, eps_sweep,
+                       max_axis_order, monte_carlo_operator)
 from . import verify as verify_module
 
 
@@ -150,13 +150,15 @@ def _cmd_curvature(args) -> int:
 def _cmd_operator(args) -> int:
     if args.seed < 0:
         raise ValidationError("--seed must be >= 0")
+    if args.mc is not None and args.mc not in MC_SAMPLES:
+        raise ValidationError(f"--mc must be in [{MC_SAMPLES[0]}, {MC_SAMPLES[-1]}]")
     M, point, f = _load_inputs(args)
     eps_list = (_parse_eps_list(args.eps) if args.eps
                 else default_eps_ladder())
     ladder = eps_sweep(M, f, point, eps_list, order=args.order,
                        f_id=f.field_id)
     mc_rows = None
-    if args.mc:
+    if args.mc is not None:
         mc_rows = [monte_carlo_operator(M, f, point, e, args.mc, seed=args.seed)
                    for e in eps_list]
     if args.format == "csv":

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
-from scipy.special import gammainc
 
 from .errors import NumericsError, ValidationError
 
@@ -409,11 +408,40 @@ class CpEstimate:
                 f"|{self.value} - {self.main_term}| > {self.bound}")
 
 
+def _gammainc(a: float, x: float) -> float:
+    """Regularized lower incomplete gamma ``P(a, x)`` for a in {1/2, 1, 3/2, ...}.
+
+    For ``x < a + 1`` the power series ``x^a e^(-x) / Gamma(a + 1) *
+    sum_n x^n / ((a + 1) ... (a + n))``; otherwise ``1 - Q`` with the finite
+    sums ``Q(m, x) = e^(-x) sum_{k<m} x^k / k!`` and ``Q(m + 1/2, x) =
+    erfc(sqrt x) + e^(-x) sum_{k<m} x^(k+1/2) / Gamma(k + 3/2)``.  Every term
+    is positive and every exponential is taken in log form.
+    """
+    if x <= 0.0:
+        return 0.0
+    log_x = math.log(x)
+    if x < a + 1.0:
+        term = total = 1.0
+        n = 1
+        while term > 1e-17 * total:
+            term *= x / (a + n)
+            total += term
+            n += 1
+        return math.exp(a * log_x - x - math.lgamma(a + 1.0)) * total
+    j = a % 1.0                     # 0 for integer a, 1/2 for half-integer a
+    q = math.erfc(math.sqrt(x)) if j else 0.0
+    while j < a:
+        q += math.exp(j * log_x - x - math.lgamma(j + 1.0))
+        j += 1.0
+    return 1.0 - q
+
+
 def c_p(p: int, eps: float, delta: float, d: int) -> CpEstimate:
     """Radial moment of the Gaussian kernel truncated at radius ``delta``.
 
-    Evaluated through the regularized lower incomplete gamma function after the
-    substitution t = s^2/(4 eps).
+    After the substitution t = s^2/(4 eps) this is the main term times the
+    regularized lower incomplete gamma function ``P(p + d/2, delta^2/(4 eps))``,
+    evaluated in closed form by :func:`_gammainc`.
     """
     if p < 0:
         raise ValidationError(f"p must be >= 0, got {p}")
@@ -428,7 +456,7 @@ def c_p(p: int, eps: float, delta: float, d: int) -> CpEstimate:
     if log_main > 700.0:
         raise NumericsError(f"c_p overflows for p={p}, d={d}, eps={eps}")
     main = math.exp(log_main)
-    value = main * float(gammainc(a, x))
+    value = main * _gammainc(a, x)
     bound = 2.0 ** (p + d / 2.0) * math.exp(-x / 2.0) * main
     return CpEstimate(p=p, d=d, eps=eps, delta=delta,
                       value=value, main_term=main, bound=bound)

@@ -103,6 +103,8 @@ def build_full_rule(M: EmbeddedManifold, order: int = DEFAULT_ORDER,
 
 _EXCLUDED_MASS_LIMIT = 1e-6
 _MAX_AXIS_ORDER = {1: 1024, 2: 512, 3: 192}
+# Monte Carlo sample counts; each batch draws 2n x d candidate coordinates
+MC_SAMPLES = range(1000, 1_000_001)
 
 
 def max_axis_order(dim: int) -> int:
@@ -377,8 +379,8 @@ def monte_carlo_operator(M: EmbeddedManifold, f: Callable, x: ChartPoint,
     sqrt(det g), using a counter-based (Philox) generator so a fixed
     seed reproduces results exactly regardless of batch scheduling.
     """
-    if n_samples < 1000:
-        raise ValidationError("need at least 1000 Monte Carlo samples")
+    if n_samples not in MC_SAMPLES:
+        raise ValidationError(f"need {MC_SAMPLES[0]} to {MC_SAMPLES[-1]} samples")
     if eps <= 0:
         raise ValidationError("eps must be positive")
     rng = np.random.Generator(np.random.Philox(seed))

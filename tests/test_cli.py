@@ -1,6 +1,10 @@
 """End-to-end CLI tests: subcommands, formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,9 +225,13 @@ class TestErrors:
         ("expand", "--eps0", "inf"),
         ("expand", "--eps0", "0"),
         ("operator", "--mc", "2000", "--seed", "-1", "--eps", "0.1"),
-    ], ids=["inf", "nan", "0.1,inf", "eps0=inf", "eps0=0", "seed=-1"])
+        ("operator", "--mc", "0", "--eps", "0.1"),
+        ("operator", "--mc", "1000001", "--eps", "0.1"),
+    ], ids=["inf", "nan", "0.1,inf", "eps0=inf", "eps0=0", "seed=-1", "mc=0",
+            "mc=1000001"])
     def test_nonfinite_eps_rejected(self, capsys, argv):
-        # bandwidths and the Monte Carlo seed are range-checked at parse time
+        # bandwidths and the Monte Carlo seed and sample count are
+        # range-checked at parse time
         command, *rest = argv
         assert_one_validation_line(*run(capsys, command, "--manifold",
                                         "sphere2", *rest))
@@ -239,6 +247,16 @@ class TestErrors:
         assert_one_validation_line(*run(
             capsys, "equicurved-scan", "--manifold", "torus", "--grid", "4x4"))
 
+    @pytest.mark.parametrize("command", ["curvature", "operator"])
+    def test_nonfinite_description_field_rejected(self, capsys, tmp_path, command):
+        # a non-finite field is refused before any geometry runs
+        path = tmp_path / "torus.txt"
+        path.write_text("type=torus R=inf r=1\n", encoding="utf-8")
+        code, out, err = run(capsys, command, "--manifold", str(path),
+                             "--point", "0.3,0.0")
+        assert_one_validation_line(code, out, err)
+        assert "R='inf'" in json.loads(err)["error"]["message"]
+
     def test_numerics_exit_code(self, capsys, monkeypatch):
         def boom(args):
             raise NumericsError("synthetic numerical failure")
@@ -246,6 +264,18 @@ class TestErrors:
         code, _, err = run(capsys, "catalog")
         assert code == 2
         assert json.loads(err)["error"]["type"] == "NumericsError"
+
+
+def test_import_is_numpy_only():
+    # the runtime needs numpy alone: neither sympy nor scipy is loaded
+    code = ("import sys, ckl, ckl.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('sympy', 'scipy')))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestVerify:

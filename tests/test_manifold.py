@@ -199,12 +199,16 @@ class TestChristoffel:
         np.testing.assert_allclose(TORUS.christoffel(0, pts), expected,
                                    rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("M", [TORUS, S3], ids=["torus", "sphere3"])
+    @pytest.mark.parametrize("M", [TORUS, S3, S2, SPHEROID],
+                             ids=["torus", "sphere3", "sphere2", "spheroid"])
     def test_finite_difference_chart(self, M, rng):
         # charts without analytic derivatives take the same path through
-        # their differenced Hessian
+        # their differenced Hessian; it also checks the trig charts' exact
+        # derivatives against differences of their embedding
         fd = fd_copy(M)
         pts = random_points(M, 20, rng)
+        np.testing.assert_allclose(fd.jacobian(0, pts), M.jacobian(0, pts),
+                                   rtol=0, atol=1e-8)
         np.testing.assert_allclose(fd.hessian(0, pts), M.hessian(0, pts),
                                    rtol=0, atol=1e-8)
         np.testing.assert_allclose(fd.christoffel(0, pts), M.christoffel(0, pts),
@@ -508,3 +512,20 @@ class TestCatalogParsing:
     def test_missing_type(self):
         with pytest.raises(ValidationError):
             load_manifold_text("radius=1.0")
+
+    @pytest.mark.parametrize("text, field", [
+        ("type=sphere radius=abc", "radius"),
+        ("type=sphere dim=2.5", "dim"),
+        ("type=spheroid a=nan", "a"),
+        ("type=spheroid c=1e999", "c"),
+        ("type=torus R=inf r=1", "R"),
+        ("type=torus r=-inf", "r"),
+        ("type=graph d=x", "d"),
+        ("type=graph d=2 box=inf", "box"),
+        ("type=torus delta=nan", "delta"),
+    ])
+    def test_bad_number_named(self, text, field):
+        # every numeric field must parse as a finite number
+        with pytest.raises(ValidationError) as err:
+            load_manifold_text(text)
+        assert f"field {field}=" in str(err.value)

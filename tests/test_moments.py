@@ -24,6 +24,7 @@ from ckl import (
     radial_power,
     sphere_moment,
 )
+from ckl.moments import _gammainc
 
 HP = HomogeneousPoly
 
@@ -300,6 +301,21 @@ class TestCp:
                     for eps in np.geomspace(1e-3, 1e-1, 7):
                         est = c_p(p, float(eps), delta, d)
                         assert abs(est.value - est.main_term) <= est.bound
+
+    def test_matches_scipy_gammainc(self):
+        # the closed-form incomplete gamma against scipy over both of its
+        # branches (series below x = a + 1, finite sums above); with
+        # eps = 1/4 the argument is x = delta^2
+        from scipy.special import gammainc
+        xs = np.concatenate([np.geomspace(1e-6, 1e4, 301), np.arange(1.0, 17.0)])
+        for p in range(12):
+            for d in range(1, 9):
+                a = p + d / 2.0
+                assert _gammainc(a, 0.0) == 0.0
+                for delta in np.sqrt(xs):
+                    est = c_p(p, 0.25, float(delta), d)
+                    oracle = est.main_term * gammainc(a, delta * delta)
+                    assert est.value == pytest.approx(oracle, rel=1e-13, abs=0)
 
     def test_overflow_rejected(self):
         with pytest.raises(NumericsError):
