@@ -4,7 +4,9 @@ Subcommands: ``catalog``, ``curvature``, ``operator``, ``expand``,
 ``equicurved-scan``, ``verify``.  Structured output is JSON (default) or CSV;
 ``--out -`` writes to stdout.  Outputs are byte-identical across runs for a
 fixed configuration and seed.  Exit codes: 0 success, 1 validation error,
-2 numerical failure; errors are reported as one-line JSON on stderr.
+2 numerical failure; errors are reported as one-line JSON on stderr.  Each
+subcommand runs with numpy overflow and invalid operations raised, and JSON
+is written without NaN or Infinity; either failure exits 2.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import sys
 import numpy as np
 
 from .catalog import CATALOG, load_manifold
-from .errors import CklError, ValidationError
+from .errors import CklError, NumericsError, ValidationError
 from .fields import parse_function
 from .fit import compare_closed_form, fit_polynomial, richardson_sequence
 from .hypersurface import scan_equicurved, shape_at
@@ -54,7 +56,11 @@ def _json_dump(obj) -> str:
         if isinstance(o, np.generic):
             return o.item()
         raise TypeError(f"not JSON serializable: {type(o)}")
-    return json.dumps(obj, indent=2, sort_keys=True, default=np_scalar) + "\n"
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, default=np_scalar,
+                          allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericsError(f"output is not finite: {exc}") from None
 
 
 def _parse_point(spec: str | None, M: EmbeddedManifold) -> ChartPoint:
@@ -332,7 +338,11 @@ _DISPATCH = {
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return _DISPATCH[args.command](args)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return _DISPATCH[args.command](args)
+        except FloatingPointError as exc:
+            raise NumericsError(str(exc)) from None
     except ValidationError as exc:
         sys.stderr.write(json.dumps(
             {"error": {"type": "validation", "message": str(exc)}}) + "\n")

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .errors import ValidationError
+from .fields import ScalarField
 from .manifold import ChartPoint, EmbeddedManifold, curvature_at, laplace_beltrami
 from .moments import (
     HomogeneousPoly,
@@ -296,10 +295,8 @@ def eta_w(td: TaylorData, Q: int) -> EtaW:
 
 @dataclass(frozen=True)
 class ExpansionCoefficients:
-    """Expansion coefficients a_0..a_Q with their provenance."""
+    """Expansion coefficients a_0..a_Q."""
     values: tuple[float, ...]
-    source: str                     # closed_form | engine | fitted
-    diagnostics: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if not all(math.isfinite(v) for v in self.values):
@@ -325,7 +322,7 @@ def assemble_a(etaw: EtaW, d: int, Q: int) -> ExpansionCoefficients:
                 total += ((-1.0) ** k * 4.0 ** q * pochhammer(d / 2.0, q + k)
                           / (_FACT[m] * _FACT[2 * q + 2 * k - m]) * wval)
         values.append(total)
-    return ExpansionCoefficients(values=tuple(values), source="engine")
+    return ExpansionCoefficients(values=tuple(values))
 
 
 def expansion_from_taylor(td: TaylorData, Q: int) -> ExpansionCoefficients:
@@ -337,21 +334,21 @@ def expansion_from_taylor(td: TaylorData, Q: int) -> ExpansionCoefficients:
 # Closed forms
 # ---------------------------------------------------------------------------
 
-def a1_closed_form(M: EmbeddedManifold, f, x: ChartPoint) -> float:
-    """First-order coefficient -Lap(f) + (f/4)(d^2 |H|^2 - 2 R)."""
+def a1_closed_form(M: EmbeddedManifold, f: ScalarField, x: ChartPoint) -> float:
+    """First-order coefficient -Lap(f) + (f/4)(d^2 |H|^2 - 2 R).
+
+    The Laplacian is exact (:func:`laplace_beltrami`), and ``f(x)`` comes
+    from the same evaluation of the field's chart derivatives.
+    """
     rep = curvature_at(M, x)
-    lap = laplace_beltrami(M, f, x)
-    fx = float(np.asarray(f(np.asarray(x.coords)[None, :],
-                            M.embed(x.chart, np.asarray(x.coords)[None, :])))[0])
+    fx, lap = laplace_beltrami(M, f, x, with_value=True)
     d = M.dim
     return -lap + 0.25 * fx * (d * d * rep.mean_curvature_norm_sq
                                - 2.0 * rep.scalar_curvature)
 
 
-def eta1_closed_form(M: EmbeddedManifold, f, x: ChartPoint) -> float:
+def eta1_closed_form(M: EmbeddedManifold, f: ScalarField, x: ChartPoint) -> float:
     """First sphere-averaged weight (1/d)(-Lap(f) - R f / 3)."""
     rep = curvature_at(M, x)
-    lap = laplace_beltrami(M, f, x)
-    fx = float(np.asarray(f(np.asarray(x.coords)[None, :],
-                            M.embed(x.chart, np.asarray(x.coords)[None, :])))[0])
+    fx, lap = laplace_beltrami(M, f, x, with_value=True)
     return (-lap - rep.scalar_curvature * fx / 3.0) / M.dim

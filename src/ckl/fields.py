@@ -1,7 +1,10 @@
 """Scalar fields on manifolds and their command-line descriptions.
 
 A field is a callable ``f(coords, ambient) -> values`` evaluated in batch at
-chart coordinates with their embedded ambient positions.  The text forms:
+chart coordinates with their embedded ambient positions.  It also supplies its
+value and exact chart derivatives at one point (:meth:`ScalarField.jet`), from
+which the Laplace-Beltrami operator is computed without differencing.  The
+text forms:
 
     const:<c>        constant field (alias: const1)
     ambient:<i>      restriction of the i-th ambient coordinate (1-based)
@@ -18,12 +21,19 @@ from .manifold import EmbeddedManifold
 
 
 class ScalarField:
-    """Base class carrying a stable identifier for reports."""
+    """A field with a stable identifier for reports, its batched values and
+    its exact chart derivatives."""
 
     def __init__(self, field_id: str):
         self.field_id = field_id
 
     def __call__(self, coords: np.ndarray, ambient: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def jet(self, coords, ambient, jac, hess):
+        """Value, chart gradient ``(d,)`` and chart Hessian ``(d, d)`` at one
+        point, given its coordinates ``(d,)``, embedding ``(n,)`` and the
+        chart's Jacobian ``(n, d)`` and Hessian ``(n, d, d)`` there."""
         raise NotImplementedError
 
 
@@ -34,6 +44,10 @@ class ConstField(ScalarField):
 
     def __call__(self, coords, ambient):
         return np.full(np.asarray(coords).shape[:-1], self.value)
+
+    def jet(self, coords, ambient, jac, hess):
+        d = jac.shape[-1]
+        return self.value, np.zeros(d), np.zeros((d, d))
 
 
 class AmbientCoordField(ScalarField):
@@ -47,14 +61,23 @@ class AmbientCoordField(ScalarField):
     def __call__(self, coords, ambient):
         return np.asarray(ambient)[..., self.index]
 
+    def jet(self, coords, ambient, jac, hess):
+        return ambient[self.index], jac[self.index], hess[self.index]
+
 
 class ChartPolyField(ScalarField):
     def __init__(self, text: str, dim: int):
         super().__init__(f"poly:{text}")
         self.poly = parse_poly(text, dim)
+        self.grad = self.poly.grad()
+        self.hess = [g.grad() for g in self.grad]
 
     def __call__(self, coords, ambient):
         return self.poly(np.asarray(coords))
+
+    def jet(self, coords, ambient, jac, hess):
+        return (self.poly(coords), np.array([g(coords) for g in self.grad]),
+                np.array([[h(coords) for h in row] for row in self.hess]))
 
 
 def parse_function(spec: str, M: EmbeddedManifold) -> ScalarField:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .coeffs import a1_closed_form
 from .errors import NumericsError, ValidationError
+from .fields import ScalarField
 from .manifold import ChartPoint, EmbeddedManifold
 from .operator import EpsLadder
 
@@ -127,7 +128,7 @@ class ClosedFormComparison:
         return self.a0_passed and self.a1_passed
 
 
-def compare_closed_form(M: EmbeddedManifold, f, x: ChartPoint,
+def compare_closed_form(M: EmbeddedManifold, f: ScalarField, x: ChartPoint,
                         fitted: FitReport, tol_a0: float = 1e-6,
                         tol_a1_rel: float = 0.02,
                         tol_a1_abs: float = 1e-3) -> ClosedFormComparison:

@@ -25,11 +25,12 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import NumericsError, ValidationError
+from .fields import ScalarField
 from .manifold import (
     ChartPoint,
     EmbeddedManifold,
@@ -288,8 +289,11 @@ def scan_equicurved(M: EmbeddedManifold, grid: Sequence[int],
     coords = np.stack([m.reshape(-1) for m in mesh], axis=-1)
     grid_shape = tuple(len(a) for a in axes)
 
+    errors = np.geterr()    # worker threads start from numpy's defaults
+
     def eval_chunk(chunk):
-        return _shape_arrays(M, 0, chunk)[1]
+        with np.errstate(**errors):
+            return _shape_arrays(M, 0, chunk)[1]
 
     threads = _thread_count(os.environ.get("CKL_THREADS"))
     if threads > 1 and coords.shape[0] > 4 * threads:
@@ -607,7 +611,7 @@ class LimitCriterionReport:
     residual: float
 
 
-def limit_criterion_check(M: EmbeddedManifold, f: Callable, x: ChartPoint,
+def limit_criterion_check(M: EmbeddedManifold, f: ScalarField, x: ChartPoint,
                           ladder: EpsLadder, rel_tol: float = 0.02,
                           abs_tol: float = 1e-3) -> LimitCriterionReport:
     """Compare lim (f(x) - K_eps f(x)) / eps with the Laplace-Beltrami value.
@@ -618,8 +622,7 @@ def limit_criterion_check(M: EmbeddedManifold, f: Callable, x: ChartPoint,
     comes from the shape-operator residual at ``x``.
     """
     _require_hypersurface(M)
-    coords = np.asarray(x.coords)[None, :]
-    fx = float(np.asarray(f(coords, M.embed(x.chart, coords)))[0])
+    fx, lap = laplace_beltrami(M, f, x, with_value=True)
     eps = ladder.eps
     ratios = eps[1:] / eps[:-1]
     rho = float(ratios[0])
@@ -628,7 +631,6 @@ def limit_criterion_check(M: EmbeddedManifold, f: Callable, x: ChartPoint,
     z = (fx - ladder.values) / eps
     extrap = (z[1:] - rho * z[:-1]) / (1.0 - rho)
     limit = float(extrap[-1])
-    lap = laplace_beltrami(M, f, x)
     gap = abs(limit - lap)
     if abs(lap) < 1e-6:
         matches = gap <= abs_tol

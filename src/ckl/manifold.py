@@ -4,7 +4,8 @@ A manifold is a single chart: an embedding of an axis-aligned box in R^d into
 R^n.  Everything downstream (metric, second fundamental form,
 curvature, geodesics, normal-coordinate volume density, Laplace-Beltrami
 operator) is computed from the embedding map's Jacobian and Hessian: the
-Christoffel symbols are ``g^{kl} <d_l X, d_i d_j X>`` and the metric is never
+Christoffel symbols are ``g^{kl} <d_l X, d_i d_j X>``, the Laplacian takes the
+field's exact chart derivatives from the same arrays, and the metric is never
 differenced, except by ``scalar_curvature_intrinsic``, the deliberately
 independent cross-check.  Charts may carry analytic derivative closures;
 otherwise central finite differences with one Richardson step are used.  A
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -31,6 +32,9 @@ from .errors import (
     TruncatedPathError,
     ValidationError,
 )
+
+if TYPE_CHECKING:
+    from .fields import ScalarField
 
 DET_FLOOR = 1e-12
 _EPS = np.finfo(float).eps
@@ -223,6 +227,13 @@ def _gram(jac: np.ndarray) -> np.ndarray:
     return g
 
 
+def _connection(jac: np.ndarray, hess: np.ndarray):
+    """``(g^{-1}, Gamma)`` from the chart's Jacobian and Hessian arrays."""
+    ginv = np.linalg.inv(_gram(jac))
+    first_kind = np.einsum("...nl,...nij->...lij", jac, hess)
+    return ginv, np.einsum("...kl,...lij->...kij", ginv, first_kind)
+
+
 class EmbeddedManifold:
     """A d-dimensional submanifold of R^n described by a single chart.
 
@@ -272,15 +283,8 @@ class EmbeddedManifold:
 
     def christoffel(self, ci: int, coords: np.ndarray) -> np.ndarray:
         """Christoffel symbols ``Gamma[..., k, i, j] = g^{kl} <d_l X, d_i d_j X>``."""
-        return self._connection(ci, coords)[1]
-
-    def _connection(self, ci: int, coords: np.ndarray):
-        """``(g^{-1}, Gamma)`` from one Jacobian and one Hessian evaluation."""
         jac = self.jacobian(ci, coords)
-        ginv = np.linalg.inv(_gram(jac))
-        first_kind = np.einsum("...nl,...nij->...lij", jac,
-                               self.hessian(ci, coords))
-        return ginv, np.einsum("...kl,...lij->...kij", ginv, first_kind)
+        return _connection(jac, self.hessian(ci, coords))[1]
 
     def volume(self, order: int = 96) -> float:
         """Total volume of the chart box (cached), by tensor quadrature."""
@@ -449,65 +453,27 @@ def ricci_frame(M: EmbeddedManifold, p: ChartPoint) -> np.ndarray:
 # Laplace-Beltrami operator
 # ---------------------------------------------------------------------------
 
-def laplace_beltrami(M: EmbeddedManifold, f, p: ChartPoint) -> float:
-    """Laplace-Beltrami operator with positive spectrum.
+def laplace_beltrami(M: EmbeddedManifold, f: ScalarField, p: ChartPoint,
+                     with_value: bool = False):
+    """Laplace-Beltrami operator with positive spectrum, exactly.
 
-    Computes ``-(1/sqrt(G)) d_i (sqrt(G) g^{ij} d_j f)`` in chart coordinates
-    (so the flat-plane value of ``u^2 + v^2`` is -4): the derivatives of ``f``
-    by finite differences, the divergence term ``-g^{kl} Gamma^j_kl`` from the
-    chart's Jacobian and Hessian.  ``f`` is a scalar field callable
-    ``f(coords, ambient) -> values``.
+    Computes ``-(g^{ij} d_i d_j f - g^{kl} Gamma^j_kl d_j f)`` in chart
+    coordinates (so the flat-plane value of ``u^2 + v^2`` is -4): ``g^{-1}``
+    and ``Gamma`` come from one evaluation of the chart's Jacobian and
+    Hessian, and the value and chart derivatives of ``f`` from
+    :meth:`ScalarField.jet` on the same arrays; nothing is differenced.
+    Returns ``(f(p), Lap f(p))`` when ``with_value`` is set.
     """
-    ci, c0 = p.chart, np.asarray(p.coords, dtype=float)
-    M.chart(ci).require_inside(c0)
-    d = M.dim
-
-    def feval(coords):
-        coords = M.chart(ci).wrap(np.asarray(coords, dtype=float))
-        vals = f(coords, M.embed(ci, coords))
-        vals = np.asarray(vals, dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise ValidationError("scalar field is not finite near the point")
-        return vals
-
-    ginv, gamma = M._connection(ci, c0)
-
-    # gradient: Richardson-extrapolated central differences
-    h1 = _H1 * (1.0 + np.abs(c0))
-    grad = np.zeros(d)
-    pts = []
-    for i in range(d):
-        for s in (1.0, -1.0, 0.5, -0.5):
-            step = np.zeros(d)
-            step[i] = s * h1[i]
-            pts.append(c0 + step)
-    vals = feval(np.array(pts)).reshape(d, 4)
-    for i in range(d):
-        d_h = (vals[i, 0] - vals[i, 1]) / (2 * h1[i])
-        d_h2 = (vals[i, 2] - vals[i, 3]) / (1.0 * h1[i])
-        grad[i] = (4.0 * d_h2 - d_h) / 3.0
-
-    # second derivatives: plain central stencils at a wider step
-    h2 = 2.0 * _EPS ** 0.25 * (1.0 + np.abs(c0))
-    f0 = float(feval(c0[None, :])[0])
-    hess = np.zeros((d, d))
-    for i in range(d):
-        step = np.zeros(d)
-        step[i] = h2[i]
-        fp, fm = feval(np.array([c0 + step, c0 - step]))
-        hess[i, i] = (fp - 2.0 * f0 + fm) / h2[i] ** 2
-        for j in range(i + 1, d):
-            sj = np.zeros(d)
-            sj[j] = h2[j]
-            fpp, fpm, fmp, fmm = feval(np.array(
-                [c0 + step + sj, c0 + step - sj, c0 - step + sj, c0 - step - sj]))
-            hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4 * h2[i] * h2[j])
-
-    # divergence coefficients: c_j = (1/sqrt G) d_i (sqrt G g^{ij})
-    #                               = -g^{kl} Gamma^j_kl
-    div = -np.einsum("kl,jkl->j", ginv, gamma)
-
-    return float(-(np.einsum("ij,ij->", ginv, hess) + div @ grad))
+    c0 = M.chart(p.chart).wrap(p.coords)
+    jac, hess = M.jacobian(p.chart, c0), M.hessian(p.chart, c0)
+    ginv, gamma = _connection(jac, hess)
+    value, grad, fhess = f.jet(c0, M.embed(p.chart, c0), jac, hess)
+    if not all(np.all(np.isfinite(a)) for a in (value, grad, fhess)):
+        raise ValidationError(
+            "scalar field or its chart derivatives are not finite at the point")
+    lap = -float(np.einsum("ij,ij->", ginv, fhess)
+                 - np.einsum("kl,jkl,j->", ginv, gamma, grad))
+    return (float(value), lap) if with_value else lap
 
 
 # ---------------------------------------------------------------------------

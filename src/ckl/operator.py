@@ -353,15 +353,13 @@ def default_eps_ladder(eps0: float = 0.1, count: int = 8,
 
 def eps_sweep(M: EmbeddedManifold, f: Callable, x: ChartPoint,
               eps_list: Sequence[float], order: int = DEFAULT_ORDER,
-              rule_factory: Callable[[float], QuadratureRule] | None = None,
               f_id: str = "") -> EpsLadder:
     """One operator evaluation per bandwidth, with bandwidth-adapted windows."""
     eps_list = [float(e) for e in eps_list]
     samples = []
     for eps in eps_list:
-        rule = rule_factory(eps) if rule_factory else build_localized_rule(
-            M, x, eps, order)
-        value, tail = apply_operator(M, f, x, eps, rule)
+        value, tail = apply_operator(M, f, x, eps,
+                                     build_localized_rule(M, x, eps, order))
         samples.append(LadderSample(eps=eps, value=value, tail_bound=tail))
     return EpsLadder(samples=samples, x=x, f_id=f_id)
 

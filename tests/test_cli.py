@@ -257,6 +257,27 @@ class TestErrors:
         assert_one_validation_line(code, out, err)
         assert "R='inf'" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("argv, description", [
+        (["curvature"], "type=sphere radius=1e308"),
+        (["operator"], "type=sphere radius=1e308"),
+        (["curvature"], "type=graph d=2 poly=1e308:(2,0) box=1e308"),
+        (["equicurved-scan", "--grid", "8x4"], "type=sphere radius=1e308"),
+    ], ids=["curvature-sphere", "operator-sphere", "curvature-graph",
+            "scan-sphere"])
+    def test_overflowing_geometry_is_numerics_error(
+            self, capsys, tmp_path, monkeypatch, argv, description):
+        # finite but huge inputs overflow inside numpy, in the scan's worker
+        # threads too: one JSON line, exit 2
+        monkeypatch.setenv("CKL_THREADS", "2")
+        path = tmp_path / "huge.txt"
+        path.write_text(description + "\n", encoding="utf-8")
+        code, out, err = run(capsys, argv[0], "--manifold", str(path),
+                             *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"]["type"] == "NumericsError"
+
     def test_numerics_exit_code(self, capsys, monkeypatch):
         def boom(args):
             raise NumericsError("synthetic numerical failure")

@@ -8,6 +8,7 @@ import pytest
 
 from ckl import ValidationError
 from ckl.catalog import catalog_manifold
+from ckl.fields import AmbientCoordField, ConstField
 from ckl.coeffs import (
     TaylorData,
     a1_closed_form,
@@ -32,14 +33,7 @@ from ckl.moments import (
 HP = HomogeneousPoly
 S2 = catalog_manifold("sphere2")
 S3 = catalog_manifold("sphere3")
-
-
-def const_one(coords, ambient):
-    return np.ones(np.asarray(coords).shape[:-1])
-
-
-def ambient_z(coords, ambient):
-    return ambient[..., 2]
+TORUS = catalog_manifold("torus")
 
 
 class TestAlphaTerms:
@@ -242,16 +236,31 @@ class TestClosedForms:
     EQUATOR = ChartPoint(0, [math.pi / 2, 1.0])
 
     def test_sphere_const(self):
-        assert a1_closed_form(S2, const_one, self.EQUATOR) == pytest.approx(
+        assert a1_closed_form(S2, ConstField(1.0), self.EQUATOR) == pytest.approx(
             0.0, abs=1e-9)
 
     def test_sphere_z(self):
         p = ChartPoint(0, [math.acos(0.6), 0.5])
-        assert a1_closed_form(S2, ambient_z, p) == pytest.approx(-1.2, abs=1e-6)
+        assert a1_closed_form(S2, AmbientCoordField(3, 3), p) == pytest.approx(-1.2, abs=1e-6)
+
+    def test_sphere_z_exact(self):
+        # a1 = -Lap z + (z/4)(4 - 4) = -2 z on the unit sphere
+        for theta in (0.7, 1.2, 2.5):
+            p = ChartPoint(0, [theta, 0.4])
+            assert a1_closed_form(S2, AmbientCoordField(3, 3), p) \
+                == pytest.approx(-2.0 * math.cos(theta), abs=1e-12)
+
+    def test_torus_z_exact(self):
+        # -Lap z + (z/4)((k1 + k2)^2 - 4 k1 k2) with z = r sin v, k1 = 1/r,
+        # k2 = cos v / (R + r cos v), Lap z = sin v (R + 2 r cos v) /
+        # (r (R + r cos v)); R = 2, r = 1, v = 0.7
+        p = ChartPoint(0, [0.3, 0.7])
+        assert a1_closed_form(TORUS, AmbientCoordField(3, 3), p) \
+            == pytest.approx(-0.7381548549802642, abs=1e-12)
 
     def test_three_sphere_const(self):
         p = ChartPoint(0, [1.2, 1.4, 0.6])
-        assert a1_closed_form(S3, const_one, p) == pytest.approx(-0.75, abs=1e-8)
+        assert a1_closed_form(S3, ConstField(1.0), p) == pytest.approx(-0.75, abs=1e-8)
 
     def test_engine_matches_closed_form_q1(self):
         for M, td in ((S2, sphere_taylor_data(2, 1.0, max_degree=8)),
@@ -259,22 +268,22 @@ class TestClosedForms:
             p = ChartPoint(0, [math.pi / 2, 1.0] if M.dim == 2
                            else [math.pi / 2, math.pi / 2, 1.0])
             engine = expansion_from_taylor(td, 1).values[1]
-            closed = a1_closed_form(M, const_one, p)
+            closed = a1_closed_form(M, ConstField(1.0), p)
             assert abs(engine - closed) <= 1e-9
 
     def test_eta1_sphere_const(self):
-        assert eta1_closed_form(S2, const_one, self.EQUATOR) == pytest.approx(
+        assert eta1_closed_form(S2, ConstField(1.0), self.EQUATOR) == pytest.approx(
             -1.0 / 3.0, abs=1e-9)
 
     def test_eta1_flat(self):
         plane = catalog_manifold("plane")
-        assert eta1_closed_form(plane, const_one, ChartPoint(0, [0.1, 0.2])) \
+        assert eta1_closed_form(plane, ConstField(1.0), ChartPoint(0, [0.1, 0.2])) \
             == pytest.approx(0.0, abs=1e-10)
 
     def test_eta1_sphere_z(self):
         p = ChartPoint(0, [math.acos(0.6), 0.5])
         # (1/2)(-2z - (2/3) z) = -(4/3) z
-        assert eta1_closed_form(S2, ambient_z, p) == pytest.approx(
+        assert eta1_closed_form(S2, AmbientCoordField(3, 3), p) == pytest.approx(
             -4.0 / 3.0 * 0.6, abs=1e-6)
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ckl import NumericsError, ValidationError
 from ckl.catalog import catalog_manifold
+from ckl.fields import AmbientCoordField, ConstField
 from ckl.manifold import ChartPoint
 from ckl.operator import EpsLadder, LadderSample, eps_sweep
 from ckl.fit import compare_closed_form, fit_polynomial, richardson_sequence
@@ -135,14 +136,14 @@ class TestSecondOrderCrossValidation:
 class TestComparison:
     def test_sphere_const(self):
         lad = eps_sweep(S2, const_one, EQUATOR, EPS8)
-        cmp = compare_closed_form(S2, const_one, EQUATOR, fit_polynomial(lad, 2))
+        cmp = compare_closed_form(S2, ConstField(1.0), EQUATOR, fit_polynomial(lad, 2))
         assert cmp.a1_criterion == "absolute"
         assert cmp.passed
 
     def test_sphere_z(self):
         p = ChartPoint(0, [math.acos(0.6), 1.0])
         lad = eps_sweep(S2, ambient_z, p, EPS8)
-        cmp = compare_closed_form(S2, ambient_z, p, fit_polynomial(lad, 3))
+        cmp = compare_closed_form(S2, AmbientCoordField(3, 3), p, fit_polynomial(lad, 3))
         assert cmp.a1_criterion == "relative"
         assert cmp.a1_reference == pytest.approx(-1.2, abs=1e-6)
         assert cmp.passed

@@ -38,6 +38,8 @@ CASES = {
     # one full-atlas rule and one windowed rule on the determinant path
     "operator_sphere3.csv": ["operator", "--manifold", "sphere3",
                              "--eps", "0.05,0.0125", "--format", "csv"],
+    # the 15 detail strings of the invariant suite
+    "verify.txt": ["verify"],
 }
 
 

@@ -10,6 +10,7 @@ import pytest
 import ckl.hypersurface as hypersurface
 from ckl import ValidationError
 from ckl.catalog import catalog_manifold
+from ckl.fields import ConstField
 from ckl.manifold import ChartPoint, curvature_at
 from ckl.operator import eps_sweep
 from ckl.hypersurface import (
@@ -343,7 +344,7 @@ class TestLimitCriterion:
     def test_sphere_const(self):
         one = lambda c, a: np.ones(np.asarray(c).shape[:-1])
         lad = eps_sweep(S2, one, EQUATOR, self.LADDER)
-        rep = limit_criterion_check(S2, one, EQUATOR, lad)
+        rep = limit_criterion_check(S2, ConstField(1.0), EQUATOR, lad)
         assert rep.equicurved
         assert rep.matches_laplacian
         assert rep.limit == pytest.approx(0.0, abs=1e-4)
@@ -351,7 +352,7 @@ class TestLimitCriterion:
     def test_torus_fails_with_gap(self):
         one = lambda c, a: np.ones(np.asarray(c).shape[:-1])
         lad = eps_sweep(TORUS, one, OUTER, self.LADDER)
-        rep = limit_criterion_check(TORUS, one, OUTER, lad)
+        rep = limit_criterion_check(TORUS, ConstField(1.0), OUTER, lad)
         assert not rep.equicurved
         assert not rep.matches_laplacian
         assert rep.gap == pytest.approx(1.0 / 9.0, abs=0.01)
