@@ -104,24 +104,20 @@ class PolyTerms:
             out += mono
         return out
 
-    def grad(self) -> list["PolyTerms"]:
-        cols = []
-        for i in range(self.dim):
-            terms = []
-            for c, alpha in self.terms:
-                if alpha[i]:
-                    new = list(alpha)
-                    new[i] -= 1
-                    terms.append((c * alpha[i], tuple(new)))
-            cols.append(PolyTerms(self.dim, terms))
-        return cols
+    def derivatives(self) -> tuple[list["PolyTerms"], list[list["PolyTerms"]]]:
+        """First and second partials: ``grad[i]`` and ``hess[i][j]``."""
+        def grad(p):
+            return [PolyTerms(p.dim, [(c * a[i], a[:i] + (a[i] - 1,) + a[i + 1:])
+                                      for c, a in p.terms if a[i]])
+                    for i in range(p.dim)]
+        first = grad(self)
+        return first, [grad(g) for g in first]
 
 
 def graph_chart(poly: PolyTerms, halfwidth: float, name: str = "") -> Chart:
     """The graph (s, P(s)) over the box [-halfwidth, halfwidth]^d."""
     d = poly.dim
-    grad = poly.grad()
-    hess = [g.grad() for g in grad]
+    grad, hess = poly.derivatives()
 
     def embed(coords):
         coords = np.asarray(coords, dtype=float)

@@ -341,7 +341,7 @@ def a1_closed_form(M: EmbeddedManifold, f: ScalarField, x: ChartPoint) -> float:
     from the same evaluation of the field's chart derivatives.
     """
     rep = curvature_at(M, x)
-    fx, lap = laplace_beltrami(M, f, x, with_value=True)
+    fx, lap = laplace_beltrami(M, f, x)
     d = M.dim
     return -lap + 0.25 * fx * (d * d * rep.mean_curvature_norm_sq
                                - 2.0 * rep.scalar_curvature)
@@ -350,5 +350,5 @@ def a1_closed_form(M: EmbeddedManifold, f: ScalarField, x: ChartPoint) -> float:
 def eta1_closed_form(M: EmbeddedManifold, f: ScalarField, x: ChartPoint) -> float:
     """First sphere-averaged weight (1/d)(-Lap(f) - R f / 3)."""
     rep = curvature_at(M, x)
-    fx, lap = laplace_beltrami(M, f, x, with_value=True)
+    fx, lap = laplace_beltrami(M, f, x)
     return (-lap - rep.scalar_curvature * fx / 3.0) / M.dim

@@ -69,8 +69,7 @@ class ChartPolyField(ScalarField):
     def __init__(self, text: str, dim: int):
         super().__init__(f"poly:{text}")
         self.poly = parse_poly(text, dim)
-        self.grad = self.poly.grad()
-        self.hess = [g.grad() for g in self.grad]
+        self.grad, self.hess = self.poly.derivatives()
 
     def __call__(self, coords, ambient):
         return self.poly(np.asarray(coords))

@@ -622,7 +622,7 @@ def limit_criterion_check(M: EmbeddedManifold, f: ScalarField, x: ChartPoint,
     comes from the shape-operator residual at ``x``.
     """
     _require_hypersurface(M)
-    fx, lap = laplace_beltrami(M, f, x, with_value=True)
+    fx, lap = laplace_beltrami(M, f, x)
     eps = ladder.eps
     ratios = eps[1:] / eps[:-1]
     rho = float(ratios[0])

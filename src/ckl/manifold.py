@@ -453,16 +453,16 @@ def ricci_frame(M: EmbeddedManifold, p: ChartPoint) -> np.ndarray:
 # Laplace-Beltrami operator
 # ---------------------------------------------------------------------------
 
-def laplace_beltrami(M: EmbeddedManifold, f: ScalarField, p: ChartPoint,
-                     with_value: bool = False):
-    """Laplace-Beltrami operator with positive spectrum, exactly.
+def laplace_beltrami(M: EmbeddedManifold, f: ScalarField,
+                     p: ChartPoint) -> tuple[float, float]:
+    """``(f(p), Lap f(p))``: the Laplace-Beltrami operator with positive
+    spectrum, exactly.
 
     Computes ``-(g^{ij} d_i d_j f - g^{kl} Gamma^j_kl d_j f)`` in chart
     coordinates (so the flat-plane value of ``u^2 + v^2`` is -4): ``g^{-1}``
     and ``Gamma`` come from one evaluation of the chart's Jacobian and
     Hessian, and the value and chart derivatives of ``f`` from
     :meth:`ScalarField.jet` on the same arrays; nothing is differenced.
-    Returns ``(f(p), Lap f(p))`` when ``with_value`` is set.
     """
     c0 = M.chart(p.chart).wrap(p.coords)
     jac, hess = M.jacobian(p.chart, c0), M.hessian(p.chart, c0)
@@ -473,7 +473,7 @@ def laplace_beltrami(M: EmbeddedManifold, f: ScalarField, p: ChartPoint,
             "scalar field or its chart derivatives are not finite at the point")
     lap = -float(np.einsum("ij,ij->", ginv, fhess)
                  - np.einsum("kl,jkl,j->", ginv, gamma, grad))
-    return (float(value), lap) if with_value else lap
+    return float(value), lap
 
 
 # ---------------------------------------------------------------------------
