@@ -47,8 +47,7 @@ def trig_diff(terms: list[TrigTerm], i: int) -> list[TrigTerm]:
             for coef, fs in terms if i in fs and (fs[i][1] or fs[i][2])]
 
 
-def trig_chart(components: list[list[TrigTerm]], lo, hi, periodic,
-               name: str = "") -> Chart:
+def trig_chart(components: list[list[TrigTerm]], lo, hi, periodic) -> Chart:
     """A chart with exact derivatives whose embedding components are trig terms."""
     d, n = len(lo), len(components)
     jac = [trig_diff(X, i) for X in components for i in range(d)]
@@ -76,7 +75,7 @@ def trig_chart(components: list[list[TrigTerm]], lo, hi, periodic,
 
     return Chart(embed=closure(components, (n,)), lo=lo, hi=hi,
                  periodic=periodic, jacobian=closure(jac, (n, d)),
-                 hessian=closure(hess, (n, d, d)), name=name)
+                 hessian=closure(hess, (n, d, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +113,7 @@ class PolyTerms:
         return first, [grad(g) for g in first]
 
 
-def graph_chart(poly: PolyTerms, halfwidth: float, name: str = "") -> Chart:
+def graph_chart(poly: PolyTerms, halfwidth: float) -> Chart:
     """The graph (s, P(s)) over the box [-halfwidth, halfwidth]^d."""
     d = poly.dim
     grad, hess = poly.derivatives()
@@ -151,7 +150,7 @@ def graph_chart(poly: PolyTerms, halfwidth: float, name: str = "") -> Chart:
 
     return Chart(embed=embed, lo=[-halfwidth] * d, hi=[halfwidth] * d,
                  periodic=[False] * d, jacobian=jacobian, hessian=hessian,
-                 volume_element=volume_element, name=name)
+                 volume_element=volume_element)
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +160,11 @@ def graph_chart(poly: PolyTerms, halfwidth: float, name: str = "") -> Chart:
 SIN, COS = (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
 
 
-def _spheroid_chart(a: float, c: float, name: str) -> Chart:
+def _spheroid_chart(a: float, c: float) -> Chart:
     """(a sin t cos p, a sin t sin p, c cos t) over (t, p) in [0, pi] x [0, 2 pi)."""
     return trig_chart([[(a, {0: SIN, 1: COS})], [(a, {0: SIN, 1: SIN})],
                        [(c, {0: COS})]], lo=[0.0, 0.0], hi=[math.pi, TWO_PI],
-                      periodic=[False, True], name=name)
+                      periodic=[False, True])
 
 
 def make_sphere(radius: float = 1.0, dim: int = 2,
@@ -173,14 +172,14 @@ def make_sphere(radius: float = 1.0, dim: int = 2,
     if radius <= 0:
         raise ValidationError("sphere radius must be positive")
     if dim == 2:
-        chart = _spheroid_chart(radius, radius, "sphere2")
+        chart = _spheroid_chart(radius, radius)
     elif dim == 3:
         chart = trig_chart([[(radius, {0: SIN, 1: SIN, 2: COS})],
                             [(radius, {0: SIN, 1: SIN, 2: SIN})],
                             [(radius, {0: SIN, 1: COS})],
                             [(radius, {0: COS})]],
                            lo=[0.0, 0.0, 0.0], hi=[math.pi, math.pi, TWO_PI],
-                           periodic=[False, False, True], name="sphere3")
+                           periodic=[False, False, True])
     else:
         raise ValidationError(f"sphere charts are provided for dim 2 and 3, not {dim}")
     return EmbeddedManifold([chart], delta=delta or (math.pi - 0.1) * radius,
@@ -191,7 +190,7 @@ def make_spheroid(a: float = 1.0, c: float = 1.6,
                   delta: float | None = None) -> EmbeddedManifold:
     if a <= 0 or c <= 0:
         raise ValidationError("spheroid semi-axes must be positive")
-    return EmbeddedManifold([_spheroid_chart(a, c, "spheroid")],
+    return EmbeddedManifold([_spheroid_chart(a, c)],
                             delta=delta or 0.5, catalog_id="spheroid")
 
 
@@ -203,14 +202,14 @@ def make_torus(R: float = 2.0, r: float = 1.0,
     tube = (R, 0.0, r)
     chart = trig_chart([[(1.0, {0: COS, 1: tube})], [(1.0, {0: SIN, 1: tube})],
                         [(r, {1: SIN})]], lo=[0.0, 0.0], hi=[TWO_PI, TWO_PI],
-                       periodic=[True, True], name="torus")
+                       periodic=[True, True])
     return EmbeddedManifold([chart], delta=delta or 0.9 * r, catalog_id="torus")
 
 
 def make_graph(poly: PolyTerms, halfwidth: float = 1.0,
                delta: float | None = None,
                catalog_id: str = "graph") -> EmbeddedManifold:
-    return EmbeddedManifold([graph_chart(poly, halfwidth, name=catalog_id)],
+    return EmbeddedManifold([graph_chart(poly, halfwidth)],
                             delta=delta or halfwidth, catalog_id=catalog_id)
 
 

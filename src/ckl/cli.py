@@ -104,6 +104,8 @@ def _parse_eps_list(text: str) -> list[float]:
         raise ValidationError(f"bad eps list {text!r}") from None
     if not eps or not all(0 < e < np.inf for e in eps):
         raise ValidationError("eps values must be positive and finite")
+    if len(set(eps)) < len(eps):
+        raise ValidationError("eps values must be distinct")
     return sorted(eps, reverse=True)
 
 
@@ -343,6 +345,8 @@ def main(argv=None) -> int:
                 return _DISPATCH[args.command](args)
         except FloatingPointError as exc:
             raise NumericsError(str(exc)) from None
+        except OverflowError as exc:      # Python float arithmetic
+            raise NumericsError(f"overflow: {exc.args[-1]}") from None
     except ValidationError as exc:
         sys.stderr.write(json.dumps(
             {"error": {"type": "validation", "message": str(exc)}}) + "\n")

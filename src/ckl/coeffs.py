@@ -232,9 +232,11 @@ def alpha_terms(td: TaylorData, top: int | None = None) -> list[HomogeneousPoly]
 def beta_terms(td: TaylorData, Q: int) -> dict[tuple[int, int], HomogeneousPoly]:
     """Bell-polynomial terms b_{m,k} of the chord-remainder exponential.
 
-    Keys are (m, k) with 1 <= k <= m // 4 and m <= 4Q; entries with m < 4k
-    vanish identically and are omitted.  Raises naming the first missing
-    chord-remainder degree when the Taylor data is too short.
+    Keys are (m, k) with 1 <= k <= m // 4 and m <= 2Q + 2k; entries with
+    m < 4k vanish identically and are omitted.  Each of the k parts of a Bell
+    partition of m has degree at least 4, so no part exceeds m - 4(k - 1);
+    the slots above that are passed as zeros.  Raises naming the first
+    missing chord-remainder degree when the Taylor data is too short.
     """
     if Q < 1:
         return {}
@@ -250,7 +252,8 @@ def beta_terms(td: TaylorData, Q: int) -> dict[tuple[int, int], HomogeneousPoly]
                         f"b_{{{m},{k}}} needs the chord-remainder term of "
                         f"degree {max_needed}; Taylor data stops at "
                         f"{td.q_max_degree()}")
-                xs = [td.q_term(i) if i >= 4 else HomogeneousPoly.zero(td.dim, i)
+                xs = [td.q_term(i) if 4 <= i <= max_needed
+                      else HomogeneousPoly.zero(td.dim, i)
                       for i in range(1, m - k + 2)]
                 out[(m, k)] = bell_partial(m, k, xs)
     return out

@@ -8,7 +8,9 @@ text forms:
 
     const:<c>        constant field (alias: const1)
     ambient:<i>      restriction of the i-th ambient coordinate (1-based)
-    poly:<monomials> polynomial in chart coordinates, monomial-list syntax
+    poly:<monomials> polynomial in chart coordinates, monomial-list syntax;
+                     refused when it depends on a periodic chart axis, where
+                     it would jump at the period seam
 """
 
 from __future__ import annotations
@@ -96,7 +98,15 @@ def parse_function(spec: str, M: EmbeddedManifold) -> ScalarField:
             raise ValidationError(f"bad ambient index in {spec!r}") from None
         return AmbientCoordField(idx, M.ambient_dim)
     if spec.startswith("poly:"):
-        return ChartPolyField(spec[5:], M.dim)
+        field = ChartPolyField(spec[5:], M.dim)
+        periodic = M.chart(0).periodic
+        for _, alpha in field.poly.terms:
+            for i, e in enumerate(alpha):
+                if e and periodic[i]:
+                    raise ValidationError(
+                        f"{spec!r} depends on chart axis {i + 1}, which is "
+                        "periodic: the field would jump at the period seam")
+        return field
     raise ValidationError(
         f"unknown function spec {spec!r}; use const:<c>, ambient:<i>, "
         f"poly:<monomials>, or const1")

@@ -22,6 +22,17 @@ from .operator import EpsLadder
 CONDITION_LIMIT = 1e12
 
 
+def first_order_check(value: float, reference: float) -> tuple[str, float, bool]:
+    """``(criterion, error, passed)`` of a first-order value against its
+    reference: relative error at most 0.02, or absolute error at most 1e-3
+    when the reference is below 1e-6 in size."""
+    if abs(reference) < 1e-6:
+        err = abs(value - reference)
+        return "absolute", err, err <= 1e-3
+    err = abs(value - reference) / abs(reference)
+    return "relative", err, err <= 0.02
+
+
 @dataclass(frozen=True)
 class FitReport:
     """Extracted coefficients a_0..a_Q with diagnostics."""
@@ -129,13 +140,12 @@ class ClosedFormComparison:
 
 
 def compare_closed_form(M: EmbeddedManifold, f: ScalarField, x: ChartPoint,
-                        fitted: FitReport, tol_a0: float = 1e-6,
-                        tol_a1_rel: float = 0.02,
-                        tol_a1_abs: float = 1e-3) -> ClosedFormComparison:
+                        fitted: FitReport) -> ClosedFormComparison:
     """Check fitted a_0, a_1 against f(x) and the curvature closed form.
 
-    The first-order comparison is relative, falling back to an absolute
-    tolerance when the reference coefficient vanishes.
+    a_0 passes within 1e-6 absolute; a_1 passes :func:`first_order_check`:
+    relative error at most 0.02, or absolute error at most 1e-3 when the
+    reference is below 1e-6 in size.
     """
     if len(fitted.coefficients) < 2:
         raise ValidationError("fit must provide at least a_0 and a_1")
@@ -144,15 +154,8 @@ def compare_closed_form(M: EmbeddedManifold, f: ScalarField, x: ChartPoint,
     a1_ref = a1_closed_form(M, f, x)
     a0_hat, a1_hat = fitted.coefficients[0], fitted.coefficients[1]
     a0_err = abs(a0_hat - a0_ref)
-    if abs(a1_ref) < 1e-6:
-        criterion = "absolute"
-        a1_err = abs(a1_hat - a1_ref)
-        a1_ok = a1_err <= tol_a1_abs
-    else:
-        criterion = "relative"
-        a1_err = abs(a1_hat - a1_ref) / abs(a1_ref)
-        a1_ok = a1_err <= tol_a1_rel
+    criterion, a1_err, a1_ok = first_order_check(a1_hat, a1_ref)
     return ClosedFormComparison(
         a0_fitted=a0_hat, a1_fitted=a1_hat, a0_reference=a0_ref,
         a1_reference=a1_ref, a0_abs_error=a0_err, a1_error=a1_err,
-        a1_criterion=criterion, a0_passed=a0_err <= tol_a0, a1_passed=a1_ok)
+        a1_criterion=criterion, a0_passed=a0_err <= 1e-6, a1_passed=a1_ok)

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import NumericsError, ValidationError
 from .fields import ScalarField
+from .fit import first_order_check
 from .manifold import (
     ChartPoint,
     EmbeddedManifold,
@@ -85,11 +86,11 @@ def _unit_normals(jac: np.ndarray) -> np.ndarray:
     return normal * signs[..., None]
 
 
-def _shape_arrays(M: EmbeddedManifold, ci: int, coords: np.ndarray,
+def _shape_arrays(M: EmbeddedManifold, coords: np.ndarray,
                   orientation: float = 1.0):
     """Batched ``(normal, kappas, directions, jacobian, b)`` at coords (..., d)."""
-    jac = M.jacobian(ci, coords)
-    hess = M.hessian(ci, coords)
+    jac = M.jacobian(0, coords)
+    hess = M.hessian(0, coords)
     g = _gram(jac)
     normal = orientation * _unit_normals(jac)
     b = np.einsum("...nij,...n->...ij", hess, normal)
@@ -119,7 +120,7 @@ def shape_at(M: EmbeddedManifold, p: ChartPoint,
     _require_hypersurface(M)
     M.chart(p.chart).require_inside(p.coords)
     normal, kappas, directions, jac, b = _shape_arrays(
-        M, p.chart, np.asarray(p.coords, dtype=float), orientation)
+        M, np.asarray(p.coords, dtype=float), orientation)
     # eigen residual check: |b w - kappa g w| <= 1e-10 |b|
     g = np.einsum("ni,nk->ik", jac, jac)
     w_chart = np.linalg.solve(g, np.einsum("ni,kn->ik", jac, directions))
@@ -293,7 +294,7 @@ def scan_equicurved(M: EmbeddedManifold, grid: Sequence[int],
 
     def eval_chunk(chunk):
         with np.errstate(**errors):
-            return _shape_arrays(M, 0, chunk)[1]
+            return _shape_arrays(M, chunk)[1]
 
     threads = _thread_count(os.environ.get("CKL_THREADS"))
     if threads > 1 and coords.shape[0] > 4 * threads:
@@ -327,7 +328,7 @@ def scan_equicurved(M: EmbeddedManifold, grid: Sequence[int],
 
 
 def _residuals_at(M, coords):
-    kappas = _shape_arrays(M, 0, np.asarray(coords))[1]
+    kappas = _shape_arrays(M, np.asarray(coords))[1]
     e1 = np.sum(kappas, axis=-1)
     sq = np.sum(kappas ** 2, axis=-1)
     return e1 ** 2 - 4.0 * (0.5 * (e1 ** 2 - sq)), kappas
@@ -561,14 +562,17 @@ class PropositionReport:
         return all(c.status != "violated" for c in self.checks)
 
 
-def check_propositions(sd: ShapeData, tol: float = 1e-8) -> PropositionReport:
+def check_propositions(sd: ShapeData) -> PropositionReport:
     """Exercise the vanishing-curvature implications on one curvature vector.
 
     (i) equicurved and minimal implies all curvatures vanish;
     (ii) equicurved and scalar-flat implies the same;
     (iii) for d >= 3, equicurved and umbilic implies the same.
-    Implications whose premises fail are reported as not applicable.
+    Implications whose premises fail are reported as not applicable.  Each
+    premise holds within ``1e-8`` relative tolerance, "all curvatures vanish"
+    within ``1e-4``.
     """
+    tol = 1e-8
     k = sd.principal_curvatures
     kmax = float(np.max(np.abs(k))) if k.size else 0.0
     residual = equicurvature_residual(sd)
@@ -612,14 +616,14 @@ class LimitCriterionReport:
 
 
 def limit_criterion_check(M: EmbeddedManifold, f: ScalarField, x: ChartPoint,
-                          ladder: EpsLadder, rel_tol: float = 0.02,
-                          abs_tol: float = 1e-3) -> LimitCriterionReport:
+                          ladder: EpsLadder) -> LimitCriterionReport:
     """Compare lim (f(x) - K_eps f(x)) / eps with the Laplace-Beltrami value.
 
     The sequence is Richardson-extrapolated along the (geometric) ladder.
-    ``matches_laplacian`` applies the relative tolerance, falling back to the
-    absolute one when the Laplacian is close to zero.  The equicurvature flag
-    comes from the shape-operator residual at ``x``.
+    ``matches_laplacian`` applies :func:`ckl.fit.first_order_check`: relative
+    gap at most 0.02, or absolute gap at most 1e-3 when the Laplacian is
+    below 1e-6 in size.  The equicurvature flag comes from the shape-operator
+    residual at ``x``.
     """
     _require_hypersurface(M)
     fx, lap = laplace_beltrami(M, f, x)
@@ -632,10 +636,7 @@ def limit_criterion_check(M: EmbeddedManifold, f: ScalarField, x: ChartPoint,
     extrap = (z[1:] - rho * z[:-1]) / (1.0 - rho)
     limit = float(extrap[-1])
     gap = abs(limit - lap)
-    if abs(lap) < 1e-6:
-        matches = gap <= abs_tol
-    else:
-        matches = gap / abs(lap) <= rel_tol
+    matches = first_order_check(limit, lap)[2]
     sd = shape_at(M, x)
     residual = equicurvature_residual(sd)
     equicurved = abs(residual) <= 1e-6 * (1.0 + sd.e1 ** 2)

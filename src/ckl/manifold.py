@@ -46,24 +46,28 @@ _H2 = _EPS ** (1.0 / 6.0)   # step scale for second differences of the embedding
 # Charts
 # ---------------------------------------------------------------------------
 
-def _fd_jacobian(embed: Callable, coords: np.ndarray, n: int) -> np.ndarray:
-    """Batched Jacobian by central differences, Richardson-extrapolated once."""
-    coords = np.asarray(coords, dtype=float)
-    d = coords.shape[-1]
-    out = np.empty(coords.shape[:-1] + (n, d))
-    for i in range(d):
-        h = _H1 * (1.0 + np.abs(coords[..., i]))
-        for scale, weight in ((1.0, -1.0 / 3.0), (0.5, 4.0 / 3.0)):
-            hh = (h * scale)[..., None]
+def _richardson(diff: Callable[[float], np.ndarray]) -> np.ndarray:
+    """One Richardson step, ``(-1/3) D(h) + (4/3) D(h/2)``, for a difference
+    quotient ``D(scale)`` taken at step ``scale * h``."""
+    return -1.0 / 3.0 * diff(1.0) + 4.0 / 3.0 * diff(0.5)
+
+
+def _central_diff(fn: Callable, coords: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Batched ``d fn / d coords`` by Richardson-extrapolated central differences.
+
+    ``h`` holds the per-axis steps with the shape of ``coords`` ``(..., d)``;
+    for ``fn`` values of shape ``(..., *S)`` the result is ``(..., *S, d)``.
+    """
+    cols = []
+    for i in range(coords.shape[-1]):
+        def diff(scale):
+            hh = h[..., i] * scale
             step = np.zeros_like(coords)
-            step[..., i] = h * scale
-            diff = (embed(coords + step) - embed(coords - step)) / (2.0 * hh)
-            if scale == 1.0:
-                col = weight * diff
-            else:
-                col = col + weight * diff
-        out[..., :, i] = col
-    return out
+            step[..., i] = hh
+            delta = fn(coords + step) - fn(coords - step)
+            return delta / (2.0 * hh)[(...,) + (None,) * (delta.ndim - hh.ndim)]
+        cols.append(_richardson(diff))
+    return np.stack(cols, axis=-1)
 
 
 def _fd_hessian(embed: Callable, coords: np.ndarray, n: int) -> np.ndarray:
@@ -81,25 +85,20 @@ def _fd_hessian(embed: Callable, coords: np.ndarray, n: int) -> np.ndarray:
         return embed(coords + step)
 
     for i in range(d):
-        acc = None
-        for scale, weight in ((1.0, -1.0 / 3.0), (0.5, 4.0 / 3.0)):
+        def second(scale):
             hi = (scale * h[..., i])[..., None]
-            diff = (shifted((i, scale), (i, 0.0)) - 2.0 * f0
+            return (shifted((i, scale), (i, 0.0)) - 2.0 * f0
                     + shifted((i, -scale), (i, 0.0))) / hi ** 2
-            acc = weight * diff if acc is None else acc + weight * diff
-        out[..., :, i, i] = acc
+        out[..., :, i, i] = _richardson(second)
         for j in range(i + 1, d):
-            acc = None
-            for scale, weight in ((1.0, -1.0 / 3.0), (0.5, 4.0 / 3.0)):
+            def mixed(scale):
                 hi = (scale * h[..., i])[..., None]
                 hj = (scale * h[..., j])[..., None]
-                diff = (shifted((i, scale), (j, scale))
+                return (shifted((i, scale), (j, scale))
                         - shifted((i, scale), (j, -scale))
                         - shifted((i, -scale), (j, scale))
                         + shifted((i, -scale), (j, -scale))) / (4.0 * hi * hj)
-                acc = weight * diff if acc is None else acc + weight * diff
-            out[..., :, i, j] = acc
-            out[..., :, j, i] = acc
+            out[..., :, i, j] = out[..., :, j, i] = _richardson(mixed)
     return out
 
 
@@ -125,7 +124,7 @@ class Chart:
     """
 
     def __init__(self, embed, lo, hi, periodic=None, jacobian=None,
-                 hessian=None, volume_element=None, name: str = ""):
+                 hessian=None, volume_element=None):
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
         if self.lo.shape != self.hi.shape or self.lo.ndim != 1:
@@ -136,7 +135,6 @@ class Chart:
         self.periodic = tuple(bool(p) for p in (periodic or [False] * self.dim))
         if len(self.periodic) != self.dim:
             raise ValidationError("periodic flags must match chart dimension")
-        self.name = name
         self._embed = embed
         probe = np.asarray(embed(0.5 * (self.lo + self.hi)), dtype=float)
         if probe.ndim != 1:
@@ -180,7 +178,7 @@ class Chart:
         self.require_inside(coords)
         if self._jacobian is not None:
             return np.asarray(self._jacobian(coords), dtype=float)
-        return _fd_jacobian(self._embed, coords, self.ambient_dim)
+        return _central_diff(self._embed, coords, _H1 * (1.0 + np.abs(coords)))
 
     def hessian(self, coords: np.ndarray) -> np.ndarray:
         coords = self.wrap(coords)
@@ -286,17 +284,16 @@ class EmbeddedManifold:
         jac = self.jacobian(ci, coords)
         return _connection(jac, self.hessian(ci, coords))[1]
 
-    def volume(self, order: int = 96) -> float:
-        """Total volume of the chart box (cached), by tensor quadrature."""
+    def volume(self) -> float:
+        """Total volume of the chart box (cached), by order-96 tensor quadrature."""
         cached = getattr(self, "_volume_cache", None)
-        if cached is not None and cached[0] == order:
-            return cached[1]
+        if cached is not None:
+            return cached
         from .operator import build_full_rule  # local import to avoid a cycle
-        (block,) = build_full_rule(self, order=order).blocks
-        total = float(np.sum(block.weights
-                             * self.sqrt_det_metric(block.chart, block.nodes)))
-        self._volume_cache = (order, total)
-        return total
+        rule = build_full_rule(self, order=96)
+        self._volume_cache = float(np.sum(rule.weights
+                                          * self.sqrt_det_metric(0, rule.nodes)))
+        return self._volume_cache
 
 
 # ---------------------------------------------------------------------------
@@ -384,40 +381,20 @@ def scalar_curvature_intrinsic(M: EmbeddedManifold, p: ChartPoint) -> float:
     Serves as the intrinsic cross-check of :func:`curvature_at`.
     """
     ci, c0 = p.chart, np.asarray(p.coords, dtype=float)
-    d = M.dim
+
+    def derivative_first(fn, coords, h):
+        # contiguous, so the einsums below sum in a fixed order
+        return np.ascontiguousarray(np.moveaxis(_central_diff(fn, coords, h),
+                                                -1, 0))
 
     def dmetric(coords: np.ndarray) -> np.ndarray:
-        out = np.empty((d, d, d))
-        h = _H1 * (1.0 + np.abs(coords))
-        for k in range(d):
-            step = np.zeros(d)
-            step[k] = h[k]
-            for scale, weight in ((1.0, -1.0 / 3.0), (0.5, 4.0 / 3.0)):
-                diff = (M.metric(ci, coords + scale * step)
-                        - M.metric(ci, coords - scale * step)) / (2 * scale * h[k])
-                if scale == 1.0:
-                    acc = weight * diff
-                else:
-                    acc = acc + weight * diff
-            out[k] = acc
-        return out
+        return derivative_first(lambda c: M.metric(ci, c), coords,
+                                _H1 * (1.0 + np.abs(coords)))
 
     g = M.metric(ci, c0)
     ginv = np.linalg.inv(g)
     dg = dmetric(c0)
-    h2 = 5e-3 * (1.0 + np.abs(c0))
-    d2g = np.empty((d, d, d, d))
-    for m in range(d):
-        step = np.zeros(d)
-        step[m] = h2[m]
-        for scale, weight in ((1.0, -1.0 / 3.0), (0.5, 4.0 / 3.0)):
-            diff = (dmetric(c0 + scale * step)
-                    - dmetric(c0 - scale * step)) / (2 * scale * h2[m])
-            if scale == 1.0:
-                acc = weight * diff
-            else:
-                acc = acc + weight * diff
-        d2g[m] = acc
+    d2g = derivative_first(dmetric, c0, 5e-3 * (1.0 + np.abs(c0)))
     # dg[k, i, j] = d_k g_ij; T[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
     tsym = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
     gamma = 0.5 * np.einsum("kl,ijl->kij", ginv, tsym)
@@ -630,13 +607,12 @@ def geodesic_shoot(M: EmbeddedManifold, x: ChartPoint, v: np.ndarray,
     return GeodesicPath(states=states, truncated=truncated)
 
 
-def exp_map_batch(M: EmbeddedManifold, x: ChartPoint, w: np.ndarray,
-                  steps_per_unit: int = 800) -> np.ndarray:
+def exp_map_batch(M: EmbeddedManifold, x: ChartPoint, w: np.ndarray) -> np.ndarray:
     """Ambient positions of exp_x applied to a batch of tangent vectors.
 
     ``w`` has shape ``(B, d)`` in frame coordinates; rows may have different
     lengths.  Integrates all rows simultaneously to parameter time 1 with
-    initial chart velocity matching ``w``.
+    initial chart velocity matching ``w``, at 800 RK4 steps per unit length.
     """
     w = np.asarray(w, dtype=float)
     ci = x.chart
@@ -644,7 +620,7 @@ def exp_map_batch(M: EmbeddedManifold, x: ChartPoint, w: np.ndarray,
     _, r = _orthonormal_frame(jac)
     sdot0 = np.linalg.solve(r, w.T).T
     lengths = np.linalg.norm(w, axis=1)
-    steps = max(int(math.ceil(steps_per_unit * float(np.max(lengths)))), 16)
+    steps = max(int(math.ceil(800 * float(np.max(lengths)))), 16)
     pos0 = np.broadcast_to(np.asarray(x.coords, dtype=float), w.shape).copy()
     pos, _, dead = _integrate_batch(M, ci, pos0, sdot0, 1.0, steps)
     if np.any(dead):
@@ -724,9 +700,10 @@ def volume_density(M: EmbeddedManifold, x: ChartPoint, v: np.ndarray,
     points = points.reshape(d, 2, 2, M.ambient_dim)
     cols = []
     for i in range(d):
-        d_h = (points[i, 0, 0] - points[i, 0, 1]) / (2 * fd_step)
-        d_h2 = (points[i, 1, 0] - points[i, 1, 1]) / fd_step
-        cols.append((4.0 * d_h2 - d_h) / 3.0)
+        def diff(scale):
+            k = 0 if scale == 1.0 else 1
+            return (points[i, k, 0] - points[i, k, 1]) / (2 * scale * fd_step)
+        cols.append(_richardson(diff))
     a = np.stack(cols, axis=1)
     gram = a.T @ a
     return float(math.sqrt(np.linalg.det(gram)))

@@ -16,7 +16,7 @@ tail bounds refer to that closure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,23 +47,19 @@ def k_eps(x: np.ndarray, y: np.ndarray, eps: float, d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class QuadratureBlock:
-    chart: int
-    nodes: np.ndarray     # (N, d)
-    weights: np.ndarray   # (N,)
-
-
-@dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes over the whole chart box (``covers_atlas``) or a window of it."""
-    blocks: list[QuadratureBlock]
-    order: int
+    """One tensor-product rule in the manifold's only chart: nodes ``(N, d)``
+    and weights ``(N,)`` over the whole chart box (``covers_atlas``) or over
+    ``window``.  A window kept where the injectivity cap binds excludes
+    kernel mass of at most 1e-6 by the far-field bound."""
+    nodes: np.ndarray
+    weights: np.ndarray
     localized_radius: float | None
     covers_atlas: bool
     window: tuple[np.ndarray, np.ndarray] | None = None
 
     def node_count(self) -> int:
-        return sum(b.nodes.shape[0] for b in self.blocks)
+        return self.nodes.shape[0]
 
 
 def _axis_rule(lo: float, hi: float, periodic_full: bool, order: int):
@@ -79,14 +75,15 @@ def _axis_rule(lo: float, hi: float, periodic_full: bool, order: int):
     return nodes, weights
 
 
-def _tensor_block(axes: list[tuple[np.ndarray, np.ndarray]]) -> QuadratureBlock:
+def _tensor_nodes(axes: list[tuple[np.ndarray, np.ndarray]]
+                  ) -> tuple[np.ndarray, np.ndarray]:
     grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
     nodes = np.stack([g.reshape(-1) for g in grids], axis=-1)
     wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
     weights = np.ones(nodes.shape[0])
     for w in wgrids:
         weights = weights * w.reshape(-1)
-    return QuadratureBlock(chart=0, nodes=nodes, weights=weights)
+    return nodes, weights
 
 
 def build_full_rule(M: EmbeddedManifold, order: int = DEFAULT_ORDER,
@@ -97,8 +94,8 @@ def build_full_rule(M: EmbeddedManifold, order: int = DEFAULT_ORDER,
     for i in range(chart.dim):
         n_i = axis_orders[i] if axis_orders is not None else order
         axes.append(_axis_rule(chart.lo[i], chart.hi[i], chart.periodic[i], n_i))
-    return QuadratureRule(blocks=[_tensor_block(axes)], order=order,
-                          localized_radius=None, covers_atlas=True)
+    return QuadratureRule(*_tensor_nodes(axes), localized_radius=None,
+                          covers_atlas=True)
 
 
 _EXCLUDED_MASS_LIMIT = 1e-6
@@ -157,14 +154,11 @@ def build_localized_rule(M: EmbeddedManifold, x: ChartPoint, eps: float,
             if a > lo_i or b < hi_i:
                 full = False
     if full:
-        rule = build_full_rule(M, order)
-        return QuadratureRule(blocks=rule.blocks, order=order,
-                              localized_radius=radius, covers_atlas=True)
+        return replace(build_full_rule(M, order), localized_radius=radius)
     lo = np.array([w[0] for w in window])
     hi = np.array([w[1] for w in window])
-    windowed = QuadratureRule(blocks=[_tensor_block(axes)], order=order,
-                              localized_radius=radius, covers_atlas=False,
-                              window=(lo, hi))
+    windowed = QuadratureRule(*_tensor_nodes(axes), localized_radius=radius,
+                              covers_atlas=False, window=(lo, hi))
     if raw_radius < M.delta:
         return windowed
     # the injectivity cap binds: keep the window only if the mass it excludes
@@ -183,9 +177,8 @@ def build_localized_rule(M: EmbeddedManifold, x: ChartPoint, eps: float,
         extent = (chart.hi[i] - chart.lo[i]) * math.sqrt(max(g_x[i, i], 1e-30))
         axis_orders.append(min(max(order, int(math.ceil(2.8 * extent / sigma))),
                                cap))
-    rule = build_full_rule(M, order, axis_orders=axis_orders)
-    return QuadratureRule(blocks=rule.blocks, order=order,
-                          localized_radius=radius, covers_atlas=True)
+    return replace(build_full_rule(M, order, axis_orders=axis_orders),
+                   localized_radius=radius)
 
 
 # ---------------------------------------------------------------------------
@@ -287,18 +280,17 @@ def apply_operator(M: EmbeddedManifold, f: Callable, x: ChartPoint, eps: float,
     """
     if rule is None:
         rule = build_localized_rule(M, x, eps)
-    block = rule.blocks[0]
-    if len(rule.blocks) != 1 or block.nodes.shape[-1] != M.dim:
+    if rule.nodes.shape[-1] != M.dim:
         raise ValidationError(
             "quadrature rule does not match the manifold's chart")
     x0 = M.embed(x.chart, x.coords)
     # fields see wrapped coordinates (windows may straddle a period seam)
-    nodes = M.chart(block.chart).wrap(block.nodes)
-    ambient = M.embed(block.chart, nodes)
-    dens = M.sqrt_det_metric(block.chart, nodes)
+    nodes = M.chart(0).wrap(rule.nodes)
+    ambient = M.embed(0, nodes)
+    dens = M.sqrt_det_metric(0, nodes)
     fvals = np.asarray(f(nodes, ambient), dtype=float)
     kern = k_eps(x0, ambient, eps, M.dim)
-    total = float(np.sum(block.weights * dens * fvals * kern))
+    total = float(np.sum(rule.weights * dens * fvals * kern))
     if not math.isfinite(total):
         raise NumericsError(f"operator value at eps={eps:g} is not finite")
     tail = tail_estimate(M, x, eps, rule, f)
@@ -316,7 +308,6 @@ class LadderSample:
 class EpsLadder:
     """Operator values over a decreasing bandwidth sequence."""
     samples: list[LadderSample]
-    x: ChartPoint
     f_id: str = ""
 
     def __post_init__(self):
@@ -341,11 +332,11 @@ class EpsLadder:
         return np.array([s.tail_bound for s in self.samples])
 
 
-def default_eps_ladder(eps0: float = 0.1, count: int = 8,
-                       floor: float = 1e-4) -> list[float]:
-    """Geometric ladder eps0 * 2^-k, floored to keep quadrature resolvable."""
+def default_eps_ladder(eps0: float = 0.1, count: int = 8) -> list[float]:
+    """Geometric ladder eps0 * 2^-k, floored at 1e-4 to keep quadrature
+    resolvable."""
     out = [eps0 * 2.0 ** (-k) for k in range(count)]
-    out = [e for e in out if e >= floor]
+    out = [e for e in out if e >= 1e-4]
     if len(out) < 2:
         raise ValidationError("ladder floor leaves fewer than two bandwidths")
     return out
@@ -361,7 +352,7 @@ def eps_sweep(M: EmbeddedManifold, f: Callable, x: ChartPoint,
         value, tail = apply_operator(M, f, x, eps,
                                      build_localized_rule(M, x, eps, order))
         samples.append(LadderSample(eps=eps, value=value, tail_bound=tail))
-    return EpsLadder(samples=samples, x=x, f_id=f_id)
+    return EpsLadder(samples=samples, f_id=f_id)
 
 
 # ---------------------------------------------------------------------------

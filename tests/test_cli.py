@@ -1,13 +1,18 @@
 """End-to-end CLI tests: subcommands, formats, determinism, exit codes."""
 
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ckl.cli as cli
 from ckl.errors import NumericsError
@@ -278,6 +283,25 @@ class TestErrors:
         assert err.count("\n") == 1
         assert json.loads(err)["error"]["type"] == "NumericsError"
 
+    @pytest.mark.parametrize("argv", [
+        ("expand", "--manifold", "torus", "--point", "6.0,0.3",
+         "--f", "poly:1:(1,0)"),
+        ("operator", "--manifold", "sphere2", "--point", "1.0,6.1",
+         "--f", "poly:1:(0,1)", "--eps", "0.01"),
+    ], ids=["torus-u", "sphere2-phi"])
+    def test_poly_on_periodic_axis_rejected(self, capsys, argv):
+        # a chart polynomial in a periodic coordinate jumps at the seam
+        code, out, err = run(capsys, *argv)
+        assert_one_validation_line(code, out, err)
+        assert "periodic" in json.loads(err)["error"]["message"]
+
+    def test_poly_on_open_axis_accepted(self, capsys):
+        code, out, _ = run(capsys, "operator", "--manifold", "sphere2",
+                           "--point", "1.0,6.1", "--f", "poly:1:(1,0)",
+                           "--eps", "0.01", "--format", "csv")
+        assert code == 0
+        assert out.startswith("eps,value,tail_bound\n")
+
     def test_numerics_exit_code(self, capsys, monkeypatch):
         def boom(args):
             raise NumericsError("synthetic numerical failure")
@@ -297,6 +321,111 @@ def test_import_is_numpy_only():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def _chart_box(name):
+    chart = cli.load_manifold(name).charts[0]
+    return chart.lo, chart.hi
+
+
+FUZZ_BOXES = {name: _chart_box(name) for name in sorted(cli.CATALOG)}
+BAD_COORDS = st.one_of(st.floats(-4.0, 7.0), st.sampled_from(
+    [math.nan, math.inf, -math.inf, 1e300, -1e300]))
+GOOD_EPS = st.sampled_from([0.1, 0.02, 0.003])
+BAD_EPS = st.sampled_from([0.0, -0.1, math.nan, math.inf, -math.inf, 1e-300,
+                           1e300])
+BAD_FIELDS = st.sampled_from([
+    "const:nan", "const:-inf", "const:1e308", "ambient:0", "ambient:9",
+    "ambient:x", "poly:1:(1,0)", "poly:1:(0,1)", "poly:1e308:(2,0,0)",
+    "poly:1:(1,0,0,0)", "poly:", "sin:1"])
+SCAN_LABELS = {"flat", "umbilic", "equicurved", "generic"}
+
+
+@st.composite
+def cli_inputs(draw):
+    """An argv for one numeric subcommand, and a CKL_THREADS value or None.
+
+    Each input takes a bad value on about one draw in five, so that many
+    runs get past validation and reach the numerics.
+    """
+    def pick(good, bad):
+        return draw(bad if draw(st.integers(0, 4)) == 4 else good)
+
+    command = draw(st.sampled_from(
+        ["curvature", "operator", "expand", "equicurved-scan"]))
+    manifold = draw(st.sampled_from(list(FUZZ_BOXES)))
+    lo, hi = FUZZ_BOXES[manifold]
+    argv = [command, "--manifold", manifold]
+    if command == "equicurved-scan":
+        cells = [draw(st.integers(1, 5)) for _ in lo]
+        argv += ["--grid", "x".join(map(str, cells)),
+                 "--format", draw(st.sampled_from(["csv", "json"]))]
+    else:
+        inside = st.tuples(*(st.floats(a, b) for a, b in zip(lo, hi)))
+        # absent, inside the box, or the wrong length or non-finite, huge or
+        # outside coordinates
+        bad = st.integers(0, lo.size + 1).flatmap(
+            lambda n: st.tuples(*[BAD_COORDS] * n))
+        coords = pick(st.none() | inside, bad)
+        if coords is not None:
+            argv.append("--point=" + ",".join(map(repr, coords)))
+    if command in ("operator", "expand"):
+        square = "poly:2:(" + ",".join(["2"] + ["0"] * (lo.size - 1)) + ")"
+        good = st.sampled_from(["const1", "const:2.5", "ambient:1", "ambient:3",
+                                square])
+        argv += ["--f=" + pick(good, BAD_FIELDS),
+                 "--order=" + str(pick(st.integers(2, 12), st.integers(-1, 1)))]
+    if command == "operator":
+        eps = [pick(GOOD_EPS, BAD_EPS) for _ in range(draw(st.integers(0, 3)))]
+        if eps:
+            argv.append("--eps=" + ",".join(map(repr, eps)))
+        mc = pick(st.none() | st.sampled_from([1000, 2000]),
+                  st.sampled_from([0, 999]))
+        if mc is not None:
+            argv.append(f"--mc={mc}")
+        argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
+    if command == "expand":
+        argv += ["--eps0=" + repr(pick(GOOD_EPS, BAD_EPS)),
+                 "--Q=" + str(pick(st.integers(1, 4), st.integers(-1, 0)))]
+    return argv, draw(st.sampled_from([None, "1", "2", "abc"]))
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@settings(max_examples=150)
+@given(cli_inputs())
+def test_fuzzed_inputs_keep_the_error_contract(case):
+    # every input gives finite output with exit 0, or one JSON error line
+    # with exit 1 or 2; nothing else reaches stdout or stderr
+    argv, threads = case
+    saved = os.environ.pop("CKL_THREADS", None)
+    if threads is not None:
+        os.environ["CKL_THREADS"] = threads
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        os.environ.pop("CKL_THREADS", None)
+        if saved is not None:
+            os.environ["CKL_THREADS"] = saved
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), argv
+    if err:
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        assert set(json.loads(err)) == {"error"}
+    if code != 0:
+        assert err and out == ""
+        return
+    assert not err
+    if out.startswith("{") or out.startswith("["):
+        json.loads(out, parse_constant=_reject_constant)
+        return
+    for line in out.splitlines()[1:]:
+        for field in line.split(","):
+            assert field in SCAN_LABELS or math.isfinite(float(field)), line
 
 
 class TestVerify:

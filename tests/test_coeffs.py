@@ -82,6 +82,21 @@ class TestBetaTerms:
             beta_terms(td, 2)
         assert "degree" in str(err.value)
 
+    @pytest.mark.parametrize("Q, max_degree", [(2, 6), (3, 8)])
+    def test_chord_terms_through_2q_plus_2_suffice(self, Q, max_degree):
+        # a part of a Bell partition of m into k parts of degree >= 4 has
+        # degree at most m - 4(k - 1) <= 2Q + 2
+        short = expansion_from_taylor(sphere_taylor_data(3, 1.0, max_degree), Q)
+        full = expansion_from_taylor(sphere_taylor_data(3, 1.0, 4 * Q), Q)
+        np.testing.assert_allclose(short.values, full.values, rtol=0, atol=1e-12)
+        expected = (1.0, -0.75, -0.46875, -0.8203125)[:Q + 1]
+        np.testing.assert_allclose(short.values, expected, rtol=0, atol=1e-12)
+
+    def test_too_short_names_the_bell_term(self):
+        td = sphere_taylor_data(3, 1.0, max_degree=7)
+        with pytest.raises(ValidationError, match=r"b_\{\d+,\d+\} needs"):
+            beta_terms(td, 3)
+
 
 class TestEtaW:
     def test_eta0_is_f_value(self):

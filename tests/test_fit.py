@@ -29,7 +29,7 @@ def ambient_z(coords, ambient):
 
 def ladder_from(eps, values):
     samples = [LadderSample(e, v, 0.0) for e, v in zip(eps, values)]
-    return EpsLadder(samples, EQUATOR)
+    return EpsLadder(samples)
 
 
 EPS8 = [0.1 * 2.0 ** -k for k in range(8)]

@@ -105,7 +105,7 @@ class TestShapeOperator:
         for M in (S2, TORUS, SPHEROID, QUADRIC):
             pts = random_points(M, 1000, rng)
             import ckl.hypersurface as hs
-            _, kappas, _, _, _ = hs._shape_arrays(M, 0, pts)
+            _, kappas, _, _, _ = hs._shape_arrays(M, pts)
             e1 = np.sum(kappas, axis=-1)
             e2 = 0.5 * (e1 ** 2 - np.sum(kappas ** 2, axis=-1))
             jac = M.jacobian(0, pts)

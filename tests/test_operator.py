@@ -65,8 +65,7 @@ class TestRules:
         for M, vol in ((S2, 4 * math.pi), (TORUS, 4 * math.pi ** 2 * 2 * 1),
                        (S3, 2 * math.pi ** 2), (PLANE, 16.0)):
             rule = build_full_rule(M, order=64)
-            total = sum(float(np.sum(b.weights * M.sqrt_det_metric(b.chart, b.nodes)))
-                        for b in rule.blocks)
+            total = float(np.sum(rule.weights * M.sqrt_det_metric(0, rule.nodes)))
             assert total == pytest.approx(vol, rel=1e-6), M.catalog_id
 
     def test_spheroid_volume_quad_oracle(self):
@@ -82,9 +81,8 @@ class TestRules:
         r128 = build_full_rule(QUADRIC, order=128)
         vols = []
         for rule in (r64, r128):
-            vols.append(sum(float(np.sum(
-                b.weights * QUADRIC.sqrt_det_metric(b.chart, b.nodes)))
-                for b in rule.blocks))
+            vols.append(float(np.sum(
+                rule.weights * QUADRIC.sqrt_det_metric(0, rule.nodes))))
         assert vols[0] == pytest.approx(vols[1], rel=1e-6)
 
     def test_localized_small_eps_is_window(self):
@@ -225,10 +223,9 @@ class TestSweep:
 
     def test_ladder_validation(self):
         with pytest.raises(ValidationError):
-            EpsLadder([LadderSample(0.1, 1.0, 0.0), LadderSample(0.2, 1.0, 0.0)],
-                      EQUATOR)
+            EpsLadder([LadderSample(0.1, 1.0, 0.0), LadderSample(0.2, 1.0, 0.0)])
         with pytest.raises(ValidationError):
-            EpsLadder([LadderSample(0.1, 1.0, -1.0)], EQUATOR)
+            EpsLadder([LadderSample(0.1, 1.0, -1.0)])
 
 
 class TestMonteCarlo:
