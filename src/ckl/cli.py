@@ -82,6 +82,8 @@ def _parse_point(spec: str | None, M: EmbeddedManifold) -> ChartPoint:
     if coords.size != M.dim:
         raise ValidationError(
             f"point has {coords.size} coordinates, manifold needs {M.dim}")
+    if not np.all(np.isfinite(coords)):
+        raise ValidationError(f"point coordinates must be finite, got {spec!r}")
     point = ChartPoint(chart_index, coords)
     M.chart(chart_index).require_inside(M.chart(chart_index).wrap(coords))
     return point
@@ -160,6 +162,9 @@ def _cmd_operator(args) -> int:
         raise ValidationError("--seed must be >= 0")
     if args.mc is not None and args.mc not in MC_SAMPLES:
         raise ValidationError(f"--mc must be in [{MC_SAMPLES[0]}, {MC_SAMPLES[-1]}]")
+    if args.mc is not None and args.format == "csv":
+        raise ValidationError("--mc needs --format json: the CSV table has no "
+                              "Monte Carlo column")
     M, point, f = _load_inputs(args)
     eps_list = (_parse_eps_list(args.eps) if args.eps
                 else default_eps_ladder())
@@ -222,7 +227,9 @@ def _cmd_scan(args) -> int:
         raise ValidationError("--tol-eq must be finite and >= 0")
     M = load_manifold(args.manifold)
     grid = _parse_grid(args.grid, M.dim)
-    scan = scan_equicurved(M, grid, tol_eq=args.tol_eq)
+    # only the JSON form prints refined zeros
+    scan = scan_equicurved(M, grid, tol_eq=args.tol_eq,
+                           refine=args.format == "json")
     if args.format == "csv":
         d = M.dim
         header = (["chart"] + [f"s{i + 1}" for i in range(d)]

@@ -18,7 +18,6 @@ and callers may supply their own terms.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -100,41 +99,6 @@ class TaylorData:
 
     def q_max_degree(self) -> int:
         return 3 + len(self.q_terms)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        def enc(seq):
-            return [[{"alpha": list(a), "c": c} for a, c in sorted(p.terms.items())]
-                    for p in seq]
-        return {"dim": self.dim, "f_terms": enc(self.f_terms),
-                "rho_terms": enc(self.rho_terms), "q_terms": enc(self.q_terms)}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "TaylorData":
-        try:
-            dim = int(data["dim"])
-
-            def dec(rows, start):
-                out = []
-                for idx, row in enumerate(rows):
-                    terms = {tuple(int(x) for x in item["alpha"]): float(item["c"])
-                             for item in row}
-                    out.append(HomogeneousPoly(dim, start + idx, terms))
-                return tuple(out)
-
-            return cls(dim=dim, f_terms=dec(data["f_terms"], 0),
-                       rho_terms=dec(data["rho_terms"], 0),
-                       q_terms=dec(data.get("q_terms", []), 4))
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed TaylorData JSON: {exc}") from exc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TaylorData":
-        return cls.from_json_dict(json.loads(text))
 
 
 def flat_taylor_data(dim: int, f_terms: Sequence[HomogeneousPoly],

@@ -6,8 +6,9 @@ metric are the principal curvatures.  A point is equicurved when
 ``e1(kappa)^2 = 4 e2(kappa)``, equivalently ``d^2 H^2 = 2 R``; at such points
 the bandwidth slope of ``f - K_eps f`` reproduces the Laplace-Beltrami
 operator.  Scans evaluate the residual ``e1^2 - 4 e2`` over a grid on the
-chart box, refine sign changes and sub-threshold dips along grid edges by
-bisection, and cluster the refined points by ambient position.
+chart box in one array pass.  On request they also refine sign changes along
+grid edges by bisection and sub-threshold dips by golden-section search, and
+cluster the refined points by ambient position.
 
 Scan points are classified over whole arrays: ``flat`` when ``max |kappa_i|
 <= tol_umb``; ``umbilic`` when flat or ``kappa_1 - kappa_d <= tol_umb``;
@@ -22,14 +23,12 @@ choices, not intrinsic definitions.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericsError, ValidationError
+from .errors import DegenerateChartError, NumericsError, ValidationError
 from .fields import ScalarField
 from .fit import first_order_check
 from .manifold import (
@@ -217,7 +216,8 @@ class ScanResult:
     ``zero_set`` is the sub-list of grid results whose residual passes the
     threshold; ``refined_zeros`` holds bisection-refined and ambient-clustered
     representatives of the near-zero locus (coordinates may sit on the chart
-    boundary when the locus runs into it).
+    boundary when the locus runs into it), and is empty when the scan ran
+    without refinement.
     """
     grid_shape: tuple[int, ...]
     coords: np.ndarray
@@ -254,14 +254,11 @@ def _grid_axes(chart, counts: Sequence[int]) -> list[np.ndarray]:
     return axes
 
 
-def _thread_count(value: str | None) -> int:
-    """Scan threads from a CKL_THREADS value, clamped to [1, cpu count]."""
-    try:
-        threads = int(value or 1)
-    except ValueError:
-        raise ValidationError(
-            f"CKL_THREADS must be an integer, got {value!r}") from None
-    return min(max(threads, 1), os.cpu_count() or 1)
+def _symmetric(kappas):
+    """``(e1, e2, e1^2 - 4 e2)`` of curvature rows, e2 by power sums."""
+    e1 = np.sum(kappas, axis=-1)
+    e2 = 0.5 * (e1 ** 2 - np.sum(kappas ** 2, axis=-1))
+    return e1, e2, e1 ** 2 - 4.0 * e2
 
 
 def _tolerances(e1, kappas, tol_eq):
@@ -273,13 +270,14 @@ def _tolerances(e1, kappas, tol_eq):
 def scan_equicurved(M: EmbeddedManifold, grid: Sequence[int],
                     tol_eq: float | None = None, refine: bool = True
                     ) -> ScanResult:
-    """Residual scan over a grid on the chart box, with edge refinement.
+    """Residual scan over a grid on the chart box, with optional refinement.
 
     ``grid`` gives cells per axis: non-periodic axes get ``n + 1`` nodes
     (inset slightly from the box edge so degenerate chart boundaries stay
     evaluable; symmetric boxes keep their center on the grid), periodic axes
-    get ``n`` nodes.  CKL_THREADS sets the thread count, clamped to
-    [1, cpu count]; chunk results are reassembled in grid order either way.
+    get ``n`` nodes.  All nodes are evaluated in one batched call.  With
+    ``refine`` the grid-edge zeros are refined into ``refined_zeros``;
+    without it that list stays empty and the grid rows are unchanged.
     """
     _require_hypersurface(M)
     grid = [int(g) for g in grid]
@@ -290,24 +288,8 @@ def scan_equicurved(M: EmbeddedManifold, grid: Sequence[int],
     coords = np.stack([m.reshape(-1) for m in mesh], axis=-1)
     grid_shape = tuple(len(a) for a in axes)
 
-    errors = np.geterr()    # worker threads start from numpy's defaults
-
-    def eval_chunk(chunk):
-        with np.errstate(**errors):
-            return _shape_arrays(M, chunk)[1]
-
-    threads = _thread_count(os.environ.get("CKL_THREADS"))
-    if threads > 1 and coords.shape[0] > 4 * threads:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(eval_chunk, np.array_split(coords, threads)))
-    else:
-        parts = [eval_chunk(coords)]
-    kappas = np.concatenate(parts, axis=0)
-
-    e1 = np.sum(kappas, axis=-1)
-    sq = np.sum(kappas ** 2, axis=-1)
-    e2 = 0.5 * (e1 ** 2 - sq)
-    residual = e1 ** 2 - 4.0 * e2
+    kappas = _shape_arrays(M, coords)[1]
+    e1, e2, residual = _symmetric(kappas)
     spread = kappas[..., 0] - kappas[..., -1]
     tol_eq_arr, tol_umb_arr = _tolerances(e1, kappas, tol_eq)
 
@@ -329,9 +311,7 @@ def scan_equicurved(M: EmbeddedManifold, grid: Sequence[int],
 
 def _residuals_at(M, coords):
     kappas = _shape_arrays(M, np.asarray(coords))[1]
-    e1 = np.sum(kappas, axis=-1)
-    sq = np.sum(kappas ** 2, axis=-1)
-    return e1 ** 2 - 4.0 * (0.5 * (e1 ** 2 - sq)), kappas
+    return _symmetric(kappas)[2], kappas
 
 
 def _refine_zeros(M, shape, coords, residual, tol_arr, tol_eq):
@@ -421,18 +401,13 @@ def _refine_on_line(M, axis, line_pts, j):
         return res_at(t)[0]
 
     # residual already at rounding level against the boundary: snap outright
-    if snap_lo is not None:
-        val, noise = res_at(lo_pt[axis])
-        if val <= 10.0 * noise:
-            out = base.copy()
-            out[axis] = snap_lo
-            return out, True
-    if snap_hi is not None:
-        val, noise = res_at(hi_pt[axis])
-        if val <= 10.0 * noise:
-            out = base.copy()
-            out[axis] = snap_hi
-            return out, True
+    for snap, end in ((snap_lo, lo_pt), (snap_hi, hi_pt)):
+        if snap is not None:
+            val, noise = res_at(end[axis])
+            if val <= 10.0 * noise:
+                out = base.copy()
+                out[axis] = snap
+                return out, True
 
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - phi * (b - a)
@@ -473,7 +448,7 @@ def _eval_floor(M, axis, probe, at_low):
         try:
             M.metric(0, q)
             return frac * width
-        except Exception:
+        except DegenerateChartError:
             continue
     return 1e-2 * width
 

@@ -247,10 +247,20 @@ class TestErrors:
             capsys, "equicurved-scan", "--manifold", "torus", "--grid", "4x4",
             "--tol-eq", tol))
 
-    def test_bad_thread_count_rejected(self, capsys, monkeypatch):
-        monkeypatch.setenv("CKL_THREADS", "abc")
+    @pytest.mark.parametrize("manifold, point", [
+        ("torus", "nan,0.3"), ("sphere2", "1.0,inf")],
+        ids=["torus-nan", "sphere2-inf"])
+    def test_nonfinite_point_rejected(self, capsys, manifold, point):
+        # a periodic axis has no bounds to check, so finiteness is checked
+        # on its own, before the coordinate is wrapped
+        assert_one_validation_line(*run(capsys, "curvature", "--manifold",
+                                        manifold, "--point=" + point))
+
+    def test_monte_carlo_needs_json(self, capsys):
+        # the CSV table has no Monte Carlo column
         assert_one_validation_line(*run(
-            capsys, "equicurved-scan", "--manifold", "torus", "--grid", "4x4"))
+            capsys, "operator", "--manifold", "sphere2", "--eps", "0.1",
+            "--mc", "1000", "--format", "csv"))
 
     @pytest.mark.parametrize("command", ["curvature", "operator"])
     def test_nonfinite_description_field_rejected(self, capsys, tmp_path, command):
@@ -270,10 +280,8 @@ class TestErrors:
     ], ids=["curvature-sphere", "operator-sphere", "curvature-graph",
             "scan-sphere"])
     def test_overflowing_geometry_is_numerics_error(
-            self, capsys, tmp_path, monkeypatch, argv, description):
-        # finite but huge inputs overflow inside numpy, in the scan's worker
-        # threads too: one JSON line, exit 2
-        monkeypatch.setenv("CKL_THREADS", "2")
+            self, capsys, tmp_path, argv, description):
+        # finite but huge inputs overflow inside numpy: one JSON line, exit 2
         path = tmp_path / "huge.txt"
         path.write_text(description + "\n", encoding="utf-8")
         code, out, err = run(capsys, argv[0], "--manifold", str(path),
@@ -343,7 +351,7 @@ SCAN_LABELS = {"flat", "umbilic", "equicurved", "generic"}
 
 @st.composite
 def cli_inputs(draw):
-    """An argv for one numeric subcommand, and a CKL_THREADS value or None.
+    """An argv for one numeric subcommand.
 
     Each input takes a bad value on about one draw in five, so that many
     runs get past validation and reach the numerics.
@@ -387,7 +395,7 @@ def cli_inputs(draw):
     if command == "expand":
         argv += ["--eps0=" + repr(pick(GOOD_EPS, BAD_EPS)),
                  "--Q=" + str(pick(st.integers(1, 4), st.integers(-1, 0)))]
-    return argv, draw(st.sampled_from([None, "1", "2", "abc"]))
+    return argv
 
 
 def _reject_constant(name):
@@ -396,21 +404,12 @@ def _reject_constant(name):
 
 @settings(max_examples=150)
 @given(cli_inputs())
-def test_fuzzed_inputs_keep_the_error_contract(case):
+def test_fuzzed_inputs_keep_the_error_contract(argv):
     # every input gives finite output with exit 0, or one JSON error line
     # with exit 1 or 2; nothing else reaches stdout or stderr
-    argv, threads = case
-    saved = os.environ.pop("CKL_THREADS", None)
-    if threads is not None:
-        os.environ["CKL_THREADS"] = threads
     out, err = io.StringIO(), io.StringIO()
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = cli.main(argv)
-    finally:
-        os.environ.pop("CKL_THREADS", None)
-        if saved is not None:
-            os.environ["CKL_THREADS"] = saved
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2), argv
     if err:

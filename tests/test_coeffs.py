@@ -1,5 +1,5 @@
 """Coefficient-engine tests: convolution terms, Bell terms, sphere-averaged
-weights, assembly, closed forms, serialization."""
+weights, assembly, closed forms, Taylor-data validation."""
 
 import math
 
@@ -302,25 +302,7 @@ class TestClosedForms:
             -4.0 / 3.0 * 0.6, abs=1e-6)
 
 
-class TestSerialization:
-    def test_round_trip(self):
-        td = sphere_taylor_data(3, 1.0, max_degree=8, f_value=2.0)
-        back = TaylorData.from_json(td.to_json())
-        assert back.dim == td.dim
-        assert back.f_terms == td.f_terms
-        assert back.rho_terms == td.rho_terms
-        assert back.q_terms == td.q_terms
-
-    def test_round_trip_preserves_engine_output(self):
-        td = sphere_taylor_data(3, 1.0, max_degree=8)
-        back = TaylorData.from_json(td.to_json())
-        assert expansion_from_taylor(back, 1).values == \
-            expansion_from_taylor(td, 1).values
-
-    def test_malformed_rejected(self):
-        with pytest.raises(ValidationError):
-            TaylorData.from_json('{"dim": 2}')
-
+class TestTaylorData:
     def test_validation_rho0(self):
         with pytest.raises(ValidationError):
             TaylorData(dim=2, f_terms=(HP.constant(2, 1.0),),

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import ckl.cli as cli
+import ckl.hypersurface as hypersurface
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -29,6 +30,9 @@ CASES = {
                            "--grid", "12x6", "--tol-eq", "0.6"],
     "scan_quadric.csv": ["equicurved-scan", "--manifold", "quadric411",
                          "--grid", "4x4x4"],
+    # sign-change bisection along the edges of a d = 3 grid
+    "scan_quadric.json": ["equicurved-scan", "--manifold", "quadric411",
+                          "--grid", "4x4x4", "--format", "json"],
     "operator_torus.csv": ["operator", "--manifold", "torus",
                            "--point", "0.3,0.0", "--eps", "0.05,0.01",
                            "--format", "csv"],
@@ -63,8 +67,15 @@ def test_large_scan_matches_digest(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == TORUS_400X200_SHA256
 
 
-def test_threaded_scan_matches_golden(tmp_path, monkeypatch):
-    monkeypatch.setenv("CKL_THREADS", "2")
-    out = tmp_path / "scan_torus.csv"
-    assert cli.main(CASES["scan_torus.csv"] + ["--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / "scan_torus.csv").read_bytes()
+def test_only_json_scans_refine_zeros(tmp_path, monkeypatch):
+    # CSV prints no refined zeros, so it must not compute them
+    def no_refinement(*args):
+        raise RuntimeError("zero refinement ran")
+
+    monkeypatch.setattr(hypersurface, "_refine_zeros", no_refinement)
+    argv = CASES["scan_sphere2.csv"]
+    out = tmp_path / "scan_sphere2.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "scan_sphere2.csv").read_bytes()
+    with pytest.raises(RuntimeError, match="zero refinement ran"):
+        cli.main(argv + ["--format", "json", "--out", str(tmp_path / "s.json")])

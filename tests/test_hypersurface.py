@@ -2,7 +2,6 @@
 proposition checks, limit criterion."""
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from ckl.manifold import ChartPoint, curvature_at
 from ckl.operator import eps_sweep
 from ckl.hypersurface import (
     _classify_arrays,
-    _thread_count,
     check_propositions,
     equicurvature_residual,
     limit_criterion_check,
@@ -214,12 +212,6 @@ class TestScan:
         with pytest.raises(ValidationError):
             scan_equicurved(TORUS, [10])
 
-    def test_threads_consistent(self, monkeypatch):
-        base = scan_equicurved(TORUS, [16, 12])
-        monkeypatch.setenv("CKL_THREADS", "3")
-        threaded = scan_equicurved(TORUS, [16, 12])
-        np.testing.assert_array_equal(base.residual, threaded.residual)
-
 
 def classify_row(kappas, residual, spread, tol_eq, tol_umb):
     """Reference: the module docstring's rules applied to one row."""
@@ -288,23 +280,6 @@ class TestClassifier:
         zero_rows = [tuple(r.point.coords) for r in scan.zero_set]
         assert tuple(scan.coords[0]) not in zero_rows
         assert len(zero_rows) == scan.coords.shape[0] - 1
-
-
-class TestThreadCount:
-    def test_unset_or_empty_is_one(self):
-        assert _thread_count(None) == 1
-        assert _thread_count("") == 1
-
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_below_one_becomes_one(self, value):
-        assert _thread_count(value) == 1
-
-    def test_clamped_to_cpu_count(self):
-        assert _thread_count("100000") == (os.cpu_count() or 1)
-
-    def test_non_integer_rejected(self):
-        with pytest.raises(ValidationError, match="CKL_THREADS"):
-            _thread_count("abc")
 
 
 class TestPropositions:
