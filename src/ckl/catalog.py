@@ -3,9 +3,11 @@
 Catalog surfaces ship exact embedding derivatives.  The trig charts (spheres,
 spheroid, torus) write each embedding component as a sum of products of
 per-axis sinusoids ``a + b sin x_i + c cos x_i``, whose derivatives are phase
-shifts; polynomial graph charts differentiate their monomials and also ship
-the closed-form volume element ``sqrt(1 + |grad P|^2)``.  User-defined charts
-fall back to finite differences.
+shifts.  Polynomial graph charts differentiate their monomials.  Every catalog
+chart also ships its closed-form volume element: ``sqrt(1 + |grad P|^2)`` for
+graphs, and for the trig charts, whose coordinates are orthogonal, the product
+of the coordinate vectors' lengths.  User-defined charts fall back to finite
+differences and to ``sqrt(det J^T J)``.
 
 Description files are UTF-8 ``key=value`` tokens, e.g.::
 
@@ -47,8 +49,14 @@ def trig_diff(terms: list[TrigTerm], i: int) -> list[TrigTerm]:
             for coef, fs in terms if i in fs and (fs[i][1] or fs[i][2])]
 
 
-def trig_chart(components: list[list[TrigTerm]], lo, hi, periodic) -> Chart:
-    """A chart with exact derivatives whose embedding components are trig terms."""
+def trig_chart(components: list[list[TrigTerm]], lo, hi, periodic,
+               volume_element) -> Chart:
+    """A chart with exact derivatives whose embedding components are trig terms.
+
+    ``volume_element`` is the chart's closed-form ``sqrt(det g)``; the catalog
+    coordinates are orthogonal, so it is the product of the lengths of the
+    coordinate vectors.
+    """
     d, n = len(lo), len(components)
     jac = [trig_diff(X, i) for X in components for i in range(d)]
     hess = [trig_diff(J, j) for J in jac for j in range(d)]
@@ -75,7 +83,7 @@ def trig_chart(components: list[list[TrigTerm]], lo, hi, periodic) -> Chart:
 
     return Chart(embed=closure(components, (n,)), lo=lo, hi=hi,
                  periodic=periodic, jacobian=closure(jac, (n, d)),
-                 hessian=closure(hess, (n, d, d)))
+                 hessian=closure(hess, (n, d, d)), volume_element=volume_element)
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +170,14 @@ SIN, COS = (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
 
 def _spheroid_chart(a: float, c: float) -> Chart:
     """(a sin t cos p, a sin t sin p, c cos t) over (t, p) in [0, pi] x [0, 2 pi)."""
+    def volume_element(coords):
+        # |d_p X| |d_t X| = a |sin t| sqrt(a^2 cos^2 t + c^2 sin^2 t)
+        sin, cos = np.sin(coords[..., 0]), np.cos(coords[..., 0])
+        return a * np.abs(sin) * np.sqrt(a * a * cos * cos + c * c * sin * sin)
+
     return trig_chart([[(a, {0: SIN, 1: COS})], [(a, {0: SIN, 1: SIN})],
                        [(c, {0: COS})]], lo=[0.0, 0.0], hi=[math.pi, TWO_PI],
-                      periodic=[False, True])
+                      periodic=[False, True], volume_element=volume_element)
 
 
 def make_sphere(radius: float = 1.0, dim: int = 2,
@@ -174,12 +187,18 @@ def make_sphere(radius: float = 1.0, dim: int = 2,
     if dim == 2:
         chart = _spheroid_chart(radius, radius)
     elif dim == 3:
+        def volume_element(coords):
+            # (psi, theta, phi) lengths r, r sin psi, r sin psi sin theta
+            sin_psi = np.sin(coords[..., 0])
+            return radius ** 3 * sin_psi * sin_psi * np.abs(np.sin(coords[..., 1]))
+
         chart = trig_chart([[(radius, {0: SIN, 1: SIN, 2: COS})],
                             [(radius, {0: SIN, 1: SIN, 2: SIN})],
                             [(radius, {0: SIN, 1: COS})],
                             [(radius, {0: COS})]],
                            lo=[0.0, 0.0, 0.0], hi=[math.pi, math.pi, TWO_PI],
-                           periodic=[False, False, True])
+                           periodic=[False, False, True],
+                           volume_element=volume_element)
     else:
         raise ValidationError(f"sphere charts are provided for dim 2 and 3, not {dim}")
     return EmbeddedManifold([chart], delta=delta or (math.pi - 0.1) * radius,
@@ -200,9 +219,14 @@ def make_torus(R: float = 2.0, r: float = 1.0,
         raise ValidationError("torus needs R > r > 0")
     # (u, v) -> ((R + r cos v) cos u, (R + r cos v) sin u, r sin v)
     tube = (R, 0.0, r)
+
+    def volume_element(coords):
+        # |d_u X| |d_v X| = (R + r cos v) r
+        return r * (R + r * np.cos(coords[..., 1]))
+
     chart = trig_chart([[(1.0, {0: COS, 1: tube})], [(1.0, {0: SIN, 1: tube})],
                         [(r, {1: SIN})]], lo=[0.0, 0.0], hi=[TWO_PI, TWO_PI],
-                       periodic=[True, True])
+                       periodic=[True, True], volume_element=volume_element)
     return EmbeddedManifold([chart], delta=delta or 0.9 * r, catalog_id="torus")
 
 

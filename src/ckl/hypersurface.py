@@ -482,16 +482,16 @@ def _cluster_refined(M, refined_pts, tol_eq):
     scale = max(np.max(np.abs(e[1])) for e in entries) + 1e-12
     radius = 1e-3 * scale
     clusters: list[list] = []
-    reps: list[np.ndarray] = []
+    reps = np.empty_like(ambient)    # the first len(clusters) rows are in use
     for entry in entries:
-        if reps:
-            dists = np.linalg.norm(np.array(reps) - entry[1], axis=1)
+        if clusters:
+            dists = np.linalg.norm(reps[:len(clusters)] - entry[1], axis=1)
             hit = int(np.argmin(dists))
             if dists[hit] <= radius:
                 clusters[hit].append(entry)
                 continue
+        reps[len(clusters)] = entry[1]
         clusters.append([entry])
-        reps.append(entry[1])
     out = []
     for cluster in clusters:
         best_res = min(abs(e[2]) for e in cluster)

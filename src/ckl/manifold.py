@@ -10,8 +10,8 @@ differenced, except by ``scalar_curvature_intrinsic``, the deliberately
 independent cross-check.  Charts may carry analytic derivative closures;
 otherwise central finite differences with one Richardson step are used.  A
 chart may also carry a closed-form volume element ``volume_element`` (shape
-``(...,)``); without one the volume element is ``sqrt(det J^T J)`` from the
-Jacobian.
+``(...,)``), and every catalog chart does; without one the volume element is
+``sqrt(det J^T J)`` from the Jacobian.
 
 All evaluation entry points accept batched coordinates with shape ``(..., d)``
 and return correspondingly batched results.  Geometry objects are immutable

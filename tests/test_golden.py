@@ -39,7 +39,7 @@ CASES = {
     # fit and closed form; a1 holds the Laplacian of z on a non-constant metric
     "expand_torus_z.json": ["expand", "--manifold", "torus",
                             "--point", "0.3,0.7", "--f", "ambient:3"],
-    # one full-atlas rule and one windowed rule on the determinant path
+    # one full-atlas rule and one windowed rule on the closed-form S^3 volume element
     "operator_sphere3.csv": ["operator", "--manifold", "sphere3",
                              "--eps", "0.05,0.0125", "--format", "csv"],
     # the 15 detail strings of the invariant suite

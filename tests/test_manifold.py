@@ -166,6 +166,75 @@ class TestVolumeElement:
         for eps, rule, expected in cases:
             assert apply_operator(M, const_one, x, eps, rule) == expected
 
+    TRIG = {"sphere2": S2, "sphere3": S3, "spheroid": SPHEROID, "torus": TORUS,
+            **{text: load_manifold_text(text) for text in (
+                "type=sphere dim=3 radius=2", "type=spheroid a=0.7 c=2.5",
+                "type=torus R=3 r=0.5")}}
+
+    @pytest.mark.parametrize("name", list(TRIG))
+    def test_trig_closed_form_matches_determinant(self, name, rng):
+        M = self.TRIG[name]
+        chart = M.charts[0]
+        pts = random_points(M, 2000, rng, margin=0.0)
+        dens = M.sqrt_det_metric(0, pts)
+        assert dens.shape == (pts.shape[0],)
+        np.testing.assert_allclose(dens, det_chain(M, pts), rtol=1e-14, atol=0)
+        # box corners include the poles, where the density vanishes: there
+        # the determinant chain is accurate only to a few ulps of its scale
+        corners = np.array(list(itertools.product(*zip(chart.lo, chart.hi))))
+        ulps = 4 * np.finfo(float).eps * np.max(dens)
+        np.testing.assert_allclose(M.sqrt_det_metric(0, corners),
+                                   det_chain(M, corners), rtol=1e-14, atol=ulps)
+
+    def test_sphere3_outside_box_rejected(self):
+        for axis in (0, 1):         # psi and theta; phi is periodic
+            for value in (-0.1, math.pi + 0.1):
+                coords = np.array([[1.0, 1.0, 1.0]])
+                coords[0, axis] = value
+                with pytest.raises(DomainError):
+                    S3.sqrt_det_metric(0, coords)
+        wrapped = S3.sqrt_det_metric(0, np.array([[1.0, 1.0, 1.0 + 4 * math.pi]]))
+        np.testing.assert_array_equal(
+            wrapped, S3.sqrt_det_metric(0, np.array([[1.0, 1.0, 1.0]])))
+
+    @pytest.mark.parametrize("name", ["sphere2", "sphere3", "spheroid", "torus"])
+    def test_trig_density_never_uses_jacobian(self, name, monkeypatch, rng):
+        # the closed form must stay the only route for trig densities
+        from ckl.operator import apply_operator, build_localized_rule
+        reference = self.TRIG[name]
+        chart = reference.charts[0]
+        x = ChartPoint(0, 0.5 * (chart.lo + chart.hi) + 0.1)
+        cases = []
+        for eps in (0.1, 1e-3):    # one full-box rule, one windowed rule
+            rule = build_localized_rule(reference, x, eps, order=16)
+            cases.append((eps, rule, apply_operator(reference, const_one, x, eps,
+                                                    rule)))
+
+        def boom(coords):
+            raise AssertionError("trig volume element evaluated the Jacobian")
+
+        M = catalog_manifold(name)
+        monkeypatch.setattr(M.charts[0], "_jacobian", boom)
+        pts = random_points(M, 100, rng)
+        np.testing.assert_array_equal(M.sqrt_det_metric(0, pts),
+                                      reference.sqrt_det_metric(0, pts))
+        assert M.volume() == reference.volume()
+        for eps, rule, expected in cases:
+            assert apply_operator(M, const_one, x, eps, rule) == expected
+
+    @pytest.mark.parametrize("name", ["sphere3", "torus"])
+    def test_determinant_fallback(self, name, rng):
+        # a chart without a closed form takes sqrt(det J^T J) from its Jacobian
+        from ckl.manifold import EmbeddedManifold
+        M = self.TRIG[name]
+        chart = M.charts[0]
+        plain = EmbeddedManifold([Chart(embed=chart._embed, lo=chart.lo,
+                                        hi=chart.hi, periodic=chart.periodic,
+                                        jacobian=chart._jacobian)], delta=M.delta)
+        pts = random_points(M, 2000, rng)
+        np.testing.assert_allclose(plain.sqrt_det_metric(0, pts),
+                                   M.sqrt_det_metric(0, pts), rtol=1e-14, atol=0)
+
 
 # ---------------------------------------------------------------------------
 # Christoffel symbols
