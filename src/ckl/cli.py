@@ -259,7 +259,8 @@ def _cmd_scan(args) -> int:
             "grid": grid,
             "nodes": int(scan.coords.shape[0]),
             "zero_set": [res_to_dict(r) for r in scan.zero_set],
-            "refined_zeros": [res_to_dict(r) for r in scan.refined_zeros],
+            "refined_zeros": [dict(res_to_dict(r), bracket=r.bracket)
+                              for r in scan.refined_zeros],
             "residual_min": float(np.min(np.abs(scan.residual))),
             "residual_max": float(np.max(np.abs(scan.residual))),
         }

@@ -7,14 +7,19 @@ metric are the principal curvatures.  A point is equicurved when
 the bandwidth slope of ``f - K_eps f`` reproduces the Laplace-Beltrami
 operator.  Scans evaluate the residual ``e1^2 - 4 e2`` over a grid on the
 chart box in one array pass.  On request they also refine sign changes along
-grid edges by bisection and sub-threshold dips by golden-section search, and
-cluster the refined points by ambient position.
+grid edges by the Illinois variant of regula falsi and sub-threshold dips by
+golden-section search, and cluster the refined points by ambient position.
+Refinement evaluates the residual in trace form, ``2 tr(S^2) - (tr S)^2``
+with ``S = g^-1 II``, without an eigensolve.
 
 Scan points are classified over whole arrays: ``flat`` when ``max |kappa_i|
 <= tol_umb``; ``umbilic`` when flat or ``kappa_1 - kappa_d <= tol_umb``;
 ``equicurved`` when flat or ``|e1^2 - 4 e2| <= tol_eq``, or when d = 2 and
 umbilic.  The label is the first of these that holds, else ``generic``; a row
-of NaNs is generic with no flags and stays out of the zero set.  ``tol_umb``
+of NaNs is generic with no flags and stays out of the zero set.  A node whose
+metric determinant is at or below ``DET_FLOOR`` is ``degenerate`` with no
+flags: its numbers are reported, but it stays out of the zero set and out of
+refinement.  ``tol_umb``
 is ``1e-6 (1 + max |kappa_i|)`` and ``tol_eq`` defaults to ``1e-6 (1 +
 e1^2)``; both scale with the curvature magnitudes and are engineering
 choices, not intrinsic definitions.
@@ -31,17 +36,15 @@ import numpy as np
 from .errors import DegenerateChartError, NumericsError, ValidationError
 from .fields import ScalarField
 from .fit import first_order_check
-from .manifold import (
-    ChartPoint,
-    EmbeddedManifold,
-    _gram,
-    _orthonormal_frame,
-    laplace_beltrami,
-)
+from .manifold import DET_FLOOR, ChartPoint, EmbeddedManifold, laplace_beltrami
 from .operator import EpsLadder
 
 EIGEN_RESIDUAL_LIMIT = 1e-10
 _BOUNDARY_INSET = 1e-4
+# sign-change refinement stops at this bracket width, in units of the edge;
+# after _ILLINOIS_STEPS steps plain bisection finishes an edge
+_EDGE_BRACKET = 2.0 ** -45
+_ILLINOIS_STEPS = 40
 
 
 # ---------------------------------------------------------------------------
@@ -87,10 +90,13 @@ def _unit_normals(jac: np.ndarray) -> np.ndarray:
 
 def _shape_arrays(M: EmbeddedManifold, coords: np.ndarray,
                   orientation: float = 1.0):
-    """Batched ``(normal, kappas, directions, jacobian, b)`` at coords (..., d)."""
+    """Batched ``(normal, kappas, directions, jacobian, b)`` at coords (..., d).
+
+    No metric floor is applied here: callers refuse or mark degenerate points.
+    """
     jac = M.jacobian(0, coords)
     hess = M.hessian(0, coords)
-    g = _gram(jac)
+    g = np.einsum("...ni,...nj->...ij", jac, jac)
     normal = orientation * _unit_normals(jac)
     b = np.einsum("...nij,...n->...ij", hess, normal)
     chol = np.linalg.cholesky(g)
@@ -106,6 +112,24 @@ def _shape_arrays(M: EmbeddedManifold, coords: np.ndarray,
     return normal, eigvals, directions, jac, b
 
 
+def _trace_residual(M: EmbeddedManifold, coords: np.ndarray):
+    """Batched ``(e1^2 - 4 e2, e1)`` from ``tr S`` and ``tr S^2``, S = g^-1 II.
+
+    The normal is the unit vector of the cofactors of J (n = d + 1); its
+    orientation cancels in the residual, and ``e1 = tr S`` carries it.
+    """
+    jac = M.jacobian(0, coords)
+    hess = M.hessian(0, coords)
+    n = jac.shape[-2]
+    minor_rows = [[r for r in range(n) if r != k] for k in range(n)]
+    normal = np.linalg.det(jac[..., minor_rows, :]) * (-1.0) ** np.arange(n)
+    normal /= np.linalg.norm(normal, axis=-1, keepdims=True)
+    b = np.einsum("...nij,...n->...ij", hess, normal)
+    s = np.linalg.solve(np.einsum("...ni,...nj->...ij", jac, jac), b)
+    e1 = np.trace(s, axis1=-2, axis2=-1)
+    return 2.0 * np.einsum("...ij,...ji->...", s, s) - e1 * e1, e1
+
+
 def shape_at(M: EmbeddedManifold, p: ChartPoint,
              orientation: float = 1.0) -> ShapeData:
     """Shape-operator eigendata at one point.
@@ -118,10 +142,10 @@ def shape_at(M: EmbeddedManifold, p: ChartPoint,
     """
     _require_hypersurface(M)
     M.chart(p.chart).require_inside(p.coords)
+    g = M.metric(0, p.coords)    # refuses a point at the determinant floor
     normal, kappas, directions, jac, b = _shape_arrays(
         M, np.asarray(p.coords, dtype=float), orientation)
     # eigen residual check: |b w - kappa g w| <= 1e-10 |b|
-    g = np.einsum("ni,nk->ik", jac, jac)
     w_chart = np.linalg.solve(g, np.einsum("ni,kn->ik", jac, directions))
     scale = max(float(np.max(np.abs(b))), 1e-30)
     for i in range(M.dim):
@@ -179,6 +203,8 @@ def equicurvature_residual(sd: ShapeData) -> float:
 
 @dataclass(frozen=True)
 class EquicurvatureResult:
+    """One scan result.  ``bracket`` is set on refined zeros only: the width,
+    in chart coordinates, of the last interval known to hold the zero."""
     point: ChartPoint
     kappas: np.ndarray
     e1: float
@@ -187,6 +213,7 @@ class EquicurvatureResult:
     umbilic_spread: float
     classification: str
     flags: tuple[str, ...]
+    bracket: float | None = None
 
 
 _FLAG_BITS = (("flat", 4), ("umbilic", 2), ("equicurved", 1))
@@ -213,11 +240,11 @@ def _classify_arrays(kappas, residual, spread, tol_eq, tol_umb):
 class ScanResult:
     """Grid scan output: raw grid rows plus refined near-zero locations.
 
-    ``zero_set`` is the sub-list of grid results whose residual passes the
-    threshold; ``refined_zeros`` holds bisection-refined and ambient-clustered
-    representatives of the near-zero locus (coordinates may sit on the chart
-    boundary when the locus runs into it), and is empty when the scan ran
-    without refinement.
+    ``zero_set`` is the sub-list of non-degenerate grid results whose residual
+    passes the threshold; ``refined_zeros`` holds Illinois- or golden-section-
+    refined and ambient-clustered representatives of the near-zero locus
+    (coordinates may sit on the chart boundary when the locus runs into it),
+    and is empty when the scan ran without refinement.
     """
     grid_shape: tuple[int, ...]
     coords: np.ndarray
@@ -275,9 +302,11 @@ def scan_equicurved(M: EmbeddedManifold, grid: Sequence[int],
     ``grid`` gives cells per axis: non-periodic axes get ``n + 1`` nodes
     (inset slightly from the box edge so degenerate chart boundaries stay
     evaluable; symmetric boxes keep their center on the grid), periodic axes
-    get ``n`` nodes.  All nodes are evaluated in one batched call.  With
-    ``refine`` the grid-edge zeros are refined into ``refined_zeros``;
-    without it that list stays empty and the grid rows are unchanged.
+    get ``n`` nodes.  All nodes are evaluated in one batched call; nodes at
+    the metric determinant floor are classed ``degenerate``.  With ``refine``
+    the grid-edge zeros are refined into ``refined_zeros`` (sign changes by
+    Illinois iteration, dips by golden-section search); without it that list
+    stays empty and the grid rows are unchanged.
     """
     _require_hypersurface(M)
     grid = [int(g) for g in grid]
@@ -288,126 +317,171 @@ def scan_equicurved(M: EmbeddedManifold, grid: Sequence[int],
     coords = np.stack([m.reshape(-1) for m in mesh], axis=-1)
     grid_shape = tuple(len(a) for a in axes)
 
-    kappas = _shape_arrays(M, coords)[1]
+    try:
+        _, kappas, _, jac, _ = _shape_arrays(M, coords)
+    except np.linalg.LinAlgError:
+        raise DegenerateChartError("metric not positive definite at a grid "
+                                   "node") from None
+    degenerate = np.linalg.det(
+        np.einsum("...ni,...nj->...ij", jac, jac)) <= DET_FLOOR
     e1, e2, residual = _symmetric(kappas)
     spread = kappas[..., 0] - kappas[..., -1]
     tol_eq_arr, tol_umb_arr = _tolerances(e1, kappas, tol_eq)
 
     classification, flags = _classify_arrays(kappas, residual, spread,
                                              tol_eq_arr, tol_umb_arr)
+    for i in np.flatnonzero(degenerate):
+        classification[i], flags[i] = "degenerate", ()
 
     result = ScanResult(
         grid_shape=grid_shape, coords=coords, kappas=kappas, e1=e1, e2=e2,
         residual=residual, umbilic_spread=spread,
         classification=classification, flags=flags, zero_set=[],
         refined_zeros=[])
-    in_zero = np.abs(residual) <= tol_eq_arr
+    in_zero = (np.abs(residual) <= tol_eq_arr) & ~degenerate
     result.zero_set.extend(result.result_at(i) for i in np.where(in_zero)[0])
     if refine:
-        result.refined_zeros.extend(
-            _refine_zeros(M, grid_shape, coords, residual, tol_eq_arr, tol_eq))
+        result.refined_zeros.extend(_refine_zeros(
+            M, grid_shape, coords, residual, tol_eq_arr, tol_eq, ~degenerate))
     return result
 
 
-def _residuals_at(M, coords):
-    kappas = _shape_arrays(M, np.asarray(coords))[1]
-    return _symmetric(kappas)[2], kappas
+def _refine_zeros(M, shape, coords, residual, tol_arr, tol_eq, valid):
+    """Refine the zeros on grid edges between ``valid`` nodes.
 
-
-def _refine_zeros(M, shape, coords, residual, tol_arr, tol_eq):
-    """One bisection pass along grid edges that cross or dip below threshold."""
-    refined_pts: list[tuple[np.ndarray, bool]] = []
+    Edges whose ends change sign (neither end below threshold) go through one
+    Illinois pass over all axes at once; lines through a sub-threshold node
+    get a golden-section dip search.  Candidates keep the per-axis order
+    (crossings, then dips) that clustering sees.
+    """
     res = residual.reshape(shape)
-    tol = tol_arr.reshape(shape)
+    ok = valid.reshape(shape)
+    near = (np.abs(res) <= tol_arr.reshape(shape)) & ok
     pts = coords.reshape(shape + (len(shape),))
     d = len(shape)
+    ends, dips = [], []
     for axis in range(d):
         lead = [slice(None)] * d
         trail = [slice(None)] * d
         lead[axis] = slice(0, -1)
         trail[axis] = slice(1, None)
-        ra, rb = res[tuple(lead)], res[tuple(trail)]
-        pa, pb = pts[tuple(lead)], pts[tuple(trail)]
-        sign_change = (ra * rb) < 0.0
-        below = (np.abs(ra) <= tol[tuple(lead)]) \
-            | (np.abs(rb) <= tol[tuple(trail)])
-        crossing = sign_change & ~below
-        if np.any(crossing):
-            a = pa[crossing].reshape(-1, d)
-            b = pb[crossing].reshape(-1, d)
-            fa = ra[crossing].reshape(-1)
-            for _ in range(45):
-                mid = 0.5 * (a + b)
-                fm, _ = _residuals_at(M, mid)
-                went_left = (fa * fm) <= 0.0
-                b = np.where(went_left[:, None], mid, b)
-                a = np.where(went_left[:, None], a, mid)
-                fa = np.where(went_left, fa, fm)
-            refined_pts.extend((row, False) for row in 0.5 * (a + b))
+        lead, trail = tuple(lead), tuple(trail)
+        # signs, not the product: large residuals must not overflow
+        crossing = (np.sign(res[lead]) * np.sign(res[trail]) < 0.0) \
+            & ok[lead] & ok[trail] & ~near[lead] & ~near[trail]
+        ends.append((pts[lead][crossing], pts[trail][crossing],
+                     res[lead][crossing], res[trail][crossing]))
+        dips.append(near[lead] | near[trail])
+    zeros, brackets = _illinois(
+        M, *(np.concatenate(parts) for parts in zip(*ends)))
+    splits = np.cumsum([len(e[2]) for e in ends])[:-1]
+
+    refined: list[tuple[np.ndarray, bool, float]] = []
+    for axis, (z_axis, w_axis) in enumerate(zip(np.split(zeros, splits),
+                                                np.split(brackets, splits))):
+        refined.extend((z, False, float(w)) for z, w in zip(z_axis, w_axis))
         # sub-threshold dips: walk the minimum along this axis, out to the
         # domain boundary when the chart allows and the dip sits at the
         # first or last grid node
-        if np.any(below):
-            idxs = np.argwhere(below)
-            picked = set()
-            for idx in idxs:
-                node = tuple(idx)
-                key = node[:axis] + node[axis + 1:]
-                if key in picked:
-                    continue
-                picked.add(key)
-                line_sel = list(node)
-                line_sel[axis] = slice(None)
-                line_res = res[tuple(line_sel)]
-                line_pts = pts[tuple(line_sel)]
-                j = int(np.argmin(np.abs(line_res)))
-                refined_pts.append(
-                    _refine_on_line(M, axis, line_pts, j))
-    return _cluster_refined(M, refined_pts, tol_eq)
+        picked = set()
+        for idx in np.argwhere(dips[axis]):
+            node = tuple(idx)
+            key = node[:axis] + node[axis + 1:]
+            if key in picked:
+                continue
+            picked.add(key)
+            line_sel = list(node)
+            line_sel[axis] = slice(None)
+            line_sel = tuple(line_sel)
+            line_res = np.where(ok[line_sel], np.abs(res[line_sel]), np.inf)
+            refined.append(_refine_on_line(M, axis, pts[line_sel],
+                                           int(np.argmin(line_res))))
+    return _cluster_refined(M, refined, tol_eq)
+
+
+def _illinois(M, a, b, fa, fb):
+    """Trace-residual zeros on the segments ``a + t (b - a)``, t in [0, 1].
+
+    ``fa`` and ``fb`` are the residuals at the ends, of opposite signs.  Every
+    bracket ``[lo, hi]`` shrinks by the Illinois variant of regula falsi
+    (Dowell & Jarratt, BIT 11, 1971): an end kept twice in a row has its
+    residual halved.  After ``_ILLINOIS_STEPS`` steps bisection finishes an
+    edge.  Returns the midpoints of the final brackets and their widths, in
+    chart coordinates.
+    """
+    lo, hi = np.zeros(fa.shape), np.ones(fa.shape)
+    flo, fhi = fa.astype(float), fb.astype(float)
+    moved = np.zeros(fa.shape)      # end moved by the last step: -1 lo, +1 hi
+    active = np.arange(fa.size)
+    for step in range(_ILLINOIS_STEPS + 45):
+        if not active.size:
+            break
+        l, h, fl, fh = lo[active], hi[active], flo[active], fhi[active]
+        t = l + (h - l) * (fl / (fl - fh))
+        t = np.where((t > l) & (t < h) & (step < _ILLINOIS_STEPS), t,
+                     0.5 * (l + h))
+        ft = _trace_residual(M, a[active] + t[:, None]
+                             * (b[active] - a[active]))[0]
+        to_lo = np.sign(ft) == np.sign(fl)
+        to_hi = np.sign(ft) == np.sign(fh)
+        hit = ft == 0.0
+        last = moved[active]
+        fhi[active] = np.where(to_hi, ft, np.where(to_lo & (last < 0),
+                                                   0.5 * fh, fh))
+        flo[active] = np.where(to_lo, ft, np.where(to_hi & (last > 0),
+                                                   0.5 * fl, fl))
+        lo[active] = np.where(to_lo | hit, t, l)
+        hi[active] = np.where(to_hi | hit, t, h)
+        moved[active] = np.where(to_lo, -1.0, np.where(to_hi, 1.0, 0.0))
+        active = active[hi[active] - lo[active] > _EDGE_BRACKET]
+    return (a + 0.5 * (lo + hi)[:, None] * (b - a),
+            (hi - lo) * np.linalg.norm(b - a, axis=-1))
 
 
 def _refine_on_line(M, axis, line_pts, j):
-    """Golden-section minimization of |residual| along one grid line.
+    """Golden-section minimization of the trace-form |residual| along one line.
 
-    Returns ``(coords, snapped)``.  When the residual plateaus at rounding
-    level all the way into a chart boundary, minimization cannot localize the
-    zero; the boundary point itself is reported (snapped) in that case.
+    Returns ``(coords, snapped, bracket)``.  When the residual plateaus at
+    rounding level all the way into a chart boundary, minimization cannot
+    localize the zero; the boundary point itself is reported (snapped) in that
+    case, with the ``_eval_floor`` offset as its bracket.  Otherwise the
+    bracket is the final golden-section interval.
     """
     chart = M.chart(0)
     lo_pt = line_pts[max(j - 1, 0)].copy()
     hi_pt = line_pts[min(j + 1, line_pts.shape[0] - 1)].copy()
-    # when the dip touches the first/last node, extend toward the domain edge
-    snap_lo = snap_hi = None
+    # when the dip touches the first/last node, extend toward the domain edge;
+    # each such end may snap: (boundary, nearest evaluable t, floor offset)
+    snaps = []
     if not chart.periodic[axis]:
         if j == 0:
-            lo_pt[axis] = chart.lo[axis] + _eval_floor(M, axis, lo_pt,
-                                                       at_low=True)
-            snap_lo = chart.lo[axis]
+            floor = _eval_floor(M, axis, lo_pt, at_low=True)
+            lo_pt[axis] = chart.lo[axis] + floor
+            snaps.append((chart.lo[axis], lo_pt[axis], floor))
         if j == line_pts.shape[0] - 1:
-            hi_pt[axis] = chart.hi[axis] - _eval_floor(M, axis, hi_pt,
-                                                       at_low=False)
-            snap_hi = chart.hi[axis]
+            floor = _eval_floor(M, axis, hi_pt, at_low=False)
+            hi_pt[axis] = chart.hi[axis] - floor
+            snaps.append((chart.hi[axis], hi_pt[axis], floor))
     a, b = lo_pt[axis], hi_pt[axis]
     base = lo_pt.copy()
 
-    def res_at(t):
+    def point(t):
         q = base.copy()
         q[axis] = t
-        r, kap = _residuals_at(M, q[None, :])
-        e1 = float(np.sum(kap[0]))
-        return abs(float(r[0])), 1e-12 * (1.0 + e1 * e1)
+        return q
+
+    def res_at(t):
+        r, e1 = _trace_residual(M, point(t)[None, :])
+        return abs(float(r[0])), 1e-12 * (1.0 + float(e1[0]) ** 2)
 
     def f(t):
         return res_at(t)[0]
 
     # residual already at rounding level against the boundary: snap outright
-    for snap, end in ((snap_lo, lo_pt), (snap_hi, hi_pt)):
-        if snap is not None:
-            val, noise = res_at(end[axis])
-            if val <= 10.0 * noise:
-                out = base.copy()
-                out[axis] = snap
-                return out, True
+    for boundary, end, floor in snaps:
+        val, noise = res_at(end)
+        if val <= 10.0 * noise:
+            return point(boundary), True, floor
 
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - phi * (b - a)
@@ -425,16 +499,11 @@ def _refine_on_line(M, axis, line_pts, j):
         if abs(b - a) < 1e-9 * (1.0 + abs(a)):
             break
     t_best = 0.5 * (a + b)
-    out = base.copy()
-    out[axis] = t_best
     # monotone descent into a degenerate boundary: report the boundary itself
-    if snap_lo is not None and t_best <= lo_pt[axis] + 1e-6:
-        out[axis] = snap_lo
-        return out, True
-    if snap_hi is not None and t_best >= hi_pt[axis] - 1e-6:
-        out[axis] = snap_hi
-        return out, True
-    return out, False
+    for boundary, end, floor in snaps:
+        if abs(t_best - end) <= 1e-6:
+            return point(boundary), True, floor
+    return point(t_best), False, float(b - a)
 
 
 def _eval_floor(M, axis, probe, at_low):
@@ -453,17 +522,19 @@ def _eval_floor(M, axis, probe, at_low):
     return 1e-2 * width
 
 
-def _cluster_refined(M, refined_pts, tol_eq):
+def _cluster_refined(M, refined, tol_eq):
     """Cluster refined points by ambient distance; keep best residual each.
 
-    Within the rounding-noise band of the best residual, boundary-snapped
+    ``refined`` holds ``(coords, snapped, bracket)`` candidates.  Within the
+    rounding-noise band of the best trace-form residual, boundary-snapped
     candidates win (they carry the exact boundary coordinate); remaining ties
-    break lexicographically for determinism.
+    break lexicographically for determinism.  Only the chosen representatives
+    go through the eigensolve that reports their curvatures.
     """
-    if not refined_pts:
+    if not refined:
         return []
     chart = M.chart(0)
-    clipped = np.clip(np.array([r[0] for r in refined_pts]), chart.lo, chart.hi)
+    clipped = np.clip(np.array([r[0] for r in refined]), chart.lo, chart.hi)
     ambient = M.embed(0, clipped)
     inset = clipped.copy()
     for i in range(chart.dim):
@@ -476,44 +547,42 @@ def _cluster_refined(M, refined_pts, tol_eq):
             floor = _eval_floor(M, i, inset[row], at_low=bool(near_lo[row]))
             inset[row, i] = np.clip(inset[row, i], chart.lo[i] + floor,
                                     chart.hi[i] - floor)
-    res, kappas = _residuals_at(M, inset)
-    entries = [(clipped[r], ambient[r], float(res[r]), kappas[r],
-                refined_pts[r][1]) for r in range(clipped.shape[0])]
-    scale = max(np.max(np.abs(e[1])) for e in entries) + 1e-12
+    res, e1 = _trace_residual(M, inset)
+    scale = np.max(np.abs(ambient)) + 1e-12
     radius = 1e-3 * scale
-    clusters: list[list] = []
+    clusters: list[list[int]] = []
     reps = np.empty_like(ambient)    # the first len(clusters) rows are in use
-    for entry in entries:
+    for r in range(clipped.shape[0]):
         if clusters:
-            dists = np.linalg.norm(reps[:len(clusters)] - entry[1], axis=1)
+            dists = np.linalg.norm(reps[:len(clusters)] - ambient[r], axis=1)
             hit = int(np.argmin(dists))
             if dists[hit] <= radius:
-                clusters[hit].append(entry)
+                clusters[hit].append(r)
                 continue
-        reps[len(clusters)] = entry[1]
-        clusters.append([entry])
-    out = []
+        reps[len(clusters)] = ambient[r]
+        clusters.append([r])
+    chosen = []
     for cluster in clusters:
-        best_res = min(abs(e[2]) for e in cluster)
+        best_res = min(abs(res[r]) for r in cluster)
 
-        def sort_key(e):
-            e1_val = float(np.sum(e[3]))
-            noise = 1e-10 * (1.0 + e1_val * e1_val)
-            return (max(abs(e[2]) - max(best_res, noise), 0.0),
-                    0 if e[4] else 1, tuple(e[0]))
+        def sort_key(r):
+            noise = 1e-10 * (1.0 + e1[r] * e1[r])
+            return (max(abs(res[r]) - max(best_res, noise), 0.0),
+                    0 if refined[r][1] else 1, tuple(clipped[r]))
 
-        coord, _, res, kappas, _ = min(cluster, key=sort_key)
-        e1 = float(np.sum(kappas))
-        e2 = _elementary_symmetric(kappas, 2)
-        spread = float(kappas[0] - kappas[-1])
-        te, tu = _tolerances(np.atleast_1d(e1), kappas[None, :], tol_eq)
-        (label,), (fl,) = _classify_arrays(kappas[None, :], np.array([res]),
-                                           np.array([spread]), te, tu)
-        out.append(EquicurvatureResult(
-            point=ChartPoint(0, coord), kappas=kappas, e1=e1, e2=e2,
-            residual=res, umbilic_spread=spread, classification=label,
-            flags=fl))
-    out.sort(key=lambda r: tuple(r.point.coords))
+        chosen.append(min(cluster, key=sort_key))
+    kappas = _shape_arrays(M, inset[chosen])[1]
+    e1_rep, _, residual = _symmetric(kappas)
+    spread = kappas[:, 0] - kappas[:, -1]
+    labels, flags = _classify_arrays(kappas, residual, spread,
+                                     *_tolerances(e1_rep, kappas, tol_eq))
+    out = [EquicurvatureResult(
+        point=ChartPoint(0, clipped[r]), kappas=kappas[k],
+        e1=float(e1_rep[k]), e2=_elementary_symmetric(kappas[k], 2),
+        residual=float(residual[k]), umbilic_spread=float(spread[k]),
+        classification=labels[k], flags=flags[k], bracket=refined[r][2])
+        for k, r in enumerate(chosen)]
+    out.sort(key=lambda z: tuple(z.point.coords))
     return out
 
 

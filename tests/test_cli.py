@@ -291,6 +291,17 @@ class TestErrors:
         assert err.count("\n") == 1
         assert json.loads(err)["error"]["type"] == "NumericsError"
 
+    def test_singular_scan_metric_is_one_error_line(self, capsys, tmp_path):
+        # a metric that underflows to singular has no curvatures to report
+        path = tmp_path / "tiny.txt"
+        path.write_text("type=sphere radius=1e-200\n", encoding="utf-8")
+        code, out, err = run(capsys, "equicurved-scan", "--manifold",
+                             str(path), "--grid", "4x4")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"]["type"] == "DegenerateChartError"
+
     @pytest.mark.parametrize("argv", [
         ("expand", "--manifold", "torus", "--point", "6.0,0.3",
          "--f", "poly:1:(1,0)"),
@@ -346,7 +357,7 @@ BAD_FIELDS = st.sampled_from([
     "const:nan", "const:-inf", "const:1e308", "ambient:0", "ambient:9",
     "ambient:x", "poly:1:(1,0)", "poly:1:(0,1)", "poly:1e308:(2,0,0)",
     "poly:1:(1,0,0,0)", "poly:", "sin:1"])
-SCAN_LABELS = {"flat", "umbilic", "equicurved", "generic"}
+SCAN_LABELS = {"flat", "umbilic", "equicurved", "generic", "degenerate"}
 
 
 @st.composite

@@ -30,7 +30,7 @@ CASES = {
                            "--grid", "12x6", "--tol-eq", "0.6"],
     "scan_quadric.csv": ["equicurved-scan", "--manifold", "quadric411",
                          "--grid", "4x4x4"],
-    # sign-change bisection along the edges of a d = 3 grid
+    # sign-change Illinois refinement along the edges of a d = 3 grid
     "scan_quadric.json": ["equicurved-scan", "--manifold", "quadric411",
                           "--grid", "4x4x4", "--format", "json"],
     "operator_torus.csv": ["operator", "--manifold", "torus",

@@ -1,11 +1,16 @@
 """Hypersurface tests: shape operator, curvature means, equicurvature scans,
 proposition checks, limit criterion."""
 
+import csv
+import io
+import json
 import math
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 
+import ckl.cli as cli
 import ckl.hypersurface as hypersurface
 from ckl import ValidationError
 from ckl.catalog import catalog_manifold
@@ -211,6 +216,82 @@ class TestScan:
             scan_equicurved(TORUS, [1, 10])
         with pytest.raises(ValidationError):
             scan_equicurved(TORUS, [10])
+
+
+class TestRefinement:
+    def test_trace_residual_matches_eigh(self, rng):
+        # 2 tr(S^2) - (tr S)^2 against e1^2 - 4 e2 of the eigh curvatures
+        for M in (QUADRIC, TORUS, SPHEROID):
+            pts = random_points(M, 3000, rng)
+            eigh_res = hypersurface._symmetric(
+                hypersurface._shape_arrays(M, pts)[1])[2]
+            trace_res = hypersurface._trace_residual(M, pts)[0]
+            gap = np.abs(trace_res - eigh_res) / (1.0 + np.abs(eigh_res))
+            assert np.max(gap) <= 1e-13, M.catalog_id
+
+    def test_quadric_sign_change_brackets(self, monkeypatch):
+        # every Illinois zero: bracket at most 2^-45 of its edge, residual
+        # at rounding level
+        runs = []
+        illinois = hypersurface._illinois
+
+        def recorded(M, a, b, fa, fb):
+            zeros, brackets = illinois(M, a, b, fa, fb)
+            runs.append((np.linalg.norm(b - a, axis=-1), zeros, brackets))
+            return zeros, brackets
+
+        monkeypatch.setattr(hypersurface, "_illinois", recorded)
+        scan = scan_equicurved(QUADRIC, [20, 20, 20])
+        (edge, zeros, brackets), = runs
+        assert zeros.shape[0] > 1000
+        assert np.all(brackets <= 2.0 ** -45 * edge)
+        res, e1 = hypersurface._trace_residual(QUADRIC, zeros)
+        assert np.all(np.abs(res) <= 1e-12 * (1.0 + e1 ** 2))
+        edge_of = {tuple(z): h for z, h in zip(zeros, edge)}
+        sign_change = [z for z in scan.refined_zeros
+                       if tuple(z.point.coords) in edge_of]
+        assert len(sign_change) > 1000
+        for z in sign_change:
+            assert z.bracket <= 2.0 ** -45 * edge_of[tuple(z.point.coords)]
+            assert abs(z.residual) <= 1e-12 * (1.0 + z.e1 ** 2)
+
+    def test_spheroid_poles_snap_exactly(self):
+        scan = scan_equicurved(SPHEROID, [60, 30])
+        thetas = [float(z.point.coords[0]) for z in scan.refined_zeros]
+        assert thetas == [0.0, math.pi]
+        # a snapped zero's bracket is its evaluation floor: 1e-6 of the axis
+        for z in scan.refined_zeros:
+            assert z.bracket == pytest.approx(1e-6 * math.pi, rel=1e-12)
+
+    def test_sphere3_degenerate_nodes(self):
+        # 220 of the 1,210 nodes sit at the determinant floor: reported and
+        # classed degenerate, kept out of the zero set and out of refinement
+        argv = ["equicurved-scan", "--manifold", "sphere3", "--grid",
+                "10x10x10", "--out", "-"]
+        outs = {}
+        for fmt in ("csv", "json"):
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                assert cli.main(argv + ["--format", fmt]) == 0
+            outs[fmt] = buf.getvalue()
+        rows = list(csv.DictReader(io.StringIO(outs["csv"])))
+        degenerate = [r for r in rows if r["class"] == "degenerate"]
+        assert len(rows) == 1210 and len(degenerate) == 220
+        for r in degenerate:
+            kappas = [float(r[f"kappa_{i}"]) for i in (1, 2, 3)]
+            np.testing.assert_allclose(kappas, -1.0, atol=1e-11)
+        data = json.loads(outs["json"])
+        zero_coords = {tuple(z["coords"]) for z in data["zero_set"]}
+        assert not any(tuple(float(r[f"s{i}"]) for i in (1, 2, 3))
+                       in zero_coords for r in degenerate)
+        assert data["refined_zeros"] == []
+        # a threshold every node passes still leaves the degenerate ones out
+        scan = scan_equicurved(S3, [10, 10, 10], tol_eq=10.0, refine=False)
+        assert scan.classification.count("degenerate") == 220
+        assert all(scan.flags[i] == () for i, label
+                   in enumerate(scan.classification) if label == "degenerate")
+        assert len(scan.zero_set) == 1210 - 220
+        assert all(z.classification != "degenerate" for z in scan.zero_set)
 
 
 def classify_row(kappas, residual, spread, tol_eq, tol_umb):
