@@ -6,8 +6,7 @@ per-axis sinusoids ``a + b sin x_i + c cos x_i``, whose derivatives are phase
 shifts.  Polynomial graph charts differentiate their monomials.  Every catalog
 chart also ships its closed-form volume element: ``sqrt(1 + |grad P|^2)`` for
 graphs, and for the trig charts, whose coordinates are orthogonal, the product
-of the coordinate vectors' lengths.  User-defined charts fall back to finite
-differences and to ``sqrt(det J^T J)``.
+of the coordinate vectors' lengths.
 
 Description files are UTF-8 ``key=value`` tokens, e.g.::
 
@@ -53,6 +52,8 @@ def trig_chart(components: list[list[TrigTerm]], lo, hi, periodic,
                volume_element) -> Chart:
     """A chart with exact derivatives whose embedding components are trig terms.
 
+    Its derivative closure evaluates the sinusoid factors of the requested
+    orders once, as a table, and multiplies out only those orders' tensors.
     ``volume_element`` is the chart's closed-form ``sqrt(det g)``; the catalog
     coordinates are orthogonal, so it is the product of the lengths of the
     coordinate vectors.
@@ -60,30 +61,33 @@ def trig_chart(components: list[list[TrigTerm]], lo, hi, periodic,
     d, n = len(lo), len(components)
     jac = [trig_diff(X, i) for X in components for i in range(d)]
     hess = [trig_diff(J, j) for J in jac for j in range(d)]
+    # per order: the entries, the tensor shape, the sinusoid factors used
+    tables = [(entries, shape, {(i, *abc) for terms in entries
+                                for _, fs in terms for i, abc in fs.items()})
+              for entries, shape in ((components, (n,)), (jac, (n, d)),
+                                     (hess, (n, d, d)))]
 
-    def closure(entries, shape):
-        keys = {(i, *abc) for terms in entries for _, fs in terms
-                for i, abc in fs.items()}
-
-        def call(coords):
-            coords = np.asarray(coords, dtype=float)
-            sin, cos, val = np.sin(coords), np.cos(coords), {}
-            for i, a, b, c in keys:      # only nonzero parts: zeros keep their sign
-                parts = [w * t[..., i] for w, t in ((b, sin), (c, cos)) if w]
-                parts += [a] if a else []
-                val[i, a, b, c] = sum(parts[1:], parts[0])
-            out = np.zeros(coords.shape[:-1] + (len(entries),))
-            for k, terms in enumerate(entries):
+    def derivs(coords, orders):
+        coords = np.asarray(coords, dtype=float)
+        sin, cos, val = np.sin(coords), np.cos(coords), {}
+        for i, a, b, c in set().union(*(tables[k][2] for k in orders)):
+            # only nonzero parts: zeros keep their sign
+            parts = [w * t[..., i] for w, t in ((b, sin), (c, cos)) if w]
+            parts += [a] if a else []
+            val[i, a, b, c] = sum(parts[1:], parts[0])
+        out = []
+        for k in orders:
+            entries, shape, _ = tables[k]
+            tensor = np.zeros(coords.shape[:-1] + (len(entries),))
+            for e, terms in enumerate(entries):
                 if terms:
                     values = [reduce(mul, (val[(i, *abc)] for i, abc in fs.items()),
                                      coef) for coef, fs in terms]
-                    out[..., k] = sum(values[1:], values[0])
-            return out.reshape(coords.shape[:-1] + shape)
-        return call
+                    tensor[..., e] = sum(values[1:], values[0])
+            out.append(tensor.reshape(coords.shape[:-1] + shape))
+        return out
 
-    return Chart(embed=closure(components, (n,)), lo=lo, hi=hi,
-                 periodic=periodic, jacobian=closure(jac, (n, d)),
-                 hessian=closure(hess, (n, d, d)), volume_element=volume_element)
+    return Chart(derivs, volume_element, lo=lo, hi=hi, periodic=periodic)
 
 
 # ---------------------------------------------------------------------------
@@ -126,26 +130,25 @@ def graph_chart(poly: PolyTerms, halfwidth: float) -> Chart:
     d = poly.dim
     grad, hess = poly.derivatives()
 
-    def embed(coords):
+    def derivs(coords, orders):
         coords = np.asarray(coords, dtype=float)
-        return np.concatenate([coords, poly(coords)[..., None]], axis=-1)
-
-    def jacobian(coords):
-        coords = np.asarray(coords, dtype=float)
-        base = coords.shape[:-1]
-        jac = np.zeros(base + (d + 1, d))
-        for i in range(d):
-            jac[..., i, i] = 1.0
-            jac[..., d, i] = grad[i](coords)
-        return jac
-
-    def hessian(coords):
-        coords = np.asarray(coords, dtype=float)
-        base = coords.shape[:-1]
-        out = np.zeros(base + (d + 1, d, d))
-        for i in range(d):
-            for j in range(d):
-                out[..., d, i, j] = hess[i][j](coords)
+        out = []
+        for k in orders:
+            if k == 0:
+                out.append(np.concatenate([coords, poly(coords)[..., None]],
+                                          axis=-1))
+                continue
+            # rows 0..d-1 are the identity (order 1) or zero (order 2); row d
+            # holds the derivatives of P
+            tensor = np.zeros(coords.shape[:-1] + (d + 1,) + (d,) * k)
+            for i in range(d):
+                if k == 1:
+                    tensor[..., i, i] = 1.0
+                    tensor[..., d, i] = grad[i](coords)
+                else:
+                    for j in range(d):
+                        tensor[..., d, i, j] = hess[i][j](coords)
+            out.append(tensor)
         return out
 
     def volume_element(coords):
@@ -156,9 +159,8 @@ def graph_chart(poly: PolyTerms, halfwidth: float) -> Chart:
             sq += g(coords) ** 2
         return np.sqrt(sq)
 
-    return Chart(embed=embed, lo=[-halfwidth] * d, hi=[halfwidth] * d,
-                 periodic=[False] * d, jacobian=jacobian, hessian=hessian,
-                 volume_element=volume_element)
+    return Chart(derivs, volume_element, lo=[-halfwidth] * d, hi=[halfwidth] * d,
+                 periodic=[False] * d)
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,7 @@ def _parse_point(spec: str | None, M: EmbeddedManifold) -> ChartPoint:
     if not np.all(np.isfinite(coords)):
         raise ValidationError(f"point coordinates must be finite, got {spec!r}")
     point = ChartPoint(chart_index, coords)
-    M.chart(chart_index).require_inside(M.chart(chart_index).wrap(coords))
+    M.chart(chart_index).jet(coords)     # wraps and checks the box
     return point
 
 

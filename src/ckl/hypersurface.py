@@ -95,10 +95,9 @@ def _shape_arrays(M: EmbeddedManifold, coords: np.ndarray,
     No metric floor is applied here: callers refuse or mark degenerate points.
     """
     jac = M.jacobian(0, coords)
-    hess = M.hessian(0, coords)
     g = np.einsum("...ni,...nj->...ij", jac, jac)
     normal = orientation * _unit_normals(jac)
-    b = np.einsum("...nij,...n->...ij", hess, normal)
+    b = np.einsum("...nij,...n->...ij", M.hessian(0, coords), normal)
     chol = np.linalg.cholesky(g)
     tmp = np.linalg.solve(chol, b)
     a_mat = np.linalg.solve(chol, np.swapaxes(tmp, -1, -2))
@@ -288,8 +287,13 @@ def _symmetric(kappas):
     return e1, e2, e1 ** 2 - 4.0 * e2
 
 
+def _tol_eq(e1, tol_eq):
+    """The zero-set threshold: ``tol_eq``, by default ``1e-6 (1 + e1^2)``."""
+    return tol_eq if tol_eq is not None else 1e-6 * (1.0 + e1 ** 2)
+
+
 def _tolerances(e1, kappas, tol_eq):
-    tol_eq_arr = tol_eq if tol_eq is not None else 1e-6 * (1.0 + e1 ** 2)
+    tol_eq_arr = _tol_eq(e1, tol_eq)
     tol_umb_arr = 1e-6 * (1.0 + np.max(np.abs(kappas), axis=-1))
     return tol_eq_arr * np.ones_like(e1), tol_umb_arr
 
@@ -525,7 +529,9 @@ def _eval_floor(M, axis, probe, at_low):
 def _cluster_refined(M, refined, tol_eq):
     """Cluster refined points by ambient distance; keep best residual each.
 
-    ``refined`` holds ``(coords, snapped, bracket)`` candidates.  Within the
+    ``refined`` holds ``(coords, snapped, bracket)`` candidates.  A candidate
+    whose trace-form residual is above the zero-set threshold (a dip search
+    that ended away from any zero) is dropped first.  Within the
     rounding-noise band of the best trace-form residual, boundary-snapped
     candidates win (they carry the exact boundary coordinate); remaining ties
     break lexicographically for determinism.  Only the chosen representatives
@@ -535,7 +541,6 @@ def _cluster_refined(M, refined, tol_eq):
         return []
     chart = M.chart(0)
     clipped = np.clip(np.array([r[0] for r in refined]), chart.lo, chart.hi)
-    ambient = M.embed(0, clipped)
     inset = clipped.copy()
     for i in range(chart.dim):
         if chart.periodic[i]:
@@ -548,6 +553,12 @@ def _cluster_refined(M, refined, tol_eq):
             inset[row, i] = np.clip(inset[row, i], chart.lo[i] + floor,
                                     chart.hi[i] - floor)
     res, e1 = _trace_residual(M, inset)
+    keep = np.flatnonzero(np.abs(res) <= _tol_eq(e1, tol_eq))
+    if not keep.size:
+        return []
+    refined = [refined[r] for r in keep]
+    clipped, inset, res, e1 = clipped[keep], inset[keep], res[keep], e1[keep]
+    ambient = M.embed(0, clipped)
     scale = np.max(np.abs(ambient)) + 1e-12
     radius = 1e-3 * scale
     clusters: list[list[int]] = []

@@ -7,11 +7,9 @@ operator) is computed from the embedding map's Jacobian and Hessian: the
 Christoffel symbols are ``g^{kl} <d_l X, d_i d_j X>``, the Laplacian takes the
 field's exact chart derivatives from the same arrays, and the metric is never
 differenced, except by ``scalar_curvature_intrinsic``, the deliberately
-independent cross-check.  Charts may carry analytic derivative closures;
-otherwise central finite differences with one Richardson step are used.  A
-chart may also carry a closed-form volume element ``volume_element`` (shape
-``(...,)``), and every catalog chart does; without one the volume element is
-``sqrt(det J^T J)`` from the Jacobian.
+independent cross-check.  A chart is one exact derivative closure, which
+returns the embedding, its Jacobian and its Hessian on request
+(:meth:`Chart.jet`), plus a closed-form volume element ``sqrt(det g)``.
 
 All evaluation entry points accept batched coordinates with shape ``(..., d)``
 and return correspondingly batched results.  Geometry objects are immutable
@@ -39,7 +37,6 @@ if TYPE_CHECKING:
 DET_FLOOR = 1e-12
 _EPS = np.finfo(float).eps
 _H1 = _EPS ** (1.0 / 3.0)   # step scale for first differences
-_H2 = _EPS ** (1.0 / 6.0)   # step scale for second differences of the embedding
 
 
 # ---------------------------------------------------------------------------
@@ -70,61 +67,26 @@ def _central_diff(fn: Callable, coords: np.ndarray, h: np.ndarray) -> np.ndarray
     return np.stack(cols, axis=-1)
 
 
-def _fd_hessian(embed: Callable, coords: np.ndarray, n: int) -> np.ndarray:
-    """Batched second derivatives of the embedding, Richardson-extrapolated."""
-    coords = np.asarray(coords, dtype=float)
-    d = coords.shape[-1]
-    out = np.empty(coords.shape[:-1] + (n, d, d))
-    f0 = embed(coords)
-    h = _H2 * (1.0 + np.abs(coords))
-
-    def shifted(iv, jv):
-        step = np.zeros_like(coords)
-        for axis, scale in (iv, jv):
-            step[..., axis] = step[..., axis] + scale * h[..., axis]
-        return embed(coords + step)
-
-    for i in range(d):
-        def second(scale):
-            hi = (scale * h[..., i])[..., None]
-            return (shifted((i, scale), (i, 0.0)) - 2.0 * f0
-                    + shifted((i, -scale), (i, 0.0))) / hi ** 2
-        out[..., :, i, i] = _richardson(second)
-        for j in range(i + 1, d):
-            def mixed(scale):
-                hi = (scale * h[..., i])[..., None]
-                hj = (scale * h[..., j])[..., None]
-                return (shifted((i, scale), (j, scale))
-                        - shifted((i, scale), (j, -scale))
-                        - shifted((i, -scale), (j, scale))
-                        + shifted((i, -scale), (j, -scale))) / (4.0 * hi * hj)
-            out[..., :, i, j] = out[..., :, j, i] = _richardson(mixed)
-    return out
-
-
 class Chart:
     """One parametrized patch: an embedding of a box in R^d into R^n.
 
     Parameters
     ----------
-    embed : callable
-        Maps coordinates ``(..., d)`` to ambient points ``(..., n)``.
+    derivs : callable
+        ``derivs(coords, orders)`` maps coordinates ``(..., d)`` to the list of
+        the embedding's derivative tensors of the requested orders, in that
+        order: 0 is the embedding ``(..., n)``, 1 the Jacobian ``(..., n, d)``
+        and 2 the Hessian ``(..., n, d, d)``.
+    volume_element : callable
+        Closed-form Riemannian volume element ``sqrt(det g)`` with shape
+        ``(...,)``.
     lo, hi : sequence of float
         Axis-aligned coordinate box.
     periodic : sequence of bool
         Per-axis periodicity; periodic axes wrap modulo ``hi - lo``.
-    jacobian, hessian : callable, optional
-        Analytic derivatives with shapes ``(..., n, d)`` and ``(..., n, d, d)``.
-        When absent, central finite differences with one Richardson step are
-        used, at step ``eps_machine^(1/3) * (1 + |coord|)`` for the Jacobian
-        and ``eps_machine^(1/6) * (1 + |coord|)`` for the Hessian.
-    volume_element : callable, optional
-        Closed-form Riemannian volume element ``sqrt(det g)`` with shape
-        ``(...,)``.  When absent it is computed as ``sqrt(det J^T J)``.
     """
 
-    def __init__(self, embed, lo, hi, periodic=None, jacobian=None,
-                 hessian=None, volume_element=None):
+    def __init__(self, derivs, volume_element, lo, hi, periodic=None):
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
         if self.lo.shape != self.hi.shape or self.lo.ndim != 1:
@@ -135,14 +97,12 @@ class Chart:
         self.periodic = tuple(bool(p) for p in (periodic or [False] * self.dim))
         if len(self.periodic) != self.dim:
             raise ValidationError("periodic flags must match chart dimension")
-        self._embed = embed
-        probe = np.asarray(embed(0.5 * (self.lo + self.hi)), dtype=float)
-        if probe.ndim != 1:
-            raise ValidationError("embed must map a single point to a 1-d vector")
-        self.ambient_dim = probe.size
-        self._jacobian = jacobian
-        self._hessian = hessian
+        self._derivs = derivs
         self._volume_element = volume_element
+        probe = np.asarray(derivs(0.5 * (self.lo + self.hi), (0,))[0], dtype=float)
+        if probe.ndim != 1:
+            raise ValidationError("the embedding must map a point to a 1-d vector")
+        self.ambient_dim = probe.size
 
     # -- domain helpers -----------------------------------------------------
 
@@ -170,38 +130,23 @@ class Chart:
 
     # -- evaluation -----------------------------------------------------------
 
-    def embed(self, coords: np.ndarray) -> np.ndarray:
-        return np.asarray(self._embed(self.wrap(coords)), dtype=float)
+    def jet(self, coords: np.ndarray, orders: Sequence[int] = (),
+            volume: bool = False) -> tuple[np.ndarray, ...]:
+        """``(wrapped coords, *tensors)``: one wrap and one box check, then the
+        derivative tensors of ``orders`` and, with ``volume``, the volume
+        element ``sqrt(det g)`` last.
 
-    def jacobian(self, coords: np.ndarray) -> np.ndarray:
-        coords = self.wrap(coords)
-        self.require_inside(coords)
-        if self._jacobian is not None:
-            return np.asarray(self._jacobian(coords), dtype=float)
-        return _central_diff(self._embed, coords, _H1 * (1.0 + np.abs(coords)))
-
-    def hessian(self, coords: np.ndarray) -> np.ndarray:
-        coords = self.wrap(coords)
-        self.require_inside(coords)
-        if self._hessian is not None:
-            return np.asarray(self._hessian(coords), dtype=float)
-        return _fd_hessian(self._embed, coords, self.ambient_dim)
-
-    def volume_element(self, coords: np.ndarray) -> np.ndarray:
-        """Volume element sqrt(det g), from the closed form when the chart has one.
-
-        Unlike :meth:`EmbeddedManifold.metric`, no determinant floor is
-        enforced: quadrature legitimately samples points where a chart
-        degenerates (sphere poles) and the volume element vanishes smoothly
-        there.
+        No determinant floor is enforced: quadrature legitimately samples
+        points where a chart degenerates (sphere poles) and the volume
+        element vanishes smoothly there.
         """
-        if self._volume_element is None:
-            jac = self.jacobian(coords)
-            g = np.einsum("...ni,...nj->...ij", jac, jac)
-            return np.sqrt(np.maximum(np.linalg.det(g), 0.0))
         coords = self.wrap(coords)
         self.require_inside(coords)
-        return np.asarray(self._volume_element(coords), dtype=float)
+        out = [np.asarray(t, dtype=float)
+               for t in (self._derivs(coords, orders) if orders else ())]
+        if volume:
+            out.append(np.asarray(self._volume_element(coords), dtype=float))
+        return (coords, *out)
 
 
 @dataclass(frozen=True)
@@ -264,25 +209,24 @@ class EmbeddedManifold:
         return self.charts[0]
 
     def embed(self, ci: int, coords: np.ndarray) -> np.ndarray:
-        return self.chart(ci).embed(coords)
+        return self.chart(ci).jet(coords, (0,))[1]
 
     def jacobian(self, ci: int, coords: np.ndarray) -> np.ndarray:
-        return self.chart(ci).jacobian(coords)
+        return self.chart(ci).jet(coords, (1,))[1]
 
     def hessian(self, ci: int, coords: np.ndarray) -> np.ndarray:
-        return self.chart(ci).hessian(coords)
+        return self.chart(ci).jet(coords, (2,))[1]
 
     def metric(self, ci: int, coords: np.ndarray) -> np.ndarray:
         return _gram(self.jacobian(ci, coords))
 
     def sqrt_det_metric(self, ci: int, coords: np.ndarray) -> np.ndarray:
-        """Volume element sqrt(det g); see :meth:`Chart.volume_element`."""
-        return self.chart(ci).volume_element(coords)
+        """Volume element sqrt(det g); see :meth:`Chart.jet`."""
+        return self.chart(ci).jet(coords, volume=True)[1]
 
     def christoffel(self, ci: int, coords: np.ndarray) -> np.ndarray:
         """Christoffel symbols ``Gamma[..., k, i, j] = g^{kl} <d_l X, d_i d_j X>``."""
-        jac = self.jacobian(ci, coords)
-        return _connection(jac, self.hessian(ci, coords))[1]
+        return _connection(*self.chart(ci).jet(coords, (1, 2))[1:])[1]
 
     def volume(self) -> float:
         """Total volume of the chart box (cached), by order-96 tensor quadrature."""
@@ -329,15 +273,19 @@ class CurvatureReport:
     frame: np.ndarray
 
 
-def metric_at(M: EmbeddedManifold, p: ChartPoint) -> np.ndarray:
-    """First fundamental form J^T J at ``p`` (symmetric positive definite)."""
-    M.chart(p.chart).require_inside(p.coords)
-    g = M.metric(p.chart, p.coords)
+def _spd_metric(jac: np.ndarray, p: ChartPoint) -> np.ndarray:
+    """The metric of ``jac``, refused unless symmetric positive definite."""
+    g = _gram(jac)
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
         raise DegenerateChartError(f"metric not positive definite at {p}") from None
     return g
+
+
+def metric_at(M: EmbeddedManifold, p: ChartPoint) -> np.ndarray:
+    """First fundamental form J^T J at ``p`` (symmetric positive definite)."""
+    return _spd_metric(M.chart(p.chart).jet(p.coords, (1,))[1], p)
 
 
 def curvature_at(M: EmbeddedManifold, p: ChartPoint) -> CurvatureReport:
@@ -347,10 +295,9 @@ def curvature_at(M: EmbeddedManifold, p: ChartPoint) -> CurvatureReport:
     the scalar curvature comes from the Gauss identity
     ``R = d^2 |H|^2 - sum_ab |B(e_a, e_b)|^2``.
     """
-    g = metric_at(M, p)
-    d, n = M.dim, M.ambient_dim
-    jac = M.jacobian(p.chart, p.coords)
-    hess = M.hessian(p.chart, p.coords)
+    _, jac, hess = M.chart(p.chart).jet(p.coords, (1, 2))
+    g = _spd_metric(jac, p)
+    d = M.dim
     q, r = _orthonormal_frame(jac)
     a = np.linalg.inv(r)           # frame e_b = sum_i a[i, b] * d_i embed
     t = np.einsum("nij,ia,jb->nab", hess, a, a)
@@ -441,10 +388,9 @@ def laplace_beltrami(M: EmbeddedManifold, f: ScalarField,
     Hessian, and the value and chart derivatives of ``f`` from
     :meth:`ScalarField.jet` on the same arrays; nothing is differenced.
     """
-    c0 = M.chart(p.chart).wrap(p.coords)
-    jac, hess = M.jacobian(p.chart, c0), M.hessian(p.chart, c0)
+    c0, emb, jac, hess = M.chart(p.chart).jet(p.coords, (0, 1, 2))
     ginv, gamma = _connection(jac, hess)
-    value, grad, fhess = f.jet(c0, M.embed(p.chart, c0), jac, hess)
+    value, grad, fhess = f.jet(c0, emb, jac, hess)
     if not all(np.all(np.isfinite(a)) for a in (value, grad, fhess)):
         raise ValidationError(
             "scalar field or its chart derivatives are not finite at the point")
@@ -499,7 +445,8 @@ def _integrate_batch(M: EmbeddedManifold, ci: int, pos: np.ndarray,
         return -np.einsum("bkij,bi,bj->bk", gamma, v, v)
 
     def near_boundary(p, v):
-        """Rows whose RK stages or FD stencils could leave the open box."""
+        """Rows whose RK stages could leave the open box, with a guard band
+        of ``1e-5 (1 + |coord|)``."""
         if not open_axes:
             return np.zeros(p.shape[0], dtype=bool)
         bad = np.zeros(p.shape[0], dtype=bool)

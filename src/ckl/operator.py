@@ -269,6 +269,17 @@ def tail_estimate(M: EmbeddedManifold, x: ChartPoint, eps: float,
 # Operator evaluation
 # ---------------------------------------------------------------------------
 
+def _quadrature_sum(M: EmbeddedManifold, f: Callable, x0: np.ndarray,
+                    eps: float, rule: QuadratureRule) -> float:
+    """The rule's kernel sum; its node arrays die on return, before the tail
+    bound builds the order-96 volume rule."""
+    # fields see wrapped coordinates (windows may straddle a period seam)
+    nodes, ambient, dens = M.chart(0).jet(rule.nodes, (0,), volume=True)
+    fvals = np.asarray(f(nodes, ambient), dtype=float)
+    kern = k_eps(x0, ambient, eps, M.dim)
+    return float(np.sum(rule.weights * dens * fvals * kern))
+
+
 def apply_operator(M: EmbeddedManifold, f: Callable, x: ChartPoint, eps: float,
                    rule: QuadratureRule | None = None) -> tuple[float, float]:
     """Quadrature value of the kernel integral at ``x`` plus its tail bound.
@@ -283,14 +294,7 @@ def apply_operator(M: EmbeddedManifold, f: Callable, x: ChartPoint, eps: float,
     if rule.nodes.shape[-1] != M.dim:
         raise ValidationError(
             "quadrature rule does not match the manifold's chart")
-    x0 = M.embed(x.chart, x.coords)
-    # fields see wrapped coordinates (windows may straddle a period seam)
-    nodes = M.chart(0).wrap(rule.nodes)
-    ambient = M.embed(0, nodes)
-    dens = M.sqrt_det_metric(0, nodes)
-    fvals = np.asarray(f(nodes, ambient), dtype=float)
-    kern = k_eps(x0, ambient, eps, M.dim)
-    total = float(np.sum(rule.weights * dens * fvals * kern))
+    total = _quadrature_sum(M, f, M.embed(x.chart, x.coords), eps, rule)
     if not math.isfinite(total):
         raise NumericsError(f"operator value at eps={eps:g} is not finite")
     tail = tail_estimate(M, x, eps, rule, f)

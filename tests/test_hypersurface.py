@@ -255,6 +255,14 @@ class TestRefinement:
             assert z.bracket <= 2.0 ** -45 * edge_of[tuple(z.point.coords)]
             assert abs(z.residual) <= 1e-12 * (1.0 + z.e1 ** 2)
 
+    @pytest.mark.parametrize("grid", [[4, 4, 4], [20, 20, 20]])
+    def test_refined_zeros_pass_threshold(self, grid):
+        # a dip search that ends away from any zero is not reported
+        scan = scan_equicurved(QUADRIC, grid)
+        assert scan.refined_zeros
+        for z in scan.refined_zeros:
+            assert abs(z.residual) <= 1e-6 * (1.0 + z.e1 ** 2)
+
     def test_spheroid_poles_snap_exactly(self):
         scan = scan_equicurved(SPHEROID, [60, 30])
         thetas = [float(z.point.coords[0]) for z in scan.refined_zeros]

@@ -10,8 +10,9 @@ from ckl import DegenerateChartError, DomainError, TruncatedPathError, Validatio
 from ckl.catalog import catalog_manifold, load_manifold_text, parse_poly
 from ckl.fields import AmbientCoordField, ChartPolyField, ConstField
 from ckl.manifold import (
-    Chart,
     ChartPoint,
+    _central_diff,
+    _connection,
     chord_expansion_check,
     curvature_at,
     geodesic_shoot,
@@ -49,6 +50,26 @@ def random_points(M, count, rng, margin=0.15):
     return rng.uniform(lo, hi, size=(count, M.dim))
 
 
+def fd_jet(M, coords, step=1e-3):
+    """Jacobian and Hessian of M's embedding from Richardson central
+    differences of the embedding alone, at step ``step (1 + |coord|)``."""
+    def diff(fn):
+        return lambda c: _central_diff(fn, c, step * (1.0 + np.abs(c)))
+    jac = diff(lambda c: M.embed(0, c))
+    return jac(coords), diff(jac)(coords)
+
+
+def embedding_only(chart):
+    """``chart``'s derivative closure, refusing every order above 0."""
+    derivs = chart._derivs
+
+    def call(coords, orders):
+        if any(k >= 1 for k in orders):
+            raise AssertionError("volume element evaluated a derivative")
+        return derivs(coords, orders)
+    return call
+
+
 # ---------------------------------------------------------------------------
 # Metric
 # ---------------------------------------------------------------------------
@@ -67,15 +88,11 @@ class TestMetric:
         np.testing.assert_allclose(g, np.diag([9.0, 1.0]), atol=1e-12)
 
     def test_exact_vs_finite_difference(self):
-        # the FD fallback reproduces the analytic Jacobian-based metric
-        chart = TORUS.charts[0]
-        fd_chart = Chart(embed=chart._embed, lo=chart.lo, hi=chart.hi,
-                         periodic=chart.periodic)
-        from ckl.manifold import EmbeddedManifold
-        fd_torus = EmbeddedManifold([fd_chart], delta=0.9)
+        # differences of the embedding reproduce the analytic metric
         pts = np.array([[0.3, 1.1], [2.0, 4.0], [5.5, 0.2]])
-        np.testing.assert_allclose(fd_torus.metric(0, pts), TORUS.metric(0, pts),
-                                   rtol=0, atol=1e-9)
+        jac, _ = fd_jet(TORUS, pts)
+        np.testing.assert_allclose(np.einsum("...ni,...nj->...ij", jac, jac),
+                                   TORUS.metric(0, pts), rtol=0, atol=1e-9)
 
     def test_spd_and_frames_random(self, rng):
         for M in (S2, S3, TORUS, SPHEROID, QUADRIC, PLANE):
@@ -154,11 +171,8 @@ class TestVolumeElement:
             rule = build_localized_rule(QUADRIC, x, eps, order=16)
             cases.append((eps, rule, apply_operator(QUADRIC, const_one, x, eps, rule)))
 
-        def boom(coords):
-            raise AssertionError("graph volume element evaluated the Jacobian")
-
         M = catalog_manifold("quadric411")
-        monkeypatch.setattr(M.charts[0], "_jacobian", boom)
+        monkeypatch.setattr(M.charts[0], "_derivs", embedding_only(M.charts[0]))
         pts = random_points(M, 100, rng)
         np.testing.assert_array_equal(M.sqrt_det_metric(0, pts),
                                       QUADRIC.sqrt_det_metric(0, pts))
@@ -210,11 +224,8 @@ class TestVolumeElement:
             cases.append((eps, rule, apply_operator(reference, const_one, x, eps,
                                                     rule)))
 
-        def boom(coords):
-            raise AssertionError("trig volume element evaluated the Jacobian")
-
         M = catalog_manifold(name)
-        monkeypatch.setattr(M.charts[0], "_jacobian", boom)
+        monkeypatch.setattr(M.charts[0], "_derivs", embedding_only(M.charts[0]))
         pts = random_points(M, 100, rng)
         np.testing.assert_array_equal(M.sqrt_det_metric(0, pts),
                                       reference.sqrt_det_metric(0, pts))
@@ -222,31 +233,10 @@ class TestVolumeElement:
         for eps, rule, expected in cases:
             assert apply_operator(M, const_one, x, eps, rule) == expected
 
-    @pytest.mark.parametrize("name", ["sphere3", "torus"])
-    def test_determinant_fallback(self, name, rng):
-        # a chart without a closed form takes sqrt(det J^T J) from its Jacobian
-        from ckl.manifold import EmbeddedManifold
-        M = self.TRIG[name]
-        chart = M.charts[0]
-        plain = EmbeddedManifold([Chart(embed=chart._embed, lo=chart.lo,
-                                        hi=chart.hi, periodic=chart.periodic,
-                                        jacobian=chart._jacobian)], delta=M.delta)
-        pts = random_points(M, 2000, rng)
-        np.testing.assert_allclose(plain.sqrt_det_metric(0, pts),
-                                   M.sqrt_det_metric(0, pts), rtol=1e-14, atol=0)
-
 
 # ---------------------------------------------------------------------------
 # Christoffel symbols
 # ---------------------------------------------------------------------------
-
-def fd_copy(M):
-    """The manifold's chart with its analytic derivatives dropped."""
-    from ckl.manifold import EmbeddedManifold
-    chart = M.charts[0]
-    return EmbeddedManifold([Chart(embed=chart._embed, lo=chart.lo, hi=chart.hi,
-                                   periodic=chart.periodic)], delta=M.delta)
-
 
 class TestChristoffel:
     def test_sphere_closed_form(self, rng):
@@ -269,20 +259,18 @@ class TestChristoffel:
         np.testing.assert_allclose(TORUS.christoffel(0, pts), expected,
                                    rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("M", [TORUS, S3, S2, SPHEROID],
-                             ids=["torus", "sphere3", "sphere2", "spheroid"])
+    @pytest.mark.parametrize("M", [TORUS, S3, S2, SPHEROID, QUADRIC, GRAPH],
+                             ids=["torus", "sphere3", "sphere2", "spheroid",
+                                  "quadric411", "graph"])
     def test_finite_difference_chart(self, M, rng):
-        # charts without analytic derivatives take the same path through
-        # their differenced Hessian; it also checks the trig charts' exact
-        # derivatives against differences of their embedding
-        fd = fd_copy(M)
+        # the exact derivatives, and the Christoffel symbols built from them,
+        # agree with differences of the embedding
         pts = random_points(M, 20, rng)
-        np.testing.assert_allclose(fd.jacobian(0, pts), M.jacobian(0, pts),
-                                   rtol=0, atol=1e-8)
-        np.testing.assert_allclose(fd.hessian(0, pts), M.hessian(0, pts),
-                                   rtol=0, atol=1e-8)
-        np.testing.assert_allclose(fd.christoffel(0, pts), M.christoffel(0, pts),
-                                   rtol=0, atol=1e-8)
+        jac, hess = fd_jet(M, pts)
+        np.testing.assert_allclose(jac, M.jacobian(0, pts), rtol=0, atol=1e-8)
+        np.testing.assert_allclose(hess, M.hessian(0, pts), rtol=0, atol=1e-8)
+        np.testing.assert_allclose(_connection(jac, hess)[1],
+                                   M.christoffel(0, pts), rtol=0, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------

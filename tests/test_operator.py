@@ -157,6 +157,20 @@ class TestApplyOperator:
             assert not loc_rule.covers_atlas
             assert abs(v_loc - v_full) <= max(tail, 1e-12)
 
+    def test_nodes_wrapped_once(self, monkeypatch):
+        # one wrap serves the embedding and the density of a node set
+        from ckl.manifold import Chart
+        rule = build_full_rule(S3, order=16)
+        wrap, shapes = Chart.wrap, []
+
+        def counted(self, coords):
+            shapes.append(np.shape(coords))
+            return wrap(self, coords)
+
+        monkeypatch.setattr(Chart, "wrap", counted)
+        apply_operator(S3, const_one, ChartPoint(0, [1.0, 1.2, 0.5]), 0.05, rule)
+        assert shapes.count(rule.nodes.shape) == 1
+
 
 class TestTail:
     def test_tail_decays_faster_than_powers(self):
