@@ -287,13 +287,8 @@ def _symmetric(kappas):
     return e1, e2, e1 ** 2 - 4.0 * e2
 
 
-def _tol_eq(e1, tol_eq):
-    """The zero-set threshold: ``tol_eq``, by default ``1e-6 (1 + e1^2)``."""
-    return tol_eq if tol_eq is not None else 1e-6 * (1.0 + e1 ** 2)
-
-
 def _tolerances(e1, kappas, tol_eq):
-    tol_eq_arr = _tol_eq(e1, tol_eq)
+    tol_eq_arr = tol_eq if tol_eq is not None else 1e-6 * (1.0 + e1 ** 2)
     tol_umb_arr = 1e-6 * (1.0 + np.max(np.abs(kappas), axis=-1))
     return tol_eq_arr * np.ones_like(e1), tol_umb_arr
 
@@ -356,9 +351,12 @@ def _refine_zeros(M, shape, coords, residual, tol_arr, tol_eq, valid):
     Edges whose ends change sign (neither end below threshold) go through one
     Illinois pass over all axes at once; lines through a sub-threshold node
     get a golden-section dip search.  Candidates keep the per-axis order
-    (crossings, then dips) that clustering sees.
+    (crossings, then dips) that clustering sees.  A dip candidate carries the
+    threshold of the node that started its search; crossings and
+    boundary-snapped dips carry an infinite one.
     """
     res = residual.reshape(shape)
+    tols = tol_arr.reshape(shape)
     ok = valid.reshape(shape)
     near = (np.abs(res) <= tol_arr.reshape(shape)) & ok
     pts = coords.reshape(shape + (len(shape),))
@@ -380,10 +378,11 @@ def _refine_zeros(M, shape, coords, residual, tol_arr, tol_eq, valid):
         M, *(np.concatenate(parts) for parts in zip(*ends)))
     splits = np.cumsum([len(e[2]) for e in ends])[:-1]
 
-    refined: list[tuple[np.ndarray, bool, float]] = []
+    refined: list[tuple[np.ndarray, bool, float, float]] = []
     for axis, (z_axis, w_axis) in enumerate(zip(np.split(zeros, splits),
                                                 np.split(brackets, splits))):
-        refined.extend((z, False, float(w)) for z, w in zip(z_axis, w_axis))
+        refined.extend((z, False, float(w), np.inf)
+                       for z, w in zip(z_axis, w_axis))
         # sub-threshold dips: walk the minimum along this axis, out to the
         # domain boundary when the chart allows and the dip sits at the
         # first or last grid node
@@ -398,8 +397,10 @@ def _refine_zeros(M, shape, coords, residual, tol_arr, tol_eq, valid):
             line_sel[axis] = slice(None)
             line_sel = tuple(line_sel)
             line_res = np.where(ok[line_sel], np.abs(res[line_sel]), np.inf)
-            refined.append(_refine_on_line(M, axis, pts[line_sel],
-                                           int(np.argmin(line_res))))
+            j = int(np.argmin(line_res))
+            z, snapped, width = _refine_on_line(M, axis, pts[line_sel], j)
+            refined.append((z, snapped, width,
+                            np.inf if snapped else float(tols[line_sel][j])))
     return _cluster_refined(M, refined, tol_eq)
 
 
@@ -529,10 +530,10 @@ def _eval_floor(M, axis, probe, at_low):
 def _cluster_refined(M, refined, tol_eq):
     """Cluster refined points by ambient distance; keep best residual each.
 
-    ``refined`` holds ``(coords, snapped, bracket)`` candidates.  A candidate
-    whose trace-form residual is above the zero-set threshold (a dip search
-    that ended away from any zero) is dropped first.  Within the
-    rounding-noise band of the best trace-form residual, boundary-snapped
+    ``refined`` holds ``(coords, snapped, bracket, tol)`` candidates.  A
+    candidate whose trace-form residual is above both its ``tol`` and the
+    rounding-noise band is dropped first: a dip search that ended there found
+    no zero.  Within the rounding-noise band of the best trace-form residual, boundary-snapped
     candidates win (they carry the exact boundary coordinate); remaining ties
     break lexicographically for determinism.  Only the chosen representatives
     go through the eigensolve that reports their curvatures.
@@ -553,11 +554,14 @@ def _cluster_refined(M, refined, tol_eq):
             inset[row, i] = np.clip(inset[row, i], chart.lo[i] + floor,
                                     chart.hi[i] - floor)
     res, e1 = _trace_residual(M, inset)
-    keep = np.flatnonzero(np.abs(res) <= _tol_eq(e1, tol_eq))
+    noise = 1e-10 * (1.0 + e1 * e1)
+    keep = np.flatnonzero(
+        np.abs(res) <= np.maximum([r[3] for r in refined], noise))
     if not keep.size:
         return []
     refined = [refined[r] for r in keep]
-    clipped, inset, res, e1 = clipped[keep], inset[keep], res[keep], e1[keep]
+    clipped, inset, res, noise = (clipped[keep], inset[keep], res[keep],
+                                  noise[keep])
     ambient = M.embed(0, clipped)
     scale = np.max(np.abs(ambient)) + 1e-12
     radius = 1e-3 * scale
@@ -577,8 +581,7 @@ def _cluster_refined(M, refined, tol_eq):
         best_res = min(abs(res[r]) for r in cluster)
 
         def sort_key(r):
-            noise = 1e-10 * (1.0 + e1[r] * e1[r])
-            return (max(abs(res[r]) - max(best_res, noise), 0.0),
+            return (max(abs(res[r]) - max(best_res, noise[r]), 0.0),
                     0 if refined[r][1] else 1, tuple(clipped[r]))
 
         chosen.append(min(cluster, key=sort_key))

@@ -445,8 +445,12 @@ def _integrate_batch(M: EmbeddedManifold, ci: int, pos: np.ndarray,
         return -np.einsum("bkij,bi,bj->bk", gamma, v, v)
 
     def near_boundary(p, v):
-        """Rows whose RK stages could leave the open box, with a guard band
-        of ``1e-5 (1 + |coord|)``."""
+        """Rows whose RK stages or FD stencils could leave the open box.
+
+        The ``1e-5 (1 + |coord|)`` term only guarded finite-difference
+        stencils, which no chart uses now; it still truncates rows that
+        start within it.
+        """
         if not open_axes:
             return np.zeros(p.shape[0], dtype=bool)
         bad = np.zeros(p.shape[0], dtype=bool)

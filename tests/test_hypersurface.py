@@ -263,13 +263,27 @@ class TestRefinement:
         for z in scan.refined_zeros:
             assert abs(z.residual) <= 1e-6 * (1.0 + z.e1 ** 2)
 
+    @pytest.mark.parametrize("grid", [[4, 4, 4], [20, 20, 20]])
+    def test_small_tol_eq_keeps_refined_zeros(self, grid):
+        # the quadric's node residuals are exact zeros or far from zero, so a
+        # zero threshold starts the same searches and must report the same
+        # zeros: crossings and converged dips end at rounding level
+        def located(scan):
+            return [(tuple(z.point.coords), z.bracket)
+                    for z in scan.refined_zeros]
+        default = located(scan_equicurved(QUADRIC, grid))
+        assert located(scan_equicurved(QUADRIC, grid, tol_eq=0.0)) == default
+
     def test_spheroid_poles_snap_exactly(self):
-        scan = scan_equicurved(SPHEROID, [60, 30])
-        thetas = [float(z.point.coords[0]) for z in scan.refined_zeros]
-        assert thetas == [0.0, math.pi]
-        # a snapped zero's bracket is its evaluation floor: 1e-6 of the axis
-        for z in scan.refined_zeros:
-            assert z.bracket == pytest.approx(1e-6 * math.pi, rel=1e-12)
+        # a threshold far below the default still keeps the snapped poles
+        for tol_eq in (None, 1e-13):
+            scan = scan_equicurved(SPHEROID, [60, 30], tol_eq=tol_eq)
+            thetas = [float(z.point.coords[0]) for z in scan.refined_zeros]
+            assert thetas == [0.0, math.pi]
+            # a snapped zero's bracket is its evaluation floor: 1e-6 of the
+            # axis
+            for z in scan.refined_zeros:
+                assert z.bracket == pytest.approx(1e-6 * math.pi, rel=1e-12)
 
     def test_sphere3_degenerate_nodes(self):
         # 220 of the 1,210 nodes sit at the determinant floor: reported and
