@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .manifold import Chart, EmbeddedManifold
+from .manifold import Chart, EmbeddedManifold, as_coords
 
 TWO_PI = 2.0 * math.pi
 
@@ -68,11 +68,15 @@ def trig_chart(components: list[list[TrigTerm]], lo, hi, periodic,
                                      (hess, (n, d, d)))]
 
     def derivs(coords, orders):
-        coords = np.asarray(coords, dtype=float)
-        sin, cos, val = np.sin(coords), np.cos(coords), {}
-        for i, a, b, c in set().union(*(tables[k][2] for k in orders)):
+        coords = as_coords(coords)
+        factors = set().union(*(tables[k][2] for k in orders))
+        axes = {i for i, *_ in factors}
+        sin = {i: np.sin(coords[..., i]) for i in axes}
+        cos = {i: np.cos(coords[..., i]) for i in axes}
+        val = {}
+        for i, a, b, c in factors:
             # only nonzero parts: zeros keep their sign
-            parts = [w * t[..., i] for w, t in ((b, sin), (c, cos)) if w]
+            parts = [w * t[i] for w, t in ((b, sin), (c, cos)) if w]
             parts += [a] if a else []
             val[i, a, b, c] = sum(parts[1:], parts[0])
         out = []
@@ -105,7 +109,7 @@ class PolyTerms:
                 raise ValidationError(f"bad exponent tuple {alpha} for dim {dim}")
 
     def __call__(self, coords: np.ndarray) -> np.ndarray:
-        coords = np.asarray(coords, dtype=float)
+        coords = as_coords(coords)
         out = np.zeros(coords.shape[:-1])
         for c, alpha in self.terms:
             mono = np.full(coords.shape[:-1], c)
@@ -131,12 +135,15 @@ def graph_chart(poly: PolyTerms, halfwidth: float) -> Chart:
     grad, hess = poly.derivatives()
 
     def derivs(coords, orders):
-        coords = np.asarray(coords, dtype=float)
+        coords = as_coords(coords)
         out = []
         for k in orders:
             if k == 0:
-                out.append(np.concatenate([coords, poly(coords)[..., None]],
-                                          axis=-1))
+                emb = np.empty(coords.shape[:-1] + (d + 1,))
+                for i in range(d):
+                    emb[..., i] = coords[..., i]
+                emb[..., d] = poly(coords)
+                out.append(emb)
                 continue
             # rows 0..d-1 are the identity (order 1) or zero (order 2); row d
             # holds the derivatives of P
@@ -153,7 +160,7 @@ def graph_chart(poly: PolyTerms, halfwidth: float) -> Chart:
 
     def volume_element(coords):
         # sqrt(det g) = sqrt(1 + |grad P|^2) for the metric I + grad P grad P^T
-        coords = np.asarray(coords, dtype=float)
+        coords = as_coords(coords)
         sq = np.ones(coords.shape[:-1])
         for g in grad:
             sq += g(coords) ** 2

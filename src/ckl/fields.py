@@ -45,7 +45,7 @@ class ConstField(ScalarField):
         self.value = float(value)
 
     def __call__(self, coords, ambient):
-        return np.full(np.asarray(coords).shape[:-1], self.value)
+        return np.full(np.shape(coords)[:-1], self.value)
 
     def jet(self, coords, ambient, jac, hess):
         d = jac.shape[-1]
@@ -74,7 +74,7 @@ class ChartPolyField(ScalarField):
         self.grad, self.hess = self.poly.derivatives()
 
     def __call__(self, coords, ambient):
-        return self.poly(np.asarray(coords))
+        return self.poly(coords)
 
     def jet(self, coords, ambient, jac, hess):
         return (self.poly(coords), np.array([g(coords) for g in self.grad]),

@@ -36,7 +36,13 @@ import numpy as np
 from .errors import DegenerateChartError, NumericsError, ValidationError
 from .fields import ScalarField
 from .fit import first_order_check
-from .manifold import DET_FLOOR, ChartPoint, EmbeddedManifold, laplace_beltrami
+from .manifold import (
+    DET_FLOOR,
+    ChartPoint,
+    EmbeddedManifold,
+    TensorGrid,
+    laplace_beltrami,
+)
 from .operator import EpsLadder
 
 EIGEN_RESIDUAL_LIMIT = 1e-10
@@ -312,8 +318,7 @@ def scan_equicurved(M: EmbeddedManifold, grid: Sequence[int],
     if len(grid) != M.dim:
         raise ValidationError(f"grid needs {M.dim} axis counts, got {len(grid)}")
     axes = _grid_axes(M.chart(0), grid)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    coords = np.asarray(TensorGrid(axes)).reshape(-1, M.dim)
     grid_shape = tuple(len(a) for a in axes)
 
     try:

@@ -12,7 +12,11 @@ returns the embedding, its Jacobian and its Hessian on request
 (:meth:`Chart.jet`), plus a closed-form volume element ``sqrt(det g)``.
 
 All evaluation entry points accept batched coordinates with shape ``(..., d)``
-and return correspondingly batched results.  Geometry objects are immutable
+and return correspondingly batched results.  A :class:`TensorGrid` of shape
+``(n_0, ..., n_{d-1}, d)`` is accepted in their place: its columns
+``grid[..., i]`` are the axis arrays shaped to broadcast against each other,
+so the chart evaluates each axis's distinct values once and the results carry
+the grid's shape ``(n_0, ..., n_{d-1}, ...)``.  Geometry objects are immutable
 after construction; every operation is a pure function of its inputs.
 """
 
@@ -67,19 +71,55 @@ def _central_diff(fn: Callable, coords: np.ndarray, h: np.ndarray) -> np.ndarray
     return np.stack(cols, axis=-1)
 
 
+class TensorGrid:
+    """The tensor product of d axis arrays: an ij-ordered node set of shape
+    ``(n_0, ..., n_{d-1}, d)`` held by its axes.
+
+    ``grid[..., i]`` is axis i reshaped to broadcast against the other axes,
+    e.g. ``(n_0, 1, 1)`` for i = 0 of three.  ``np.asarray(grid)`` builds the
+    dense nodes, which the evaluation path never needs.
+    """
+
+    def __init__(self, axes: Sequence[np.ndarray]):
+        self.axes = tuple(np.asarray(a, dtype=float) for a in axes)
+        self.shape = tuple(a.size for a in self.axes) + (len(self.axes),)
+
+    def __getitem__(self, key) -> np.ndarray:
+        if not (isinstance(key, tuple) and len(key) == 2 and key[0] is Ellipsis):
+            raise TypeError("a TensorGrid is indexed by column: grid[..., i]")
+        i = range(len(self.axes))[key[1]]
+        shape = [1] * len(self.axes)
+        shape[i] = -1
+        return self.axes[i].reshape(shape)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("a TensorGrid has no dense array to view")
+        dense = np.stack(np.meshgrid(*self.axes, indexing="ij"), axis=-1)
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+
+def as_coords(coords) -> np.ndarray | TensorGrid:
+    """``coords`` as a float array; a :class:`TensorGrid` passes unchanged."""
+    if isinstance(coords, TensorGrid):
+        return coords
+    return np.asarray(coords, dtype=float)
+
+
 class Chart:
     """One parametrized patch: an embedding of a box in R^d into R^n.
 
     Parameters
     ----------
     derivs : callable
-        ``derivs(coords, orders)`` maps coordinates ``(..., d)`` to the list of
+        ``derivs(coords, orders)`` maps coordinates ``(..., d)``, an array or
+        a :class:`TensorGrid` whose columns it indexes, to the list of
         the embedding's derivative tensors of the requested orders, in that
         order: 0 is the embedding ``(..., n)``, 1 the Jacobian ``(..., n, d)``
         and 2 the Hessian ``(..., n, d, d)``.
     volume_element : callable
         Closed-form Riemannian volume element ``sqrt(det g)`` with shape
-        ``(...,)``.
+        ``(...,)``, or on a grid any shape that broadcasts to it.
     lo, hi : sequence of float
         Axis-aligned coordinate box.
     periodic : sequence of bool
@@ -106,22 +146,33 @@ class Chart:
 
     # -- domain helpers -----------------------------------------------------
 
-    def wrap(self, coords: np.ndarray) -> np.ndarray:
+    def _wrap_axis(self, i: int, col: np.ndarray) -> np.ndarray:
+        if not self.periodic[i]:
+            return col
+        return self.lo[i] + np.mod(col - self.lo[i], self.hi[i] - self.lo[i])
+
+    def wrap(self, coords):
+        """``coords`` with periodic axes mapped into the box: a copy of an
+        array, or a :class:`TensorGrid` wrapped per axis."""
+        if isinstance(coords, TensorGrid):
+            return TensorGrid([self._wrap_axis(i, a)
+                               for i, a in enumerate(coords.axes)])
         coords = np.array(coords, dtype=float, copy=True)
         for i, per in enumerate(self.periodic):
             if per:
-                width = self.hi[i] - self.lo[i]
-                coords[..., i] = self.lo[i] + np.mod(coords[..., i] - self.lo[i],
-                                                     width)
+                coords[..., i] = self._wrap_axis(i, coords[..., i])
         return coords
 
-    def contains(self, coords: np.ndarray) -> np.ndarray:
-        coords = np.asarray(coords, dtype=float)
-        ok = np.ones(coords.shape[:-1], dtype=bool)
+    def contains(self, coords) -> np.ndarray:
+        """Whether each point lies in the box on every non-periodic axis; a
+        read-only array of the batch shape."""
+        coords = as_coords(coords)
+        ok = np.ones((1,) * (len(coords.shape) - 1), dtype=bool)
         for i, per in enumerate(self.periodic):
             if not per:
-                ok &= (coords[..., i] >= self.lo[i]) & (coords[..., i] <= self.hi[i])
-        return ok
+                col = coords[..., i]
+                ok = ok & (col >= self.lo[i]) & (col <= self.hi[i])
+        return np.broadcast_to(ok, coords.shape[:-1])
 
     def require_inside(self, coords: np.ndarray):
         if not np.all(self.contains(coords)):
@@ -138,14 +189,18 @@ class Chart:
 
         No determinant floor is enforced: quadrature legitimately samples
         points where a chart degenerates (sphere poles) and the volume
-        element vanishes smoothly there.
+        element vanishes smoothly there.  On a :class:`TensorGrid` the
+        tensors have the grid's shape; a volume element that depends on fewer
+        axes is a broadcast view.
         """
         coords = self.wrap(coords)
         self.require_inside(coords)
         out = [np.asarray(t, dtype=float)
                for t in (self._derivs(coords, orders) if orders else ())]
         if volume:
-            out.append(np.asarray(self._volume_element(coords), dtype=float))
+            out.append(np.broadcast_to(
+                np.asarray(self._volume_element(coords), dtype=float),
+                coords.shape[:-1]))
         return (coords, *out)
 
 
@@ -430,6 +485,7 @@ def _integrate_batch(M: EmbeddedManifold, ci: int, pos: np.ndarray,
     Velocities keep their initial metric norm through per-step rescaling.
     Returns final positions, velocities and a boolean mask of rows that left
     the chart (integration stops for those rows at the last inside state).
+    No RK stage is evaluated outside the chart box.
     """
     chart = M.chart(ci)
     pos = np.array(pos, dtype=float)
@@ -438,26 +494,24 @@ def _integrate_batch(M: EmbeddedManifold, ci: int, pos: np.ndarray,
     dt = t_total / steps
     g0 = M.metric(ci, pos)
     speed0 = np.sqrt(np.einsum("bi,bij,bj->b", vel, g0, vel))
-    open_axes = [i for i, per in enumerate(chart.periodic) if not per]
+    # the box, unbounded along periodic axes
+    box_lo = np.where(chart.periodic, -np.inf, chart.lo)
+    box_hi = np.where(chart.periodic, np.inf, chart.hi)
 
-    def accel(p, v):
-        gamma = M.christoffel(ci, p)
+    def accel(p, v, escaped):
+        """The acceleration at RK stage positions ``p``.  A row whose stage
+        leaves the box is flagged in ``escaped`` and evaluated at the nearest
+        box point instead: a row moving away from an edge can still bend out
+        across it within one step."""
+        escaped |= np.any((p < box_lo) | (p > box_hi), axis=-1)
+        gamma = M.christoffel(ci, np.clip(p, box_lo, box_hi))
         return -np.einsum("bkij,bi,bj->bk", gamma, v, v)
 
     def near_boundary(p, v):
-        """Rows whose RK stages or FD stencils could leave the open box.
-
-        The ``1e-5 (1 + |coord|)`` term only guarded finite-difference
-        stencils, which no chart uses now; it still truncates rows that
-        start within it.
-        """
-        if not open_axes:
-            return np.zeros(p.shape[0], dtype=bool)
-        bad = np.zeros(p.shape[0], dtype=bool)
-        for i in open_axes:
-            margin = 1.5 * dt * np.abs(v[:, i]) + 1e-5 * (1.0 + np.abs(p[:, i]))
-            bad |= (p[:, i] - chart.lo[i] < margin) | (chart.hi[i] - p[:, i] < margin)
-        return bad
+        """Rows within ``1.5 dt |v_i|`` of the edge that some axis i moves
+        toward, whose next step would leave the box."""
+        gap = np.where(v < 0, p - box_lo, box_hi - p)
+        return np.any(gap < 1.5 * dt * np.abs(v), axis=-1)
 
     for _ in range(steps):
         if not np.any(alive):
@@ -469,14 +523,17 @@ def _integrate_batch(M: EmbeddedManifold, ci: int, pos: np.ndarray,
             if not np.any(alive):
                 break
         p, v = pos[alive], vel[alive]
-        k1p, k1v = v, accel(p, v)
-        k2p, k2v = v + 0.5 * dt * k1v, accel(p + 0.5 * dt * k1p, v + 0.5 * dt * k1v)
-        k3p, k3v = v + 0.5 * dt * k2v, accel(p + 0.5 * dt * k2p, v + 0.5 * dt * k2v)
-        k4p, k4v = v + dt * k3v, accel(p + dt * k3p, v + dt * k3v)
+        esc = np.zeros(p.shape[0], dtype=bool)
+        k1p, k1v = v, accel(p, v, esc)
+        k2p, k2v = (v + 0.5 * dt * k1v,
+                    accel(p + 0.5 * dt * k1p, v + 0.5 * dt * k1v, esc))
+        k3p, k3v = (v + 0.5 * dt * k2v,
+                    accel(p + 0.5 * dt * k2p, v + 0.5 * dt * k2v, esc))
+        k4p, k4v = v + dt * k3v, accel(p + dt * k3p, v + dt * k3v, esc)
         p_new = p + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
         v_new = v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
         p_new = chart.wrap(p_new)
-        inside = chart.contains(p_new)
+        inside = chart.contains(p_new) & ~esc
         idx = np.where(alive)[0]
         if np.any(inside):
             ok = idx[inside]

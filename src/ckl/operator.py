@@ -7,6 +7,8 @@ restricted to a chart-coordinate box around the geodesic ball of radius
 window is controlled by an explicit far-field bound reported alongside the
 value.  Non-periodic axes use tensor Gauss-Legendre nodes, full periodic axes
 use the trapezoid rule (spectrally accurate for smooth periodic integrands).
+A rule holds its nodes as a :class:`TensorGrid` of per-axis arrays, so the
+geometry is evaluated per axis and broadcast, never on dense ``(N, d)`` nodes.
 
 Non-compact chart-defined manifolds (polynomial graphs) are integrated over
 the compact closure of their chart boxes; volume and sup-norm figures used in
@@ -17,12 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache, reduce
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .manifold import ChartPoint, EmbeddedManifold
+from .manifold import ChartPoint, EmbeddedManifold, TensorGrid
 
 DEFAULT_ORDER = 64
 _COARSE_RES = 33
@@ -48,18 +52,30 @@ def k_eps(x: np.ndarray, y: np.ndarray, eps: float, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """One tensor-product rule in the manifold's only chart: nodes ``(N, d)``
-    and weights ``(N,)`` over the whole chart box (``covers_atlas``) or over
-    ``window``.  A window kept where the injectivity cap binds excludes
-    kernel mass of at most 1e-6 by the far-field bound."""
-    nodes: np.ndarray
+    """One tensor-product rule in the manifold's only chart, over the whole
+    chart box (``covers_atlas``) or over ``window``.  ``nodes`` is a
+    :class:`TensorGrid` of shape ``(n_0, ..., n_{d-1}, d)``, held as its
+    per-axis node arrays, and ``weights`` the outer product of the per-axis
+    weights, of shape ``(n_0, ..., n_{d-1})``.  A window kept where the
+    injectivity cap binds excludes kernel mass of at most 1e-6 by the
+    far-field bound."""
+    nodes: TensorGrid
     weights: np.ndarray
     localized_radius: float | None
     covers_atlas: bool
     window: tuple[np.ndarray, np.ndarray] | None = None
 
     def node_count(self) -> int:
-        return self.nodes.shape[0]
+        return math.prod(self.nodes.shape[:-1])
+
+
+@cache
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
+    rule = np.polynomial.legendre.leggauss(order)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def _axis_rule(lo: float, hi: float, periodic_full: bool, order: int):
@@ -69,21 +85,18 @@ def _axis_rule(lo: float, hi: float, periodic_full: bool, order: int):
         nodes = lo + (hi - lo) * np.arange(order) / order
         weights = np.full(order, (hi - lo) / order)
         return nodes, weights
-    base, w = np.polynomial.legendre.leggauss(order)
+    base, w = _gauss_legendre(order)
     nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * base
     weights = 0.5 * (hi - lo) * w
     return nodes, weights
 
 
-def _tensor_nodes(axes: list[tuple[np.ndarray, np.ndarray]]
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    nodes = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-    weights = np.ones(nodes.shape[0])
-    for w in wgrids:
-        weights = weights * w.reshape(-1)
-    return nodes, weights
+def _tensor_rule(axes: list[tuple[np.ndarray, np.ndarray]]
+                 ) -> tuple[TensorGrid, np.ndarray]:
+    """The node grid and the weights' outer product, multiplied axis by axis
+    from axis 0."""
+    nodes, weights = (TensorGrid(a) for a in zip(*axes))
+    return nodes, reduce(mul, (weights[..., i] for i in range(len(axes))), 1.0)
 
 
 def build_full_rule(M: EmbeddedManifold, order: int = DEFAULT_ORDER,
@@ -94,7 +107,7 @@ def build_full_rule(M: EmbeddedManifold, order: int = DEFAULT_ORDER,
     for i in range(chart.dim):
         n_i = axis_orders[i] if axis_orders is not None else order
         axes.append(_axis_rule(chart.lo[i], chart.hi[i], chart.periodic[i], n_i))
-    return QuadratureRule(*_tensor_nodes(axes), localized_radius=None,
+    return QuadratureRule(*_tensor_rule(axes), localized_radius=None,
                           covers_atlas=True)
 
 
@@ -157,7 +170,7 @@ def build_localized_rule(M: EmbeddedManifold, x: ChartPoint, eps: float,
         return replace(build_full_rule(M, order), localized_radius=radius)
     lo = np.array([w[0] for w in window])
     hi = np.array([w[1] for w in window])
-    windowed = QuadratureRule(*_tensor_nodes(axes), localized_radius=radius,
+    windowed = QuadratureRule(*_tensor_rule(axes), localized_radius=radius,
                               covers_atlas=False, window=(lo, hi))
     if raw_radius < M.delta:
         return windowed
@@ -217,8 +230,7 @@ def _coarse_grid(M: EmbeddedManifold):
         else:
             inset = 1e-3 * (hi_i - lo_i)
             axes.append(np.linspace(lo_i + inset, hi_i - inset, _COARSE_RES))
-    grids = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([g.reshape(-1) for g in grids], axis=-1)
+    coords = np.asarray(TensorGrid(axes)).reshape(-1, chart.dim)
     M._coarse_grid_cache = (coords, M.embed(0, coords))
     return M._coarse_grid_cache
 

@@ -447,6 +447,37 @@ class TestGeodesics:
                               np.array([1.0, 0.0, 0.0]), 0.9, steps=300)
         assert path.truncated
 
+    @pytest.mark.parametrize("offset", [1e-4, 2e-5, 5e-6])
+    def test_inward_start_near_edge_not_truncated(self, offset):
+        path = geodesic_shoot(PLANE, ChartPoint(0, [-2.0 + offset, 0.0]),
+                              np.array([1.0, 0.0]), 0.5)
+        assert not path.truncated
+        np.testing.assert_allclose(path.final.chart_position.coords,
+                                   [-1.5 + offset, 0.0], atol=1e-12)
+
+    def test_outward_near_edge_truncated(self):
+        path = geodesic_shoot(PLANE, ChartPoint(0, [2.0 - 1e-4, 0.0]),
+                              np.array([1.0, 0.0]), 0.5)
+        assert path.truncated
+        assert path.final.chart_position.coords[0] <= 2.0
+
+    def test_rk_stages_stay_in_box(self, monkeypatch):
+        # on the saddle z = x^2 - y^2 a geodesic along the edge x = 1 bends
+        # outward within one step: it is truncated, and no stage leaves the box
+        M = load_manifold_text("type=graph d=2 poly=1:(2,0),-1:(0,2) box=1.0")
+        chart, christoffel, stages = M.charts[0], M.christoffel, []
+
+        def recorded(ci, coords):
+            stages.append(np.array(coords))
+            return christoffel(ci, coords)
+
+        monkeypatch.setattr(M, "christoffel", recorded)
+        for start, heading in (([1.0, 0.0], [0.0, 1.0]), ([0.99, 0.0], [0.0, 1.0]),
+                               ([1.0 - 1e-4, 0.0], [1.0, 0.0])):
+            path = geodesic_shoot(M, ChartPoint(0, start), np.array(heading), 0.5)
+            assert path.truncated
+        assert all(np.all(chart.contains(p)) for p in stages)
+
     def test_bad_direction_rejected(self):
         with pytest.raises(ValidationError):
             geodesic_shoot(S2, EQUATOR, np.array([1.0, 1.0]), 0.5)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ckl import NumericsError, ValidationError
-from ckl.catalog import catalog_manifold
+from ckl.catalog import catalog_manifold, load_manifold_text
+from ckl.fields import AmbientCoordField, ChartPolyField, ConstField
 from ckl.manifold import ChartPoint
 from ckl.operator import (
     EpsLadder,
@@ -170,6 +171,128 @@ class TestApplyOperator:
         monkeypatch.setattr(Chart, "wrap", counted)
         apply_operator(S3, const_one, ChartPoint(0, [1.0, 1.2, 0.5]), 0.05, rule)
         assert shapes.count(rule.nodes.shape) == 1
+
+
+class TestTensorGrid:
+    """Evaluating a rule per axis gives the dense nodes' values bit for bit."""
+
+    GRAPH = load_manifold_text(
+        "type=graph d=2 poly=0.3:(1,1),0.2:(3,0),-0.4:(0,2) box=1.0")
+    CASES = {"sphere2": (S2, [math.pi / 2, 1.0]),
+             "sphere3": (S3, [1.0, 1.2, 0.5]),
+             # u = 0.05: the window straddles the period seam at u = 0
+             "torus": (TORUS, [0.05, 0.3]),
+             "spheroid": (SPHEROID, [1.1, 0.4]),
+             "plane": (PLANE, [0.1, -0.2]),
+             "quadric411": (QUADRIC, [0.1, 0.0, -0.05]),
+             "graph": (GRAPH, [0.3, -0.5])}
+
+    @staticmethod
+    def rules(M, point):
+        full = build_full_rule(M, order=12)
+        windowed = build_localized_rule(M, ChartPoint(0, point), 1e-4, order=12)
+        assert full.covers_atlas and not windowed.covers_atlas
+        return full, windowed
+
+    def test_grid_shape_and_columns(self):
+        rule = build_full_rule(S3, order=4)
+        grid = rule.nodes
+        assert grid.shape == np.shape(grid) == (4, 4, 4, 3)
+        assert rule.weights.shape == (4, 4, 4)
+        assert rule.node_count() == 64
+        assert grid[..., 0].shape == (4, 1, 1) and grid[..., -1].shape == (1, 1, 4)
+        dense = np.asarray(grid)
+        assert dense.shape == grid.shape
+        for i in range(3):
+            np.testing.assert_array_equal(np.broadcast_to(grid[..., i], (4, 4, 4)),
+                                          dense[..., i])
+        np.testing.assert_array_equal(np.ascontiguousarray(grid, dtype=float), dense)
+        with pytest.raises(TypeError):
+            grid[0]
+
+    def test_torus_window_straddles_seam(self):
+        _, windowed = self.rules(TORUS, self.CASES["torus"][1])
+        assert windowed.window[0][0] < 0.0 < windowed.window[1][0]
+        assert np.min(windowed.nodes.axes[0]) < 0.0
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_jet_and_fields_match_dense_nodes(self, name):
+        M, point = self.CASES[name]
+        chart = M.charts[0]
+        fields = (ConstField(1.5), AmbientCoordField(M.ambient_dim, M.ambient_dim),
+                  ChartPolyField("0.5*x1*x2-2*x1^2+x2^3", M.dim))
+        for rule in self.rules(M, point):
+            grid_jet = chart.jet(rule.nodes, (0, 1, 2), volume=True)
+            dense_jet = chart.jet(np.asarray(rule.nodes), (0, 1, 2), volume=True)
+            np.testing.assert_array_equal(np.asarray(grid_jet[0]), dense_jet[0])
+            for grid_t, dense_t in zip(grid_jet[1:], dense_jet[1:]):
+                assert grid_t.shape == dense_t.shape
+                np.testing.assert_array_equal(grid_t, dense_t)
+            for f in fields:
+                np.testing.assert_array_equal(
+                    np.broadcast_to(f(grid_jet[0], grid_jet[1]), rule.weights.shape),
+                    f(dense_jet[0], dense_jet[1]))
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_volume_matches_dense_sum(self, name):
+        M = self.CASES[name][0]
+        rule = build_full_rule(M, order=96)
+        dense = np.asarray(rule.nodes).reshape(-1, M.dim)
+        total = float(np.sum(rule.weights.reshape(-1) * M.sqrt_det_metric(0, dense)))
+        assert M.volume() == total
+
+    def test_weights_are_the_axis_product(self):
+        # the weights multiply axis by axis from axis 0, as a flat product would
+        from ckl.operator import _axis_rule
+        axes = [_axis_rule(0.0, math.pi, False, 5), _axis_rule(0.0, math.pi, False, 6),
+                _axis_rule(0.0, 2 * math.pi, True, 7)]
+        flat = np.ones(5 * 6 * 7)
+        for w in np.meshgrid(*[a[1] for a in axes], indexing="ij"):
+            flat = flat * w.reshape(-1)
+        rule = build_full_rule(S3, axis_orders=(5, 6, 7))
+        np.testing.assert_array_equal(rule.weights.reshape(-1), flat)
+
+    def test_gauss_legendre_cache_is_read_only(self):
+        from ckl.operator import _gauss_legendre
+        base, w = _gauss_legendre(16)
+        assert _gauss_legendre(16)[0] is base
+        np.testing.assert_array_equal(base, np.polynomial.legendre.leggauss(16)[0])
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+
+
+class TestBenchmarkTracer:
+    """The benchmark's tracer counts a rule's nodes from its TensorGrid."""
+
+    @pytest.fixture(scope="class")
+    def tracer(self):
+        import importlib.util
+        import sys
+        from pathlib import Path
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module
+        try:
+            spec.loader.exec_module(module)
+            yield module
+        finally:
+            del sys.modules[spec.name]
+
+    def test_targets_resolve(self, tracer):
+        tracer.check_targets()
+
+    def test_rows_and_node_set(self, tracer):
+        import hashlib
+        rule = build_localized_rule(S3, ChartPoint(0, [1.0, 1.2, 0.5]), 1e-3,
+                                    order=8)
+        assert tracer._rows(rule.nodes) == rule.node_count() == 512
+        counts = tracer._node_set({"ci": 0, "coords": rule.nodes}, None)
+        assert counts["rows"] == 512
+        (key,) = counts["node_sets"]
+        grids = np.meshgrid(*rule.nodes.axes, indexing="ij")
+        dense = np.stack([g.reshape(-1) for g in grids], axis=-1)
+        assert key[2] == hashlib.blake2b(dense.tobytes(), digest_size=16).digest()
 
 
 class TestTail:
