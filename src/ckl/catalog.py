@@ -53,7 +53,9 @@ def trig_chart(components: list[list[TrigTerm]], lo, hi, periodic,
     """A chart with exact derivatives whose embedding components are trig terms.
 
     Its derivative closure evaluates the sinusoid factors of the requested
-    orders once, as a table, and multiplies out only those orders' tensors.
+    orders once, as a table, and multiplies out only those orders' tensors;
+    the embedding is returned as its component columns, each broadcast over
+    the axes its factors use.
     ``volume_element`` is the chart's closed-form ``sqrt(det g)``; the catalog
     coordinates are orthogonal, so it is the product of the lengths of the
     coordinate vectors.
@@ -79,15 +81,22 @@ def trig_chart(components: list[list[TrigTerm]], lo, hi, periodic,
             parts = [w * t[i] for w, t in ((b, sin), (c, cos)) if w]
             parts += [a] if a else []
             val[i, a, b, c] = sum(parts[1:], parts[0])
+
+        def entry(terms):
+            values = [reduce(mul, (val[(i, *abc)] for i, abc in fs.items()), coef)
+                      for coef, fs in terms]
+            return sum(values[1:], values[0])
+
         out = []
         for k in orders:
             entries, shape, _ = tables[k]
+            if k == 0:
+                out.append([entry(terms) for terms in entries])
+                continue
             tensor = np.zeros(coords.shape[:-1] + (len(entries),))
             for e, terms in enumerate(entries):
                 if terms:
-                    values = [reduce(mul, (val[(i, *abc)] for i, abc in fs.items()),
-                                     coef) for coef, fs in terms]
-                    tensor[..., e] = sum(values[1:], values[0])
+                    tensor[..., e] = entry(terms)
             out.append(tensor.reshape(coords.shape[:-1] + shape))
         return out
 
@@ -108,15 +117,17 @@ class PolyTerms:
             if len(alpha) != dim or any(e < 0 for e in alpha):
                 raise ValidationError(f"bad exponent tuple {alpha} for dim {dim}")
 
-    def __call__(self, coords: np.ndarray) -> np.ndarray:
+    def __call__(self, coords: np.ndarray) -> np.ndarray | float:
+        """P at ``coords``, broadcast only over the axes its monomials use: a
+        monomial starts from its coefficient, and the polynomial from 0."""
         coords = as_coords(coords)
-        out = np.zeros(coords.shape[:-1])
+        out = 0.0
         for c, alpha in self.terms:
-            mono = np.full(coords.shape[:-1], c)
+            mono = c
             for i, e in enumerate(alpha):
                 if e:
                     mono = mono * coords[..., i] ** e
-            out += mono
+            out = out + mono
         return out
 
     def derivatives(self) -> tuple[list["PolyTerms"], list[list["PolyTerms"]]]:
@@ -139,11 +150,7 @@ def graph_chart(poly: PolyTerms, halfwidth: float) -> Chart:
         out = []
         for k in orders:
             if k == 0:
-                emb = np.empty(coords.shape[:-1] + (d + 1,))
-                for i in range(d):
-                    emb[..., i] = coords[..., i]
-                emb[..., d] = poly(coords)
-                out.append(emb)
+                out.append([coords[..., i] for i in range(d)] + [poly(coords)])
                 continue
             # rows 0..d-1 are the identity (order 1) or zero (order 2); row d
             # holds the derivatives of P
@@ -161,9 +168,9 @@ def graph_chart(poly: PolyTerms, halfwidth: float) -> Chart:
     def volume_element(coords):
         # sqrt(det g) = sqrt(1 + |grad P|^2) for the metric I + grad P grad P^T
         coords = as_coords(coords)
-        sq = np.ones(coords.shape[:-1])
+        sq = 1.0
         for g in grad:
-            sq += g(coords) ** 2
+            sq = sq + g(coords) ** 2
         return np.sqrt(sq)
 
     return Chart(derivs, volume_element, lo=[-halfwidth] * d, hi=[halfwidth] * d,

@@ -1,10 +1,13 @@
 """Scalar fields on manifolds and their command-line descriptions.
 
 A field is a callable ``f(coords, ambient) -> values`` evaluated in batch at
-chart coordinates with their embedded ambient positions.  It also supplies its
-value and exact chart derivatives at one point (:meth:`ScalarField.jet`), from
-which the Laplace-Beltrami operator is computed without differencing.  The
-text forms:
+chart coordinates with their embedded ambient positions, either arrays or the
+broadcast columns of a :class:`~ckl.manifold.TensorGrid`, which it indexes as
+``ambient[..., i]``.  Its values broadcast to the batch shape: a field that
+depends on fewer axes, or on none, returns a smaller array or a scalar.  It
+also supplies its value and exact chart derivatives at one point
+(:meth:`ScalarField.jet`), from which the Laplace-Beltrami operator is
+computed without differencing.  The text forms:
 
     const:<c>        constant field (alias: const1)
     ambient:<i>      restriction of the i-th ambient coordinate (1-based)
@@ -45,7 +48,7 @@ class ConstField(ScalarField):
         self.value = float(value)
 
     def __call__(self, coords, ambient):
-        return np.full(np.shape(coords)[:-1], self.value)
+        return self.value
 
     def jet(self, coords, ambient, jac, hess):
         d = jac.shape[-1]
@@ -61,7 +64,7 @@ class AmbientCoordField(ScalarField):
         self.index = index - 1
 
     def __call__(self, coords, ambient):
-        return np.asarray(ambient)[..., self.index]
+        return ambient[..., self.index]
 
     def jet(self, coords, ambient, jac, hess):
         return ambient[self.index], jac[self.index], hess[self.index]

@@ -149,8 +149,7 @@ def compare_closed_form(M: EmbeddedManifold, f: ScalarField, x: ChartPoint,
     """
     if len(fitted.coefficients) < 2:
         raise ValidationError("fit must provide at least a_0 and a_1")
-    coords = np.asarray(x.coords)[None, :]
-    a0_ref = float(np.asarray(f(coords, M.embed(x.chart, coords)))[0])
+    a0_ref = float(f(x.coords, M.embed(x.chart, x.coords)))
     a1_ref = a1_closed_form(M, f, x)
     a0_hat, a1_hat = fitted.coefficients[0], fitted.coefficients[1]
     a0_err = abs(a0_hat - a0_ref)

@@ -318,7 +318,7 @@ def scan_equicurved(M: EmbeddedManifold, grid: Sequence[int],
     if len(grid) != M.dim:
         raise ValidationError(f"grid needs {M.dim} axis counts, got {len(grid)}")
     axes = _grid_axes(M.chart(0), grid)
-    coords = np.asarray(TensorGrid(axes)).reshape(-1, M.dim)
+    coords = np.asarray(TensorGrid.product(axes)).reshape(-1, M.dim)
     grid_shape = tuple(len(a) for a in axes)
 
     try:

@@ -15,9 +15,11 @@ All evaluation entry points accept batched coordinates with shape ``(..., d)``
 and return correspondingly batched results.  A :class:`TensorGrid` of shape
 ``(n_0, ..., n_{d-1}, d)`` is accepted in their place: its columns
 ``grid[..., i]`` are the axis arrays shaped to broadcast against each other,
-so the chart evaluates each axis's distinct values once and the results carry
-the grid's shape ``(n_0, ..., n_{d-1}, ...)``.  Geometry objects are immutable
-after construction; every operation is a pure function of its inputs.
+so the chart evaluates each axis's distinct values once.  The embedding of a
+grid stays a :class:`TensorGrid` of broadcast component columns; the other
+results carry the grid's shape ``(n_0, ..., n_{d-1}, ...)``.  Geometry objects
+are immutable after construction; every operation is a pure function of its
+inputs.
 """
 
 from __future__ import annotations
@@ -71,31 +73,48 @@ def _central_diff(fn: Callable, coords: np.ndarray, h: np.ndarray) -> np.ndarray
     return np.stack(cols, axis=-1)
 
 
-class TensorGrid:
-    """The tensor product of d axis arrays: an ij-ordered node set of shape
-    ``(n_0, ..., n_{d-1}, d)`` held by its axes.
+def _stack(columns, batch: tuple[int, ...]) -> np.ndarray:
+    """The dense ``(*batch, k)`` array of k columns that broadcast to ``batch``."""
+    dense = np.empty(tuple(batch) + (len(columns),))
+    for i, col in enumerate(columns):
+        dense[..., i] = col
+    return dense
 
-    ``grid[..., i]`` is axis i reshaped to broadcast against the other axes,
-    e.g. ``(n_0, 1, 1)`` for i = 0 of three.  ``np.asarray(grid)`` builds the
-    dense nodes, which the evaluation path never needs.
+
+class TensorGrid:
+    """A batch of k-vectors of shape ``(*batch, k)`` held as k broadcast
+    columns, each only as large as the axes it depends on.
+
+    A tensor-product node set (:meth:`product`) holds axis i of d as
+    ``(1, ..., n_i, ..., 1)``; the embedding :meth:`Chart.jet` returns on it
+    holds each ambient component with the shape of its values, so a graph
+    chart's ``s_i`` stay the node axes and only ``P(s)`` is dense.
+    ``grid[..., i]`` is column i.  ``np.asarray(grid)`` stacks the dense
+    array, which the quadrature path never needs.
     """
 
-    def __init__(self, axes: Sequence[np.ndarray]):
-        self.axes = tuple(np.asarray(a, dtype=float) for a in axes)
-        self.shape = tuple(a.size for a in self.axes) + (len(self.axes),)
+    def __init__(self, columns: Sequence, batch: tuple[int, ...] = ()):
+        self.columns = tuple(np.asarray(c, dtype=float) for c in columns)
+        self.shape = (np.broadcast_shapes(tuple(batch),
+                                          *(c.shape for c in self.columns))
+                      + (len(self.columns),))
+
+    @classmethod
+    def product(cls, axes: Sequence[np.ndarray]) -> "TensorGrid":
+        """The ij-ordered tensor product of d 1-D axis arrays."""
+        d = len(axes)
+        return cls([np.asarray(a, dtype=float).reshape(
+            [-1 if j == i else 1 for j in range(d)]) for i, a in enumerate(axes)])
 
     def __getitem__(self, key) -> np.ndarray:
         if not (isinstance(key, tuple) and len(key) == 2 and key[0] is Ellipsis):
             raise TypeError("a TensorGrid is indexed by column: grid[..., i]")
-        i = range(len(self.axes))[key[1]]
-        shape = [1] * len(self.axes)
-        shape[i] = -1
-        return self.axes[i].reshape(shape)
+        return self.columns[key[1]]
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         if copy is False:
             raise ValueError("a TensorGrid has no dense array to view")
-        dense = np.stack(np.meshgrid(*self.axes, indexing="ij"), axis=-1)
+        dense = _stack(self.columns, self.shape[:-1])
         return dense if dtype is None else dense.astype(dtype, copy=False)
 
 
@@ -114,9 +133,10 @@ class Chart:
     derivs : callable
         ``derivs(coords, orders)`` maps coordinates ``(..., d)``, an array or
         a :class:`TensorGrid` whose columns it indexes, to the list of
-        the embedding's derivative tensors of the requested orders, in that
-        order: 0 is the embedding ``(..., n)``, 1 the Jacobian ``(..., n, d)``
-        and 2 the Hessian ``(..., n, d, d)``.
+        the embedding's derivatives of the requested orders, in that order:
+        0 is the embedding as its n component columns, each of any shape that
+        broadcasts to ``(...)``, 1 the Jacobian ``(..., n, d)`` and 2 the
+        Hessian ``(..., n, d, d)``.
     volume_element : callable
         Closed-form Riemannian volume element ``sqrt(det g)`` with shape
         ``(...,)``, or on a grid any shape that broadcasts to it.
@@ -155,8 +175,8 @@ class Chart:
         """``coords`` with periodic axes mapped into the box: a copy of an
         array, or a :class:`TensorGrid` wrapped per axis."""
         if isinstance(coords, TensorGrid):
-            return TensorGrid([self._wrap_axis(i, a)
-                               for i, a in enumerate(coords.axes)])
+            return TensorGrid([self._wrap_axis(i, coords[..., i])
+                               for i in range(self.dim)], coords.shape[:-1])
         coords = np.array(coords, dtype=float, copy=True)
         for i, per in enumerate(self.periodic):
             if per:
@@ -189,18 +209,23 @@ class Chart:
 
         No determinant floor is enforced: quadrature legitimately samples
         points where a chart degenerates (sphere poles) and the volume
-        element vanishes smoothly there.  On a :class:`TensorGrid` the
-        tensors have the grid's shape; a volume element that depends on fewer
-        axes is a broadcast view.
+        element vanishes smoothly there.  On an array the embedding (order 0)
+        is stacked to ``(..., n)``.  On a :class:`TensorGrid` it stays a
+        :class:`TensorGrid` of its component columns, each only as large as
+        the axes it depends on; the Jacobian and Hessian have the grid's
+        shape, and a volume element that depends on fewer axes is a
+        broadcast view.
         """
         coords = self.wrap(coords)
         self.require_inside(coords)
-        out = [np.asarray(t, dtype=float)
-               for t in (self._derivs(coords, orders) if orders else ())]
+        batch = coords.shape[:-1]
+        embed = TensorGrid if isinstance(coords, TensorGrid) else _stack
+        out = [np.asarray(t, dtype=float) if k else embed(t, batch)
+               for k, t in zip(orders,
+                               self._derivs(coords, orders) if orders else ())]
         if volume:
             out.append(np.broadcast_to(
-                np.asarray(self._volume_element(coords), dtype=float),
-                coords.shape[:-1]))
+                np.asarray(self._volume_element(coords), dtype=float), batch))
         return (coords, *out)
 
 

@@ -9,6 +9,13 @@ value.  Non-periodic axes use tensor Gauss-Legendre nodes, full periodic axes
 use the trapezoid rule (spectrally accurate for smooth periodic integrands).
 A rule holds its nodes as a :class:`TensorGrid` of per-axis arrays, so the
 geometry is evaluated per axis and broadcast, never on dense ``(N, d)`` nodes.
+The embedding of the nodes stays a :class:`TensorGrid` too: each ambient
+component is a broadcast column only as large as the axes it depends on (a
+graph chart's ``s_i`` are the node axes and only ``P(s)`` is dense), and the
+kernel sums the chord ``|y - x|^2`` one component at a time, left to right.
+For an ambient dimension below 8 that is the order in which numpy reduces a
+last axis, so the values are those of ``np.sum((y - x) ** 2, axis=-1)`` on
+the stacked array, bit for bit.
 
 Non-compact chart-defined manifolds (polynomial graphs) are integrated over
 the compact closure of their chart boxes; volume and sup-norm figures used in
@@ -26,23 +33,41 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .manifold import ChartPoint, EmbeddedManifold, TensorGrid
+from .manifold import ChartPoint, EmbeddedManifold, TensorGrid, as_coords
 
 DEFAULT_ORDER = 64
 _COARSE_RES = 33
 
 
-def k_eps(x: np.ndarray, y: np.ndarray, eps: float, d: int) -> np.ndarray:
+def _require_bandwidth(eps: float) -> None:
+    """Refuse a bandwidth unless ``0 < eps < inf`` (NaN fails too)."""
+    if not 0.0 < eps < math.inf:
+        raise ValidationError(f"eps must be positive and finite, got {eps:g}")
+
+
+def _chord_sq(x: np.ndarray, y) -> np.ndarray:
+    """``|y - x|^2`` of an array or :class:`TensorGrid` ``y``, summed one
+    ambient component at a time, left to right (see :func:`k_eps`)."""
+    dist_sq = (y[..., 0] - x[..., 0]) ** 2
+    for i in range(1, y.shape[-1]):
+        dist_sq = dist_sq + (y[..., i] - x[..., i]) ** 2
+    return dist_sq
+
+
+def k_eps(x: np.ndarray, y, eps: float, d: int) -> np.ndarray:
     """Gaussian kernel (4 pi eps)^(-d/2) exp(-|y-x|^2 / (4 eps)).
 
     Normalization uses the intrinsic dimension ``d``, not the ambient one.
-    Broadcasts over leading axes of ``y``.
+    Broadcasts over leading axes of ``y``, an array ``(..., n)`` or the
+    embedding of a rule's nodes as a :class:`TensorGrid` of component
+    columns.  Arrays and columns take one path: the chord is summed one
+    component at a time, left to right, so no ``(..., n)`` difference array
+    is formed; for n < 8 that is numpy's own order for a last-axis sum, and
+    the values are bit-identical to summing the stacked array.  ``eps``
+    must satisfy ``0 < eps < inf``.
     """
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    dist_sq = np.sum((y - x) ** 2, axis=-1)
+    _require_bandwidth(eps)
+    dist_sq = _chord_sq(np.asarray(x, dtype=float), as_coords(y))
     return (4.0 * math.pi * eps) ** (-d / 2.0) * np.exp(-dist_sq / (4.0 * eps))
 
 
@@ -95,7 +120,7 @@ def _tensor_rule(axes: list[tuple[np.ndarray, np.ndarray]]
                  ) -> tuple[TensorGrid, np.ndarray]:
     """The node grid and the weights' outer product, multiplied axis by axis
     from axis 0."""
-    nodes, weights = (TensorGrid(a) for a in zip(*axes))
+    nodes, weights = (TensorGrid.product(a) for a in zip(*axes))
     return nodes, reduce(mul, (weights[..., i] for i in range(len(axes))), 1.0)
 
 
@@ -135,8 +160,7 @@ def build_localized_rule(M: EmbeddedManifold, x: ChartPoint, eps: float,
     spacing resolves the kernel width; this only happens at large bandwidths,
     where the escalation stays cheap.
     """
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
+    _require_bandwidth(eps)
     raw_radius = 8.0 * math.sqrt(eps * max(1.0, math.log(1.0 / eps)))
     radius = min(M.delta, raw_radius)
     chart = M.chart(x.chart)
@@ -230,8 +254,8 @@ def _coarse_grid(M: EmbeddedManifold):
         else:
             inset = 1e-3 * (hi_i - lo_i)
             axes.append(np.linspace(lo_i + inset, hi_i - inset, _COARSE_RES))
-    coords = np.asarray(TensorGrid(axes)).reshape(-1, chart.dim)
-    M._coarse_grid_cache = (coords, M.embed(0, coords))
+    grid = TensorGrid.product(axes)
+    M._coarse_grid_cache = (grid, M.embed(0, grid))
     return M._coarse_grid_cache
 
 
@@ -243,17 +267,19 @@ def _excluded_min_distance(M: EmbeddedManifold, x0: np.ndarray,
     coords, embeds = _coarse_grid(M)
     lo, hi = rule.window
     chart = M.chart(0)
-    outside = np.zeros(coords.shape[0], dtype=bool)
+    outside = False
     for i in range(chart.dim):
-        col = coords[:, i]
+        col = coords[..., i]
         if chart.periodic[i]:
             width = chart.hi[i] - chart.lo[i]
-            outside |= np.mod(col - lo[i], width) > (hi[i] - lo[i])
+            outside = outside | (np.mod(col - lo[i], width) > (hi[i] - lo[i]))
         else:
-            outside |= (col < lo[i]) | (col > hi[i])
-    if not np.any(outside):
+            outside = outside | (col < lo[i]) | (col > hi[i])
+    if not np.any(outside):     # each axis's test spans the whole grid
         return math.inf
-    return float(np.min(np.linalg.norm(embeds[outside] - x0, axis=-1)))
+    # sqrt is monotone, so this is the minimum of the norms
+    dist_sq = np.broadcast_to(_chord_sq(x0, embeds), outside.shape)
+    return float(np.sqrt(np.min(dist_sq[outside])))
 
 
 def tail_estimate(M: EmbeddedManifold, x: ChartPoint, eps: float,
@@ -328,8 +354,8 @@ class EpsLadder:
 
     def __post_init__(self):
         eps = [s.eps for s in self.samples]
-        if any(e <= 0 for e in eps):
-            raise ValidationError("ladder bandwidths must be positive")
+        for e in eps:
+            _require_bandwidth(e)
         if any(eps[i + 1] >= eps[i] for i in range(len(eps) - 1)):
             raise ValidationError("ladder bandwidths must be strictly decreasing")
         if any(s.tail_bound < 0 for s in self.samples):
@@ -386,8 +412,7 @@ def monte_carlo_operator(M: EmbeddedManifold, f: Callable, x: ChartPoint,
     """
     if n_samples not in MC_SAMPLES:
         raise ValidationError(f"need {MC_SAMPLES[0]} to {MC_SAMPLES[-1]} samples")
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
+    _require_bandwidth(eps)
     rng = np.random.Generator(np.random.Philox(seed))
     x0 = M.embed(x.chart, x.coords)
     vol = M.volume()

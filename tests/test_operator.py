@@ -8,7 +8,7 @@ import pytest
 from ckl import NumericsError, ValidationError
 from ckl.catalog import catalog_manifold, load_manifold_text
 from ckl.fields import AmbientCoordField, ChartPolyField, ConstField
-from ckl.manifold import ChartPoint
+from ckl.manifold import ChartPoint, TensorGrid
 from ckl.operator import (
     EpsLadder,
     LadderSample,
@@ -58,6 +58,19 @@ class TestKernel:
     def test_eps_validation(self):
         with pytest.raises(ValidationError):
             k_eps(np.zeros(2), np.zeros(2), 0.0, 2)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1.0])
+    def test_bandwidth_must_be_positive_and_finite(self, eps):
+        # NaN and inf used to pass an `eps <= 0` check: Monte Carlo returned
+        # (nan, nan) or (0.0, 0.0) and the rule raised a math domain error
+        with pytest.raises(ValidationError):
+            k_eps(np.zeros(3), np.ones(3), eps, 2)
+        with pytest.raises(ValidationError):
+            build_localized_rule(S2, EQUATOR, eps)
+        with pytest.raises(ValidationError):
+            monte_carlo_operator(S2, const_one, EQUATOR, eps, 1000)
+        with pytest.raises(ValidationError):
+            EpsLadder([LadderSample(eps, 1.0, 0.0)])
 
 
 class TestRules:
@@ -213,7 +226,7 @@ class TestTensorGrid:
     def test_torus_window_straddles_seam(self):
         _, windowed = self.rules(TORUS, self.CASES["torus"][1])
         assert windowed.window[0][0] < 0.0 < windowed.window[1][0]
-        assert np.min(windowed.nodes.axes[0]) < 0.0
+        assert np.min(windowed.nodes[..., 0]) < 0.0
 
     @pytest.mark.parametrize("name", list(CASES))
     def test_jet_and_fields_match_dense_nodes(self, name):
@@ -232,6 +245,64 @@ class TestTensorGrid:
                 np.testing.assert_array_equal(
                     np.broadcast_to(f(grid_jet[0], grid_jet[1]), rule.weights.shape),
                     f(dense_jet[0], dense_jet[1]))
+
+    def test_embedding_columns(self):
+        # a graph's s_i stay the node axes and only P is dense; the plane's
+        # P is 0-d; np.shape still sees the dense embedding's shape
+        for M, sizes in ((QUADRIC, [12, 12, 12, 12 ** 3]), (PLANE, [12, 12, 1])):
+            rule = build_full_rule(M, order=12)
+            _, ambient = M.charts[0].jet(rule.nodes, (0,))
+            assert [c.size for c in ambient.columns] == sizes
+            assert np.shape(ambient) == rule.weights.shape + (M.ambient_dim,)
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_kernel_and_operator_match_dense_nodes(self, name):
+        M, point = self.CASES[name]
+        chart = M.charts[0]
+        x = ChartPoint(0, point)
+        x0 = M.embed(0, x.coords)
+        # const: and a constant-only poly: are 0-d; ambient:1 of a graph is a
+        # node axis
+        fields = (ConstField(1.5), ChartPolyField("2.5", M.dim),
+                  AmbientCoordField(1, M.ambient_dim),
+                  AmbientCoordField(M.ambient_dim, M.ambient_dim),
+                  ChartPolyField("0.5*x1*x2-2*x1^2+x2^3", M.dim))
+        for rule, eps in zip(self.rules(M, point), (0.05, 1e-4)):
+            _, ambient = chart.jet(rule.nodes, (0,))
+            dense_nodes, dense_ambient, dens = chart.jet(np.asarray(rule.nodes),
+                                                         (0,), volume=True)
+            assert isinstance(ambient, TensorGrid)
+            np.testing.assert_array_equal(np.asarray(ambient), dense_ambient)
+            kern = k_eps(x0, ambient, eps, M.dim)
+            np.testing.assert_array_equal(
+                np.broadcast_to(kern, rule.weights.shape),
+                k_eps(x0, dense_ambient, eps, M.dim))
+            # numpy's own last-axis sum: the chord order is bit-identical
+            reference = ((4.0 * math.pi * eps) ** (-M.dim / 2.0)
+                         * np.exp(-np.sum((dense_ambient - x0) ** 2, axis=-1)
+                                  / (4.0 * eps)))
+            np.testing.assert_array_equal(kern, reference)
+            for f in fields:
+                fvals = np.broadcast_to(f(dense_nodes, dense_ambient),
+                                        rule.weights.shape)
+                total = float(np.sum(rule.weights * dens * fvals * reference))
+                assert apply_operator(M, f, x, eps, rule)[0] == total, f.field_id
+
+    def test_quadrature_never_densifies(self, monkeypatch):
+        # neither the nodes nor the embedding are stacked on the way to a value
+        def refuse(self, dtype=None, copy=None):
+            raise AssertionError("a TensorGrid was stacked to a dense array")
+
+        cases = [(catalog_manifold("quadric411"), [0.1, 0.0, -0.05]),
+                 (catalog_manifold("sphere3"), [1.0, 1.2, 0.5])]
+        monkeypatch.setattr(TensorGrid, "__array__", refuse)
+        for M, point in cases:
+            assert M.volume() > 0
+            for f in (ConstField(1.0), AmbientCoordField(M.ambient_dim,
+                                                         M.ambient_dim)):
+                ladder = eps_sweep(M, f, ChartPoint(0, point), [0.1, 1e-3],
+                                   order=16)
+                assert np.all(np.isfinite(ladder.values))
 
     @pytest.mark.parametrize("name", list(CASES))
     def test_volume_matches_dense_sum(self, name):
@@ -287,10 +358,14 @@ class TestBenchmarkTracer:
         rule = build_localized_rule(S3, ChartPoint(0, [1.0, 1.2, 0.5]), 1e-3,
                                     order=8)
         assert tracer._rows(rule.nodes) == rule.node_count() == 512
+        # k_eps counts the rows of the embedding columns through np.shape
+        _, ambient = S3.charts[0].jet(rule.nodes, (0,))
+        assert tracer._rows(ambient) == 512
         counts = tracer._node_set({"ci": 0, "coords": rule.nodes}, None)
         assert counts["rows"] == 512
         (key,) = counts["node_sets"]
-        grids = np.meshgrid(*rule.nodes.axes, indexing="ij")
+        grids = np.meshgrid(*(rule.nodes[..., i].ravel() for i in range(3)),
+                            indexing="ij")
         dense = np.stack([g.reshape(-1) for g in grids], axis=-1)
         assert key[2] == hashlib.blake2b(dense.tobytes(), digest_size=16).digest()
 
