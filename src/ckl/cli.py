@@ -41,6 +41,33 @@ def _fmt(x) -> str:
 _CSV_BLOCK_ROWS = 4096
 
 
+def _csv_blocks(header, columns, labels):
+    """The header line, then rows ``0,<columns...>,<label>`` in blocks of
+    ``_CSV_BLOCK_ROWS``.
+
+    Each float column is formatted ``%.17g`` once per distinct bit pattern
+    (bits keep -0.0 apart from 0.0), and each block gathers its strings by
+    the row codes.
+    """
+    tables = []
+    for col in columns:
+        bits, codes = np.unique(np.asarray(col, dtype=np.float64)
+                                .view(np.int64), return_inverse=True)
+        strings = np.array([_fmt(v) for v in bits.view(np.float64).tolist()],
+                           dtype=object)
+        tables.append((strings, codes))
+    yield ",".join(header) + "\n"
+    row_fmt = "0," + "%s," * len(columns) + "%s\n"
+    for start in range(0, len(labels), _CSV_BLOCK_ROWS):
+        block_labels = labels[start:start + _CSV_BLOCK_ROWS]
+        n = len(block_labels)
+        block = np.empty((n, len(columns) + 1), dtype=object)
+        for j, (strings, codes) in enumerate(tables):
+            block[:, j] = strings[codes[start:start + n]]
+        block[:, -1] = block_labels
+        yield row_fmt * n % tuple(block.ravel())
+
+
 def _emit(text, out: str):
     """Write a string, or an iterable of strings as it yields them."""
     chunks = [text] if isinstance(text, str) else text
@@ -235,18 +262,9 @@ def _cmd_scan(args) -> int:
         header = (["chart"] + [f"s{i + 1}" for i in range(d)]
                   + [f"kappa_{i + 1}" for i in range(d)]
                   + ["e1", "e2", "residual", "spread", "class"])
-        # object rows: Python floats for %.17g, then the class label
-        table = np.column_stack([scan.coords, scan.kappas, scan.e1, scan.e2,
-                                 scan.residual, scan.umbilic_spread,
-                                 np.array(scan.classification, dtype=object)])
-        row_fmt = "0," + "%.17g," * (table.shape[1] - 1) + "%s\n"
-
-        def blocks():
-            yield ",".join(header) + "\n"
-            for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
-                block = table[start:start + _CSV_BLOCK_ROWS]
-                yield row_fmt * block.shape[0] % tuple(block.ravel())
-        _emit(blocks(), args.out)
+        columns = [*scan.coords.T, *scan.kappas.T, scan.e1, scan.e2,
+                   scan.residual, scan.umbilic_spread]
+        _emit(_csv_blocks(header, columns, scan.classification), args.out)
     else:
         def res_to_dict(r):
             return {"chart": r.point.chart,

@@ -96,9 +96,12 @@ def _unit_normals(jac: np.ndarray) -> np.ndarray:
 
 def _shape_arrays(M: EmbeddedManifold, coords: np.ndarray,
                   orientation: float = 1.0):
-    """Batched ``(normal, kappas, directions, jacobian, b)`` at coords (..., d).
+    """Batched ``(normal, kappas, eigvecs, chol, jacobian, g, b)`` at coords.
 
-    No metric floor is applied here: callers refuse or mark degenerate points.
+    ``kappas`` descend; the columns of ``eigvecs`` are the matching
+    eigenvectors of ``chol^-1 b chol^-T``, where ``chol`` is the Cholesky
+    factor of the metric ``g``.  No metric floor is applied here: callers
+    refuse or mark degenerate points.
     """
     jac = M.jacobian(0, coords)
     g = np.einsum("...ni,...nj->...ij", jac, jac)
@@ -110,11 +113,7 @@ def _shape_arrays(M: EmbeddedManifold, coords: np.ndarray,
     a_mat = 0.5 * (a_mat + np.swapaxes(a_mat, -1, -2))
     eigvals, eigvecs = np.linalg.eigh(a_mat)
     # descending order
-    eigvals = eigvals[..., ::-1]
-    eigvecs = eigvecs[..., ::-1]
-    w = np.linalg.solve(np.swapaxes(chol, -1, -2), eigvecs)
-    directions = np.einsum("...ni,...ik->...kn", jac, w)
-    return normal, eigvals, directions, jac, b
+    return normal, eigvals[..., ::-1], eigvecs[..., ::-1], chol, jac, g, b
 
 
 def _trace_residual(M: EmbeddedManifold, coords: np.ndarray):
@@ -147,9 +146,11 @@ def shape_at(M: EmbeddedManifold, p: ChartPoint,
     """
     _require_hypersurface(M)
     M.chart(p.chart).require_inside(p.coords)
-    g = M.metric(0, p.coords)    # refuses a point at the determinant floor
-    normal, kappas, directions, jac, b = _shape_arrays(
+    M.metric(0, p.coords)    # refuses a point at the determinant floor
+    normal, kappas, eigvecs, chol, jac, g, b = _shape_arrays(
         M, np.asarray(p.coords, dtype=float), orientation)
+    w = np.linalg.solve(chol.T, eigvecs)
+    directions = np.einsum("ni,ik->kn", jac, w)
     # eigen residual check: |b w - kappa g w| <= 1e-10 |b|
     w_chart = np.linalg.solve(g, np.einsum("ni,kn->ik", jac, directions))
     scale = max(float(np.max(np.abs(b))), 1e-30)
@@ -322,12 +323,11 @@ def scan_equicurved(M: EmbeddedManifold, grid: Sequence[int],
     grid_shape = tuple(len(a) for a in axes)
 
     try:
-        _, kappas, _, jac, _ = _shape_arrays(M, coords)
+        _, kappas, _, _, _, g, _ = _shape_arrays(M, coords)
     except np.linalg.LinAlgError:
         raise DegenerateChartError("metric not positive definite at a grid "
                                    "node") from None
-    degenerate = np.linalg.det(
-        np.einsum("...ni,...nj->...ij", jac, jac)) <= DET_FLOOR
+    degenerate = np.linalg.det(g) <= DET_FLOOR
     e1, e2, residual = _symmetric(kappas)
     spread = kappas[..., 0] - kappas[..., -1]
     tol_eq_arr, tol_umb_arr = _tolerances(e1, kappas, tol_eq)
@@ -592,12 +592,17 @@ def _cluster_refined(M, refined, tol_eq):
         chosen.append(min(cluster, key=sort_key))
     kappas = _shape_arrays(M, inset[chosen])[1]
     e1_rep, _, residual = _symmetric(kappas)
+    # e2 by the product recursion of _elementary_symmetric, over all rows
+    e1_acc = e2_rep = np.zeros(len(chosen))
+    for k_j in kappas.T:
+        e2_rep = e2_rep + k_j * e1_acc
+        e1_acc = e1_acc + k_j
     spread = kappas[:, 0] - kappas[:, -1]
     labels, flags = _classify_arrays(kappas, residual, spread,
                                      *_tolerances(e1_rep, kappas, tol_eq))
     out = [EquicurvatureResult(
         point=ChartPoint(0, clipped[r]), kappas=kappas[k],
-        e1=float(e1_rep[k]), e2=_elementary_symmetric(kappas[k], 2),
+        e1=float(e1_rep[k]), e2=float(e2_rep[k]),
         residual=float(residual[k]), umbilic_spread=float(spread[k]),
         classification=labels[k], flags=flags[k], bracket=refined[r][2])
         for k, r in enumerate(chosen)]

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ckl.cli as cli
+import ckl.hypersurface as hypersurface
 from ckl.errors import NumericsError
 
 
@@ -150,6 +151,42 @@ class TestScan:
         path = tmp_path / "scan.csv"
         assert cli.main(argv + ["--out", str(path)]) == 0
         assert out.encode("utf-8") == path.read_bytes()
+
+    def test_csv_blocks_match_per_value_format(self):
+        # strings formatted once per distinct bit pattern and gathered per
+        # block must print what %.17g prints value by value
+        n = 2 * cli._CSV_BLOCK_ROWS + 5
+        specials = np.array([0.0, -0.0, math.nan, -np.float64(math.nan),
+                             5e-324, 1.7976931348623157e308, 1.0,
+                             np.nextafter(1.0, 2.0)])
+        rng = np.random.default_rng(3)
+        columns = [rng.choice(specials, n), np.full(n, 0.25),
+                   rng.standard_normal(n),
+                   np.resize(specials, n)[::-1]]
+        labels = [("generic", "flat", "umbilic")[i % 3] for i in range(n)]
+        text = "".join(cli._csv_blocks(["a", "b"], columns, labels))
+        rows = ["0," + "".join("%.17g," % col[i] for col in columns)
+                + labels[i] + "\n" for i in range(n)]
+        assert text == "a,b\n" + "".join(rows)
+        assert {"0", "-0", "nan", "4.9406564584124654e-324",
+                "1.7976931348623157e+308", "1",
+                "1.0000000000000002"} <= set(text.replace("\n", ",")
+                                              .split(","))
+
+    def test_nan_grid_row_prints_nan(self, capsys, monkeypatch):
+        shape_arrays = hypersurface._shape_arrays
+
+        def nan_first_row(*args, **kwargs):
+            out = shape_arrays(*args, **kwargs)
+            out[1][0] = math.nan
+            return out
+
+        monkeypatch.setattr(hypersurface, "_shape_arrays", nan_first_row)
+        code, out, _ = run(capsys, "equicurved-scan", "--manifold", "plane",
+                           "--grid", "2x2")
+        assert code == 0
+        first = out.split("\n")[1].split(",")
+        assert first[3:] == ["nan"] * 6 + ["generic"]
 
 
 def assert_one_validation_line(code, out, err):

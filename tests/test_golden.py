@@ -67,6 +67,19 @@ def test_large_scan_matches_digest(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == TORUS_400X200_SHA256
 
 
+# The benchmark's refined quadric scan, pinned the same way.
+QUADRIC_20X20X20_SHA256 = (
+    "4c5c163353ba52afe0bfdc42b38f1ccdb95a0d6c39fc5e896a830cbf7130626a")
+
+
+def test_quadric_refined_scan_matches_digest(tmp_path):
+    out = tmp_path / "scan.json"
+    assert cli.main(["equicurved-scan", "--manifold", "quadric411", "--grid",
+                     "20x20x20", "--format", "json", "--out", str(out)]) == 0
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == QUADRIC_20X20X20_SHA256)
+
+
 def test_only_json_scans_refine_zeros(tmp_path, monkeypatch):
     # CSV prints no refined zeros, so it must not compute them
     def no_refinement(*args):
