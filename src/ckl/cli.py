@@ -41,29 +41,42 @@ def _fmt(x) -> str:
 _CSV_BLOCK_ROWS = 4096
 
 
+# a CSV column goes through a table of its distinct values when they number at
+# most this share of its rows; on 80,000-row columns the table and the value by
+# value path cost the same near a share of 0.4-0.5, and past it the table's sort
+# and gather cost more than the formatting they save
+_CSV_TABLE_MAX_SHARE = 0.4
+
+
 def _csv_blocks(header, columns, labels):
     """The header line, then rows ``0,<columns...>,<label>`` in blocks of
-    ``_CSV_BLOCK_ROWS``.
+    ``_CSV_BLOCK_ROWS``, each float printed ``%.17g``.
 
-    Each float column is formatted ``%.17g`` once per distinct bit pattern
-    (bits keep -0.0 apart from 0.0), and each block gathers its strings by
-    the row codes.
+    A column with few distinct bit patterns (bits keep -0.0 apart from 0.0)
+    is formatted once per pattern, and each block gathers its strings by the
+    row codes; any other column is formatted value by value.
     """
-    tables = []
+    cells, row_fmt = [], "0,"
     for col in columns:
-        bits, codes = np.unique(np.asarray(col, dtype=np.float64)
-                                .view(np.int64), return_inverse=True)
-        strings = np.array([_fmt(v) for v in bits.view(np.float64).tolist()],
-                           dtype=object)
-        tables.append((strings, codes))
+        col = np.asarray(col, dtype=np.float64)
+        bits, codes = np.unique(col.view(np.int64), return_inverse=True)
+        if bits.size <= _CSV_TABLE_MAX_SHARE * col.size:
+            strings = np.array(["%.17g" % v for v in bits.view(np.float64)
+                                .tolist()], dtype=object)
+            cells.append((strings, codes))
+            row_fmt += "%s,"
+        else:
+            cells.append((None, col))
+            row_fmt += "%.17g,"
+    row_fmt += "%s\n"
     yield ",".join(header) + "\n"
-    row_fmt = "0," + "%s," * len(columns) + "%s\n"
     for start in range(0, len(labels), _CSV_BLOCK_ROWS):
         block_labels = labels[start:start + _CSV_BLOCK_ROWS]
         n = len(block_labels)
         block = np.empty((n, len(columns) + 1), dtype=object)
-        for j, (strings, codes) in enumerate(tables):
-            block[:, j] = strings[codes[start:start + n]]
+        for j, (strings, values) in enumerate(cells):
+            part = values[start:start + n]
+            block[:, j] = part if strings is None else strings[part]
         block[:, -1] = block_labels
         yield row_fmt * n % tuple(block.ravel())
 

@@ -178,14 +178,19 @@ def synthetic_shape(kappas: Sequence[float]) -> ShapeData:
                      e1=float(np.sum(k)), e2=_elementary_symmetric(k, 2))
 
 
-def _elementary_symmetric(kappas: np.ndarray, i: int) -> float:
-    """e_i by the direct product recursion (no Newton identities)."""
-    e = np.zeros(i + 1)
+def _elementary_symmetric(kappas: np.ndarray, i: int):
+    """e_i by the direct product recursion (no Newton identities).
+
+    ``kappas`` is one curvature vector (d,), giving a float, or rows (n, d),
+    giving an array (n,).
+    """
+    kappas = np.asarray(kappas, dtype=float)
+    e = np.zeros((i + 1,) + kappas.shape[:-1])
     e[0] = 1.0
-    for k in kappas:
-        for j in range(min(i, 1 + int(np.count_nonzero(e[1:] != 0.0))), 0, -1):
+    for k in kappas.T:
+        for j in range(i, 0, -1):
             e[j] = e[j] + k * e[j - 1]
-    return float(e[i])
+    return float(e[i]) if kappas.ndim == 1 else e[i]
 
 
 def mean_curvatures(sd: ShapeData, i: int) -> float:
@@ -592,11 +597,7 @@ def _cluster_refined(M, refined, tol_eq):
         chosen.append(min(cluster, key=sort_key))
     kappas = _shape_arrays(M, inset[chosen])[1]
     e1_rep, _, residual = _symmetric(kappas)
-    # e2 by the product recursion of _elementary_symmetric, over all rows
-    e1_acc = e2_rep = np.zeros(len(chosen))
-    for k_j in kappas.T:
-        e2_rep = e2_rep + k_j * e1_acc
-        e1_acc = e1_acc + k_j
+    e2_rep = _elementary_symmetric(kappas, 2)
     spread = kappas[:, 0] - kappas[:, -1]
     labels, flags = _classify_arrays(kappas, residual, spread,
                                      *_tolerances(e1_rep, kappas, tol_eq))

@@ -153,16 +153,20 @@ class TestScan:
         assert out.encode("utf-8") == path.read_bytes()
 
     def test_csv_blocks_match_per_value_format(self):
-        # strings formatted once per distinct bit pattern and gathered per
-        # block must print what %.17g prints value by value
+        # columns of few distinct values go through a string table, the rest
+        # are formatted value by value; both must print what %.17g prints
         n = 2 * cli._CSV_BLOCK_ROWS + 5
         specials = np.array([0.0, -0.0, math.nan, -np.float64(math.nan),
                              5e-324, 1.7976931348623157e308, 1.0,
                              np.nextafter(1.0, 2.0)])
         rng = np.random.default_rng(3)
+        mixed = rng.standard_normal(n)
+        mixed[::97] = np.resize(specials, mixed[::97].size)
         columns = [rng.choice(specials, n), np.full(n, 0.25),
-                   rng.standard_normal(n),
-                   np.resize(specials, n)[::-1]]
+                   rng.standard_normal(n), np.resize(specials, n)[::-1],
+                   mixed]
+        shares = [np.unique(c.view(np.int64)).size / n for c in columns]
+        assert min(shares) <= cli._CSV_TABLE_MAX_SHARE < max(shares)
         labels = [("generic", "flat", "umbilic")[i % 3] for i in range(n)]
         text = "".join(cli._csv_blocks(["a", "b"], columns, labels))
         rows = ["0," + "".join("%.17g," % col[i] for col in columns)

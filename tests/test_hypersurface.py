@@ -140,6 +140,23 @@ class TestMeanCurvatures:
             for i in range(1, 5):
                 assert mean_curvatures(sd, i) == pytest.approx(c ** i, rel=1e-12)
 
+    def test_cancelling_partial_sum(self):
+        # e1 of the first two curvatures is 0 while their e2 is not, so the
+        # third curvature must still reach e3
+        sd = synthetic_shape([1.0, -1.0, -2.0])
+        assert mean_curvatures(sd, 3) == 2.0
+        assert mean_curvatures(sd, 2) == pytest.approx(-1.0 / 3.0)
+
+    def test_rows_match_single_vectors(self):
+        import ckl.hypersurface as hs
+        rows = np.random.default_rng(5).standard_normal((50, 3))
+        rows[::7, 1] = -rows[::7, 0]
+        for i in (1, 2, 3):
+            batch = hs._elementary_symmetric(rows, i)
+            single = [hs._elementary_symmetric(r, i) for r in rows]
+            assert batch.view(np.int64).tolist() == \
+                np.array(single).view(np.int64).tolist()
+
     def test_torus_outer(self):
         sd = shape_at(TORUS, OUTER, orientation=-1)
         np.testing.assert_allclose(sd.principal_curvatures, [1.0, 1.0 / 3.0],
