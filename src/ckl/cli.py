@@ -54,14 +54,19 @@ def _csv_blocks(header, columns, labels):
 
     A column with few distinct bit patterns (bits keep -0.0 apart from 0.0)
     is formatted once per pattern, and each block gathers its strings by the
-    row codes; any other column is formatted value by value.
+    row codes; any other column is formatted value by value.  The patterns
+    are counted on a plain sort first: the row codes cost a sort with its
+    permutation, which only a tabled column needs.
     """
     cells, row_fmt = [], "0,"
     for col in columns:
         col = np.asarray(col, dtype=np.float64)
-        bits, codes = np.unique(col.view(np.int64), return_inverse=True)
-        if bits.size <= _CSV_TABLE_MAX_SHARE * col.size:
-            strings = np.array(["%.17g" % v for v in bits.view(np.float64)
+        bits = col.view(np.int64)
+        ordered = np.sort(bits)
+        distinct = np.count_nonzero(ordered[1:] != ordered[:-1]) + 1
+        if distinct <= _CSV_TABLE_MAX_SHARE * col.size:
+            table, codes = np.unique(bits, return_inverse=True)
+            strings = np.array(["%.17g" % v for v in table.view(np.float64)
                                 .tolist()], dtype=object)
             cells.append((strings, codes))
             row_fmt += "%s,"

@@ -2,7 +2,9 @@
 
 For codimension-one submanifolds the second fundamental form reduces to a
 scalar bilinear form against the unit normal; its eigenvalues relative to the
-metric are the principal curvatures.  A point is equicurved when
+metric are the principal curvatures.  The normal is the unit cofactor vector
+C of the Jacobian J, oriented by ``det([J | nu]) > 0``, and one pass gives
+``|C|^2 = det(J^T J)`` with it (Cauchy-Binet).  A point is equicurved when
 ``e1(kappa)^2 = 4 e2(kappa)``, equivalently ``d^2 H^2 = 2 R``; at such points
 the bandwidth slope of ``f - K_eps f`` reproduces the Laplace-Beltrami
 operator.  Scans evaluate the residual ``e1^2 - 4 e2`` over a grid on the
@@ -17,12 +19,11 @@ Scan points are classified over whole arrays: ``flat`` when ``max |kappa_i|
 ``equicurved`` when flat or ``|e1^2 - 4 e2| <= tol_eq``, or when d = 2 and
 umbilic.  The label is the first of these that holds, else ``generic``; a row
 of NaNs is generic with no flags and stays out of the zero set.  A node whose
-metric determinant is at or below ``DET_FLOOR`` is ``degenerate`` with no
-flags: its numbers are reported, but it stays out of the zero set and out of
-refinement.  ``tol_umb``
-is ``1e-6 (1 + max |kappa_i|)`` and ``tol_eq`` defaults to ``1e-6 (1 +
-e1^2)``; both scale with the curvature magnitudes and are engineering
-choices, not intrinsic definitions.
+metric determinant ``|C|^2`` is at or below ``DET_FLOOR`` is ``degenerate``
+with no flags: its numbers are reported, but it stays out of the zero set and
+out of refinement.  ``tol_umb`` is ``1e-6 (1 + max |kappa_i|)`` and
+``tol_eq`` defaults to ``1e-6 (1 + e1^2)``; both scale with the curvature
+magnitudes and are engineering choices, not intrinsic definitions.
 """
 
 from __future__ import annotations
@@ -80,24 +81,33 @@ def _require_hypersurface(M: EmbeddedManifold):
             f"n={M.ambient_dim}")
 
 
-def _unit_normals(jac: np.ndarray) -> np.ndarray:
-    """Unit normals with orientation fixed by det([J | nu]) > 0 (batched)."""
-    q, _ = np.linalg.qr(np.asarray(jac))
+def _cofactor_normals(jac: np.ndarray):
+    """Batched ``(nu, |C|^2)`` from Jacobians ``(..., n, d)``, n = d + 1.
+
+    ``C_k = (-1)^(k+n-1) det(J without row k)`` is the cofactor vector of J:
+    orthogonal to its columns, with ``det([J | C]) = |C|^2 > 0``, and by
+    Cauchy-Binet ``|C|^2 = det(J^T J)``.  ``nu = C / |C|``, with C first
+    scaled by a power of two so that its norm neither underflows nor
+    overflows; a zero row gives a zero normal.
+    """
     n = jac.shape[-2]
-    full, _ = np.linalg.qr(
-        np.concatenate([q, np.broadcast_to(np.eye(n), q.shape[:-2] + (n, n))],
-                       axis=-1)[..., : n])
-    normal = full[..., -1]
-    signs = np.sign(np.linalg.det(np.concatenate(
-        [jac, normal[..., None]], axis=-1)))
-    signs = np.where(signs == 0.0, 1.0, signs)
-    return normal * signs[..., None]
+    minor_rows = [[r for r in range(n) if r != k] for k in range(n)]
+    c = (np.linalg.det(jac[..., minor_rows, :])
+         * (-1.0) ** (np.arange(n) + n - 1))
+    # a product, not einsum: an overflow must raise, not give inf
+    norm_sq = np.sum(c * c, axis=-1)
+    _, exponent = np.frexp(np.max(np.abs(c), axis=-1, keepdims=True))
+    c = np.ldexp(c, -exponent)
+    length = np.sqrt(np.sum(c * c, axis=-1, keepdims=True))
+    return c / np.where(length > 0.0, length, 1.0), norm_sq
 
 
 def _shape_arrays(M: EmbeddedManifold, coords: np.ndarray,
                   orientation: float = 1.0):
-    """Batched ``(normal, kappas, eigvecs, chol, jacobian, g, b)`` at coords.
+    """Batched ``(normal, kappas, eigvecs, chol, jacobian, g, b, det_g)``.
 
+    ``normal`` is the unit cofactor normal of the Jacobian (times
+    ``orientation``) and ``det_g = |C|^2`` the metric determinant;
     ``kappas`` descend; the columns of ``eigvecs`` are the matching
     eigenvectors of ``chol^-1 b chol^-T``, where ``chol`` is the Cholesky
     factor of the metric ``g``.  No metric floor is applied here: callers
@@ -105,7 +115,8 @@ def _shape_arrays(M: EmbeddedManifold, coords: np.ndarray,
     """
     jac = M.jacobian(0, coords)
     g = np.einsum("...ni,...nj->...ij", jac, jac)
-    normal = orientation * _unit_normals(jac)
+    normal, det_g = _cofactor_normals(jac)
+    normal = orientation * normal
     b = np.einsum("...nij,...n->...ij", M.hessian(0, coords), normal)
     chol = np.linalg.cholesky(g)
     tmp = np.linalg.solve(chol, b)
@@ -113,22 +124,20 @@ def _shape_arrays(M: EmbeddedManifold, coords: np.ndarray,
     a_mat = 0.5 * (a_mat + np.swapaxes(a_mat, -1, -2))
     eigvals, eigvecs = np.linalg.eigh(a_mat)
     # descending order
-    return normal, eigvals[..., ::-1], eigvecs[..., ::-1], chol, jac, g, b
+    return (normal, eigvals[..., ::-1], eigvecs[..., ::-1], chol, jac, g, b,
+            det_g)
 
 
 def _trace_residual(M: EmbeddedManifold, coords: np.ndarray):
     """Batched ``(e1^2 - 4 e2, e1)`` from ``tr S`` and ``tr S^2``, S = g^-1 II.
 
-    The normal is the unit vector of the cofactors of J (n = d + 1); its
-    orientation cancels in the residual, and ``e1 = tr S`` carries it.
+    II is taken against the cofactor normal of :func:`_cofactor_normals`,
+    the normal of :func:`_shape_arrays`; the residual does not depend on
+    its orientation, and ``e1 = tr S`` carries it.
     """
     jac = M.jacobian(0, coords)
-    hess = M.hessian(0, coords)
-    n = jac.shape[-2]
-    minor_rows = [[r for r in range(n) if r != k] for k in range(n)]
-    normal = np.linalg.det(jac[..., minor_rows, :]) * (-1.0) ** np.arange(n)
-    normal /= np.linalg.norm(normal, axis=-1, keepdims=True)
-    b = np.einsum("...nij,...n->...ij", hess, normal)
+    b = np.einsum("...nij,...n->...ij", M.hessian(0, coords),
+                  _cofactor_normals(jac)[0])
     s = np.linalg.solve(np.einsum("...ni,...nj->...ij", jac, jac), b)
     e1 = np.trace(s, axis1=-2, axis2=-1)
     return 2.0 * np.einsum("...ij,...ji->...", s, s) - e1 * e1, e1
@@ -140,14 +149,14 @@ def shape_at(M: EmbeddedManifold, p: ChartPoint,
 
     Solves the generalized symmetric problem ``b w = kappa g w`` with
     ``b_ij = <dd embed, nu>`` through a Cholesky reduction of the metric.  The
-    chart normal is the cross-product generalization of the Jacobian columns
+    chart normal is the unit cofactor vector of the Jacobian columns
     (``det([J | nu]) > 0``); pass ``orientation=-1`` to flip it.  With this
     convention the outward-oriented unit sphere has curvatures -1.
     """
     _require_hypersurface(M)
     M.chart(p.chart).require_inside(p.coords)
     M.metric(0, p.coords)    # refuses a point at the determinant floor
-    normal, kappas, eigvecs, chol, jac, g, b = _shape_arrays(
+    normal, kappas, eigvecs, chol, jac, g, b, _ = _shape_arrays(
         M, np.asarray(p.coords, dtype=float), orientation)
     w = np.linalg.solve(chol.T, eigvecs)
     directions = np.einsum("ni,ik->kn", jac, w)
@@ -328,11 +337,11 @@ def scan_equicurved(M: EmbeddedManifold, grid: Sequence[int],
     grid_shape = tuple(len(a) for a in axes)
 
     try:
-        _, kappas, _, _, _, g, _ = _shape_arrays(M, coords)
+        _, kappas, *_, det_g = _shape_arrays(M, coords)
     except np.linalg.LinAlgError:
         raise DegenerateChartError("metric not positive definite at a grid "
                                    "node") from None
-    degenerate = np.linalg.det(g) <= DET_FLOOR
+    degenerate = det_g <= DET_FLOOR
     e1, e2, residual = _symmetric(kappas)
     spread = kappas[..., 0] - kappas[..., -1]
     tol_eq_arr, tol_umb_arr = _tolerances(e1, kappas, tol_eq)
@@ -574,20 +583,8 @@ def _cluster_refined(M, refined, tol_eq):
                                   noise[keep])
     ambient = M.embed(0, clipped)
     scale = np.max(np.abs(ambient)) + 1e-12
-    radius = 1e-3 * scale
-    clusters: list[list[int]] = []
-    reps = np.empty_like(ambient)    # the first len(clusters) rows are in use
-    for r in range(clipped.shape[0]):
-        if clusters:
-            dists = np.linalg.norm(reps[:len(clusters)] - ambient[r], axis=1)
-            hit = int(np.argmin(dists))
-            if dists[hit] <= radius:
-                clusters[hit].append(r)
-                continue
-        reps[len(clusters)] = ambient[r]
-        clusters.append([r])
     chosen = []
-    for cluster in clusters:
+    for cluster in _leader_clusters(ambient, 1e-3 * scale):
         best_res = min(abs(res[r]) for r in cluster)
 
         def sort_key(r):
@@ -609,6 +606,49 @@ def _cluster_refined(M, refined, tol_eq):
         for k, r in enumerate(chosen)]
     out.sort(key=lambda z: tuple(z.point.coords))
     return out
+
+
+def _leader_clusters(points: np.ndarray, radius: float) -> list[list[int]]:
+    """Greedy leader clustering of the rows of ``points`` (N, n), in order.
+
+    Each row joins the cluster of its nearest leader within ``radius`` (the
+    lowest cluster index on a tie), or else leads a new cluster.  Only pairs
+    closer than ``radius`` can join, and ``|p.(a - b)| <= |a - b|`` for a
+    unit vector p, so one sort of the projections on a fixed generic p finds
+    every such pair; the window is widened to ``2 radius`` against rounding
+    in the projections.  Returns the clusters as lists of row indices.
+    """
+    count = points.shape[0]
+    direction = np.random.default_rng(0).standard_normal(points.shape[1])
+    proj = points @ (direction / np.linalg.norm(direction))
+    order = np.argsort(proj, kind="stable")
+    start = np.searchsorted(proj[order], proj[order] - 2.0 * radius)
+    # pairs (sorted position k, each earlier position in its window)
+    width = np.arange(count) - start
+    later = np.repeat(np.arange(count), width)
+    earlier = np.repeat(start - np.cumsum(width) + width, width) \
+        + np.arange(later.size)
+    a, b = order[later], order[earlier]
+    near = np.linalg.norm(points[a] - points[b], axis=1) <= radius
+    hi, lo = np.maximum(a, b)[near], np.minimum(a, b)[near]
+    by_row = np.lexsort((lo, hi))
+    hi, lo = hi[by_row], lo[by_row]
+    bounds = np.searchsorted(hi, np.arange(count + 1)).tolist()
+
+    clusters: list[list[int]] = []
+    leader_of = np.full(count, -1)       # cluster index of each leader row
+    for r in range(count):
+        if bounds[r] < bounds[r + 1]:
+            leaders = lo[bounds[r]:bounds[r + 1]]
+            leaders = leaders[leader_of[leaders] >= 0]
+            if leaders.size:
+                # leaders ascend, so argmin takes the lowest cluster on a tie
+                dists = np.linalg.norm(points[leaders] - points[r], axis=1)
+                clusters[leader_of[leaders[np.argmin(dists)]]].append(r)
+                continue
+        leader_of[r] = len(clusters)
+        clusters.append([r])
+    return clusters
 
 
 # ---------------------------------------------------------------------------

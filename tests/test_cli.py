@@ -343,6 +343,37 @@ class TestErrors:
         assert err.count("\n") == 1
         assert json.loads(err)["error"]["type"] == "DegenerateChartError"
 
+    @pytest.mark.parametrize("description, grid, error", [
+        ("type=sphere radius=1e-60", "8x4", None),
+        ("type=sphere radius=1e-100", "8x4", None),
+        ("type=sphere radius=1e-60 dim=3", "4x4x4", None),
+        ("type=sphere radius=1e-100 dim=3", "4x4x4", None),
+        ("type=sphere radius=1e-160", "8x4", "DegenerateChartError"),
+        ("type=sphere radius=1e-160 dim=3", "4x4x4", "DegenerateChartError"),
+        ("type=sphere radius=1e-200", "8x4", "DegenerateChartError"),
+        ("type=sphere radius=1e-200 dim=3", "4x4x4", "DegenerateChartError"),
+        ("type=sphere radius=1e100", "8x4", "NumericsError"),
+        ("type=sphere radius=1e100 dim=3", "4x4x4", "NumericsError"),
+    ])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_scan_at_extreme_scales(self, capsys, tmp_path, description,
+                                    grid, error, fmt):
+        # tiny spheres scan (their nodes may all sit at the metric floor)
+        # until the metric itself underflows; huge ones overflow.  Either
+        # failure is one JSON line with exit 2, never a raw numpy warning
+        path = tmp_path / "sphere.txt"
+        path.write_text(description + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "equicurved-scan", "--manifold",
+                             str(path), "--grid", grid, "--format", fmt)
+        if error is None:
+            assert (code, err) == (0, "")
+            assert out
+            return
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"]["type"] == error
+
     @pytest.mark.parametrize("argv", [
         ("expand", "--manifold", "torus", "--point", "6.0,0.3",
          "--f", "poly:1:(1,0)"),

@@ -57,7 +57,7 @@ def test_output_matches_golden(name, tmp_path):
 # The benchmark's 400x200 torus scan is 12.6 MB, too large to commit: its
 # sha256 is pinned instead.
 TORUS_400X200_SHA256 = (
-    "78cdcb717a24c507cc32cd167cd4fef26098ce0d25e393e5978cd995d5242b8a")
+    "10e3fed06f55896f6632f50a1de321422743e4091855476302e903d53747bc8d")
 
 
 def test_large_scan_matches_digest(tmp_path):
@@ -69,7 +69,7 @@ def test_large_scan_matches_digest(tmp_path):
 
 # The benchmark's refined quadric scan, pinned the same way.
 QUADRIC_20X20X20_SHA256 = (
-    "4c5c163353ba52afe0bfdc42b38f1ccdb95a0d6c39fc5e896a830cbf7130626a")
+    "75650eb9d043689b85260a82f426ebb94c2c9f3897b98089c8149584aaaf2cd2")
 
 
 def test_quadric_refined_scan_matches_digest(tmp_path):

@@ -46,7 +46,51 @@ def random_points(M, count, rng, margin=0.15):
     return rng.uniform(lo, hi, size=(count, M.dim))
 
 
+def qr_normals(jac):
+    """Reference: unit normals from two QRs, signed so det([J | nu]) > 0."""
+    q, _ = np.linalg.qr(jac)
+    n = jac.shape[-2]
+    full, _ = np.linalg.qr(np.concatenate(
+        [q, np.broadcast_to(np.eye(n), q.shape[:-2] + (n, n))], axis=-1)[..., :n])
+    normal = full[..., -1]
+    signs = np.sign(np.linalg.det(np.concatenate([jac, normal[..., None]],
+                                                 axis=-1)))
+    return normal * np.where(signs == 0.0, 1.0, signs)[..., None]
+
+
 class TestShapeOperator:
+    def test_cofactor_normals(self, rng):
+        for M in (S2, S3, TORUS, SPHEROID, QUADRIC, PLANE):
+            jac = M.jacobian(0, random_points(M, 2000, rng))
+            normal, det_g = hypersurface._cofactor_normals(jac)
+            np.testing.assert_allclose(normal, qr_normals(jac), rtol=0,
+                                       atol=1e-14, err_msg=M.catalog_id)
+            np.testing.assert_allclose(np.linalg.norm(normal, axis=-1), 1.0,
+                                       rtol=0, atol=4e-16)
+            tangency = np.einsum("...ni,...n->...i", jac, normal)
+            scale = np.max(np.abs(jac), axis=(-2, -1))
+            assert np.all(np.abs(tangency) <= 1e-15 * scale[:, None])
+            assert np.all(np.linalg.det(
+                np.concatenate([jac, normal[..., None]], axis=-1)) > 0.0)
+            g = np.einsum("...ni,...nj->...ij", jac, jac)
+            np.testing.assert_allclose(det_g, np.linalg.det(g), rtol=1e-13,
+                                       atol=0)
+
+    def test_cofactor_normal_scale_free(self):
+        # scaling J leaves the unit normal alone, also where the squared
+        # 3x3 minors underflow (J ~ 2^-300); numpy's det goes through
+        # log|det|, so the minors carry a relative error of about
+        # |log det| 1e-16.  A zero Jacobian gives a zero normal without a
+        # floating-point error
+        jac = S3.jacobian(0, np.array([1.0, 1.3, 2.0]))
+        normal = hypersurface._cofactor_normals(jac)[0]
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            for k in (-300, -100, 100, 150):
+                scaled = hypersurface._cofactor_normals(np.ldexp(jac, k))[0]
+                np.testing.assert_allclose(scaled, normal, rtol=0, atol=1e-12)
+            zero, det_g = hypersurface._cofactor_normals(np.zeros((4, 3)))
+        assert zero.tolist() == [0.0] * 4 and det_g == 0.0
+
     def test_sphere_outward(self):
         sd = shape_at(S2, EQUATOR)
         np.testing.assert_allclose(sd.principal_curvatures, [-1.0, -1.0],
@@ -331,6 +375,66 @@ class TestRefinement:
                    in enumerate(scan.classification) if label == "degenerate")
         assert len(scan.zero_set) == 1210 - 220
         assert all(z.classification != "degenerate" for z in scan.zero_set)
+
+
+def leader_loop(points, radius):
+    """Reference: greedy leader clustering, one distance pass per row."""
+    clusters = []
+    reps = np.empty_like(points)
+    for r in range(points.shape[0]):
+        if clusters:
+            dists = np.linalg.norm(reps[:len(clusters)] - points[r], axis=1)
+            hit = int(np.argmin(dists))
+            if dists[hit] <= radius:
+                clusters[hit].append(r)
+                continue
+        reps[len(clusters)] = points[r]
+        clusters.append([r])
+    return clusters
+
+
+class TestLeaderClusters:
+    def test_quadric_candidates(self, monkeypatch):
+        calls = []
+        leader_clusters = hypersurface._leader_clusters
+
+        def recorded(points, radius):
+            calls.append((points, radius))
+            return leader_clusters(points, radius)
+
+        monkeypatch.setattr(hypersurface, "_leader_clusters", recorded)
+        scan_equicurved(QUADRIC, [20, 20, 20])
+        (points, radius), = calls
+        assert points.shape[0] > 1000
+        clusters = leader_clusters(points, radius)
+        assert clusters == leader_loop(points, radius)
+        assert len(clusters) < points.shape[0]
+
+    def test_random_clouds(self, rng):
+        clouds = []
+        for n in (2, 3, 4):
+            clouds.append((rng.uniform(-1.0, 1.0, (400, n)), 0.1))
+            # dyadic lattice points: pairs exactly radius apart, and midpoints
+            # equidistant from two leaders
+            lattice = rng.integers(-4, 5, (300, n)) * 0.125
+            clouds.append((lattice, 0.25))
+            clouds.append((lattice, 0.125))
+        # many points with one projection on the clustering direction:
+        # duplicates, and a plane orthogonal to it
+        direction = np.random.default_rng(0).standard_normal(3)
+        basis = np.linalg.svd(direction[None, :])[2][1:]
+        plane = rng.uniform(-1.0, 1.0, (300, 2)) @ basis
+        clouds.append((plane, 0.2))
+        clouds.append((np.repeat(rng.uniform(-1, 1, (20, 3)), 15, axis=0)
+                       [rng.permutation(300)], 0.05))
+        clouds.append((np.zeros((50, 3)), 0.0))
+        for points, radius in clouds:
+            assert hypersurface._leader_clusters(points, radius) == \
+                leader_loop(points, radius)
+
+    def test_tie_goes_to_lowest_index(self):
+        points = np.array([[0.0, 0.0], [0.5, 0.0], [0.25, 0.0], [0.75, 0.0]])
+        assert hypersurface._leader_clusters(points, 0.25) == [[0, 2], [1, 3]]
 
 
 def classify_row(kappas, residual, spread, tol_eq, tol_umb):
