@@ -54,20 +54,24 @@ def _csv_blocks(header, columns, labels):
 
     A column with few distinct bit patterns (bits keep -0.0 apart from 0.0)
     is formatted once per pattern, and each block gathers its strings by the
-    row codes; any other column is formatted value by value.  The patterns
-    are counted on a plain sort first: the row codes cost a sort with its
-    permutation, which only a tabled column needs.
+    row codes; any other column is formatted value by value.  One argsort of
+    the bits gives both the count of patterns and the row codes.
     """
     cells, row_fmt = [], "0,"
     for col in columns:
         col = np.asarray(col, dtype=np.float64)
         bits = col.view(np.int64)
-        ordered = np.sort(bits)
-        distinct = np.count_nonzero(ordered[1:] != ordered[:-1]) + 1
+        order = np.argsort(bits)
+        ordered = bits[order]
+        first = np.empty(ordered.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        distinct = np.count_nonzero(first)
         if distinct <= _CSV_TABLE_MAX_SHARE * col.size:
-            table, codes = np.unique(bits, return_inverse=True)
-            strings = np.array(["%.17g" % v for v in table.view(np.float64)
-                                .tolist()], dtype=object)
+            codes = np.empty(ordered.size, dtype=np.intp)
+            codes[order] = np.cumsum(first) - 1
+            strings = np.array(["%.17g" % v for v in ordered[first]
+                                .view(np.float64).tolist()], dtype=object)
             cells.append((strings, codes))
             row_fmt += "%s,"
         else:
@@ -220,9 +224,9 @@ def _cmd_operator(args) -> int:
         mc_rows = [monte_carlo_operator(M, f, point, e, args.mc, seed=args.seed)
                    for e in eps_list]
     if args.format == "csv":
-        lines = ["eps,value,tail_bound"]
-        lines += [f"{_fmt(s.eps)},{_fmt(s.value)},{_fmt(s.tail_bound)}"
-                  for s in ladder.samples]
+        lines = ["eps,value,tail_bound,quad_error"]
+        lines += [f"{_fmt(s.eps)},{_fmt(s.value)},{_fmt(s.tail_bound)},"
+                  f"{_fmt(s.quad_error)}" for s in ladder.samples]
         _emit("\n".join(lines) + "\n", args.out)
     else:
         payload = {
@@ -230,7 +234,8 @@ def _cmd_operator(args) -> int:
             "point": {"chart": point.chart,
                       "coords": [float(c) for c in point.coords]},
             "samples": [{"eps": s.eps, "value": s.value,
-                         "tail_bound": s.tail_bound} for s in ladder.samples],
+                         "tail_bound": s.tail_bound, "quad_error": s.quad_error}
+                        for s in ladder.samples],
         }
         if mc_rows is not None:
             payload["monte_carlo"] = [

@@ -75,9 +75,10 @@ def fit_polynomial(ladder: EpsLadder, Q: int) -> FitReport:
     residual = y - fitted
     max_resid = float(np.max(np.abs(residual)))
     # heuristic per-coefficient sensitivity: normal-matrix geometry times the
-    # worse of fit residual and ladder tail bounds
+    # worst of fit residual, ladder tail bounds and quadrature errors
     cov = np.linalg.inv(a_mat.T @ a_mat)
-    noise = max(max_resid, float(np.max(ladder.tail_bounds, initial=0.0)), 1e-16)
+    noise = max(max_resid, float(np.max(ladder.tail_bounds, initial=0.0)),
+                float(np.max(ladder.quad_errors, initial=0.0)), 1e-16)
     sens = np.sqrt(np.diag(cov)) * noise
     coeffs = tuple(float(c) / scale ** q for q, c in enumerate(coef))
     sens = tuple(float(s) / scale ** q for q, s in enumerate(sens))

@@ -315,8 +315,11 @@ class EmbeddedManifold:
             return cached
         from .operator import build_full_rule  # local import to avoid a cycle
         rule = build_full_rule(self, order=96)
-        self._volume_cache = float(np.sum(rule.weights
-                                          * self.sqrt_det_metric(0, rule.nodes)))
+        # the product is formed in the weights' own array: one array of 96^d
+        # values is alive, not two (the rule dies on return)
+        weighted = rule.weights
+        weighted *= self.sqrt_det_metric(0, rule.nodes)
+        self._volume_cache = float(np.sum(weighted))
         return self._volume_cache
 
 

@@ -1,12 +1,28 @@
 """Gaussian-kernel integral operator by tensor quadrature and Monte Carlo.
 
 The operator integrates ``k_eps(x, y) f(y)`` against the Riemannian volume
-form over the chart box.  For small bandwidths the quadrature window is
-restricted to a chart-coordinate box around the geodesic ball of radius
-``min(delta, 8 sqrt(eps * max(1, log(1/eps))))``; the mass excluded by the
-window is controlled by an explicit far-field bound reported alongside the
-value.  Non-periodic axes use tensor Gauss-Legendre nodes, full periodic axes
-use the trapezoid rule (spectrally accurate for smooth periodic integrands).
+form over the chart box.  At small bandwidths the rule lives in the kernel's
+own scale: on axis i the nodes are ``s_i = x_i + 2 sqrt(eps (g^-1)_ii) t_k``,
+with ``t_k`` the Gauss-Hermite nodes and ``g`` the metric at ``x``, and each
+weight is ``w_k e^(t_k^2)`` times the axis scale, so the rule integrates the
+pulled-back kernel, a Gaussian in ``t`` times a factor that is smooth on the
+scale of ``t``.  An axis whose node box crosses one edge of the chart box
+takes Gauss-Legendre nodes on the node box clipped to the chart box; an axis
+the node box covers whole takes the full-axis rule: Gauss-Legendre, or the
+trapezoid rule on a periodic axis (spectrally accurate for smooth periodic
+integrands).  When every axis is covered whole the rule is the full chart
+box, with the node count raised until the spacing resolves the kernel width.
+
+:func:`eps_sweep` chooses the Hermite order per bandwidth from a ladder
+(``HERMITE_ORDERS``): it accepts the first order from 24 on whose value
+differs from the previous order's by at most ``QUAD_ERROR_TARGET`` relative,
+and reports that difference as the sample's quadrature error.  The ladder
+stops where the node box comes to cover an axis it did not cover at 16 nodes;
+when no order before that meets the target, the sweep uses the full box and
+reports the difference between the box's orders ``n`` and ``ceil(2n/3)``.
+The tail bound is the kernel mass over the part of the chart box that the
+rule never samples.
+
 A rule holds its nodes as a :class:`TensorGrid` of per-axis arrays, so the
 geometry is evaluated per axis and broadcast, never on dense ``(N, d)`` nodes.
 The embedding of the nodes stays a :class:`TensorGrid` too: each ambient
@@ -25,8 +41,9 @@ tail bounds refer to that closure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import cache, reduce
+from dataclasses import dataclass
+from functools import cache, lru_cache, reduce
+from itertools import pairwise
 from operator import mul
 from typing import Callable, Sequence
 
@@ -37,6 +54,12 @@ from .manifold import ChartPoint, EmbeddedManifold, TensorGrid, as_coords
 
 DEFAULT_ORDER = 64
 _COARSE_RES = 33
+# the Gauss-Hermite orders eps_sweep tries at each bandwidth, in turn
+HERMITE_ORDERS = (16, 24, 32, 48, 64)
+# an order is accepted once |Q_n - Q_prev| <= QUAD_ERROR_TARGET max(1, |Q_n|)
+QUAD_ERROR_TARGET = 1e-13
+# the per-axis rules of a kernel-scale rule
+HERMITE, CLIPPED, FULL = "hermite", "clipped", "full"
 
 
 def _require_bandwidth(eps: float) -> None:
@@ -47,10 +70,18 @@ def _require_bandwidth(eps: float) -> None:
 
 def _chord_sq(x: np.ndarray, y) -> np.ndarray:
     """``|y - x|^2`` of an array or :class:`TensorGrid` ``y``, summed one
-    ambient component at a time, left to right (see :func:`k_eps`)."""
+    ambient component at a time, left to right (see :func:`k_eps`).  Each
+    term is squared in place, and added in place once the sum has the batch
+    shape, so at most two batch-sized arrays are alive."""
     dist_sq = (y[..., 0] - x[..., 0]) ** 2
     for i in range(1, y.shape[-1]):
-        dist_sq = dist_sq + (y[..., i] - x[..., i]) ** 2
+        term = y[..., i] - x[..., i]
+        term *= term
+        if np.shape(dist_sq) == np.broadcast_shapes(np.shape(dist_sq),
+                                                    np.shape(term)):
+            dist_sq += term
+        else:
+            dist_sq = dist_sq + term
     return dist_sq
 
 
@@ -67,8 +98,17 @@ def k_eps(x: np.ndarray, y, eps: float, d: int) -> np.ndarray:
     must satisfy ``0 < eps < inf``.
     """
     _require_bandwidth(eps)
-    dist_sq = _chord_sq(np.asarray(x, dtype=float), as_coords(y))
-    return (4.0 * math.pi * eps) ** (-d / 2.0) * np.exp(-dist_sq / (4.0 * eps))
+    return _kernel_of_chord(
+        _chord_sq(np.asarray(x, dtype=float), as_coords(y)), eps, d)
+
+
+def _kernel_of_chord(dist_sq: np.ndarray, eps: float, d: int) -> np.ndarray:
+    """``(4 pi eps)^(-d/2) exp(-dist_sq / (4 eps))`` in one new array: the
+    quotient, exponentiated and scaled in place (``dist_sq`` is untouched)."""
+    kern = dist_sq / (-4.0 * eps)
+    kern = np.exp(kern, out=kern) if isinstance(kern, np.ndarray) else np.exp(kern)
+    kern *= (4.0 * math.pi * eps) ** (-d / 2.0)
+    return kern
 
 
 # ---------------------------------------------------------------------------
@@ -77,21 +117,29 @@ def k_eps(x: np.ndarray, y, eps: float, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """One tensor-product rule in the manifold's only chart, over the whole
-    chart box (``covers_atlas``) or over ``window``.  ``nodes`` is a
-    :class:`TensorGrid` of shape ``(n_0, ..., n_{d-1}, d)``, held as its
-    per-axis node arrays, and ``weights`` the outer product of the per-axis
-    weights, of shape ``(n_0, ..., n_{d-1})``.  A window kept where the
-    injectivity cap binds excludes kernel mass of at most 1e-6 by the
-    far-field bound."""
+    """One tensor-product rule in the manifold's only chart.
+
+    ``nodes`` is a :class:`TensorGrid` of shape ``(n_0, ..., n_{d-1}, d)``,
+    held as its per-axis node arrays, and ``weights`` the outer product of the
+    per-axis weights, of shape ``(n_0, ..., n_{d-1})``.  A rule over the whole
+    chart box ``covers_atlas``.  Any other rule is in the kernel's scale:
+    ``axis_rules`` names each axis's rule (``HERMITE``, ``CLIPPED`` or
+    ``FULL``) and ``window`` is the node box ``(lo, hi)``, outside which the
+    rule samples nothing; on a periodic axis it may straddle the period seam.
+    """
     nodes: TensorGrid
     weights: np.ndarray
-    localized_radius: float | None
     covers_atlas: bool
     window: tuple[np.ndarray, np.ndarray] | None = None
+    axis_rules: tuple[str, ...] | None = None
 
     def node_count(self) -> int:
         return math.prod(self.nodes.shape[:-1])
+
+
+def _require_order(order: int) -> None:
+    if order < 2:
+        raise ValidationError("quadrature order must be at least 2")
 
 
 @cache
@@ -103,9 +151,20 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
+@cache
+def _gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Hermite nodes ``t_k``, ascending, and the weights
+    ``w_k e^(t_k^2)``, which integrate ``g`` over the line where ``g`` is
+    ``e^(-t^2)`` times a smooth factor."""
+    t, w = np.polynomial.hermite.hermgauss(order)
+    rule = (t, w * np.exp(t * t))
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def _axis_rule(lo: float, hi: float, periodic_full: bool, order: int):
-    if order < 2:
-        raise ValidationError("quadrature order must be at least 2")
+    _require_order(order)
     if periodic_full:
         nodes = lo + (hi - lo) * np.arange(order) / order
         weights = np.full(order, (hi - lo) / order)
@@ -116,27 +175,45 @@ def _axis_rule(lo: float, hi: float, periodic_full: bool, order: int):
     return nodes, weights
 
 
+def _hermite_axis(center: float, scale: float, order: int):
+    """Nodes ``center + scale t_k`` and their weights.  A node is rounded,
+    so its weight takes ``e^(t^2)`` at the node's actual offset ``t'``, by
+    the factor ``e^((t' - t)(t' + t))``: at eps = 1e-8 the rounding alone
+    would move K_eps 1 on the unit sphere by 2e-13."""
+    t, w = _gauss_hermite(order)
+    nodes = center + scale * t
+    actual = (nodes - center) / scale
+    return nodes, scale * w * np.exp((actual - t) * (actual + t))
+
+
+def _outer_product(grid: TensorGrid) -> np.ndarray:
+    """The outer product of a grid's axis columns, multiplied from axis 0."""
+    return reduce(mul, grid.columns, 1.0)
+
+
 def _tensor_rule(axes: list[tuple[np.ndarray, np.ndarray]]
                  ) -> tuple[TensorGrid, np.ndarray]:
-    """The node grid and the weights' outer product, multiplied axis by axis
-    from axis 0."""
+    """The node grid and the weights' outer product."""
     nodes, weights = (TensorGrid.product(a) for a in zip(*axes))
-    return nodes, reduce(mul, (weights[..., i] for i in range(len(axes))), 1.0)
+    return nodes, _outer_product(weights)
+
+
+def _full_axes(M: EmbeddedManifold, axis_orders: Sequence[int]):
+    """Each axis's rule over the whole chart box."""
+    chart = M.chart(0)
+    return [_axis_rule(chart.lo[i], chart.hi[i], chart.periodic[i], n)
+            for i, n in enumerate(axis_orders)]
 
 
 def build_full_rule(M: EmbeddedManifold, order: int = DEFAULT_ORDER,
                     axis_orders: Sequence[int] | None = None) -> QuadratureRule:
     """Quadrature covering the whole chart box."""
-    chart = M.chart(0)
-    axes = []
-    for i in range(chart.dim):
-        n_i = axis_orders[i] if axis_orders is not None else order
-        axes.append(_axis_rule(chart.lo[i], chart.hi[i], chart.periodic[i], n_i))
-    return QuadratureRule(*_tensor_rule(axes), localized_radius=None,
+    if axis_orders is None:
+        axis_orders = [order] * M.dim
+    return QuadratureRule(*_tensor_rule(_full_axes(M, axis_orders)),
                           covers_atlas=True)
 
 
-_EXCLUDED_MASS_LIMIT = 1e-6
 _MAX_AXIS_ORDER = {1: 1024, 2: 512, 3: 192}
 # Monte Carlo sample counts; each batch draws 2n x d candidate coordinates
 MC_SAMPLES = range(1000, 1_000_001)
@@ -147,75 +224,88 @@ def max_axis_order(dim: int) -> int:
     return _MAX_AXIS_ORDER.get(dim, 128)
 
 
-def build_localized_rule(M: EmbeddedManifold, x: ChartPoint, eps: float,
-                         order: int = DEFAULT_ORDER) -> QuadratureRule:
-    """Quadrature over a chart-coordinate box holding the geodesic ball at x.
+@lru_cache(maxsize=1)
+def _metric_diagonals(M: EmbeddedManifold, ci: int, coords: tuple[float, ...]
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """``(diag g, diag g^-1)`` of the metric at one point.  A sweep builds
+    several rules at every bandwidth, and the metric depends on neither."""
+    g = M.metric(ci, np.array(coords))
+    diagonals = (np.diagonal(g).copy(), np.diagonal(np.linalg.inv(g)).copy())
+    for a in diagonals:
+        a.flags.writeable = False
+    return diagonals
 
-    The ball radius is ``min(delta, 8 sqrt(eps max(1, log 1/eps)))``, mapped
-    to per-axis halfwidths through the inverse metric at ``x`` with a 30%
-    margin.  When the window covers the whole box the full-box rule is
-    returned.  When the injectivity cap binds *and* the window would exclude
-    non-negligible kernel mass (far-field bound above 1e-6), the rule falls
-    back to the full box with the per-axis node count raised until the node
-    spacing resolves the kernel width; this only happens at large bandwidths,
-    where the escalation stays cheap.
-    """
-    _require_bandwidth(eps)
-    raw_radius = 8.0 * math.sqrt(eps * max(1.0, math.log(1.0 / eps)))
-    radius = min(M.delta, raw_radius)
-    chart = M.chart(x.chart)
-    chart.require_inside(x.coords)
-    g_x = M.metric(x.chart, x.coords)
-    ginv = np.linalg.inv(g_x)
-    half = 1.3 * radius * np.sqrt(np.diagonal(ginv))
-    axes = []
-    window = []
-    full = True
-    for i in range(chart.dim):
-        lo_i, hi_i = chart.lo[i], chart.hi[i]
-        width = hi_i - lo_i
-        c = float(x.coords[i])
-        if chart.periodic[i]:
-            if 2.0 * half[i] >= width:
-                axes.append(_axis_rule(lo_i, hi_i, True, order))
-                window.append((lo_i, hi_i))
-                continue
-            # sub-period window; nodes wrap through the chart
-            axes.append(_axis_rule(c - half[i], c + half[i], False, order))
-            window.append((c - half[i], c + half[i]))
-            full = False
-        else:
-            a, b = max(lo_i, c - half[i]), min(hi_i, c + half[i])
-            axes.append(_axis_rule(a, b, False, order))
-            window.append((a, b))
-            if a > lo_i or b < hi_i:
-                full = False
-    if full:
-        return replace(build_full_rule(M, order), localized_radius=radius)
-    lo = np.array([w[0] for w in window])
-    hi = np.array([w[1] for w in window])
-    windowed = QuadratureRule(*_tensor_rule(axes), localized_radius=radius,
-                              covers_atlas=False, window=(lo, hi))
-    if raw_radius < M.delta:
-        return windowed
-    # the injectivity cap binds: keep the window only if the mass it excludes
-    # is provably negligible
-    x0 = M.embed(x.chart, x.coords)
-    m = _excluded_min_distance(M, x0, windowed)
-    if math.isfinite(m):
-        bound = ((4.0 * math.pi * eps) ** (-M.dim / 2.0)
-                 * math.exp(-m * m / (4.0 * eps)) * M.volume())
-        if bound <= _EXCLUDED_MASS_LIMIT:
-            return windowed
+
+def _metric_at(M: EmbeddedManifold, x: ChartPoint):
+    return _metric_diagonals(M, x.chart, tuple(x.coords.tolist()))
+
+
+def _full_box_orders(M: EmbeddedManifold, eps: float, g_diag: np.ndarray,
+                     order: int) -> list[int]:
+    """Per-axis node counts of the full box: ``order``, raised until the
+    spacing resolves the kernel width ``sqrt(2 eps)`` (by the metric at the
+    point), capped at :func:`max_axis_order`."""
+    chart = M.chart(0)
     sigma = math.sqrt(2.0 * eps)
     cap = max_axis_order(M.dim)
-    axis_orders = []
+    orders = []
     for i in range(chart.dim):
-        extent = (chart.hi[i] - chart.lo[i]) * math.sqrt(max(g_x[i, i], 1e-30))
-        axis_orders.append(min(max(order, int(math.ceil(2.8 * extent / sigma))),
-                               cap))
-    return replace(build_full_rule(M, order, axis_orders=axis_orders),
-                   localized_radius=radius)
+        extent = (chart.hi[i] - chart.lo[i]) * math.sqrt(max(g_diag[i], 1e-30))
+        orders.append(min(max(order, int(math.ceil(2.8 * extent / sigma))), cap))
+    return orders
+
+
+def build_localized_rule(M: EmbeddedManifold, x: ChartPoint, eps: float,
+                         order: int = DEFAULT_ORDER,
+                         hermite_order: int = 32) -> QuadratureRule:
+    """The kernel-scale rule at ``x`` for one Gauss-Hermite order.
+
+    Axis i's node box is ``x_i +- T 2 sqrt(eps (g^-1)_ii)``, with ``T`` the
+    largest node of the ``hermite_order``-point Hermite rule and ``g`` the
+    metric at ``x``.  The axis takes Hermite nodes where its node box lies
+    inside the chart box, or spans at most one period on a periodic axis;
+    ``order`` Gauss-Legendre nodes on the node box clipped to the chart box
+    where it crosses one edge; and the full-axis rule of ``order`` where it
+    covers the axis.  When it covers every axis the rule is the full box,
+    with the node counts of :func:`_full_box_orders`.  :func:`eps_sweep`
+    chooses ``hermite_order`` per bandwidth from ``HERMITE_ORDERS``; see the
+    module docstring.
+    """
+    _require_bandwidth(eps)
+    _require_order(order)
+    _require_order(hermite_order)
+    chart = M.chart(x.chart)
+    chart.require_inside(x.coords)
+    g_diag, ginv_diag = _metric_at(M, x)
+    scale = 2.0 * np.sqrt(eps * ginv_diag)
+    half = _gauss_hermite(hermite_order)[0][-1] * scale
+    kinds, axes, lo, hi = [], [], [], []
+    for i in range(chart.dim):
+        c = float(x.coords[i])
+        a, b = c - half[i], c + half[i]
+        if chart.periodic[i]:
+            kind = HERMITE if b - a <= chart.hi[i] - chart.lo[i] else FULL
+        elif chart.lo[i] <= a and b <= chart.hi[i]:
+            kind = HERMITE
+        elif a <= chart.lo[i] and chart.hi[i] <= b:
+            kind = FULL
+        else:
+            kind = CLIPPED
+            a, b = max(a, chart.lo[i]), min(b, chart.hi[i])
+        if kind == FULL:
+            a, b = chart.lo[i], chart.hi[i]
+        kinds.append(kind)
+        lo.append(a)
+        hi.append(b)
+        axes.append(_hermite_axis(c, scale[i], hermite_order) if kind == HERMITE
+                    else _axis_rule(a, b, kind == FULL and chart.periodic[i],
+                                    order))
+    if all(kind == FULL for kind in kinds):
+        return build_full_rule(M, order,
+                               axis_orders=_full_box_orders(M, eps, g_diag, order))
+    return QuadratureRule(*_tensor_rule(axes), covers_atlas=False,
+                          window=(np.array(lo), np.array(hi)),
+                          axis_rules=tuple(kinds))
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +314,19 @@ def build_localized_rule(M: EmbeddedManifold, x: ChartPoint, eps: float,
 
 @dataclass(frozen=True)
 class TailEstimate:
-    """Far-field bound for the mass outside the quadrature window.
+    """The kernel mass a rule never samples, bounded by
+    ``(4 pi eps)^(-d/2) e^(-m^2 / 4 eps) Vol(M) sup|f|``.
 
     ``m_delta`` approximates the infimum of |y - x| over the part of the
-    chart box outside the window (estimated on a coarse grid, like the sup norm
-    of f; both are diagnostics, not certified bounds).
+    chart box outside the rule's node box, and ``f_sup`` the sup norm of f;
+    both come from a coarse grid, so they are diagnostics, not certified
+    bounds.  A rule over the whole box misses nothing: ``m_delta`` is inf and
+    the bound 0.  A kernel-scale node box spans a fixed number of kernel
+    widths, so the mass it misses does not decay super-polynomially in eps:
+    it is a fixed fraction, about ``e^(-T^2)`` with ``T`` the largest Hermite
+    node, of the kernel mass.  The coarse grid places ``m_delta`` at its
+    nearest point outside the box, which at small eps lies many kernel widths
+    beyond it, so the bound can fall far below that fraction.
     """
     m_delta: float
     volume: float
@@ -261,7 +359,7 @@ def _coarse_grid(M: EmbeddedManifold):
 
 def _excluded_min_distance(M: EmbeddedManifold, x0: np.ndarray,
                            rule: QuadratureRule) -> float:
-    """Coarse-grid minimum of |y - x| over chart points outside the window."""
+    """Coarse-grid minimum of |y - x| over chart points outside the node box."""
     if rule.covers_atlas:
         return math.inf
     coords, embeds = _coarse_grid(M)
@@ -307,43 +405,62 @@ def tail_estimate(M: EmbeddedManifold, x: ChartPoint, eps: float,
 # Operator evaluation
 # ---------------------------------------------------------------------------
 
+def _weighted_sum(weighted: np.ndarray, kern: np.ndarray) -> float:
+    """``sum(weighted * kern)``, the product formed in the kernel's array."""
+    if isinstance(kern, np.ndarray) and kern.shape == np.shape(weighted):
+        np.multiply(weighted, kern, out=kern)
+    else:
+        kern = weighted * kern
+    return float(np.sum(kern))
+
+
 def _quadrature_sum(M: EmbeddedManifold, f: Callable, x0: np.ndarray,
                     eps: float, rule: QuadratureRule) -> float:
-    """The rule's kernel sum; its node arrays die on return, before the tail
-    bound builds the order-96 volume rule."""
-    # fields see wrapped coordinates (windows may straddle a period seam)
+    """The rule's kernel sum ``((w rho) f) k``; its node arrays die on
+    return, before the tail bound builds the order-96 volume rule."""
+    # fields see wrapped coordinates (node boxes may straddle a period seam)
     nodes, ambient, dens = M.chart(0).jet(rule.nodes, (0,), volume=True)
     fvals = np.asarray(f(nodes, ambient), dtype=float)
-    kern = k_eps(x0, ambient, eps, M.dim)
-    return float(np.sum(rule.weights * dens * fvals * kern))
+    return _weighted_sum(rule.weights * dens * fvals,
+                         k_eps(x0, ambient, eps, M.dim))
+
+
+def _require_finite(value: float, eps: float) -> None:
+    if not math.isfinite(value):
+        raise NumericsError(f"operator value at eps={eps:g} is not finite")
 
 
 def apply_operator(M: EmbeddedManifold, f: Callable, x: ChartPoint, eps: float,
                    rule: QuadratureRule | None = None) -> tuple[float, float]:
     """Quadrature value of the kernel integral at ``x`` plus its tail bound.
 
-    ``f`` is a scalar field callable ``f(coords, ambient) -> values``.  The
+    ``f`` is a scalar field callable ``f(coords, ambient) -> values``.  With
+    no ``rule``, the rule is chosen as :func:`eps_sweep` chooses it.  The
     reduction is a fixed-order pairwise sum, so results are deterministic and
     independent of any node-level parallelism.  A value that is not finite
     raises :class:`NumericsError`.
     """
     if rule is None:
-        rule = build_localized_rule(M, x, eps)
+        (sample,) = eps_sweep(M, f, x, [eps]).samples
+        return sample.value, sample.tail_bound
     if rule.nodes.shape[-1] != M.dim:
         raise ValidationError(
             "quadrature rule does not match the manifold's chart")
     total = _quadrature_sum(M, f, M.embed(x.chart, x.coords), eps, rule)
-    if not math.isfinite(total):
-        raise NumericsError(f"operator value at eps={eps:g} is not finite")
+    _require_finite(total, eps)
     tail = tail_estimate(M, x, eps, rule, f)
     return total, tail.bound
 
 
 @dataclass(frozen=True)
 class LadderSample:
+    """One bandwidth's operator value, the bound on the kernel mass its rule
+    never samples, and its quadrature-error estimate: the value's distance
+    from that of the next coarser rule."""
     eps: float
     value: float
     tail_bound: float
+    quad_error: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -360,6 +477,8 @@ class EpsLadder:
             raise ValidationError("ladder bandwidths must be strictly decreasing")
         if any(s.tail_bound < 0 for s in self.samples):
             raise ValidationError("tail bounds must be non-negative")
+        if any(not s.quad_error >= 0 for s in self.samples):
+            raise ValidationError("quadrature errors must be non-negative")
 
     @property
     def eps(self) -> np.ndarray:
@@ -373,6 +492,10 @@ class EpsLadder:
     def tail_bounds(self) -> np.ndarray:
         return np.array([s.tail_bound for s in self.samples])
 
+    @property
+    def quad_errors(self) -> np.ndarray:
+        return np.array([s.quad_error for s in self.samples])
+
 
 def default_eps_ladder(eps0: float = 0.1, count: int = 8) -> list[float]:
     """Geometric ladder eps0 * 2^-k, floored at 1e-4 to keep quadrature
@@ -384,16 +507,114 @@ def default_eps_ladder(eps0: float = 0.1, count: int = 8) -> list[float]:
     return out
 
 
+def _coarser(order: int) -> int:
+    """``ceil(2 order / 3)``: the order a rule's error estimate compares with."""
+    return -(-2 * order // 3)
+
+
+def _hermite_sample(M: EmbeddedManifold, f: Callable, x: ChartPoint,
+                    eps: float, order: int, first: QuadratureRule
+                    ) -> LadderSample | None:
+    """The sample of the first Hermite order from ``HERMITE_ORDERS[1]`` on
+    that meets the target, or None.
+
+    Order n is compared with the previous order; axes without Hermite nodes
+    take ``order`` nodes in the one and ``ceil(2 order / 3)`` in the other,
+    so the difference covers them too.  A Hermite axis whose node box comes
+    to cross an edge is clipped, and the ladder goes on; it stops where the
+    node box comes to cover an axis that the first order (``first``) did
+    not: there the kernel spans the axis, and the full box resolves it.
+    """
+    x0 = M.embed(x.chart, x.coords)
+    previous = None     # the previous order's value, once it has one
+    for prev, n in pairwise(HERMITE_ORDERS):
+        rule = build_localized_rule(M, x, eps, order, hermite_order=n)
+        if rule.covers_atlas or (rule.axis_rules.count(FULL)
+                                 > first.axis_rules.count(FULL)):
+            return None
+        value, tail = apply_operator(M, f, x, eps, rule)
+        if any(kind != HERMITE for kind in rule.axis_rules):
+            reference = _quadrature_sum(M, f, x0, eps, build_localized_rule(
+                M, x, eps, _coarser(order), hermite_order=prev))
+        elif previous is None:
+            reference = _quadrature_sum(M, f, x0, eps, first)
+        else:   # an all-Hermite rule's previous order was all-Hermite too
+            reference = previous
+        error = abs(value - reference)
+        if error <= QUAD_ERROR_TARGET * max(1.0, abs(value)):
+            return LadderSample(eps=eps, value=value, tail_bound=tail,
+                                quad_error=error)
+        previous = value
+    return None
+
+
+def _box_terms(M: EmbeddedManifold, f: Callable, x0: np.ndarray,
+               orders: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The full box's ``(w rho) f`` product and chord ``|y - x|^2``: the
+    terms of :func:`_quadrature_sum` that do not depend on eps.  The weights'
+    outer product is formed only after the embedding dies, so at most four
+    arrays of the box's size are alive at once."""
+    grid, weights = (TensorGrid.product(a) for a in zip(*_full_axes(M, orders)))
+    nodes, ambient, dens = M.chart(0).jet(grid, (0,), volume=True)
+    fvals = np.asarray(f(nodes, ambient), dtype=float)
+    chord = _chord_sq(x0, ambient)
+    del nodes, ambient
+    weighted = _outer_product(weights) * dens
+    weighted *= fvals
+    return weighted, chord
+
+
+def _full_box_sample(M: EmbeddedManifold, f: Callable, x: ChartPoint,
+                     eps: float, order: int, products: dict) -> LadderSample:
+    """The full box's sample; its error estimate compares the box with one of
+    ``ceil(2 n / 3)`` nodes on each axis of ``n``.
+
+    ``products`` maps a box's node counts to its ``(w rho) f`` product and
+    its chord ``|y - x|^2``, so a sweep evaluates the geometry, ``f`` and the
+    chord once per box and each bandwidth only applies its kernel; the sum
+    ``((w rho) f) k`` keeps the bits of :func:`_quadrature_sum`.  Only this
+    bandwidth's two boxes are kept: the node counts never fall as eps does.
+    """
+    orders = _full_box_orders(M, eps, _metric_at(M, x)[0], order)
+    keys = [tuple(orders), tuple(_coarser(n) for n in orders)]
+    for key in set(products) - set(keys):
+        del products[key]
+    x0 = M.embed(x.chart, x.coords)
+    for key in keys:
+        if key not in products:
+            products[key] = _box_terms(M, f, x0, key)
+    tail = tail_estimate(M, x, eps, build_full_rule(M, axis_orders=keys[0]), f)
+    value, coarse = (_weighted_sum(weighted, _kernel_of_chord(chord, eps, M.dim))
+                     for weighted, chord in map(products.get, keys))
+    _require_finite(value, eps)
+    return LadderSample(eps=eps, value=value, tail_bound=tail.bound,
+                        quad_error=abs(value - coarse))
+
+
+def _sample(M: EmbeddedManifold, f: Callable, x: ChartPoint, eps: float,
+            order: int, products: dict) -> LadderSample:
+    first = build_localized_rule(M, x, eps, order,
+                                 hermite_order=HERMITE_ORDERS[0])
+    sample = (None if first.covers_atlas
+              else _hermite_sample(M, f, x, eps, order, first))
+    return sample or _full_box_sample(M, f, x, eps, order, products)
+
+
 def eps_sweep(M: EmbeddedManifold, f: Callable, x: ChartPoint,
               eps_list: Sequence[float], order: int = DEFAULT_ORDER,
               f_id: str = "") -> EpsLadder:
-    """One operator evaluation per bandwidth, with bandwidth-adapted windows."""
-    eps_list = [float(e) for e in eps_list]
-    samples = []
+    """One operator sample per bandwidth: the first Hermite order of the
+    ladder that meets the target, else the full box (see the module
+    docstring).  Full boxes of equal node counts share one evaluation of the
+    geometry and ``f``; each bandwidth applies its own kernel."""
+    eps_list = [float(eps) for eps in eps_list]
     for eps in eps_list:
-        value, tail = apply_operator(M, f, x, eps,
-                                     build_localized_rule(M, x, eps, order))
-        samples.append(LadderSample(eps=eps, value=value, tail_bound=tail))
+        _require_bandwidth(eps)
+    # every tail bound needs the volume: its order-96 rule, the largest
+    # arrays of a sweep, is built and freed before any other
+    M.volume()
+    products = {}
+    samples = [_sample(M, f, x, eps, order, products) for eps in eps_list]
     return EpsLadder(samples=samples, f_id=f_id)
 
 

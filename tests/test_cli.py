@@ -62,12 +62,12 @@ class TestOperator:
                            "--format", "csv")
         assert code == 0
         lines = out.strip().split("\n")
-        assert lines[0] == "eps,value,tail_bound"
+        assert lines[0] == "eps,value,tail_bound,quad_error"
         assert len(lines) == 3
-        eps, value, tail = (float(t) for t in lines[1].split(","))
+        eps, value, tail, quad_error = (float(t) for t in lines[1].split(","))
         assert eps == 0.01
         assert value == pytest.approx(1.0 + 0.01 / 9.0, abs=1e-4)
-        assert tail >= 0.0
+        assert tail >= 0.0 and quad_error >= 0.0
 
     def test_json_with_monte_carlo(self, capsys):
         code, out, _ = run(capsys, "operator", "--manifold", "sphere2",
@@ -92,7 +92,7 @@ class TestOperator:
                            "--out", str(target))
         assert code == 0
         assert out == ""
-        assert target.read_text().startswith("eps,value,tail_bound")
+        assert target.read_text().startswith("eps,value,tail_bound,quad_error")
 
 
 class TestExpand:
@@ -391,7 +391,7 @@ class TestErrors:
                            "--point", "1.0,6.1", "--f", "poly:1:(1,0)",
                            "--eps", "0.01", "--format", "csv")
         assert code == 0
-        assert out.startswith("eps,value,tail_bound\n")
+        assert out.startswith("eps,value,tail_bound,quad_error\n")
 
     def test_numerics_exit_code(self, capsys, monkeypatch):
         def boom(args):

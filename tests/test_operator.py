@@ -1,10 +1,13 @@
 """Operator-layer tests: kernel, quadrature rules, sweeps, tails, Monte Carlo."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+import ckl.cli as cli
+import ckl.operator as operator
 from ckl import NumericsError, ValidationError
 from ckl.catalog import catalog_manifold, load_manifold_text
 from ckl.fields import AmbientCoordField, ChartPolyField, ConstField
@@ -100,9 +103,16 @@ class TestRules:
         assert vols[0] == pytest.approx(vols[1], rel=1e-6)
 
     def test_localized_small_eps_is_window(self):
-        rule = build_localized_rule(S2, EQUATOR, 1e-3)
+        # the node box is x_i +- T 2 sqrt(eps (g^-1)_ii), T the largest node of
+        # the 32-point Hermite rule: a fixed number of kernel widths
+        eps = 1e-3
+        rule = build_localized_rule(S2, EQUATOR, eps)
         assert not rule.covers_atlas
-        assert rule.localized_radius < S2.delta
+        assert rule.axis_rules == ("hermite", "hermite")
+        ginv = np.diagonal(np.linalg.inv(S2.metric(0, EQUATOR.coords)))
+        half = np.polynomial.hermite.hermgauss(32)[0][-1] * 2 * np.sqrt(eps * ginv)
+        np.testing.assert_allclose(rule.window[0], EQUATOR.coords - half, rtol=1e-14)
+        np.testing.assert_allclose(rule.window[1], EQUATOR.coords + half, rtol=1e-14)
 
     def test_localized_large_eps_covers(self):
         rule = build_localized_rule(S2, EQUATOR, 0.1)
@@ -115,6 +125,8 @@ class TestRules:
         for order in (1, 0):
             with pytest.raises(ValidationError):
                 build_localized_rule(TORUS, pt, 1e-3, order=order)
+            with pytest.raises(ValidationError):
+                build_localized_rule(TORUS, pt, 1e-3, hermite_order=order)
             with pytest.raises(ValidationError):
                 build_full_rule(TORUS, order=order)
 
@@ -193,8 +205,8 @@ class TestTensorGrid:
         "type=graph d=2 poly=0.3:(1,1),0.2:(3,0),-0.4:(0,2) box=1.0")
     CASES = {"sphere2": (S2, [math.pi / 2, 1.0]),
              "sphere3": (S3, [1.0, 1.2, 0.5]),
-             # u = 0.05: the window straddles the period seam at u = 0
-             "torus": (TORUS, [0.05, 0.3]),
+             # u = 0.02: the node box straddles the period seam at u = 0
+             "torus": (TORUS, [0.02, 0.3]),
              "spheroid": (SPHEROID, [1.1, 0.4]),
              "plane": (PLANE, [0.1, -0.2]),
              "quadric411": (QUADRIC, [0.1, 0.0, -0.05]),
@@ -356,7 +368,7 @@ class TestBenchmarkTracer:
     def test_rows_and_node_set(self, tracer):
         import hashlib
         rule = build_localized_rule(S3, ChartPoint(0, [1.0, 1.2, 0.5]), 1e-3,
-                                    order=8)
+                                    order=8, hermite_order=8)
         assert tracer._rows(rule.nodes) == rule.node_count() == 512
         # k_eps counts the rows of the embedding columns through np.shape
         _, ambient = S3.charts[0].jet(rule.nodes, (0,))
@@ -371,16 +383,19 @@ class TestBenchmarkTracer:
 
 
 class TestTail:
-    def test_tail_decays_faster_than_powers(self):
-        # tail_bound / eps^k -> 0 along the ladder for k <= 4
+    def test_reported_errors_cover_reference(self):
+        # tail_bound + quad_error (+ rounding) covers the distance from a
+        # full-box reference that resolves the kernel down to eps = 2.5e-4:
+        # 2048 trapezoid nodes on u put 2.4 nodes in the kernel's width
+        # sqrt(2 eps) there (512 put 0.6, and miss by 1e-3)
         eps_list = [0.004 * 2.0 ** -k for k in range(5)]
         pt = ChartPoint(0, [0.3, 0.0])
         ladder = eps_sweep(TORUS, const_one, pt, eps_list)
-        bounds = ladder.tail_bounds
-        assert np.all(bounds[:-1] >= 0)
-        for k in range(5):
-            ratios = bounds / ladder.eps ** k
-            assert np.all(np.diff(ratios) <= 1e-12), k
+        reference = build_full_rule(TORUS, axis_orders=(2048, 512))
+        for s in ladder.samples:
+            ref, _ = apply_operator(TORUS, const_one, pt, s.eps, reference)
+            assert s.tail_bound >= 0 and s.quad_error >= 0
+            assert abs(s.value - ref) <= s.tail_bound + s.quad_error + 1e-14, s.eps
 
     def test_tail_estimate_fields(self):
         eps = 1e-3
@@ -438,6 +453,90 @@ class TestSweep:
             EpsLadder([LadderSample(0.1, 1.0, 0.0), LadderSample(0.2, 1.0, 0.0)])
         with pytest.raises(ValidationError):
             EpsLadder([LadderSample(0.1, 1.0, -1.0)])
+        with pytest.raises(ValidationError):
+            EpsLadder([LadderSample(0.1, 1.0, 0.0, quad_error=math.nan)])
+
+
+class TestKernelScaleRules:
+    """Gauss-Hermite rules in the kernel's scale, with the order ladder."""
+
+    @staticmethod
+    def s3_const(eps):
+        # K_eps 1 on the unit 3-sphere, at any point
+        from scipy.special import ive
+        a = 1.0 / (2.0 * eps)
+        return (4.0 * math.pi ** 2 * (4.0 * math.pi * eps) ** -1.5
+                * float(ive(1, a)) / a)
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-6, 1e-8])
+    def test_sphere_closed_forms(self, eps, monkeypatch):
+        built = []
+
+        def recorded(*args, **kwargs):
+            rule = build_localized_rule(*args, **kwargs)
+            built.append(rule.node_count())
+            return rule
+
+        monkeypatch.setattr(operator, "build_localized_rule", recorded)
+        for M, point, exact in ((S2, [1.1, 2.0], 1.0 - math.exp(-1.0 / eps)),
+                                (S3, [1.0, 1.3, 2.0], self.s3_const(eps))):
+            built.clear()
+            (s,) = eps_sweep(M, const_one, ChartPoint(0, point), [eps]).samples
+            # at eps = 1e-8 the kernel is 1e-4 wide and the chord a difference
+            # of embedding coordinates near 1: their rounding leaves 1.0e-13
+            # on S^3, and orders 16 to 48 scatter +-1.6e-13 about the closed
+            # form
+            assert abs(s.value - exact) <= (1e-13 if eps >= 1e-6 else 2e-13)
+            assert max(built) <= 32 ** M.dim
+
+    # at 0.9925 the 16-node box fits and the 24-node box crosses the edge
+    @pytest.mark.parametrize("point, eps", [([0.95, 0.0, 0.0], 1e-4),
+                                            ([0.9925, 0.0, 0.0], 1e-6)])
+    def test_clipped_axis_beside_hermite_axes(self, point, eps, monkeypatch):
+        x = ChartPoint(0, point)
+        used = []
+
+        def recorded(M, f, x, eps, rule=None):
+            used.append(rule)
+            return apply_operator(M, f, x, eps, rule)
+
+        monkeypatch.setattr(operator, "apply_operator", recorded)
+        (s,) = eps_sweep(QUADRIC, const_one, x, [eps]).samples
+        rule = used[-1]
+        assert rule.axis_rules == ("clipped", "hermite", "hermite")
+        # 256 Gauss-Legendre nodes on the same clipped window
+        reference = build_localized_rule(QUADRIC, x, eps, order=256,
+                                         hermite_order=rule.nodes.shape[1])
+        np.testing.assert_array_equal(reference.window[0], rule.window[0])
+        assert reference.nodes.shape[:-1] == (256,) + rule.nodes.shape[1:-1]
+        ref, _ = apply_operator(QUADRIC, const_one, x, eps, reference)
+        assert abs(s.value - ref) <= s.tail_bound + s.quad_error + 1e-14
+
+    def test_order_two_probe(self, tmp_path):
+        # two Gauss-Legendre nodes on a wide window used to print 9.86e-51 here
+        out = tmp_path / "probe.json"
+        assert cli.main(["operator", "--manifold", "torus", "--order", "2",
+                         "--eps", "0.001", "--point", "0.3,0.0",
+                         "--out", str(out)]) == 0
+        (s,) = json.loads(out.read_text())["samples"]
+        # 1024 trapezoid nodes on u resolve the kernel at eps = 1e-3; 512
+        # miss by 4e-13
+        reference = build_full_rule(TORUS, axis_orders=(1024, 512))
+        ref, _ = apply_operator(TORUS, const_one, ChartPoint(0, [0.3, 0.0]),
+                                0.001, reference)
+        assert abs(s["value"] - ref) <= s["tail_bound"] + s["quad_error"]
+
+    def test_quad_error_in_json_and_csv(self, tmp_path):
+        argv = ["operator", "--manifold", "sphere2", "--eps", "0.05,0.001"]
+        assert cli.main(argv + ["--out", str(tmp_path / "o.json")]) == 0
+        assert cli.main(argv + ["--format", "csv",
+                                "--out", str(tmp_path / "o.csv")]) == 0
+        samples = json.loads((tmp_path / "o.json").read_text())["samples"]
+        lines = (tmp_path / "o.csv").read_text().splitlines()
+        assert lines[0] == "eps,value,tail_bound,quad_error"
+        for s, line in zip(samples, lines[1:], strict=True):
+            assert set(s) == {"eps", "value", "tail_bound", "quad_error"}
+            assert 0.0 <= s["quad_error"] == float(line.split(",")[3])
 
 
 class TestMonteCarlo:
