@@ -16,12 +16,19 @@ box, with the node count raised until the spacing resolves the kernel width.
 :func:`eps_sweep` chooses the Hermite order per bandwidth from a ladder
 (``HERMITE_ORDERS``): it accepts the first order from 24 on whose value
 differs from the previous order's by at most ``QUAD_ERROR_TARGET`` relative,
-and reports that difference as the sample's quadrature error.  The ladder
-stops where the node box comes to cover an axis it did not cover at 16 nodes;
-when no order before that meets the target, the sweep uses the full box and
-reports the difference between the box's orders ``n`` and ``ceil(2n/3)``.
-The tail bound is the kernel mass over the part of the chart box that the
-rule never samples.
+and reports that difference as the sample's quadrature error.  The chord
+``|y - x|^2`` is a difference of embedding coordinates, and its rounding
+scatters the orders' values (by about 1e-13 at eps = 1e-8 and 1e-11 at 1e-12
+on the unit spheres): where the worst case of that rounding exceeds the
+target, it replaces the target, and no error reported is below it.  The
+ladder stops where the node box comes to cover an axis it did not cover at
+16 nodes.  When no order before that meets the target, the sweep uses the
+full box if the box's spacing resolves the kernel within
+:func:`max_axis_order` nodes per axis, and reports the difference between the
+box's orders ``n`` and ``ceil(2n/3)``; otherwise it keeps the last order
+tried and reports the spread of every value the ladder summed.  The tail
+bound is the kernel mass over the part of the chart box that the rule never
+samples.
 
 A rule holds its nodes as a :class:`TensorGrid` of per-axis arrays, so the
 geometry is evaluated per axis and broadcast, never on dense ``(N, d)`` nodes.
@@ -42,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache, reduce
+from functools import cache, reduce
 from itertools import pairwise
 from operator import mul
 from typing import Callable, Sequence
@@ -56,7 +63,8 @@ DEFAULT_ORDER = 64
 _COARSE_RES = 33
 # the Gauss-Hermite orders eps_sweep tries at each bandwidth, in turn
 HERMITE_ORDERS = (16, 24, 32, 48, 64)
-# an order is accepted once |Q_n - Q_prev| <= QUAD_ERROR_TARGET max(1, |Q_n|)
+# an order is accepted once |Q_n - Q_prev| <= QUAD_ERROR_TARGET max(1, |Q_n|),
+# or within the chord's rounding floor where that is larger
 QUAD_ERROR_TARGET = 1e-13
 # the per-axis rules of a kernel-scale rule
 HERMITE, CLIPPED, FULL = "hermite", "clipped", "full"
@@ -224,20 +232,11 @@ def max_axis_order(dim: int) -> int:
     return _MAX_AXIS_ORDER.get(dim, 128)
 
 
-@lru_cache(maxsize=1)
-def _metric_diagonals(M: EmbeddedManifold, ci: int, coords: tuple[float, ...]
+def _metric_diagonals(M: EmbeddedManifold, x: ChartPoint
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """``(diag g, diag g^-1)`` of the metric at one point.  A sweep builds
-    several rules at every bandwidth, and the metric depends on neither."""
-    g = M.metric(ci, np.array(coords))
-    diagonals = (np.diagonal(g).copy(), np.diagonal(np.linalg.inv(g)).copy())
-    for a in diagonals:
-        a.flags.writeable = False
-    return diagonals
-
-
-def _metric_at(M: EmbeddedManifold, x: ChartPoint):
-    return _metric_diagonals(M, x.chart, tuple(x.coords.tolist()))
+    """``(diag g, diag g^-1)`` of the metric at ``x``."""
+    g = M.metric(x.chart, x.coords)
+    return np.diagonal(g).copy(), np.diagonal(np.linalg.inv(g)).copy()
 
 
 def _full_box_orders(M: EmbeddedManifold, eps: float, g_diag: np.ndarray,
@@ -256,8 +255,9 @@ def _full_box_orders(M: EmbeddedManifold, eps: float, g_diag: np.ndarray,
 
 
 def build_localized_rule(M: EmbeddedManifold, x: ChartPoint, eps: float,
-                         order: int = DEFAULT_ORDER,
-                         hermite_order: int = 32) -> QuadratureRule:
+                         order: int = DEFAULT_ORDER, hermite_order: int = 32,
+                         metric: tuple[np.ndarray, np.ndarray] | None = None
+                         ) -> QuadratureRule:
     """The kernel-scale rule at ``x`` for one Gauss-Hermite order.
 
     Axis i's node box is ``x_i +- T 2 sqrt(eps (g^-1)_ii)``, with ``T`` the
@@ -269,14 +269,15 @@ def build_localized_rule(M: EmbeddedManifold, x: ChartPoint, eps: float,
     covers the axis.  When it covers every axis the rule is the full box,
     with the node counts of :func:`_full_box_orders`.  :func:`eps_sweep`
     chooses ``hermite_order`` per bandwidth from ``HERMITE_ORDERS``; see the
-    module docstring.
+    module docstring.  ``metric`` is ``(diag g, diag g^-1)`` at ``x``, which
+    a caller building several rules at one point computes once.
     """
     _require_bandwidth(eps)
     _require_order(order)
     _require_order(hermite_order)
     chart = M.chart(x.chart)
     chart.require_inside(x.coords)
-    g_diag, ginv_diag = _metric_at(M, x)
+    g_diag, ginv_diag = metric or _metric_diagonals(M, x)
     scale = 2.0 * np.sqrt(eps * ginv_diag)
     half = _gauss_hermite(hermite_order)[0][-1] * scale
     kinds, axes, lo, hi = [], [], [], []
@@ -405,24 +406,36 @@ def tail_estimate(M: EmbeddedManifold, x: ChartPoint, eps: float,
 # Operator evaluation
 # ---------------------------------------------------------------------------
 
-def _weighted_sum(weighted: np.ndarray, kern: np.ndarray) -> float:
-    """``sum(weighted * kern)``, the product formed in the kernel's array."""
+def _weighted_terms(weighted: np.ndarray, kern: np.ndarray) -> np.ndarray:
+    """``weighted * kern``, formed in the kernel's array."""
     if isinstance(kern, np.ndarray) and kern.shape == np.shape(weighted):
-        np.multiply(weighted, kern, out=kern)
-    else:
-        kern = weighted * kern
-    return float(np.sum(kern))
+        return np.multiply(weighted, kern, out=kern)
+    return weighted * kern
+
+
+def _rule_terms(M: EmbeddedManifold, f: Callable, rule: QuadratureRule
+                ) -> tuple[np.ndarray, TensorGrid]:
+    """The terms of a rule's kernel sum that do not depend on eps: the
+    ``(w rho) f`` product and the embedding of the nodes."""
+    # fields see wrapped coordinates (node boxes may straddle a period seam)
+    nodes, ambient, dens = M.chart(0).jet(rule.nodes, (0,), volume=True)
+    fvals = np.asarray(f(nodes, ambient), dtype=float)
+    weighted = rule.weights * dens
+    weighted *= fvals
+    return weighted, ambient
+
+
+def _quadrature_terms(M: EmbeddedManifold, f: Callable, x0: np.ndarray,
+                      eps: float, rule: QuadratureRule) -> np.ndarray:
+    """The rule's kernel terms ``((w rho) f) k``, one per node."""
+    weighted, ambient = _rule_terms(M, f, rule)
+    return _weighted_terms(weighted, k_eps(x0, ambient, eps, M.dim))
 
 
 def _quadrature_sum(M: EmbeddedManifold, f: Callable, x0: np.ndarray,
                     eps: float, rule: QuadratureRule) -> float:
-    """The rule's kernel sum ``((w rho) f) k``; its node arrays die on
-    return, before the tail bound builds the order-96 volume rule."""
-    # fields see wrapped coordinates (node boxes may straddle a period seam)
-    nodes, ambient, dens = M.chart(0).jet(rule.nodes, (0,), volume=True)
-    fvals = np.asarray(f(nodes, ambient), dtype=float)
-    return _weighted_sum(rule.weights * dens * fvals,
-                         k_eps(x0, ambient, eps, M.dim))
+    """The rule's kernel sum."""
+    return float(np.sum(_quadrature_terms(M, f, x0, eps, rule)))
 
 
 def _require_finite(value: float, eps: float) -> None:
@@ -456,7 +469,8 @@ def apply_operator(M: EmbeddedManifold, f: Callable, x: ChartPoint, eps: float,
 class LadderSample:
     """One bandwidth's operator value, the bound on the kernel mass its rule
     never samples, and its quadrature-error estimate: the value's distance
-    from that of the next coarser rule."""
+    from that of the next coarser rule, at least the chord's rounding floor
+    on a kernel-scale rule (see :func:`eps_sweep`)."""
     eps: float
     value: float
     tail_bound: float
@@ -512,109 +526,139 @@ def _coarser(order: int) -> int:
     return -(-2 * order // 3)
 
 
-def _hermite_sample(M: EmbeddedManifold, f: Callable, x: ChartPoint,
-                    eps: float, order: int, first: QuadratureRule
-                    ) -> LadderSample | None:
-    """The sample of the first Hermite order from ``HERMITE_ORDERS[1]`` on
-    that meets the target, or None.
+def _value_and_floor(M: EmbeddedManifold, f: Callable, x0: np.ndarray,
+                     eps: float, rule: QuadratureRule) -> tuple[float, float]:
+    """A rule's kernel sum and the worst case of its chord's rounding.
+
+    The chord ``|y - x|^2`` is a difference of embedding coordinates: with
+    each coordinate off by up to ``u |x|`` (``u`` = 2^-52), it is off by up
+    to ``2 u |x| |y - x|``, and a kernel term by that over ``4 eps``.  At
+    the kernel's rms distance ``sqrt(2 d eps)`` that makes the sum off by up
+    to ``u |x| sqrt(d / (2 eps)) sum |terms|``: 2.7e-12 on the unit 3-sphere
+    at eps = 1e-8, where the orders' values scatter by 1e-13.
+    """
+    terms = _quadrature_terms(M, f, x0, eps, rule)
+    value = float(np.sum(terms))
+    _require_finite(value, eps)
+    scale = (np.finfo(float).eps * float(np.linalg.norm(x0))
+             * math.sqrt(M.dim / (2.0 * eps)))
+    return value, scale * float(np.sum(np.abs(terms, out=terms)))
+
+
+def _hermite_ladder(M: EmbeddedManifold, f: Callable, x: ChartPoint,
+                    eps: float, order: int, first: QuadratureRule,
+                    metric: tuple[np.ndarray, np.ndarray]
+                    ) -> tuple[QuadratureRule, float, bool] | None:
+    """The Hermite order ladder at one bandwidth: ``(rule, error, met)``
+    for the first order from ``HERMITE_ORDERS[1]`` on that meets the target
+    (``met``), else for the last order tried, or None if none was tried.
 
     Order n is compared with the previous order; axes without Hermite nodes
     take ``order`` nodes in the one and ``ceil(2 order / 3)`` in the other,
-    so the difference covers them too.  A Hermite axis whose node box comes
-    to cross an edge is clipped, and the ladder goes on; it stops where the
-    node box comes to cover an axis that the first order (``first``) did
-    not: there the kernel spans the axis, and the full box resolves it.
+    so the difference covers them too.  The target is ``QUAD_ERROR_TARGET``
+    relative, or the rule's rounding floor (:func:`_value_and_floor`) where
+    that is larger, and no error reported is below the floor.  A met order's
+    error is its difference; an unmet ladder's is the spread of every value
+    it summed.  A Hermite axis whose node box comes to cross an edge is
+    clipped, and the ladder goes on; it stops where the node box comes to
+    cover an axis that the first order (``first``) did not: there the
+    kernel spans the axis.
     """
     x0 = M.embed(x.chart, x.coords)
-    previous = None     # the previous order's value, once it has one
+    rule, seen = None, []   # the last order tried, and every value summed
     for prev, n in pairwise(HERMITE_ORDERS):
-        rule = build_localized_rule(M, x, eps, order, hermite_order=n)
-        if rule.covers_atlas or (rule.axis_rules.count(FULL)
-                                 > first.axis_rules.count(FULL)):
-            return None
-        value, tail = apply_operator(M, f, x, eps, rule)
+        candidate = build_localized_rule(M, x, eps, order, n, metric)
+        if candidate.covers_atlas or (candidate.axis_rules.count(FULL)
+                                      > first.axis_rules.count(FULL)):
+            break
+        rule = candidate
+        value, floor = _value_and_floor(M, f, x0, eps, rule)
         if any(kind != HERMITE for kind in rule.axis_rules):
             reference = _quadrature_sum(M, f, x0, eps, build_localized_rule(
-                M, x, eps, _coarser(order), hermite_order=prev))
-        elif previous is None:
+                M, x, eps, _coarser(order), prev, metric))
+        elif not seen:
             reference = _quadrature_sum(M, f, x0, eps, first)
         else:   # an all-Hermite rule's previous order was all-Hermite too
-            reference = previous
+            reference = seen[-1]
         error = abs(value - reference)
-        if error <= QUAD_ERROR_TARGET * max(1.0, abs(value)):
-            return LadderSample(eps=eps, value=value, tail_bound=tail,
-                                quad_error=error)
-        previous = value
-    return None
-
-
-def _box_terms(M: EmbeddedManifold, f: Callable, x0: np.ndarray,
-               orders: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The full box's ``(w rho) f`` product and chord ``|y - x|^2``: the
-    terms of :func:`_quadrature_sum` that do not depend on eps.  The weights'
-    outer product is formed only after the embedding dies, so at most four
-    arrays of the box's size are alive at once."""
-    grid, weights = (TensorGrid.product(a) for a in zip(*_full_axes(M, orders)))
-    nodes, ambient, dens = M.chart(0).jet(grid, (0,), volume=True)
-    fvals = np.asarray(f(nodes, ambient), dtype=float)
-    chord = _chord_sq(x0, ambient)
-    del nodes, ambient
-    weighted = _outer_product(weights) * dens
-    weighted *= fvals
-    return weighted, chord
+        if error <= max(QUAD_ERROR_TARGET * max(1.0, abs(value)), floor):
+            return rule, max(error, floor), True
+        seen += [reference, value]
+    if rule is None:
+        return None
+    return rule, max(float(np.ptp(seen)), floor), False
 
 
 def _full_box_sample(M: EmbeddedManifold, f: Callable, x: ChartPoint,
-                     eps: float, order: int, products: dict) -> LadderSample:
+                     eps: float, orders: Sequence[int], boxes: dict
+                     ) -> LadderSample:
     """The full box's sample; its error estimate compares the box with one of
-    ``ceil(2 n / 3)`` nodes on each axis of ``n``.
+    ``ceil(2 n / 3)`` nodes on each axis of ``n``.  The box misses nothing,
+    so its tail bound is 0.
 
-    ``products`` maps a box's node counts to its ``(w rho) f`` product and
-    its chord ``|y - x|^2``, so a sweep evaluates the geometry, ``f`` and the
-    chord once per box and each bandwidth only applies its kernel; the sum
-    ``((w rho) f) k`` keeps the bits of :func:`_quadrature_sum`.  Only this
-    bandwidth's two boxes are kept: the node counts never fall as eps does.
+    ``boxes`` maps a box's node counts to its ``(w rho) f`` product, from
+    :func:`_rule_terms`, and its chord ``|y - x|^2``, so a sweep evaluates
+    the geometry, ``f`` and the chord once per box and each bandwidth only
+    applies its kernel; the sum ``((w rho) f) k`` keeps the bits of
+    :func:`_quadrature_sum`.  Only this bandwidth's two boxes are kept: the
+    node counts never fall as eps does.
     """
-    orders = _full_box_orders(M, eps, _metric_at(M, x)[0], order)
     keys = [tuple(orders), tuple(_coarser(n) for n in orders)]
-    for key in set(products) - set(keys):
-        del products[key]
+    for key in set(boxes) - set(keys):
+        del boxes[key]
     x0 = M.embed(x.chart, x.coords)
     for key in keys:
-        if key not in products:
-            products[key] = _box_terms(M, f, x0, key)
-    tail = tail_estimate(M, x, eps, build_full_rule(M, axis_orders=keys[0]), f)
-    value, coarse = (_weighted_sum(weighted, _kernel_of_chord(chord, eps, M.dim))
-                     for weighted, chord in map(products.get, keys))
+        if key not in boxes:
+            weighted, ambient = _rule_terms(
+                M, f, build_full_rule(M, axis_orders=key))
+            boxes[key] = weighted, _chord_sq(x0, ambient)
+    value, coarse = (
+        float(np.sum(_weighted_terms(weighted,
+                                     _kernel_of_chord(chord, eps, M.dim))))
+        for weighted, chord in map(boxes.get, keys))
     _require_finite(value, eps)
-    return LadderSample(eps=eps, value=value, tail_bound=tail.bound,
+    return LadderSample(eps=eps, value=value, tail_bound=0.0,
                         quad_error=abs(value - coarse))
 
 
 def _sample(M: EmbeddedManifold, f: Callable, x: ChartPoint, eps: float,
-            order: int, products: dict) -> LadderSample:
-    first = build_localized_rule(M, x, eps, order,
-                                 hermite_order=HERMITE_ORDERS[0])
-    sample = (None if first.covers_atlas
-              else _hermite_sample(M, f, x, eps, order, first))
-    return sample or _full_box_sample(M, f, x, eps, order, products)
+            order: int, metric: tuple[np.ndarray, np.ndarray], boxes: dict
+            ) -> LadderSample:
+    """One bandwidth's sample.  The full box is used where the kernel spans
+    an axis, or where no Hermite order meets the target and the box's
+    spacing resolves the kernel; elsewhere the ladder's rule is kept, with
+    its error."""
+    first = build_localized_rule(M, x, eps, order, HERMITE_ORDERS[0], metric)
+    ladder = (None if first.covers_atlas
+              else _hermite_ladder(M, f, x, eps, order, first, metric))
+    orders = _full_box_orders(M, eps, metric[0], order)
+    if ladder is not None:
+        rule, error, met = ladder
+        if met or max(orders) >= max_axis_order(M.dim):
+            value, tail = apply_operator(M, f, x, eps, rule)
+            return LadderSample(eps=eps, value=value, tail_bound=tail,
+                                quad_error=error)
+    return _full_box_sample(M, f, x, eps, orders, boxes)
 
 
 def eps_sweep(M: EmbeddedManifold, f: Callable, x: ChartPoint,
               eps_list: Sequence[float], order: int = DEFAULT_ORDER,
               f_id: str = "") -> EpsLadder:
     """One operator sample per bandwidth: the first Hermite order of the
-    ladder that meets the target, else the full box (see the module
-    docstring).  Full boxes of equal node counts share one evaluation of the
-    geometry and ``f``; each bandwidth applies its own kernel."""
+    ladder that meets the target, else the full box or the ladder's last
+    rule (see the module docstring).  Full boxes of equal node counts share
+    one evaluation of the geometry and ``f``; each bandwidth applies its own
+    kernel."""
     eps_list = [float(eps) for eps in eps_list]
     for eps in eps_list:
         _require_bandwidth(eps)
+    M.chart(x.chart).require_inside(x.coords)
     # every tail bound needs the volume: its order-96 rule, the largest
     # arrays of a sweep, is built and freed before any other
     M.volume()
-    products = {}
-    samples = [_sample(M, f, x, eps, order, products) for eps in eps_list]
+    metric = _metric_diagonals(M, x)
+    boxes = {}
+    samples = [_sample(M, f, x, eps, order, metric, boxes) for eps in eps_list]
     return EpsLadder(samples=samples, f_id=f_id)
 
 

@@ -484,10 +484,36 @@ class TestKernelScaleRules:
             (s,) = eps_sweep(M, const_one, ChartPoint(0, point), [eps]).samples
             # at eps = 1e-8 the kernel is 1e-4 wide and the chord a difference
             # of embedding coordinates near 1: their rounding leaves 1.0e-13
-            # on S^3, and orders 16 to 48 scatter +-1.6e-13 about the closed
+            # on S^3, and orders 16 to 64 scatter +-1.5e-13 about the closed
             # form
             assert abs(s.value - exact) <= (1e-13 if eps >= 1e-6 else 2e-13)
+            assert abs(s.value - exact) <= s.tail_bound + s.quad_error
             assert max(built) <= 32 ** M.dim
+
+    @pytest.mark.parametrize("manifold, point, exact", [
+        ("sphere2", "1.1,2.0", 1.0),
+        # K_eps 1 = 1 - 3 eps / 4 + O(eps^2) on the unit 3-sphere
+        ("sphere3", "1.0,1.3,2.0", 1.0 - 0.75e-12)])
+    def test_tiny_bandwidth_reports_its_error(self, manifold, point, exact,
+                                              tmp_path, monkeypatch):
+        # no order meets the 1e-13 target at eps = 1e-12, and a full box
+        # would need millions of nodes per axis to meet a kernel 2e-6 wide:
+        # the ladder's own rule is kept, with an error that covers the value
+        used = []
+
+        def recorded(M, f, x, eps, rule=None):
+            used.append(rule)
+            return apply_operator(M, f, x, eps, rule)
+
+        monkeypatch.setattr(operator, "apply_operator", recorded)
+        out = tmp_path / "tiny.json"
+        assert cli.main(["operator", "--manifold", manifold, "--point", point,
+                         "--eps", "1e-12", "--out", str(out)]) == 0
+        (s,) = json.loads(out.read_text())["samples"]
+        (rule,) = used
+        assert not rule.covers_atlas and set(rule.axis_rules) == {"hermite"}
+        assert 0.0 < s["quad_error"] <= 1e-9
+        assert abs(s["value"] - exact) <= s["tail_bound"] + s["quad_error"]
 
     # at 0.9925 the 16-node box fits and the 24-node box crosses the edge
     @pytest.mark.parametrize("point, eps", [([0.95, 0.0, 0.0], 1e-4),
