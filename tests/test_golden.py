@@ -44,6 +44,31 @@ CASES = {
                              "--eps", "0.05,0.0125", "--format", "csv"],
     # the 15 detail strings of the invariant suite
     "verify.txt": ["verify"],
+    # a clipped axis beside two Hermite axes; the target is met
+    "operator_quadric_clipped.csv": ["operator", "--manifold", "quadric411",
+                                     "--point", "0.95,0,0", "--eps", "1e-4",
+                                     "--format", "csv"],
+    # the ladder misses its target and the capped full box cannot resolve
+    # the kernel: the last rule is kept, with the spread of its values
+    "operator_quadric_edge.csv": ["operator", "--manifold", "quadric411",
+                                  "--point", "0.9925,0,0", "--eps",
+                                  "1e-4,1e-6", "--order", "2",
+                                  "--format", "csv"],
+    # unmet ladders at 0.2 and 0.05 fall back to escalated full boxes
+    "operator_torus_seam.csv": ["operator", "--manifold", "torus",
+                                "--point", "0.02,0.3", "--eps",
+                                "0.2,0.05,0.01,0.001", "--format", "csv"],
+    # orders accepted at the chord's rounding floor
+    "operator_sphere2_tiny.csv": ["operator", "--manifold", "sphere2",
+                                  "--point", "1.1,2.0", "--eps", "1e-8,1e-12",
+                                  "--format", "csv"],
+    # clipped and FULL axes near a pole
+    "operator_spheroid_pole.csv": ["operator", "--manifold", "spheroid",
+                                   "--point", "0.01,0.0", "--eps",
+                                   "0.05,0.001,0.0001", "--format", "csv"],
+    # the default ladder: a shared 64^3 box, an escalated box, Hermite rules
+    "operator_sphere3_ladder.csv": ["operator", "--manifold", "sphere3",
+                                    "--format", "csv"],
 }
 
 
