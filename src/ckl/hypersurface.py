@@ -48,6 +48,9 @@ from .operator import EpsLadder
 
 EIGEN_RESIDUAL_LIMIT = 1e-10
 _BOUNDARY_INSET = 1e-4
+# a scan grid holds at most this many nodes: at 340-760 bytes per node a
+# scan's peak memory stays below about 1.6 GB
+_MAX_GRID_NODES = 2 ** 21
 # sign-change refinement stops at this bracket width, in units of the edge;
 # after _ILLINOIS_STEPS steps plain bisection finishes an edge
 _EDGE_BRACKET = 2.0 ** -45
@@ -288,10 +291,14 @@ class ScanResult:
 
 
 def _grid_axes(chart, counts: Sequence[int]) -> list[np.ndarray]:
+    if any(n < 2 for n in counts):
+        raise ValidationError("grid needs at least 2 cells per axis")
+    nodes = math.prod(n if p else n + 1 for n, p in zip(counts, chart.periodic))
+    if nodes > _MAX_GRID_NODES:
+        raise ValidationError(
+            f"grid has {nodes} nodes, more than the {_MAX_GRID_NODES} allowed")
     axes = []
     for i, n in enumerate(counts):
-        if n < 2:
-            raise ValidationError("grid needs at least 2 cells per axis")
         lo_i, hi_i = chart.lo[i], chart.hi[i]
         if chart.periodic[i]:
             axes.append(lo_i + (hi_i - lo_i) * np.arange(n) / n)

@@ -263,6 +263,8 @@ class EmbeddedManifold:
     ``charts`` is the one-element list ``[chart]``; its index is 0.
     ``delta`` is a caller-supplied lower bound on the injectivity radius; all
     normal-coordinate constructions stay inside geodesic balls of this radius.
+    ``cache`` holds what is computed once per manifold: its ``"volume"`` and
+    the tail bound's ``"coarse_grid"``.
     """
 
     def __init__(self, charts: Sequence[Chart], delta: float,
@@ -280,6 +282,7 @@ class EmbeddedManifold:
             raise ValidationError("delta must be positive")
         self.delta = float(delta)
         self.catalog_id = catalog_id
+        self.cache: dict = {}
 
     # -- chart-level batched evaluation --------------------------------------
 
@@ -309,18 +312,18 @@ class EmbeddedManifold:
         return _connection(*self.chart(ci).jet(coords, (1, 2))[1:])[1]
 
     def volume(self) -> float:
-        """Total volume of the chart box (cached), by order-96 tensor quadrature."""
-        cached = getattr(self, "_volume_cache", None)
-        if cached is not None:
-            return cached
+        """Total volume of the chart box, by order-96 tensor quadrature, kept
+        in ``cache``."""
+        if "volume" in self.cache:
+            return self.cache["volume"]
         from .operator import build_full_rule  # local import to avoid a cycle
         rule = build_full_rule(self, order=96)
         # the product is formed in the weights' own array: one array of 96^d
         # values is alive, not two (the rule dies on return)
         weighted = rule.weights
         weighted *= self.sqrt_det_metric(0, rule.nodes)
-        self._volume_cache = float(np.sum(weighted))
-        return self._volume_cache
+        self.cache["volume"] = float(np.sum(weighted))
+        return self.cache["volume"]
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import pairwise
+from itertools import pairwise, takewhile
 from operator import mul
 from typing import Callable, Sequence
 
@@ -130,16 +130,20 @@ class QuadratureRule:
     ``nodes`` is a :class:`TensorGrid` of shape ``(n_0, ..., n_{d-1}, d)``,
     held as its per-axis node arrays, and ``weights`` the outer product of the
     per-axis weights, of shape ``(n_0, ..., n_{d-1})``.  A rule over the whole
-    chart box ``covers_atlas``.  Any other rule is in the kernel's scale:
-    ``axis_rules`` names each axis's rule (``HERMITE``, ``CLIPPED`` or
-    ``FULL``) and ``window`` is the node box ``(lo, hi)``, outside which the
-    rule samples nothing; on a periodic axis it may straddle the period seam.
+    chart box has no ``window`` and ``covers_atlas``.  Any other rule is in
+    the kernel's scale: ``axis_rules`` names each axis's rule (``HERMITE``,
+    ``CLIPPED`` or ``FULL``) and ``window`` is the node box ``(lo, hi)``,
+    outside which the rule samples nothing; on a periodic axis it may
+    straddle the period seam.
     """
     nodes: TensorGrid
     weights: np.ndarray
-    covers_atlas: bool
     window: tuple[np.ndarray, np.ndarray] | None = None
     axis_rules: tuple[str, ...] | None = None
+
+    @property
+    def covers_atlas(self) -> bool:
+        return self.window is None
 
     def node_count(self) -> int:
         return math.prod(self.nodes.shape[:-1])
@@ -194,32 +198,22 @@ def _hermite_axis(center: float, scale: float, order: int):
     return nodes, scale * w * np.exp((actual - t) * (actual + t))
 
 
-def _outer_product(grid: TensorGrid) -> np.ndarray:
-    """The outer product of a grid's axis columns, multiplied from axis 0."""
-    return reduce(mul, grid.columns, 1.0)
-
-
 def _tensor_rule(axes: list[tuple[np.ndarray, np.ndarray]]
                  ) -> tuple[TensorGrid, np.ndarray]:
-    """The node grid and the weights' outer product."""
+    """The node grid and the weights' outer product, multiplied from axis 0."""
     nodes, weights = (TensorGrid.product(a) for a in zip(*axes))
-    return nodes, _outer_product(weights)
-
-
-def _full_axes(M: EmbeddedManifold, axis_orders: Sequence[int]):
-    """Each axis's rule over the whole chart box."""
-    chart = M.chart(0)
-    return [_axis_rule(chart.lo[i], chart.hi[i], chart.periodic[i], n)
-            for i, n in enumerate(axis_orders)]
+    return nodes, reduce(mul, weights.columns, 1.0)
 
 
 def build_full_rule(M: EmbeddedManifold, order: int = DEFAULT_ORDER,
                     axis_orders: Sequence[int] | None = None) -> QuadratureRule:
     """Quadrature covering the whole chart box."""
+    chart = M.chart(0)
     if axis_orders is None:
         axis_orders = [order] * M.dim
-    return QuadratureRule(*_tensor_rule(_full_axes(M, axis_orders)),
-                          covers_atlas=True)
+    return QuadratureRule(*_tensor_rule(
+        [_axis_rule(chart.lo[i], chart.hi[i], chart.periodic[i], n)
+         for i, n in enumerate(axis_orders)]))
 
 
 _MAX_AXIS_ORDER = {1: 1024, 2: 512, 3: 192}
@@ -304,7 +298,7 @@ def build_localized_rule(M: EmbeddedManifold, x: ChartPoint, eps: float,
     if all(kind == FULL for kind in kinds):
         return build_full_rule(M, order,
                                axis_orders=_full_box_orders(M, eps, g_diag, order))
-    return QuadratureRule(*_tensor_rule(axes), covers_atlas=False,
+    return QuadratureRule(*_tensor_rule(axes),
                           window=(np.array(lo), np.array(hi)),
                           axis_rules=tuple(kinds))
 
@@ -340,9 +334,8 @@ class TailEstimate:
 
 
 def _coarse_grid(M: EmbeddedManifold):
-    cache = getattr(M, "_coarse_grid_cache", None)
-    if cache is not None:
-        return cache
+    if "coarse_grid" in M.cache:
+        return M.cache["coarse_grid"]
     chart = M.chart(0)
     axes = []
     for i in range(chart.dim):
@@ -354,8 +347,8 @@ def _coarse_grid(M: EmbeddedManifold):
             inset = 1e-3 * (hi_i - lo_i)
             axes.append(np.linspace(lo_i + inset, hi_i - inset, _COARSE_RES))
     grid = TensorGrid.product(axes)
-    M._coarse_grid_cache = (grid, M.embed(0, grid))
-    return M._coarse_grid_cache
+    M.cache["coarse_grid"] = grid, M.embed(0, grid)
+    return M.cache["coarse_grid"]
 
 
 def _excluded_min_distance(M: EmbeddedManifold, x0: np.ndarray,
@@ -425,22 +418,27 @@ def _rule_terms(M: EmbeddedManifold, f: Callable, rule: QuadratureRule
     return weighted, ambient
 
 
-def _quadrature_terms(M: EmbeddedManifold, f: Callable, x0: np.ndarray,
-                      eps: float, rule: QuadratureRule) -> np.ndarray:
-    """The rule's kernel terms ``((w rho) f) k``, one per node."""
+def _rule_sum(M: EmbeddedManifold, f: Callable, x0: np.ndarray, eps: float,
+              rule: QuadratureRule) -> tuple[float, float]:
+    """A rule's kernel sum, of the terms ``((w rho) f) k``, and the worst
+    case of its chord's rounding.  A sum that is not finite raises
+    :class:`NumericsError`.
+
+    The chord ``|y - x|^2`` is a difference of embedding coordinates: with
+    each coordinate off by up to ``u |x|`` (``u`` = 2^-52), it is off by up
+    to ``2 u |x| |y - x|``, and a kernel term by that over ``4 eps``.  At
+    the kernel's rms distance ``sqrt(2 d eps)`` that makes the sum off by up
+    to ``u |x| sqrt(d / (2 eps)) sum |terms|``: 2.7e-12 on the unit 3-sphere
+    at eps = 1e-8, where the orders' values scatter by 1e-13.
+    """
     weighted, ambient = _rule_terms(M, f, rule)
-    return _weighted_terms(weighted, k_eps(x0, ambient, eps, M.dim))
-
-
-def _quadrature_sum(M: EmbeddedManifold, f: Callable, x0: np.ndarray,
-                    eps: float, rule: QuadratureRule) -> float:
-    """The rule's kernel sum."""
-    return float(np.sum(_quadrature_terms(M, f, x0, eps, rule)))
-
-
-def _require_finite(value: float, eps: float) -> None:
+    terms = _weighted_terms(weighted, k_eps(x0, ambient, eps, M.dim))
+    value = float(np.sum(terms))
     if not math.isfinite(value):
         raise NumericsError(f"operator value at eps={eps:g} is not finite")
+    scale = (np.finfo(float).eps * float(np.linalg.norm(x0))
+             * math.sqrt(M.dim / (2.0 * eps)))
+    return value, scale * float(np.sum(np.abs(terms, out=terms)))
 
 
 def apply_operator(M: EmbeddedManifold, f: Callable, x: ChartPoint, eps: float,
@@ -459,10 +457,8 @@ def apply_operator(M: EmbeddedManifold, f: Callable, x: ChartPoint, eps: float,
     if rule.nodes.shape[-1] != M.dim:
         raise ValidationError(
             "quadrature rule does not match the manifold's chart")
-    total = _quadrature_sum(M, f, M.embed(x.chart, x.coords), eps, rule)
-    _require_finite(total, eps)
-    tail = tail_estimate(M, x, eps, rule, f)
-    return total, tail.bound
+    total, _ = _rule_sum(M, f, M.embed(x.chart, x.coords), eps, rule)
+    return total, tail_estimate(M, x, eps, rule, f).bound
 
 
 @dataclass(frozen=True)
@@ -513,9 +509,10 @@ class EpsLadder:
 
 def default_eps_ladder(eps0: float = 0.1, count: int = 8) -> list[float]:
     """Geometric ladder eps0 * 2^-k, floored at 1e-4 to keep quadrature
-    resolvable."""
-    out = [eps0 * 2.0 ** (-k) for k in range(count)]
-    out = [e for e in out if e >= 1e-4]
+    resolvable.  It ends at the first value below the floor, so a huge
+    ``count`` builds no more values than the floor keeps."""
+    out = list(takewhile(lambda e: e >= 1e-4,
+                         (eps0 * 2.0 ** (-k) for k in range(count))))
     if len(out) < 2:
         raise ValidationError("ladder floor leaves fewer than two bandwidths")
     return out
@@ -526,70 +523,7 @@ def _coarser(order: int) -> int:
     return -(-2 * order // 3)
 
 
-def _value_and_floor(M: EmbeddedManifold, f: Callable, x0: np.ndarray,
-                     eps: float, rule: QuadratureRule) -> tuple[float, float]:
-    """A rule's kernel sum and the worst case of its chord's rounding.
-
-    The chord ``|y - x|^2`` is a difference of embedding coordinates: with
-    each coordinate off by up to ``u |x|`` (``u`` = 2^-52), it is off by up
-    to ``2 u |x| |y - x|``, and a kernel term by that over ``4 eps``.  At
-    the kernel's rms distance ``sqrt(2 d eps)`` that makes the sum off by up
-    to ``u |x| sqrt(d / (2 eps)) sum |terms|``: 2.7e-12 on the unit 3-sphere
-    at eps = 1e-8, where the orders' values scatter by 1e-13.
-    """
-    terms = _quadrature_terms(M, f, x0, eps, rule)
-    value = float(np.sum(terms))
-    _require_finite(value, eps)
-    scale = (np.finfo(float).eps * float(np.linalg.norm(x0))
-             * math.sqrt(M.dim / (2.0 * eps)))
-    return value, scale * float(np.sum(np.abs(terms, out=terms)))
-
-
-def _hermite_ladder(M: EmbeddedManifold, f: Callable, x: ChartPoint,
-                    eps: float, order: int, first: QuadratureRule,
-                    metric: tuple[np.ndarray, np.ndarray]
-                    ) -> tuple[QuadratureRule, float, bool] | None:
-    """The Hermite order ladder at one bandwidth: ``(rule, error, met)``
-    for the first order from ``HERMITE_ORDERS[1]`` on that meets the target
-    (``met``), else for the last order tried, or None if none was tried.
-
-    Order n is compared with the previous order; axes without Hermite nodes
-    take ``order`` nodes in the one and ``ceil(2 order / 3)`` in the other,
-    so the difference covers them too.  The target is ``QUAD_ERROR_TARGET``
-    relative, or the rule's rounding floor (:func:`_value_and_floor`) where
-    that is larger, and no error reported is below the floor.  A met order's
-    error is its difference; an unmet ladder's is the spread of every value
-    it summed.  A Hermite axis whose node box comes to cross an edge is
-    clipped, and the ladder goes on; it stops where the node box comes to
-    cover an axis that the first order (``first``) did not: there the
-    kernel spans the axis.
-    """
-    x0 = M.embed(x.chart, x.coords)
-    rule, seen = None, []   # the last order tried, and every value summed
-    for prev, n in pairwise(HERMITE_ORDERS):
-        candidate = build_localized_rule(M, x, eps, order, n, metric)
-        if candidate.covers_atlas or (candidate.axis_rules.count(FULL)
-                                      > first.axis_rules.count(FULL)):
-            break
-        rule = candidate
-        value, floor = _value_and_floor(M, f, x0, eps, rule)
-        if any(kind != HERMITE for kind in rule.axis_rules):
-            reference = _quadrature_sum(M, f, x0, eps, build_localized_rule(
-                M, x, eps, _coarser(order), prev, metric))
-        elif not seen:
-            reference = _quadrature_sum(M, f, x0, eps, first)
-        else:   # an all-Hermite rule's previous order was all-Hermite too
-            reference = seen[-1]
-        error = abs(value - reference)
-        if error <= max(QUAD_ERROR_TARGET * max(1.0, abs(value)), floor):
-            return rule, max(error, floor), True
-        seen += [reference, value]
-    if rule is None:
-        return None
-    return rule, max(float(np.ptp(seen)), floor), False
-
-
-def _full_box_sample(M: EmbeddedManifold, f: Callable, x: ChartPoint,
+def _full_box_sample(M: EmbeddedManifold, f: Callable, x0: np.ndarray,
                      eps: float, orders: Sequence[int], boxes: dict
                      ) -> LadderSample:
     """The full box's sample; its error estimate compares the box with one of
@@ -600,13 +534,12 @@ def _full_box_sample(M: EmbeddedManifold, f: Callable, x: ChartPoint,
     :func:`_rule_terms`, and its chord ``|y - x|^2``, so a sweep evaluates
     the geometry, ``f`` and the chord once per box and each bandwidth only
     applies its kernel; the sum ``((w rho) f) k`` keeps the bits of
-    :func:`_quadrature_sum`.  Only this bandwidth's two boxes are kept: the
-    node counts never fall as eps does.
+    :func:`_rule_sum`.  Only this bandwidth's two boxes are kept: the node
+    counts never fall as eps does.
     """
     keys = [tuple(orders), tuple(_coarser(n) for n in orders)]
     for key in set(boxes) - set(keys):
         del boxes[key]
-    x0 = M.embed(x.chart, x.coords)
     for key in keys:
         if key not in boxes:
             weighted, ambient = _rule_terms(
@@ -616,7 +549,8 @@ def _full_box_sample(M: EmbeddedManifold, f: Callable, x: ChartPoint,
         float(np.sum(_weighted_terms(weighted,
                                      _kernel_of_chord(chord, eps, M.dim))))
         for weighted, chord in map(boxes.get, keys))
-    _require_finite(value, eps)
+    if not math.isfinite(value):
+        raise NumericsError(f"operator value at eps={eps:g} is not finite")
     return LadderSample(eps=eps, value=value, tail_bound=0.0,
                         quad_error=abs(value - coarse))
 
@@ -624,21 +558,48 @@ def _full_box_sample(M: EmbeddedManifold, f: Callable, x: ChartPoint,
 def _sample(M: EmbeddedManifold, f: Callable, x: ChartPoint, eps: float,
             order: int, metric: tuple[np.ndarray, np.ndarray], boxes: dict
             ) -> LadderSample:
-    """One bandwidth's sample.  The full box is used where the kernel spans
-    an axis, or where no Hermite order meets the target and the box's
-    spacing resolves the kernel; elsewhere the ladder's rule is kept, with
-    its error."""
+    """One bandwidth's sample, by the order ladder of the module docstring.
+
+    Each order from ``HERMITE_ORDERS[1]`` on is compared with the previous
+    one; axes without Hermite nodes take ``order`` nodes in the one and
+    ``ceil(2 order / 3)`` in the other, so the difference covers them too.
+    A met order's error is its difference, an unmet ladder's the spread of
+    every value it summed, and neither is below the rounding floor of
+    :func:`_rule_sum`.  The full box is used where the ladder tries no
+    order, or meets no target and the box's spacing resolves the kernel.
+    """
+    x0 = M.embed(x.chart, x.coords)
     first = build_localized_rule(M, x, eps, order, HERMITE_ORDERS[0], metric)
-    ladder = (None if first.covers_atlas
-              else _hermite_ladder(M, f, x, eps, order, first, metric))
+    rule, seen, met = None, [], False   # the last order tried, values summed
+    for prev, n in [] if first.covers_atlas else pairwise(HERMITE_ORDERS):
+        candidate = build_localized_rule(M, x, eps, order, n, metric)
+        if candidate.covers_atlas or (candidate.axis_rules.count(FULL)
+                                      > first.axis_rules.count(FULL)):
+            break
+        rule = candidate
+        value, floor = _rule_sum(M, f, x0, eps, rule)
+        if any(kind != HERMITE for kind in rule.axis_rules):
+            reference, _ = _rule_sum(M, f, x0, eps, build_localized_rule(
+                M, x, eps, _coarser(order), prev, metric))
+        elif not seen:
+            reference, _ = _rule_sum(M, f, x0, eps, first)
+        else:   # an all-Hermite rule's previous order was all-Hermite too
+            reference = seen[-1]
+        error = abs(value - reference)
+        seen += [reference, value]
+        met = error <= max(QUAD_ERROR_TARGET * max(1.0, abs(value)), floor)
+        if met:
+            break
     orders = _full_box_orders(M, eps, metric[0], order)
-    if ladder is not None:
-        rule, error, met = ladder
-        if met or max(orders) >= max_axis_order(M.dim):
-            value, tail = apply_operator(M, f, x, eps, rule)
-            return LadderSample(eps=eps, value=value, tail_bound=tail,
-                                quad_error=error)
-    return _full_box_sample(M, f, x, eps, orders, boxes)
+    if rule is None or not (met or max(orders) >= max_axis_order(M.dim)):
+        # the ladder's rules, the last candidate perhaps a full box, are
+        # freed before the full box is built
+        first = candidate = rule = None
+        return _full_box_sample(M, f, x0, eps, orders, boxes)
+    value, tail = apply_operator(M, f, x, eps, rule)
+    return LadderSample(eps=eps, value=value, tail_bound=tail,
+                        quad_error=max(error if met else float(np.ptp(seen)),
+                                       floor))
 
 
 def eps_sweep(M: EmbeddedManifold, f: Callable, x: ChartPoint,

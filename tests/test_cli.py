@@ -139,10 +139,15 @@ class TestScan:
         assert hits[0]["kappas"] == [4.0, 1.0, 1.0]
 
     def test_grid_validation(self, capsys):
-        code, _, err = run(capsys, "equicurved-scan", "--manifold", "torus",
-                           "--grid", "12")
-        assert code == 1
-        assert json.loads(err)["error"]["type"] == "validation"
+        # the axis count, the cells per axis and the node cap are checked by
+        # scan_equicurved, before any grid array is built
+        for grid in ("12", "12x8x4", "1x8", "100000x100000",
+                     "1000000000000x2"):
+            code, out, err = run(capsys, "equicurved-scan", "--manifold",
+                                 "torus", "--grid", grid)
+            assert code == 1 and out == "", grid
+            assert len(err.splitlines()) == 1
+            assert json.loads(err)["error"]["type"] == "validation"
 
     def test_stdout_and_file_bytes_equal(self, capsys, tmp_path):
         argv = ["equicurved-scan", "--manifold", "sphere2", "--grid", "8x4"]

@@ -277,6 +277,19 @@ class TestScan:
             scan_equicurved(TORUS, [1, 10])
         with pytest.raises(ValidationError):
             scan_equicurved(TORUS, [10])
+        with pytest.raises(ValidationError, match="nodes"):
+            scan_equicurved(QUADRIC, [10 ** 12, 2, 2])
+
+    def test_grid_node_cap(self):
+        # the benchmark's largest grid, 51^3 nodes, and a torus grid of
+        # exactly the cap pass; two nodes more are refused
+        axes = hypersurface._grid_axes(QUADRIC.chart(0), [50, 50, 50])
+        assert [len(a) for a in axes] == [51, 51, 51]
+        cap = hypersurface._MAX_GRID_NODES
+        u, _ = hypersurface._grid_axes(TORUS.chart(0), [cap // 2, 2])
+        assert len(u) == cap // 2
+        with pytest.raises(ValidationError, match="nodes"):
+            hypersurface._grid_axes(TORUS.chart(0), [cap // 2 + 1, 2])
 
 
 class TestRefinement:

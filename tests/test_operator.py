@@ -448,6 +448,24 @@ class TestSweep:
         assert np.all(0.9 <= ladder.values) and np.all(ladder.values <= 1.1)
         assert np.all(np.diff(devs) < 0)
 
+    def test_default_ladder_stops_at_floor(self):
+        # values are made only until the first one below the 1e-4 floor
+        assert default_eps_ladder(0.1, 10 ** 12) == default_eps_ladder(0.1, 11)
+        assert default_eps_ladder(0.1, 11)[-1] == 0.1 * 2.0 ** -9
+        with pytest.raises(ValidationError):
+            default_eps_ladder(math.nan, 10 ** 12)
+
+    def test_manifold_cache_is_declared(self):
+        # the volume and the coarse grid are kept in M.cache, and a sweep
+        # sets no other attribute on the manifold
+        M = load_manifold_text("type=sphere radius=2")
+        attrs = set(vars(M))
+        assert M.cache == {}
+        eps_sweep(M, const_one, EQUATOR, [0.05, 1e-3])
+        assert set(vars(M)) == attrs
+        assert set(M.cache) == {"volume", "coarse_grid"}
+        assert M.volume() == pytest.approx(16.0 * math.pi, rel=1e-12)
+
     def test_ladder_validation(self):
         with pytest.raises(ValidationError):
             EpsLadder([LadderSample(0.1, 1.0, 0.0), LadderSample(0.2, 1.0, 0.0)])
