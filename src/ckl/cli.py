@@ -25,7 +25,6 @@ from .hypersurface import scan_equicurved, shape_at
 from .manifold import ChartPoint, EmbeddedManifold, curvature_at
 from .operator import (MC_SAMPLES, default_eps_ladder, eps_sweep,
                        max_axis_order, monte_carlo_operator)
-from . import verify as verify_module
 
 
 class _Parser(argparse.ArgumentParser):
@@ -306,8 +305,11 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = verify_module.run_all()
-    _emit(verify_module.format_table(results), args.out)
+    # imported here: the check table is loaded only by the command that runs it
+    from . import verify
+
+    results = verify.run_all()
+    _emit(verify.format_table(results), args.out)
     return 0 if all(r.passed for r in results) else 1
 
 

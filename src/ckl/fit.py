@@ -87,6 +87,19 @@ def fit_polynomial(ladder: EpsLadder, Q: int) -> FitReport:
                      condition=condition)
 
 
+def richardson_step(eps: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """One Richardson step of ``z`` along a geometric ladder ``eps`` of ratio
+    ``rho``: the extrapolants ``(z[1:] - rho z[:-1]) / (1 - rho)``, which
+    cancel the term linear in eps.  Any other ladder raises."""
+    if eps.size < 2:
+        raise ValidationError("richardson extrapolation needs two bandwidths")
+    ratios = eps[1:] / eps[:-1]
+    rho = float(ratios[0])
+    if np.max(np.abs(ratios - rho)) > 1e-9:
+        raise ValidationError("richardson extrapolation needs a geometric ladder")
+    return (z[1:] - rho * z[:-1]) / (1.0 - rho)
+
+
 def richardson_sequence(ladder: EpsLadder, Q: int) -> FitReport:
     """The sequential-limit recurrence, one Richardson step per level.
 
@@ -102,16 +115,12 @@ def richardson_sequence(ladder: EpsLadder, Q: int) -> FitReport:
     if eps.size < Q + 2:
         raise ValidationError(
             f"need at least Q+2 = {Q + 2} ladder samples, have {eps.size}")
-    ratios = eps[1:] / eps[:-1]
-    rho = float(ratios[0])
-    if np.max(np.abs(ratios - rho)) > 1e-9:
-        raise ValidationError("richardson extraction needs a geometric ladder")
     coeffs = []
     sens = []
     residual = y.copy()
     for n in range(Q + 1):
         z = residual / eps ** n
-        extrap = (z[1:] - rho * z[:-1]) / (1.0 - rho)
+        extrap = richardson_step(eps, z)
         a_n = float(extrap[-1])
         coeffs.append(a_n)
         sens.append(abs(float(extrap[-1] - extrap[-2]))

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DegenerateChartError, NumericsError, ValidationError
 from .fields import ScalarField
-from .fit import first_order_check
+from .fit import first_order_check, richardson_step
 from .manifold import (
     DET_FLOOR,
     ChartPoint,
@@ -744,13 +744,7 @@ def limit_criterion_check(M: EmbeddedManifold, f: ScalarField, x: ChartPoint,
     _require_hypersurface(M)
     fx, lap = laplace_beltrami(M, f, x)
     eps = ladder.eps
-    ratios = eps[1:] / eps[:-1]
-    rho = float(ratios[0])
-    if np.max(np.abs(ratios - rho)) > 1e-9:
-        raise ValidationError("limit criterion needs a geometric ladder")
-    z = (fx - ladder.values) / eps
-    extrap = (z[1:] - rho * z[:-1]) / (1.0 - rho)
-    limit = float(extrap[-1])
+    limit = float(richardson_step(eps, (fx - ladder.values) / eps)[-1])
     gap = abs(limit - lap)
     matches = first_order_check(limit, lap)[2]
     sd = shape_at(M, x)

@@ -549,7 +549,7 @@ def _full_box_sample(M: EmbeddedManifold, f: Callable, x0: np.ndarray,
         float(np.sum(_weighted_terms(weighted,
                                      _kernel_of_chord(chord, eps, M.dim))))
         for weighted, chord in map(boxes.get, keys))
-    if not math.isfinite(value):
+    if not (math.isfinite(value) and math.isfinite(coarse)):
         raise NumericsError(f"operator value at eps={eps:g} is not finite")
     return LadderSample(eps=eps, value=value, tail_bound=0.0,
                         quad_error=abs(value - coarse))

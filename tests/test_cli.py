@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import ckl.cli as cli
 import ckl.hypersurface as hypersurface
+import ckl.verify as verify
 from ckl.errors import NumericsError
 
 
@@ -516,10 +517,22 @@ def test_fuzzed_inputs_keep_the_error_contract(argv):
 
 
 class TestVerify:
-    def test_all_pass(self, capsys):
+    def test_failed_check_names_its_case(self, capsys, monkeypatch):
+        # every check passing is the verify.txt golden; a failing row exits 1
+        # and its detail names the bandwidth that failed
+        real = verify.apply_operator
+
+        def off_at_one_eps(M, f, x, eps, *rule):
+            value, tail = real(M, f, x, eps, *rule)
+            return value + (1e-6 if eps == 0.025 else 0.0), tail
+
+        monkeypatch.setattr(verify, "apply_operator", off_at_one_eps)
+        monkeypatch.setattr(verify, "CHECKS", {
+            "sphere-operator-closed-form":
+                verify.CHECKS["sphere-operator-closed-form"]})
         code, out, _ = run(capsys, "verify")
-        assert code == 0
-        lines = out.strip().split("\n")
-        assert lines[0].startswith("CHECK")
-        assert all(" FAIL " not in line for line in lines)
-        assert lines[-1].endswith("checks passed")
+        assert code == 1
+        row, total = out.strip().split("\n")[1:]
+        assert row.split()[1] == "FAIL"
+        assert row.endswith("failed: eps=0.025")
+        assert total == "0/1 checks passed"

@@ -16,7 +16,7 @@ from ckl import ValidationError
 from ckl.catalog import catalog_manifold
 from ckl.fields import ConstField
 from ckl.manifold import ChartPoint, curvature_at
-from ckl.operator import eps_sweep
+from ckl.operator import EpsLadder, LadderSample, eps_sweep
 from ckl.hypersurface import (
     _classify_arrays,
     check_propositions,
@@ -569,3 +569,9 @@ class TestLimitCriterion:
         assert not rep.matches_laplacian
         assert rep.gap == pytest.approx(1.0 / 9.0, abs=0.01)
         assert rep.gap >= 0.05
+
+    @pytest.mark.parametrize("eps", [(0.1, 0.05, 0.024, 0.012), (0.1,)])
+    def test_requires_geometric(self, eps):
+        lad = EpsLadder([LadderSample(e, 1.0, 0.0) for e in eps])
+        with pytest.raises(ValidationError):
+            limit_criterion_check(S2, ConstField(1.0), EQUATOR, lad)

@@ -383,20 +383,6 @@ class TestBenchmarkTracer:
 
 
 class TestTail:
-    def test_reported_errors_cover_reference(self):
-        # tail_bound + quad_error (+ rounding) covers the distance from a
-        # full-box reference that resolves the kernel down to eps = 2.5e-4:
-        # 2048 trapezoid nodes on u put 2.4 nodes in the kernel's width
-        # sqrt(2 eps) there (512 put 0.6, and miss by 1e-3)
-        eps_list = [0.004 * 2.0 ** -k for k in range(5)]
-        pt = ChartPoint(0, [0.3, 0.0])
-        ladder = eps_sweep(TORUS, const_one, pt, eps_list)
-        reference = build_full_rule(TORUS, axis_orders=(2048, 512))
-        for s in ladder.samples:
-            ref, _ = apply_operator(TORUS, const_one, pt, s.eps, reference)
-            assert s.tail_bound >= 0 and s.quad_error >= 0
-            assert abs(s.value - ref) <= s.tail_bound + s.quad_error + 1e-14, s.eps
-
     def test_tail_estimate_fields(self):
         eps = 1e-3
         pt = ChartPoint(0, [0.3, 0.0])
@@ -426,6 +412,19 @@ class TestTail:
 
         with pytest.raises(NumericsError):
             apply_operator(S2, nan_everywhere, EQUATOR, 0.05)
+
+    def test_nonfinite_comparison_box_rejected(self):
+        # NaN only at the phi nodes 2 pi k / 43 (k != 0) of the full box's
+        # ceil(2 n / 3)-node comparison box: the full box's own value is
+        # finite, but its quadrature error is not
+        def nan_on_comparison_phi(coords, ambient):
+            k = coords[..., 2] * 43 / (2 * math.pi)
+            bad = (np.abs(k - np.round(k)) < 1e-9) & (np.round(k) != 0)
+            return np.where(bad, np.nan, 1.0)
+
+        with pytest.raises(NumericsError):
+            eps_sweep(S3, nan_on_comparison_phi,
+                      ChartPoint(0, [1.5, 1.5, 3.0]), [0.1])
 
 
 class TestSweep:
