@@ -1,6 +1,7 @@
 """Built-in manifolds and the plain-text manifold description format.
 
-Catalog surfaces ship exact embedding derivatives.  The trig charts (spheres,
+Catalog surfaces ship exact embedding derivatives of every order, each
+builder by one rule (:func:`derivative_rule`).  The trig charts (spheres,
 spheroid, torus) write each embedding component as a sum of products of
 per-axis sinusoids ``a + b sin x_i + c cos x_i``, whose derivatives are phase
 shifts.  Polynomial graph charts differentiate their monomials.  Every catalog
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 import re
-from functools import reduce
+from functools import cache, reduce
 from operator import mul
 from pathlib import Path
 
@@ -48,35 +49,50 @@ def trig_diff(terms: list[TrigTerm], i: int) -> list[TrigTerm]:
             for coef, fs in terms if i in fs and (fs[i][1] or fs[i][2])]
 
 
+def derivative_rule(base: list, diff, d: int):
+    """``entries(k)``: the order-k derivatives of the entries of ``base``, each
+    ``diff(entry, i)`` of an order k-1 entry for every axis i, flattened in
+    row-major order over ``(len(base), d, ..., d)``.  Each order is built on
+    its first request and kept."""
+    @cache
+    def entries(k: int) -> list:
+        if k == 0:
+            return list(base)
+        return [diff(e, i) for e in entries(k - 1) for i in range(d)]
+    return entries
+
+
 def trig_chart(components: list[list[TrigTerm]], lo, hi, periodic,
                volume_element) -> Chart:
-    """A chart with exact derivatives whose embedding components are trig terms.
+    """A chart with exact derivatives of every order whose embedding
+    components are trig terms.
 
-    Its derivative closure evaluates the sinusoid factors of the requested
-    orders once, as a table, and multiplies out only those orders' tensors;
-    the embedding is returned as its component columns, each broadcast over
-    the axes its factors use.
+    Order k is k phase shifts (:func:`trig_diff`) of each component.  The
+    derivative closure evaluates the sinusoid factors of the requested orders
+    once, as a table, and multiplies out only those orders' tensors; the
+    embedding is returned as its component columns, each broadcast over the
+    axes its factors use.
     ``volume_element`` is the chart's closed-form ``sqrt(det g)``; the catalog
     coordinates are orthogonal, so it is the product of the lengths of the
     coordinate vectors.
     """
     d, n = len(lo), len(components)
-    jac = [trig_diff(X, i) for X in components for i in range(d)]
-    hess = [trig_diff(J, j) for J in jac for j in range(d)]
-    # per order: the entries, the tensor shape, the sinusoid factors used
-    tables = [(entries, shape, {(i, *abc) for terms in entries
-                                for _, fs in terms for i, abc in fs.items()})
-              for entries, shape in ((components, (n,)), (jac, (n, d)),
-                                     (hess, (n, d, d)))]
+    entries = derivative_rule(components, trig_diff, d)
+
+    @cache
+    def factors(k: int) -> set:
+        """The sinusoid factors ``(i, a, b, c)`` that order k uses."""
+        return {(i, *abc) for terms in entries(k) for _, fs in terms
+                for i, abc in fs.items()}
 
     def derivs(coords, orders):
         coords = as_coords(coords)
-        factors = set().union(*(tables[k][2] for k in orders))
-        axes = {i for i, *_ in factors}
+        used = set().union(*(factors(k) for k in orders))
+        axes = {i for i, *_ in used}
         sin = {i: np.sin(coords[..., i]) for i in axes}
         cos = {i: np.cos(coords[..., i]) for i in axes}
         val = {}
-        for i, a, b, c in factors:
+        for i, a, b, c in used:
             # only nonzero parts: zeros keep their sign
             parts = [w * t[i] for w, t in ((b, sin), (c, cos)) if w]
             parts += [a] if a else []
@@ -89,15 +105,14 @@ def trig_chart(components: list[list[TrigTerm]], lo, hi, periodic,
 
         out = []
         for k in orders:
-            entries, shape, _ = tables[k]
             if k == 0:
-                out.append([entry(terms) for terms in entries])
+                out.append([entry(terms) for terms in components])
                 continue
-            tensor = np.zeros(coords.shape[:-1] + (len(entries),))
-            for e, terms in enumerate(entries):
+            tensor = np.zeros(coords.shape[:-1] + (n * d ** k,))
+            for e, terms in enumerate(entries(k)):
                 if terms:
                     tensor[..., e] = entry(terms)
-            out.append(tensor.reshape(coords.shape[:-1] + shape))
+            out.append(tensor.reshape(coords.shape[:-1] + (n,) + (d,) * k))
         return out
 
     return Chart(derivs, volume_element, lo=lo, hi=hi, periodic=periodic)
@@ -130,20 +145,18 @@ class PolyTerms:
             out = out + mono
         return out
 
-    def derivatives(self) -> tuple[list["PolyTerms"], list[list["PolyTerms"]]]:
-        """First and second partials: ``grad[i]`` and ``hess[i][j]``."""
-        def grad(p):
-            return [PolyTerms(p.dim, [(c * a[i], a[:i] + (a[i] - 1,) + a[i + 1:])
-                                      for c, a in p.terms if a[i]])
-                    for i in range(p.dim)]
-        first = grad(self)
-        return first, [grad(g) for g in first]
+    def partial(self, i: int) -> "PolyTerms":
+        """d/dx_i, exactly."""
+        return PolyTerms(self.dim, [(c * a[i], a[:i] + (a[i] - 1,) + a[i + 1:])
+                                    for c, a in self.terms if a[i]])
 
 
 def graph_chart(poly: PolyTerms, halfwidth: float) -> Chart:
-    """The graph (s, P(s)) over the box [-halfwidth, halfwidth]^d."""
+    """The graph (s, P(s)) over the box [-halfwidth, halfwidth]^d, with exact
+    derivatives of every order: order k of P is k :meth:`PolyTerms.partial`
+    steps."""
     d = poly.dim
-    grad, hess = poly.derivatives()
+    partials = derivative_rule([poly], PolyTerms.partial, d)
 
     def derivs(coords, orders):
         coords = as_coords(coords)
@@ -152,16 +165,14 @@ def graph_chart(poly: PolyTerms, halfwidth: float) -> Chart:
             if k == 0:
                 out.append([coords[..., i] for i in range(d)] + [poly(coords)])
                 continue
-            # rows 0..d-1 are the identity (order 1) or zero (order 2); row d
+            # rows 0..d-1 are the identity at order 1 and zero above it; row d
             # holds the derivatives of P
             tensor = np.zeros(coords.shape[:-1] + (d + 1,) + (d,) * k)
-            for i in range(d):
-                if k == 1:
+            if k == 1:
+                for i in range(d):
                     tensor[..., i, i] = 1.0
-                    tensor[..., d, i] = grad[i](coords)
-                else:
-                    for j in range(d):
-                        tensor[..., d, i, j] = hess[i][j](coords)
+            for idx, p in zip(np.ndindex((d,) * k), partials(k)):
+                tensor[(..., d, *idx)] = p(coords)
             out.append(tensor)
         return out
 
@@ -169,7 +180,7 @@ def graph_chart(poly: PolyTerms, halfwidth: float) -> Chart:
         # sqrt(det g) = sqrt(1 + |grad P|^2) for the metric I + grad P grad P^T
         coords = as_coords(coords)
         sq = 1.0
-        for g in grad:
+        for g in partials(1):
             sq = sq + g(coords) ** 2
         return np.sqrt(sq)
 

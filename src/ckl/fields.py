@@ -74,7 +74,8 @@ class ChartPolyField(ScalarField):
     def __init__(self, text: str, dim: int):
         super().__init__(f"poly:{text}")
         self.poly = parse_poly(text, dim)
-        self.grad, self.hess = self.poly.derivatives()
+        self.grad = [self.poly.partial(i) for i in range(dim)]
+        self.hess = [[g.partial(j) for j in range(dim)] for g in self.grad]
 
     def __call__(self, coords, ambient):
         return self.poly(coords)

@@ -208,7 +208,7 @@ def _gauss_consistency(size: Size) -> tuple[bool, str]:
         extr = curvature_at(M, p).scalar_curvature
         gaps[name] = (abs(extr - scalar_curvature_intrinsic(M, p))
                       / max(1.0, abs(extr)))
-    return _largest(gaps, 1e-7, "max relative gap = {:.2e}")
+    return _largest(gaps, 1e-12, "max relative gap = {:.2e}")
 
 
 def _geodesic_speed(size: Size) -> tuple[bool, str]:
@@ -247,7 +247,7 @@ def _volume_density(size: Size) -> tuple[bool, str]:
     rho = volume_density(M, ChartPoint(0, [math.pi / 2, 1.0]),
                          np.array([0.6, 0.8]), 0.3)
     err = abs(rho - math.sin(0.3) / 0.3)
-    return err <= 1e-8, f"|rho - sin(s)/s| = {err:.2e}"
+    return err <= 1e-12, f"|rho - sin(s)/s| = {err:.2e}"
 
 
 def _sphere_operator(size: Size) -> tuple[bool, str]:

@@ -151,12 +151,6 @@ class TestAssemble:
         ec = assemble_a(ew, d, 1)
         assert ec.values[1] == pytest.approx(expected, rel=1e-14)
 
-    def test_three_sphere_acceptance_values(self):
-        td = sphere_taylor_data(3, 1.0, max_degree=8)
-        ec = expansion_from_taylor(td, 1)
-        assert abs(ec.values[0] - 1.0) <= 1e-9
-        assert abs(ec.values[1] + 0.75) <= 1e-9
-
     def test_two_sphere_flat_expansion(self):
         # K_eps 1 on the unit 2-sphere is 1 - e^{-1/eps}: all a_q vanish
         # beyond a_0

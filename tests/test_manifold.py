@@ -11,7 +11,6 @@ from ckl.catalog import catalog_manifold, load_manifold_text, parse_poly
 from ckl.fields import AmbientCoordField, ChartPolyField, ConstField
 from ckl.manifold import (
     ChartPoint,
-    _central_diff,
     _connection,
     chord_expansion_check,
     curvature_at,
@@ -31,6 +30,9 @@ PLANE = catalog_manifold("plane")
 QUADRIC = catalog_manifold("quadric411")
 GRAPH = load_manifold_text(
     "type=graph d=2 poly=0.3:(1,1),0.2:(3,0),-0.4:(0,2) box=1.0")
+CUBIC = load_manifold_text("type=graph d=2 poly=0.5*x1^2+0.5*x2^2+0.3*x1^3")
+CHARTS = {"torus": TORUS, "sphere3": S3, "sphere2": S2, "spheroid": SPHEROID,
+          "plane": PLANE, "quadric411": QUADRIC, "graph": GRAPH, "cubic": CUBIC}
 
 EQUATOR = ChartPoint(0, [math.pi / 2, 1.0])
 
@@ -50,13 +52,35 @@ def random_points(M, count, rng, margin=0.15):
     return rng.uniform(lo, hi, size=(count, M.dim))
 
 
-def fd_jet(M, coords, step=1e-3):
-    """Jacobian and Hessian of M's embedding from Richardson central
-    differences of the embedding alone, at step ``step (1 + |coord|)``."""
+def central_diff(fn, coords, h):
+    """Batched ``d fn / d coords`` by central differences with one Richardson
+    step, ``(-1/3) D(h) + (4/3) D(h/2)``.  ``h`` holds the per-axis steps with
+    the shape of ``coords`` ``(..., d)``; for ``fn`` values of shape
+    ``(..., *S)`` the result is ``(..., *S, d)``."""
+    cols = []
+    for i in range(coords.shape[-1]):
+        def diff(scale):
+            hh = h[..., i] * scale
+            step = np.zeros_like(coords)
+            step[..., i] = hh
+            delta = fn(coords + step) - fn(coords - step)
+            return delta / (2.0 * hh)[(...,) + (None,) * (delta.ndim - hh.ndim)]
+        cols.append(-1.0 / 3.0 * diff(1.0) + 4.0 / 3.0 * diff(0.5))
+    return np.stack(cols, axis=-1)
+
+
+def fd_jet(M, coords, orders=(1, 2), step=1e-3):
+    """M's derivative tensors of ``orders`` from Richardson central
+    differences at step ``step (1 + |coord|)``: orders 1 and 2 difference the
+    embedding alone, once and twice, and an order k >= 3 differences the
+    chart's exact order k - 1 once."""
     def diff(fn):
-        return lambda c: _central_diff(fn, c, step * (1.0 + np.abs(c)))
+        return lambda c: central_diff(fn, c, step * (1.0 + np.abs(c)))
     jac = diff(lambda c: M.embed(0, c))
-    return jac(coords), diff(jac)(coords)
+    by_order = {1: jac, 2: diff(jac)}
+    return tuple(by_order[k](coords) if k in by_order
+                 else diff(lambda c, k=k: M.charts[0].jet(c, (k - 1,))[1])(coords)
+                 for k in orders)
 
 
 def embedding_only(chart):
@@ -273,6 +297,35 @@ class TestChristoffel:
                                    M.christoffel(0, pts), rtol=0, atol=1e-8)
 
 
+class TestJet:
+    @pytest.mark.parametrize("M", CHARTS.values(), ids=CHARTS.keys())
+    def test_orders_three_and_four(self, M, rng):
+        # each order is the difference of the exact order below it
+        pts = random_points(M, 10, rng)
+        for k, fd in zip((3, 4), fd_jet(M, pts, (3, 4))):
+            exact = M.charts[0].jet(pts, (k,))[1]
+            assert exact.shape == (10, M.ambient_dim) + (M.dim,) * k
+            np.testing.assert_allclose(fd, exact, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("M", CHARTS.values(), ids=CHARTS.keys())
+    def test_symmetric_in_derivative_indices(self, M, rng):
+        pts = random_points(M, 10, rng)
+        for k in (2, 3, 4):
+            t = M.charts[0].jet(pts, (k,))[1]
+            scale = max(1.0, float(np.max(np.abs(t))))
+            for perm in itertools.permutations(range(2, 2 + k)):
+                np.testing.assert_allclose(t.transpose(0, 1, *perm), t,
+                                           rtol=0, atol=4e-16 * scale)
+
+    def test_graph_vanishes_above_its_degree(self, rng):
+        M = load_manifold_text(
+            "type=graph d=3 poly=0.3*x1^4+x1^2*x2*x3-0.5*x2^3+x3 box=1.0")
+        pts = random_points(M, 10, rng, margin=0.0)
+        four, five = M.charts[0].jet(pts, (4, 5))[1:]
+        np.testing.assert_allclose(four[:, 3, 0, 0, 0, 0], 0.3 * 24, rtol=1e-15)
+        assert five.shape == (10, 4) + (3,) * 5 and np.all(five == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Curvature
 # ---------------------------------------------------------------------------
@@ -308,13 +361,27 @@ class TestCurvature:
 
     def test_gauss_equation_consistency(self, rng):
         # extrinsic (Gauss identity) and intrinsic (metric-only) scalar
-        # curvature agree to 1e-7 relative on the whole catalog
+        # curvature agree to 1e-12 relative on the whole catalog
         for M in (S2, S3, TORUS, SPHEROID, QUADRIC, PLANE):
             for coords in random_points(M, 6, rng):
                 p = ChartPoint(0, coords)
                 extr = curvature_at(M, p).scalar_curvature
                 intr = scalar_curvature_intrinsic(M, p)
-                assert abs(extr - intr) <= 1e-7 * max(1.0, abs(extr)), M.catalog_id
+                assert abs(extr - intr) <= 1e-12 * max(1.0, abs(extr)), M.catalog_id
+
+    @pytest.mark.parametrize("M, coords, rel", [
+        (TORUS, [0.3, 0.7], 1e-12), (S3, [1.0, 1.3, 2.0], 1e-12),
+        (QUADRIC, [0.3, -0.2, 0.1], 1e-12), (SPHEROID, [1.0, 0.5], 1e-12),
+        # interior points next to a non-periodic edge
+        (S2, [0.02, 1.0], 1e-12), (QUADRIC, [0.995, 0.0, 0.0], 1e-12),
+        # Gamma ~ cot(theta) ~ 250: the Ricci sum cancels terms near 6e4
+        (S2, [0.004, 1.0], 1e-10),
+    ], ids=["torus", "sphere3", "quadric411", "spheroid", "sphere2-edge",
+            "quadric411-edge", "sphere2-near-pole"])
+    def test_intrinsic_matches_extrinsic(self, M, coords, rel):
+        p = ChartPoint(0, coords)
+        extr = curvature_at(M, p).scalar_curvature
+        assert scalar_curvature_intrinsic(M, p) == pytest.approx(extr, rel=rel)
 
     def test_torus_outer_equator(self):
         rep = curvature_at(TORUS, ChartPoint(0, [0.3, 0.0]))
@@ -486,6 +553,13 @@ class TestGeodesics:
         with pytest.raises(ValidationError):
             geodesic_shoot(S2, EQUATOR, np.array([1.0, 0.0]), S2.delta + 0.1)
 
+    @pytest.mark.parametrize("steps, record_times",
+                             [(0, None), (-3, None), (-3, [0.1, 0.2])])
+    def test_nonpositive_steps_rejected(self, steps, record_times):
+        with pytest.raises(ValidationError):
+            geodesic_shoot(S2, EQUATOR, np.array([1.0, 0.0]), 0.5, steps=steps,
+                           record_times=record_times)
+
 
 # ---------------------------------------------------------------------------
 # Chord expansion
@@ -543,20 +617,40 @@ class TestChordExpansion:
 # Volume density
 # ---------------------------------------------------------------------------
 
+def pencil_density(M, x, v, s, h=1e-3):
+    """The normal-coordinate density at ``exp_x(s v)`` from the Gram
+    determinant of central differences, with one Richardson step, of
+    ``exp_x`` over a pencil of geodesics from :func:`geodesic_shoot`."""
+    w0 = s * np.asarray(v, dtype=float)
+
+    def exp(w):
+        t = float(np.linalg.norm(w))
+        return geodesic_shoot(M, x, w / t, t, steps=100,
+                              record_times=[t]).final.position
+
+    cols = []
+    for e in np.eye(M.dim):
+        def diff(step):
+            return (exp(w0 + step * e) - exp(w0 - step * e)) / (2.0 * step)
+        cols.append(-1.0 / 3.0 * diff(h) + 4.0 / 3.0 * diff(0.5 * h))
+    a = np.stack(cols, axis=1)
+    return math.sqrt(np.linalg.det(a.T @ a))
+
+
 class TestVolumeDensity:
     def test_sphere_closed_form(self):
         rho = volume_density(S2, EQUATOR, np.array([0.6, 0.8]), 0.3)
-        assert rho == pytest.approx(math.sin(0.3) / 0.3, abs=1e-9)
+        assert rho == pytest.approx(math.sin(0.3) / 0.3, abs=1e-12)
 
     def test_three_sphere_closed_form(self):
         rho = volume_density(S3, ChartPoint(0, [1.4, 1.2, 0.8]),
                              np.array([0.0, 0.6, 0.8]), 0.25)
-        assert rho == pytest.approx((math.sin(0.25) / 0.25) ** 2, abs=1e-8)
+        assert rho == pytest.approx((math.sin(0.25) / 0.25) ** 2, abs=1e-12)
 
     def test_plane_is_one(self):
         rho = volume_density(PLANE, ChartPoint(0, [0.0, 0.0]),
                              np.array([0.6, -0.8]), 0.5)
-        assert rho == pytest.approx(1.0, abs=1e-10)
+        assert rho == pytest.approx(1.0, abs=1e-12)
 
     def test_small_s_limit_one(self):
         for M, p, v in ((S2, EQUATOR, np.array([1.0, 0.0])),
@@ -564,13 +658,14 @@ class TestVolumeDensity:
             rho = volume_density(M, p, v, 0.02)
             assert rho == pytest.approx(1.0, abs=5e-4)
 
-    def test_richardson_oracle_three_steps(self):
-        # pencil Jacobian at three step sizes, extrapolated, as an oracle
-        vals = [volume_density(S2, EQUATOR, np.array([1.0, 0.0]), 0.3, fd_step=h)
-                for h in (4e-3, 2e-3, 1e-3)]
-        extrap = (4 * vals[2] - vals[1]) / 3.0
-        assert vals[2] == pytest.approx(extrap, abs=1e-8)
-        assert extrap == pytest.approx(math.sin(0.3) / 0.3, abs=1e-8)
+    @pytest.mark.parametrize("M, coords, v", [
+        (TORUS, [1.0, 0.7], [0.6, 0.8]),
+        (QUADRIC, [0.2, -0.1, 0.15], [0.48, 0.6, 0.64]),
+    ], ids=["torus", "quadric411"])
+    def test_jacobi_fields_match_pencil(self, M, coords, v):
+        x, v = ChartPoint(0, coords), np.array(v)
+        assert volume_density(M, x, v, 0.4) == pytest.approx(
+            pencil_density(M, x, v, 0.4), abs=1e-9)
 
     def test_pencil_exiting_chart_rejected(self):
         from ckl import TruncatedPathError
