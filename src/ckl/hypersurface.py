@@ -100,26 +100,25 @@ def _cofactor_normals(jac: np.ndarray):
     # a product, not einsum: an overflow must raise, not give inf
     norm_sq = np.sum(c * c, axis=-1)
     _, exponent = np.frexp(np.max(np.abs(c), axis=-1, keepdims=True))
-    c = np.ldexp(c, -exponent)
+    # scaled in place: on a scan grid each copy would be grid-sized
+    np.ldexp(c, -exponent, out=c)
     length = np.sqrt(np.sum(c * c, axis=-1, keepdims=True))
-    return c / np.where(length > 0.0, length, 1.0), norm_sq
+    c /= np.where(length > 0.0, length, 1.0)
+    return c, norm_sq
 
 
-def _shape_arrays(M: EmbeddedManifold, coords: np.ndarray,
-                  orientation: float = 1.0):
+def _shape_arrays(M: EmbeddedManifold, coords: np.ndarray):
     """Batched ``(normal, kappas, eigvecs, chol, jacobian, g, b, det_g)``.
 
-    ``normal`` is the unit cofactor normal of the Jacobian (times
-    ``orientation``) and ``det_g = |C|^2`` the metric determinant;
-    ``kappas`` descend; the columns of ``eigvecs`` are the matching
-    eigenvectors of ``chol^-1 b chol^-T``, where ``chol`` is the Cholesky
-    factor of the metric ``g``.  No metric floor is applied here: callers
-    refuse or mark degenerate points.
+    ``normal`` is the unit cofactor normal of the Jacobian and ``det_g =
+    |C|^2`` the metric determinant; ``kappas`` descend; the columns of
+    ``eigvecs`` are the matching eigenvectors of ``chol^-1 b chol^-T``,
+    where ``chol`` is the Cholesky factor of the metric ``g``.  No metric
+    floor is applied here: callers refuse or mark degenerate points.
     """
     jac = M.jacobian(0, coords)
     g = np.einsum("...ni,...nj->...ij", jac, jac)
     normal, det_g = _cofactor_normals(jac)
-    normal = orientation * normal
     b = np.einsum("...nij,...n->...ij", M.hessian(0, coords), normal)
     chol = np.linalg.cholesky(g)
     tmp = np.linalg.solve(chol, b)
@@ -146,21 +145,20 @@ def _trace_residual(M: EmbeddedManifold, coords: np.ndarray):
     return 2.0 * np.einsum("...ij,...ji->...", s, s) - e1 * e1, e1
 
 
-def shape_at(M: EmbeddedManifold, p: ChartPoint,
-             orientation: float = 1.0) -> ShapeData:
+def shape_at(M: EmbeddedManifold, p: ChartPoint) -> ShapeData:
     """Shape-operator eigendata at one point.
 
     Solves the generalized symmetric problem ``b w = kappa g w`` with
     ``b_ij = <dd embed, nu>`` through a Cholesky reduction of the metric.  The
     chart normal is the unit cofactor vector of the Jacobian columns
-    (``det([J | nu]) > 0``); pass ``orientation=-1`` to flip it.  With this
-    convention the outward-oriented unit sphere has curvatures -1.
+    (``det([J | nu]) > 0``).  With this convention the outward-oriented
+    unit sphere has curvatures -1.
     """
     _require_hypersurface(M)
     M.chart(p.chart).require_inside(p.coords)
     M.metric(0, p.coords)    # refuses a point at the determinant floor
     normal, kappas, eigvecs, chol, jac, g, b, _ = _shape_arrays(
-        M, np.asarray(p.coords, dtype=float), orientation)
+        M, np.asarray(p.coords, dtype=float))
     w = np.linalg.solve(chol.T, eigvecs)
     directions = np.einsum("ni,ik->kn", jac, w)
     # eigen residual check: |b w - kappa g w| <= 1e-10 |b|

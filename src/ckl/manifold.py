@@ -43,6 +43,8 @@ if TYPE_CHECKING:
     from .fields import ScalarField
 
 DET_FLOOR = 1e-12
+# points per axis of the coarse grid behind the tail bound
+_COARSE_RES = 33
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +242,8 @@ class EmbeddedManifold:
     ``charts`` is the one-element list ``[chart]``; its index is 0.
     ``delta`` is a caller-supplied lower bound on the injectivity radius; all
     normal-coordinate constructions stay inside geodesic balls of this radius.
-    ``cache`` holds what is computed once per manifold: its ``"volume"`` and
-    the tail bound's ``"coarse_grid"``.
+    ``cache`` holds what is computed once per manifold: the tail bound's
+    ``"coarse_grid"`` and the ``"volume"`` read from it.
     """
 
     def __init__(self, charts: Sequence[Chart], delta: float,
@@ -288,18 +290,37 @@ class EmbeddedManifold:
         """Christoffel symbols ``Gamma[..., k, i, j] = g^{kl} <d_l X, d_i d_j X>``."""
         return _connection(*self.chart(ci).jet(coords, (1, 2))[1:])[1]
 
+    def coarse_grid(self) -> tuple[TensorGrid, TensorGrid]:
+        """The tail bound's ``(grid, embedding)``, kept in ``cache``: 33 points
+        per axis, spanning a periodic axis and inset by 1e-3 of the box on
+        any other, where a chart may degenerate."""
+        if "coarse_grid" not in self.cache:
+            chart = self.chart(0)
+            axes = []
+            for i in range(chart.dim):
+                lo_i, hi_i = chart.lo[i], chart.hi[i]
+                if chart.periodic[i]:
+                    axes.append(lo_i + (hi_i - lo_i) * np.arange(_COARSE_RES)
+                                / _COARSE_RES)
+                else:
+                    inset = 1e-3 * (hi_i - lo_i)
+                    axes.append(np.linspace(lo_i + inset, hi_i - inset,
+                                            _COARSE_RES))
+            grid = TensorGrid.product(axes)
+            self.cache["coarse_grid"] = grid, self.embed(0, grid)
+        return self.cache["coarse_grid"]
+
     def volume(self) -> float:
-        """Total volume of the chart box, by order-96 tensor quadrature, kept
-        in ``cache``."""
-        if "volume" in self.cache:
-            return self.cache["volume"]
-        from .operator import build_full_rule  # local import to avoid a cycle
-        rule = build_full_rule(self, order=96)
-        # the product is formed in the weights' own array: one array of 96^d
-        # values is alive, not two (the rule dies on return)
-        weighted = rule.weights
-        weighted *= self.sqrt_det_metric(0, rule.nodes)
-        self.cache["volume"] = float(np.sum(weighted))
+        """An upper figure for the total volume of the chart box, kept in
+        ``cache``: the box's coordinate measure times the largest volume
+        element on :meth:`coarse_grid`.  Like the tail bound's other
+        coarse-grid figures it is not certified: the grid may miss the sup.
+        """
+        if "volume" not in self.cache:
+            chart = self.chart(0)
+            rho = self.sqrt_det_metric(0, self.coarse_grid()[0])
+            self.cache["volume"] = (float(np.prod(chart.hi - chart.lo))
+                                    * float(np.max(rho)))
         return self.cache["volume"]
 
 
@@ -624,7 +645,10 @@ def geodesic_shoot(M: EmbeddedManifold, x: ChartPoint, v: np.ndarray,
         seg_steps = []
         prev = 0.0
         for t in record_times:
-            seg_steps.append(max(int(math.ceil((t - prev) / base_dt)), 1))
+            # a quotient above an integer by no more than its rounding
+            # takes that integer's steps
+            quotient = (t - prev) / base_dt * (1.0 - 4.0 * np.finfo(float).eps)
+            seg_steps.append(max(int(math.ceil(quotient)), 1))
             prev = t
 
     raw = [(np.asarray(x.coords, dtype=float), sdot, 0.0)]

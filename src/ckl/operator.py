@@ -28,7 +28,12 @@ full box if the box's spacing resolves the kernel within
 box's orders ``n`` and ``ceil(2n/3)``; otherwise it keeps the last order
 tried and reports the spread of every value the ladder summed.  The tail
 bound is the kernel mass over the part of the chart box that the rule never
-samples.
+samples; its volume, separation and sup norm are read from the manifold's
+coarse grid (:meth:`EmbeddedManifold.coarse_grid`), and no rule is built
+for them.
+
+:func:`monte_carlo_operator` is plain Monte Carlo over the chart box: uniform
+nodes of equal weight, whose terms come from the same evaluator as a rule's.
 
 A rule holds its nodes as a :class:`TensorGrid` of per-axis arrays, so the
 geometry is evaluated per axis and broadcast, never on dense ``(N, d)`` nodes.
@@ -60,7 +65,6 @@ from .errors import NumericsError, ValidationError
 from .manifold import ChartPoint, EmbeddedManifold, TensorGrid, as_coords
 
 DEFAULT_ORDER = 64
-_COARSE_RES = 33
 # the Gauss-Hermite orders eps_sweep tries at each bandwidth, in turn
 HERMITE_ORDERS = (16, 24, 32, 48, 64)
 # an order is accepted once |Q_n - Q_prev| <= QUAD_ERROR_TARGET max(1, |Q_n|),
@@ -134,7 +138,8 @@ class QuadratureRule:
     the kernel's scale: ``axis_rules`` names each axis's rule (``HERMITE``,
     ``CLIPPED`` or ``FULL``) and ``window`` is the node box ``(lo, hi)``,
     outside which the rule samples nothing; on a periodic axis it may
-    straddle the period seam.
+    straddle the period seam.  :func:`monte_carlo_operator` passes its
+    uniform nodes as a dense ``(n, d)`` array with equal weights.
     """
     nodes: TensorGrid
     weights: np.ndarray
@@ -217,7 +222,7 @@ def build_full_rule(M: EmbeddedManifold, order: int = DEFAULT_ORDER,
 
 
 _MAX_AXIS_ORDER = {1: 1024, 2: 512, 3: 192}
-# Monte Carlo sample counts; each batch draws 2n x d candidate coordinates
+# Monte Carlo sample counts; a run draws n x d uniform chart coordinates
 MC_SAMPLES = range(1000, 1_000_001)
 
 
@@ -313,15 +318,17 @@ class TailEstimate:
     ``(4 pi eps)^(-d/2) e^(-m^2 / 4 eps) Vol(M) sup|f|``.
 
     ``m_delta`` approximates the infimum of |y - x| over the part of the
-    chart box outside the rule's node box, and ``f_sup`` the sup norm of f;
-    both come from a coarse grid, so they are diagnostics, not certified
-    bounds.  A rule over the whole box misses nothing: ``m_delta`` is inf and
-    the bound 0.  A kernel-scale node box spans a fixed number of kernel
-    widths, so the mass it misses does not decay super-polynomially in eps:
-    it is a fixed fraction, about ``e^(-T^2)`` with ``T`` the largest Hermite
-    node, of the kernel mass.  The coarse grid places ``m_delta`` at its
-    nearest point outside the box, which at small eps lies many kernel widths
-    beyond it, so the bound can fall far below that fraction.
+    chart box outside the rule's node box, ``f_sup`` the sup norm of f, and
+    ``volume`` is :meth:`EmbeddedManifold.volume`, the box measure times the
+    largest volume element, an upper figure for ``Vol(M)``; all three come
+    from a coarse grid, so they are diagnostics, not certified bounds.  A
+    rule over the whole box misses nothing: ``m_delta`` is inf and the bound
+    0.  A kernel-scale node box spans a fixed number of kernel widths, so
+    the mass it misses does not decay super-polynomially in eps: it is a
+    fixed fraction, about ``e^(-T^2)`` with ``T`` the largest Hermite node,
+    of the kernel mass.  The coarse grid places ``m_delta`` at its nearest
+    point outside the box, which at small eps lies many kernel widths beyond
+    it, so the bound can fall far below that fraction.
     """
     m_delta: float
     volume: float
@@ -333,30 +340,12 @@ class TailEstimate:
             raise NumericsError("tail separation must be positive")
 
 
-def _coarse_grid(M: EmbeddedManifold):
-    if "coarse_grid" in M.cache:
-        return M.cache["coarse_grid"]
-    chart = M.chart(0)
-    axes = []
-    for i in range(chart.dim):
-        lo_i, hi_i = chart.lo[i], chart.hi[i]
-        if chart.periodic[i]:
-            axes.append(lo_i + (hi_i - lo_i) * np.arange(_COARSE_RES)
-                        / _COARSE_RES)
-        else:
-            inset = 1e-3 * (hi_i - lo_i)
-            axes.append(np.linspace(lo_i + inset, hi_i - inset, _COARSE_RES))
-    grid = TensorGrid.product(axes)
-    M.cache["coarse_grid"] = grid, M.embed(0, grid)
-    return M.cache["coarse_grid"]
-
-
 def _excluded_min_distance(M: EmbeddedManifold, x0: np.ndarray,
                            rule: QuadratureRule) -> float:
     """Coarse-grid minimum of |y - x| over chart points outside the node box."""
     if rule.covers_atlas:
         return math.inf
-    coords, embeds = _coarse_grid(M)
+    coords, embeds = M.coarse_grid()
     lo, hi = rule.window
     chart = M.chart(0)
     outside = False
@@ -376,11 +365,12 @@ def _excluded_min_distance(M: EmbeddedManifold, x0: np.ndarray,
 
 def tail_estimate(M: EmbeddedManifold, x: ChartPoint, eps: float,
                   rule: QuadratureRule, f: Callable) -> TailEstimate:
-    """Bound (4 pi eps)^(-d/2) e^(-m^2/4eps) Vol(M) sup|f| for excluded mass.
+    """Bound (4 pi eps)^(-d/2) e^(-m^2/4eps) Vol(M) sup|f| for excluded mass,
+    with every figure from the coarse grid (see :class:`TailEstimate`).
 
     A sup norm that is not finite raises :class:`NumericsError`.
     """
-    coords, embeds = _coarse_grid(M)
+    coords, embeds = M.coarse_grid()
     vals = np.abs(np.asarray(f(coords, embeds), dtype=float))
     f_sup = float(np.max(vals))
     if not math.isfinite(f_sup):
@@ -614,9 +604,6 @@ def eps_sweep(M: EmbeddedManifold, f: Callable, x: ChartPoint,
     for eps in eps_list:
         _require_bandwidth(eps)
     M.chart(x.chart).require_inside(x.coords)
-    # every tail bound needs the volume: its order-96 rule, the largest
-    # arrays of a sweep, is built and freed before any other
-    M.volume()
     metric = _metric_diagonals(M, x)
     boxes = {}
     samples = [_sample(M, f, x, eps, order, metric, boxes) for eps in eps_list]
@@ -632,42 +619,23 @@ def monte_carlo_operator(M: EmbeddedManifold, f: Callable, x: ChartPoint,
                          ) -> tuple[float, float]:
     """Monte Carlo estimate of the kernel integral with its standard error.
 
-    Samples uniformly with respect to the volume form by rejection against
-    sqrt(det g), using a counter-based (Philox) generator so a fixed
-    seed reproduces results exactly regardless of batch scheduling.
+    Plain Monte Carlo over the chart box: ``n_samples`` nodes drawn uniformly
+    by a counter-based (Philox) generator, so a fixed seed reproduces the
+    result exactly, each weighted ``B / n`` with ``B`` the box's coordinate
+    measure.  Each node's term ``((B / n) rho f) k`` comes from the
+    evaluator of the quadrature rules; the estimate is their sum and the
+    standard error ``sqrt(n)`` times their sample standard deviation.
     """
     if n_samples not in MC_SAMPLES:
         raise ValidationError(f"need {MC_SAMPLES[0]} to {MC_SAMPLES[-1]} samples")
     _require_bandwidth(eps)
-    rng = np.random.Generator(np.random.Philox(seed))
-    x0 = M.embed(x.chart, x.coords)
-    vol = M.volume()
     chart = M.chart(x.chart)
-    coords_grid, _ = _coarse_grid(M)
-    dens_cap = 1.1 * float(np.max(M.sqrt_det_metric(x.chart, coords_grid)))
-    accepted = []
-    proposed = 0
-    while sum(a.shape[0] for a in accepted) < n_samples:
-        batch = max(2048, 2 * n_samples)
-        cand = rng.uniform(chart.lo, chart.hi, size=(batch, chart.dim))
-        u = rng.uniform(0.0, 1.0, size=batch)
-        dens = M.sqrt_det_metric(x.chart, cand)
-        if np.any(dens > dens_cap):
-            raise NumericsError(
-                "density cap exceeded during rejection sampling; "
-                "refine the chart or its coarse grid")
-        keep = u < dens / dens_cap
-        proposed += batch
-        accepted.append(cand[keep])
-        if proposed >= 100 * n_samples and sum(
-                a.shape[0] for a in accepted) < 0.01 * proposed:
-            raise NumericsError(
-                "rejection efficiency below 1%; refine the chart "
-                "parametrization")
-    coords = np.concatenate(accepted, axis=0)[:n_samples]
-    ambient = M.embed(x.chart, coords)
-    fvals = np.asarray(f(coords, ambient), dtype=float)
-    pooled = k_eps(x0, ambient, eps, M.dim) * fvals
-    estimate = vol * float(np.mean(pooled))
-    std_error = vol * float(np.std(pooled, ddof=1)) / math.sqrt(pooled.size)
-    return estimate, std_error
+    rng = np.random.Generator(np.random.Philox(seed))
+    nodes = rng.uniform(chart.lo, chart.hi, size=(n_samples, chart.dim))
+    box = float(np.prod(chart.hi - chart.lo))
+    weighted, ambient = _rule_terms(
+        M, f, QuadratureRule(nodes, np.full(n_samples, box / n_samples)))
+    terms = _weighted_terms(
+        weighted, k_eps(M.embed(x.chart, x.coords), ambient, eps, M.dim))
+    return (float(np.sum(terms)),
+            math.sqrt(n_samples) * float(np.std(terms, ddof=1)))

@@ -66,6 +66,10 @@ CASES = {
     "operator_spheroid_pole.csv": ["operator", "--manifold", "spheroid",
                                    "--point", "0.01,0.0", "--eps",
                                    "0.05,0.001,0.0001", "--format", "csv"],
+    # Monte Carlo: uniform chart nodes weighted by the volume element
+    "operator_sphere2_mc.json": ["operator", "--manifold", "sphere2",
+                                 "--eps", "0.05,0.01", "--mc", "2000",
+                                 "--seed", "7"],
     # the default ladder: a shared 64^3 box, an escalated box, Hermite rules
     "operator_sphere3_ladder.csv": ["operator", "--manifold", "sphere3",
                                     "--format", "csv"],

@@ -132,14 +132,14 @@ class TestShapeOperator:
             hs._require_hypersurface(type("M", (), {"dim": 2, "ambient_dim": 4}))
 
     def test_nu_flip(self, rng):
+        # the opposite normal negates the curvatures; the residual and the
+        # curvature spread do not change
         for M in (TORUS, SPHEROID, QUADRIC):
             for coords in random_points(M, 4, rng):
-                p = ChartPoint(0, coords)
-                sd = shape_at(M, p)
-                sf = shape_at(M, p, orientation=-1)
-                np.testing.assert_allclose(
-                    sf.principal_curvatures, -sd.principal_curvatures[::-1],
-                    atol=1e-10)
+                sd = shape_at(M, ChartPoint(0, coords))
+                sf = synthetic_shape(-sd.principal_curvatures)
+                np.testing.assert_array_equal(
+                    sf.principal_curvatures, -sd.principal_curvatures[::-1])
                 assert equicurvature_residual(sf) == pytest.approx(
                     equicurvature_residual(sd), abs=1e-9)
                 assert (sf.principal_curvatures[0] - sf.principal_curvatures[-1]
@@ -202,10 +202,11 @@ class TestMeanCurvatures:
                 np.array(single).view(np.int64).tolist()
 
     def test_torus_outer(self):
-        sd = shape_at(TORUS, OUTER, orientation=-1)
-        np.testing.assert_allclose(sd.principal_curvatures, [1.0, 1.0 / 3.0],
+        # the cofactor normal points into the tube at the outer equator
+        sd = shape_at(TORUS, OUTER)
+        np.testing.assert_allclose(sd.principal_curvatures, [-1.0 / 3.0, -1.0],
                                    atol=1e-10)
-        assert mean_curvatures(sd, 1) == pytest.approx(2.0 / 3.0, rel=1e-10)
+        assert mean_curvatures(sd, 1) == pytest.approx(-2.0 / 3.0, rel=1e-10)
 
     def test_range_validation(self):
         with pytest.raises(ValidationError):
@@ -222,7 +223,7 @@ class TestResidual:
         assert equicurvature_residual(synthetic_shape([1.0, 1.0, 1.0])) == -3.0
 
     def test_torus_outer(self):
-        sd = shape_at(TORUS, OUTER, orientation=-1)
+        sd = shape_at(TORUS, OUTER)
         assert equicurvature_residual(sd) == pytest.approx(4.0 / 9.0, rel=1e-10)
 
     def test_two_dim_is_spread_squared(self, rng):
