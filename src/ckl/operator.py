@@ -32,8 +32,9 @@ samples; its volume, separation and sup norm are read from the manifold's
 coarse grid (:meth:`EmbeddedManifold.coarse_grid`), and no rule is built
 for them.
 
-:func:`monte_carlo_operator` is plain Monte Carlo over the chart box: uniform
-nodes of equal weight, whose terms come from the same evaluator as a rule's.
+:func:`monte_carlo_operator` samples the kernel's own Gaussian at the point,
+mixed with a uniform share over the chart box, and takes its terms from the
+same evaluator as a rule's.
 
 A rule holds its nodes as a :class:`TensorGrid` of per-axis arrays, so the
 geometry is evaluated per axis and broadcast, never on dense ``(N, d)`` nodes.
@@ -222,8 +223,10 @@ def build_full_rule(M: EmbeddedManifold, order: int = DEFAULT_ORDER,
 
 
 _MAX_AXIS_ORDER = {1: 1024, 2: 512, 3: 192}
-# Monte Carlo sample counts; a run draws n x d uniform chart coordinates
+# Monte Carlo sample counts; a run draws n x d Gaussian chart coordinates
 MC_SAMPLES = range(1000, 1_000_001)
+# the share of Monte Carlo nodes drawn uniformly on the window
+MC_DEFENSIVE = 0.1
 
 
 def max_axis_order(dim: int) -> int:
@@ -619,22 +622,40 @@ def monte_carlo_operator(M: EmbeddedManifold, f: Callable, x: ChartPoint,
                          ) -> tuple[float, float]:
     """Monte Carlo estimate of the kernel integral with its standard error.
 
-    Plain Monte Carlo over the chart box: ``n_samples`` nodes drawn uniformly
-    by a counter-based (Philox) generator, so a fixed seed reproduces the
-    result exactly, each weighted ``B / n`` with ``B`` the box's coordinate
-    measure.  Each node's term ``((B / n) rho f) k`` comes from the
-    evaluator of the quadrature rules; the estimate is their sum and the
-    standard error ``sqrt(n)`` times their sample standard deviation.
+    Defensive importance sampling (Owen, *Monte Carlo theory, methods and
+    examples*, 2013, ch. 9): each node is drawn uniformly on the window with
+    probability ``MC_DEFENSIVE``, else from ``N(x, 2 eps g(x)^-1)``, the
+    Gaussian the kernel pulls back to at ``x``, and weighted ``1 / (n q)``
+    by its mixture density ``q``; the uniform share caps every weight.  The
+    window is the chart box, centred on ``x`` along a periodic axis, and a
+    node outside it weighs nothing.  The terms ``(w rho f) k`` come from the
+    rules' evaluator; the estimate is their sum and the standard error
+    ``sqrt(n)`` times their standard deviation.  The generator is
+    counter-based (Philox), so a fixed seed reproduces the result exactly.
     """
     if n_samples not in MC_SAMPLES:
         raise ValidationError(f"need {MC_SAMPLES[0]} to {MC_SAMPLES[-1]} samples")
     _require_bandwidth(eps)
-    chart = M.chart(x.chart)
+    chart, x0 = M.chart(x.chart), np.asarray(x.coords, dtype=float)
+    lo = np.where(chart.periodic, x0 - 0.5 * (chart.hi - chart.lo), chart.lo)
+    hi = lo + (chart.hi - chart.lo)
+    g = M.metric(x.chart, x0)
+    chol = np.linalg.cholesky(2.0 * eps * np.linalg.inv(g))
     rng = np.random.Generator(np.random.Philox(seed))
-    nodes = rng.uniform(chart.lo, chart.hi, size=(n_samples, chart.dim))
-    box = float(np.prod(chart.hi - chart.lo))
-    weighted, ambient = _rule_terms(
-        M, f, QuadratureRule(nodes, np.full(n_samples, box / n_samples)))
+    z = rng.standard_normal((n_samples, chart.dim))
+    nodes = x0 + z @ chol.T
+    uniform = rng.random(n_samples) < MC_DEFENSIVE
+    nodes[uniform] = rng.uniform(lo, hi, size=(int(uniform.sum()), chart.dim))
+    z[uniform] = np.linalg.solve(chol, (nodes[uniform] - x0).T).T
+    # the Gaussian's density is rho(x) times the kernel of the metric's
+    # squared distance (y - x)^T g (y - x) = 2 eps |z|^2
+    gauss = math.sqrt(np.linalg.det(g)) * _kernel_of_chord(
+        2.0 * eps * np.sum(z * z, axis=1), eps, M.dim)
+    density = MC_DEFENSIVE / float(np.prod(hi - lo)) + (1.0 - MC_DEFENSIVE) * gauss
+    inside = np.all((lo <= nodes) & (nodes <= hi), axis=1)
+    nodes[~inside] = x0
+    weighted, ambient = _rule_terms(M, f, QuadratureRule(
+        nodes, np.where(inside, 1.0 / (n_samples * density), 0.0)))
     terms = _weighted_terms(
         weighted, k_eps(M.embed(x.chart, x.coords), ambient, eps, M.dim))
     return (float(np.sum(terms)),

@@ -66,7 +66,7 @@ CASES = {
     "operator_spheroid_pole.csv": ["operator", "--manifold", "spheroid",
                                    "--point", "0.01,0.0", "--eps",
                                    "0.05,0.001,0.0001", "--format", "csv"],
-    # Monte Carlo: uniform chart nodes weighted by the volume element
+    # Monte Carlo: a defensive mixture of the kernel's Gaussian and the box
     "operator_sphere2_mc.json": ["operator", "--manifold", "sphere2",
                                  "--eps", "0.05,0.01", "--mc", "2000",
                                  "--seed", "7"],

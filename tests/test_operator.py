@@ -347,14 +347,9 @@ class TestTensorGrid:
 
     @pytest.mark.parametrize("name", list(CASES))
     def test_volume_matches_dense_sum(self, name):
-        # the box measure times the largest volume element on the coarse
-        # grid's dense nodes, at least the dense sum of a full box; the
-        # plane's figure is its exact volume, and the sum carries rounding
+        # the volume figure bounds the dense sum of a full box; the plane's
+        # figure is its exact volume, and the sum carries rounding
         M = self.CASES[name][0]
-        chart = M.charts[0]
-        coarse = np.asarray(M.coarse_grid()[0]).reshape(-1, M.dim)
-        assert M.volume() == (float(np.prod(chart.hi - chart.lo))
-                              * float(np.max(M.sqrt_det_metric(0, coarse))))
         rule = build_full_rule(M, order=64)
         dense = np.asarray(rule.nodes).reshape(-1, M.dim)
         total = float(np.sum(rule.weights.reshape(-1) * M.sqrt_det_metric(0, dense)))
@@ -674,6 +669,14 @@ class TestMonteCarlo:
         with pytest.raises(ValidationError):
             monte_carlo_operator(S2, const_one, EQUATOR, 0.05, 100, seed=1)
 
+    def test_small_bandwidth(self):
+        # at eps = 1e-6 the kernel is 2.8e-3 wide: uniform chart nodes never
+        # reach it, while the Gaussian share lands in it
+        est, se = monte_carlo_operator(S2, const_one, EQUATOR, 1e-6, 20_000,
+                                       seed=42)
+        assert se < 0.01
+        assert abs(est - 1.0) <= 4.0 * se
+
     def test_spiked_volume_element(self):
         # the volume element of the graph of 1e4 s^120 reaches 1.2e6 at the
         # box edge, far from the kernel: the estimate stays finite and near
@@ -688,12 +691,16 @@ class TestMonteCarlo:
     CASES = {"torus": (TORUS, [0.3, 0.7]),
              "quadric411": (QUADRIC, [0.1, 0.0, -0.05]),
              "spheroid": (SPHEROID, [1.0, 0.5]),
-             "sphere3": (S3, [1.0, 1.3, 2.0])}
+             "sphere3": (S3, [1.0, 1.3, 2.0]),
+             # the window centred across both seams; a pole, where the
+             # volume element departs from the Gaussian within its width
+             "torus_seam": (TORUS, [6.2, 0.05]),
+             "sphere2_pole": (S2, [0.05, 1.0])}
 
     @pytest.mark.parametrize("name", list(CASES))
     def test_agrees_with_quadrature(self, name):
-        # uniform chart nodes weighted by the volume element, against the
-        # sweep's value (its quadrature error is about 1e-15)
+        # the mixture's estimate against the sweep's value (its quadrature
+        # error is about 1e-15)
         M, point = self.CASES[name]
         x = ChartPoint(0, point)
         for f in (const_one, AmbientCoordField(M.ambient_dim, M.ambient_dim)):
