@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import ckl.cli as cli
 import ckl.hypersurface as hypersurface
 import ckl.verify as verify
+from ckl.catalog import catalog_manifold
 from ckl.errors import NumericsError
 
 
@@ -344,6 +345,21 @@ class TestErrors:
         path.write_text("type=sphere radius=1e-200\n", encoding="utf-8")
         code, out, err = run(capsys, "equicurved-scan", "--manifold",
                              str(path), "--grid", "4x4")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"]["type"] == "DegenerateChartError"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_singular_metric_at_a_node_is_one_error_line(
+            self, capsys, zero_column_at, fmt):
+        # one torus node's Jacobian loses a column; a division by its zero
+        # pivot would surface as a NumericsError
+        zero_column_at(hypersurface.scan_equicurved(
+            catalog_manifold("torus"), [8, 4], refine=False).coords[13])
+        with np.errstate(divide="raise"):
+            code, out, err = run(capsys, "equicurved-scan", "--manifold",
+                                 "torus", "--grid", "8x4", "--format", fmt)
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1

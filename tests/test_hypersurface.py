@@ -12,7 +12,7 @@ import pytest
 
 import ckl.cli as cli
 import ckl.hypersurface as hypersurface
-from ckl import ValidationError
+from ckl import DegenerateChartError, ValidationError
 from ckl.catalog import catalog_manifold
 from ckl.fields import ConstField
 from ckl.manifold import ChartPoint, curvature_at
@@ -280,6 +280,15 @@ class TestScan:
             scan_equicurved(TORUS, [10])
         with pytest.raises(ValidationError, match="nodes"):
             scan_equicurved(QUADRIC, [10 ** 12, 2, 2])
+
+    def test_singular_metric_at_a_node(self, zero_column_at):
+        # one node whose metric is singular: the scan refuses the grid, with
+        # no floating-point error from a square root or a zero pivot
+        zero_column_at(scan_equicurved(TORUS, [8, 4], refine=False).coords[13])
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            with pytest.raises(DegenerateChartError,
+                               match="not positive definite"):
+                scan_equicurved(TORUS, [8, 4], refine=False)
 
     def test_grid_node_cap(self):
         # the benchmark's largest grid, 51^3 nodes, and a torus grid of
