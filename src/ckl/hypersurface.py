@@ -1,18 +1,23 @@
 """Hypersurface analysis: shape operator, principal curvatures, equicurvature.
 
 For codimension-one submanifolds the second fundamental form reduces to a
-scalar bilinear form against the unit normal; its eigenvalues relative to the
-metric are the principal curvatures.  The normal is the unit cofactor vector
-C of the Jacobian J, oriented by ``det([J | nu]) > 0``, and one pass gives
-``|C|^2 = det(J^T J)`` with it (Cauchy-Binet).  A point is equicurved when
-``e1(kappa)^2 = 4 e2(kappa)``, equivalently ``d^2 H^2 = 2 R``; at such points
-the bandwidth slope of ``f - K_eps f`` reproduces the Laplace-Beltrami
-operator.  Scans evaluate the residual ``e1^2 - 4 e2`` over a grid on the
-chart box in one array pass.  On request they also refine sign changes along
-grid edges by the Illinois variant of regula falsi and sub-threshold dips by
+scalar bilinear form b against the unit normal; its eigenvalues relative to
+the metric g are the principal curvatures.  The normal is the unit cofactor
+vector C of the Jacobian J, oriented by ``det([J | nu]) > 0``, and one pass
+gives ``|C|^2 = det(J^T J)`` with it (Cauchy-Binet).  All of this is column
+arithmetic that follows each matrix's structure, for any d: the minors of C
+by cofactor expansion of J scaled by a power of two, the Cholesky factor L
+of g column by column, and ``a = L^-1 b L^-T`` by forward substitution.  The
+curvatures are the eigenvalues of the symmetric ``a``.  A point is
+equicurved when ``e1(kappa)^2 = 4 e2(kappa)``, equivalently ``d^2 H^2 =
+2 R``; at such points the bandwidth slope of ``f - K_eps f`` reproduces the
+Laplace-Beltrami operator.  Scans evaluate the residual ``e1^2 - 4 e2`` over
+a grid on the chart box, in blocks of ``_BLOCK_NODES`` nodes whose arrays
+stay cache-sized.  On request they also refine sign changes along grid edges
+by the Illinois variant of regula falsi and sub-threshold dips by
 golden-section search, and cluster the refined points by ambient position.
-Refinement evaluates the residual in trace form, ``2 tr(S^2) - (tr S)^2``
-with ``S = g^-1 II``, without an eigensolve.
+Refinement evaluates the residual in trace form, ``2 tr(a^2) - (tr a)^2``,
+without an eigensolve.
 
 Scan points are classified over whole arrays: ``flat`` when ``max |kappa_i|
 <= tol_umb``; ``umbilic`` when flat or ``kappa_1 - kappa_d <= tol_umb``;
@@ -28,6 +33,8 @@ magnitudes and are engineering choices, not intrinsic definitions.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -48,9 +55,11 @@ from .operator import EpsLadder
 
 EIGEN_RESIDUAL_LIMIT = 1e-10
 _BOUNDARY_INSET = 1e-4
-# a scan grid holds at most this many nodes: at 340-760 bytes per node a
-# scan's peak memory stays below about 1.6 GB
+# a scan grid holds at most this many nodes: at 140-390 bytes per node a
+# scan's peak memory stays below about 0.8 GB
 _MAX_GRID_NODES = 2 ** 21
+# the grid pass evaluates this many nodes at a time
+_BLOCK_NODES = 8192
 # sign-change refinement stops at this bracket width, in units of the edge;
 # after _ILLINOIS_STEPS steps plain bisection finishes an edge
 _EDGE_BRACKET = 2.0 ** -45
@@ -84,65 +93,145 @@ def _require_hypersurface(M: EmbeddedManifold):
             f"n={M.ambient_dim}")
 
 
+@functools.cache
+def _expansion_plan(n: int, d: int):
+    """Index tables for the maximal minors of an (n, d) matrix, n > d.
+
+    Level j holds the minors on the columns ``j..d-1``, one for each set of
+    ``d - j`` rows, in ``itertools.combinations`` order.  For j < d - 1 the
+    plan gives, per position p in a row set S, the row ``S[p]`` and the
+    index at level j + 1 of the set ``S`` without ``S[p]``: the expansion
+    along column j is then ``sum_p (-1)^p J[S[p], j] minor(S - S[p])``.
+    """
+    levels = []
+    below = {(r,): r for r in range(n)}
+    for size in range(2, d + 1):
+        sets = list(itertools.combinations(range(n), size))
+        rows = np.array(sets).T
+        rest = np.array([[below[s[:p] + s[p + 1:]] for s in sets]
+                         for p in range(size)])
+        levels.append((rows, rest))
+        below = {s: i for i, s in enumerate(sets)}
+    return tuple(levels)
+
+
 def _cofactor_normals(jac: np.ndarray):
     """Batched ``(nu, |C|^2)`` from Jacobians ``(..., n, d)``, n = d + 1.
 
     ``C_k = (-1)^(k+n-1) det(J without row k)`` is the cofactor vector of J:
     orthogonal to its columns, with ``det([J | C]) = |C|^2 > 0``, and by
-    Cauchy-Binet ``|C|^2 = det(J^T J)``.  ``nu = C / |C|``, with C first
-    scaled by a power of two so that its norm neither underflows nor
-    overflows; a zero row gives a zero normal.
+    Cauchy-Binet ``|C|^2 = det(J^T J)``.  Each J is first scaled by the power
+    of two that brings its largest entry into [1/2, 1); the minors of the
+    scaled J follow by cofactor expansion, from the last column to the
+    first (:func:`_expansion_plan`), so a ``2^k``-scaled Jacobian gives a
+    bit-identical normal.  ``nu = C / |C|``, with C scaled by a second
+    power of two so that its norm neither underflows nor overflows; a zero
+    row gives a zero normal.
     """
-    n = jac.shape[-2]
-    minor_rows = [[r for r in range(n) if r != k] for k in range(n)]
-    c = (np.linalg.det(jac[..., minor_rows, :])
-         * (-1.0) ** (np.arange(n) + n - 1))
-    # a product, not einsum: an overflow must raise, not give inf
-    norm_sq = np.sum(c * c, axis=-1)
-    _, exponent = np.frexp(np.max(np.abs(c), axis=-1, keepdims=True))
-    # scaled in place: on a scan grid each copy would be grid-sized
-    np.ldexp(c, -exponent, out=c)
-    length = np.sqrt(np.sum(c * c, axis=-1, keepdims=True))
-    c /= np.where(length > 0.0, length, 1.0)
+    n, d = jac.shape[-2:]
+    _, shift = np.frexp(np.max(np.abs(jac), axis=(-2, -1)))
+    scaled = np.ldexp(jac, -shift[..., None, None])
+    minors = scaled[..., d - 1]
+    for j, (rows, rest) in zip(range(d - 2, -1, -1), _expansion_plan(n, d)):
+        column = scaled[..., j]
+        total = column[..., rows[0]] * minors[..., rest[0]]
+        for p in range(1, rows.shape[0]):
+            term = column[..., rows[p]] * minors[..., rest[p]]
+            total = total - term if p % 2 else total + term
+        minors = total
+    # the row sets come in combinations order: the k-th misses row n-1-k
+    c = minors[..., ::-1] * (-1.0) ** (np.arange(n) + n - 1)
+    _, exponent = np.frexp(np.max(np.abs(c), axis=-1))
+    np.ldexp(c, -exponent[..., None], out=c)
+    length_sq = np.sum(c * c, axis=-1)
+    # ldexp, like a product, raises on overflow under np.errstate
+    norm_sq = np.ldexp(length_sq, 2 * (exponent + d * shift))
+    length = np.sqrt(length_sq)
+    c /= np.where(length > 0.0, length, 1.0)[..., None]
     return c, norm_sq
 
 
-def _shape_arrays(M: EmbeddedManifold, coords: np.ndarray):
-    """Batched ``(normal, kappas, eigvecs, chol, jacobian, g, b, det_g)``.
+def _reduced_forms(jac: np.ndarray, hess: np.ndarray):
+    """Batched ``(normal, det_g, chol, a)`` from Jacobians ``(..., n, d)``
+    and Hessians ``(..., n, d, d)``.
 
-    ``normal`` is the unit cofactor normal of the Jacobian and ``det_g =
-    |C|^2`` the metric determinant; ``kappas`` descend; the columns of
-    ``eigvecs`` are the matching eigenvectors of ``chol^-1 b chol^-T``,
-    where ``chol`` is the Cholesky factor of the metric ``g``.  No metric
-    floor is applied here: callers refuse or mark degenerate points.
+    ``normal`` and ``det_g = |C|^2`` come from :func:`_cofactor_normals`.
+    ``chol`` is the lower Cholesky factor L of the metric ``g = J^T J``,
+    computed column by column; a pivot that is not positive raises
+    ``LinAlgError`` before its square root is taken.  ``a`` is ``L^-1 b
+    L^-T`` for the second fundamental form ``b = <hess, nu>``, by two
+    forward substitutions, symmetrized; its eigenvalues are the principal
+    curvatures.  No metric floor is applied here: callers refuse or mark
+    degenerate points.
     """
-    jac = M.jacobian(0, coords)
-    g = np.einsum("...ni,...nj->...ij", jac, jac)
+    d = jac.shape[-1]
     normal, det_g = _cofactor_normals(jac)
-    b = np.einsum("...nij,...n->...ij", M.hessian(0, coords), normal)
-    chol = np.linalg.cholesky(g)
-    tmp = np.linalg.solve(chol, b)
-    a_mat = np.linalg.solve(chol, np.swapaxes(tmp, -1, -2))
-    a_mat = 0.5 * (a_mat + np.swapaxes(a_mat, -1, -2))
-    eigvals, eigvecs = np.linalg.eigh(a_mat)
-    # descending order
-    return (normal, eigvals[..., ::-1], eigvecs[..., ::-1], chol, jac, g, b,
-            det_g)
+    g = np.einsum("...ni,...nj->...ij", jac, jac)
+    b = np.einsum("...nij,...n->...ij", hess, normal)
+    chol = np.zeros(g.shape)
+    # (..., 1) views, so that an entry broadcasts against a row
+    entry = [[chol[..., i, j:j + 1] for j in range(i + 1)] for i in range(d)]
+    for j in range(d):
+        pivot = g[..., j, j:j + 1]
+        for k in range(j):
+            pivot = pivot - entry[j][k] * entry[j][k]
+        if not (pivot > 0.0).all():
+            raise np.linalg.LinAlgError("metric not positive definite")
+        np.sqrt(pivot, out=entry[j][j])
+        for i in range(j + 1, d):
+            value = g[..., i, j:j + 1]
+            for k in range(j):
+                value = value - entry[i][k] * entry[j][k]
+            np.divide(value, entry[j][j], out=entry[i][j])
+
+    def forward(rhs):
+        """``L^-1 rhs``, one row at a time."""
+        x = np.empty(rhs.shape)
+        for i in range(d):
+            row = rhs[..., i, :]
+            for k in range(i):
+                row = row - entry[i][k] * x[..., k, :]
+            np.divide(row, entry[i][i], out=x[..., i, :])
+        return x
+
+    # b is symmetric, so L^-1 (L^-1 b)^T = L^-1 b L^-T
+    a = forward(np.swapaxes(forward(b), -1, -2))
+    a += np.swapaxes(a, -1, -2)
+    a *= 0.5
+    return normal, det_g, chol, a
+
+
+def _curvatures(M: EmbeddedManifold, coords: np.ndarray):
+    """Batched ``(kappas, det_g)``: descending principal curvatures and the
+    metric determinant, from eigenvalues alone."""
+    _, det_g, _, a = _reduced_forms(M.jacobian(0, coords),
+                                    M.hessian(0, coords))
+    return np.linalg.eigvalsh(a)[..., ::-1], det_g
+
+
+def _grid_pass(M: EmbeddedManifold, coords: np.ndarray):
+    """:func:`_curvatures` of the nodes ``coords`` (N, d), ``_BLOCK_NODES``
+    at a time, so that each block's Jacobians, Hessians and matrix
+    temporaries stay cache-sized."""
+    kappas = np.empty(coords.shape)
+    det_g = np.empty(coords.shape[0])
+    for start in range(0, coords.shape[0], _BLOCK_NODES):
+        block = slice(start, start + _BLOCK_NODES)
+        kappas[block], det_g[block] = _curvatures(M, coords[block])
+    return kappas, det_g
 
 
 def _trace_residual(M: EmbeddedManifold, coords: np.ndarray):
-    """Batched ``(e1^2 - 4 e2, e1)`` from ``tr S`` and ``tr S^2``, S = g^-1 II.
+    """Batched ``(e1^2 - 4 e2, e1)`` from ``tr a`` and ``tr a^2``.
 
-    II is taken against the cofactor normal of :func:`_cofactor_normals`,
-    the normal of :func:`_shape_arrays`; the residual does not depend on
-    its orientation, and ``e1 = tr S`` carries it.
+    ``a = L^-1 b L^-T`` of :func:`_reduced_forms` is similar to the shape
+    operator ``g^-1 b``, so ``e1 = tr a`` and the residual is ``2 tr(a^2) -
+    (tr a)^2``, without an eigensolve.  It does not depend on the normal's
+    orientation.
     """
-    jac = M.jacobian(0, coords)
-    b = np.einsum("...nij,...n->...ij", M.hessian(0, coords),
-                  _cofactor_normals(jac)[0])
-    s = np.linalg.solve(np.einsum("...ni,...nj->...ij", jac, jac), b)
-    e1 = np.trace(s, axis1=-2, axis2=-1)
-    return 2.0 * np.einsum("...ij,...ji->...", s, s) - e1 * e1, e1
+    a = _reduced_forms(M.jacobian(0, coords), M.hessian(0, coords))[3]
+    e1 = np.trace(a, axis1=-2, axis2=-1)
+    return 2.0 * np.sum(a * a, axis=(-2, -1)) - e1 * e1, e1
 
 
 def shape_at(M: EmbeddedManifold, p: ChartPoint) -> ShapeData:
@@ -157,11 +246,16 @@ def shape_at(M: EmbeddedManifold, p: ChartPoint) -> ShapeData:
     _require_hypersurface(M)
     M.chart(p.chart).require_inside(p.coords)
     M.metric(0, p.coords)    # refuses a point at the determinant floor
-    normal, kappas, eigvecs, chol, jac, g, b, _ = _shape_arrays(
-        M, np.asarray(p.coords, dtype=float))
-    w = np.linalg.solve(chol.T, eigvecs)
+    coords = np.asarray(p.coords, dtype=float)
+    jac, hess = M.jacobian(0, coords), M.hessian(0, coords)
+    normal, _, chol, a = _reduced_forms(jac, hess)
+    eigvals, eigvecs = np.linalg.eigh(a)
+    kappas = eigvals[::-1]      # descending
+    w = np.linalg.solve(chol.T, eigvecs[:, ::-1])
     directions = np.einsum("ni,ik->kn", jac, w)
     # eigen residual check: |b w - kappa g w| <= 1e-10 |b|
+    g = jac.T @ jac
+    b = np.einsum("nij,n->ij", hess, normal)
     w_chart = np.linalg.solve(g, np.einsum("ni,kn->ik", jac, directions))
     scale = max(float(np.max(np.abs(b))), 1e-30)
     for i in range(M.dim):
@@ -342,7 +436,7 @@ def scan_equicurved(M: EmbeddedManifold, grid: Sequence[int],
     grid_shape = tuple(len(a) for a in axes)
 
     try:
-        _, kappas, *_, det_g = _shape_arrays(M, coords)
+        kappas, det_g = _grid_pass(M, coords)
     except np.linalg.LinAlgError:
         raise DegenerateChartError("metric not positive definite at a grid "
                                    "node") from None
@@ -597,7 +691,7 @@ def _cluster_refined(M, refined, tol_eq):
                     0 if refined[r][1] else 1, tuple(clipped[r]))
 
         chosen.append(min(cluster, key=sort_key))
-    kappas = _shape_arrays(M, inset[chosen])[1]
+    kappas = _curvatures(M, inset[chosen])[0]
     e1_rep, _, residual = _symmetric(kappas)
     e2_rep = _elementary_symmetric(kappas, 2)
     spread = kappas[:, 0] - kappas[:, -1]

@@ -185,14 +185,14 @@ class TestScan:
                                               .split(","))
 
     def test_nan_grid_row_prints_nan(self, capsys, monkeypatch):
-        shape_arrays = hypersurface._shape_arrays
+        grid_pass = hypersurface._grid_pass
 
         def nan_first_row(*args, **kwargs):
-            out = shape_arrays(*args, **kwargs)
-            out[1][0] = math.nan
+            out = grid_pass(*args, **kwargs)
+            out[0][0] = math.nan
             return out
 
-        monkeypatch.setattr(hypersurface, "_shape_arrays", nan_first_row)
+        monkeypatch.setattr(hypersurface, "_grid_pass", nan_first_row)
         code, out, _ = run(capsys, "equicurved-scan", "--manifold", "plane",
                            "--grid", "2x2")
         assert code == 0

@@ -86,7 +86,7 @@ def test_output_matches_golden(name, tmp_path):
 # The benchmark's 400x200 torus scan is 12.6 MB, too large to commit: its
 # sha256 is pinned instead.
 TORUS_400X200_SHA256 = (
-    "10e3fed06f55896f6632f50a1de321422743e4091855476302e903d53747bc8d")
+    "796f50c1ab6652d314978fd575ff29cc536327ad4c5cee4538e25006571ecd16")
 
 
 def test_large_scan_matches_digest(tmp_path):
@@ -98,7 +98,7 @@ def test_large_scan_matches_digest(tmp_path):
 
 # The benchmark's refined quadric scan, pinned the same way.
 QUADRIC_20X20X20_SHA256 = (
-    "75650eb9d043689b85260a82f426ebb94c2c9f3897b98089c8149584aaaf2cd2")
+    "bc4c65cb847889ea145ab9ca6103aa25c0468300cfdeb3b5a94f477481508003")
 
 
 def test_quadric_refined_scan_matches_digest(tmp_path):

@@ -13,9 +13,9 @@ import pytest
 import ckl.cli as cli
 import ckl.hypersurface as hypersurface
 from ckl import DegenerateChartError, ValidationError
-from ckl.catalog import catalog_manifold
+from ckl.catalog import catalog_manifold, load_manifold_text
 from ckl.fields import ConstField
-from ckl.manifold import ChartPoint, curvature_at
+from ckl.manifold import ChartPoint, TensorGrid, curvature_at
 from ckl.operator import EpsLadder, LadderSample, eps_sweep
 from ckl.hypersurface import (
     _classify_arrays,
@@ -77,17 +77,16 @@ class TestShapeOperator:
                                        atol=0)
 
     def test_cofactor_normal_scale_free(self):
-        # scaling J leaves the unit normal alone, also where the squared
-        # 3x3 minors underflow (J ~ 2^-300); numpy's det goes through
-        # log|det|, so the minors carry a relative error of about
-        # |log det| 1e-16.  A zero Jacobian gives a zero normal without a
-        # floating-point error
+        # a power-of-two scaling of J leaves the unit normal bit for bit,
+        # also where the squared 3x3 minors underflow (J ~ 2^-300): the
+        # minors are expanded from J scaled to a largest entry in [1/2, 1).
+        # A zero Jacobian gives a zero normal without a floating-point error
         jac = S3.jacobian(0, np.array([1.0, 1.3, 2.0]))
         normal = hypersurface._cofactor_normals(jac)[0]
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             for k in (-300, -100, 100, 150):
                 scaled = hypersurface._cofactor_normals(np.ldexp(jac, k))[0]
-                np.testing.assert_allclose(scaled, normal, rtol=0, atol=1e-12)
+                np.testing.assert_array_equal(scaled, normal)
             zero, det_g = hypersurface._cofactor_normals(np.zeros((4, 3)))
         assert zero.tolist() == [0.0] * 4 and det_g == 0.0
 
@@ -152,7 +151,7 @@ class TestShapeOperator:
         for M in (S2, TORUS, SPHEROID, QUADRIC):
             pts = random_points(M, 1000, rng)
             import ckl.hypersurface as hs
-            kappas = hs._shape_arrays(M, pts)[1]
+            kappas = hs._curvatures(M, pts)[0]
             e1 = np.sum(kappas, axis=-1)
             e2 = 0.5 * (e1 ** 2 - np.sum(kappas ** 2, axis=-1))
             jac = M.jacobian(0, pts)
@@ -281,6 +280,45 @@ class TestScan:
         with pytest.raises(ValidationError, match="nodes"):
             scan_equicurved(QUADRIC, [10 ** 12, 2, 2])
 
+    @pytest.mark.parametrize("description, grid", [
+        ("type=graph d=4 poly=0.5*x1^2+0.5*x2^2+x3^2+0.3*x4^2 box=1",
+         [4, 4, 4, 4]),
+        ("type=graph d=1 poly=0.5*x1^2+0.25*x1^4 box=1", [6]),
+    ])
+    def test_any_dimension(self, description, grid):
+        # the cofactor expansion and the reductions hold for every d that a
+        # description file can give; each row's curvatures match a per-node
+        # eigh of the Cholesky-reduced shape operator
+        M = load_manifold_text(description)
+        scan = scan_equicurved(M, grid, refine=False)
+        jac, hess = M.jacobian(0, scan.coords), M.hessian(0, scan.coords)
+        normal = qr_normals(jac)
+        for i in range(scan.coords.shape[0]):
+            inv = np.linalg.inv(np.linalg.cholesky(jac[i].T @ jac[i]))
+            b = np.einsum("nij,n->ij", hess[i], normal[i])
+            kappas = np.linalg.eigh(inv @ b @ inv.T)[0][::-1]
+            np.testing.assert_allclose(scan.kappas[i], kappas, rtol=0,
+                                       atol=1e-13)
+        if M.dim == 4:
+            origin, = np.flatnonzero(np.all(scan.coords == 0.0, axis=1))
+            # kappa = (1, 1, 2, 0.6): e1^2 - 4 e2 = 4.6^2 - 4 * 7.4
+            assert scan.residual[origin] == pytest.approx(-8.44, abs=1e-13)
+
+    def test_blocks_match_slices(self):
+        # the blocked grid pass gives, bit for bit, the curvatures and |C|^2
+        # of the same nodes evaluated in slices of other lengths
+        axes = hypersurface._grid_axes(TORUS.chart(0), [129, 65])
+        coords = np.asarray(TensorGrid.product(axes)).reshape(-1, 2)
+        assert coords.shape[0] % hypersurface._BLOCK_NODES != 0
+        kappas, det_g = hypersurface._grid_pass(TORUS, coords)
+        for length in (37, 999, 8193):
+            parts = [hypersurface._curvatures(TORUS, coords[s:s + length])
+                     for s in range(0, coords.shape[0], length)]
+            np.testing.assert_array_equal(
+                kappas, np.concatenate([k for k, _ in parts]))
+            np.testing.assert_array_equal(
+                det_g, np.concatenate([d for _, d in parts]))
+
     def test_singular_metric_at_a_node(self, zero_column_at):
         # one node whose metric is singular: the scan refuses the grid, with
         # no floating-point error from a square root or a zero pivot
@@ -308,7 +346,7 @@ class TestRefinement:
         for M in (QUADRIC, TORUS, SPHEROID):
             pts = random_points(M, 3000, rng)
             eigh_res = hypersurface._symmetric(
-                hypersurface._shape_arrays(M, pts)[1])[2]
+                hypersurface._curvatures(M, pts)[0])[2]
             trace_res = hypersurface._trace_residual(M, pts)[0]
             gap = np.abs(trace_res - eigh_res) / (1.0 + np.abs(eigh_res))
             assert np.max(gap) <= 1e-13, M.catalog_id
@@ -512,14 +550,14 @@ class TestClassifier:
                 tol_umb[i])
 
     def test_nan_row_generic_and_outside_zero_set(self, monkeypatch):
-        shape_arrays = hypersurface._shape_arrays
+        grid_pass = hypersurface._grid_pass
 
         def nan_first_row(*args, **kwargs):
-            out = shape_arrays(*args, **kwargs)
-            out[1][0] = math.nan
+            out = grid_pass(*args, **kwargs)
+            out[0][0] = math.nan
             return out
 
-        monkeypatch.setattr(hypersurface, "_shape_arrays", nan_first_row)
+        monkeypatch.setattr(hypersurface, "_grid_pass", nan_first_row)
         scan = scan_equicurved(PLANE, [2, 2], refine=False)
         assert scan.classification[0] == "generic"
         assert scan.flags[0] == ()
