@@ -21,6 +21,9 @@ CASES = {
                            "--grid", "60x30", "--format", "json"],
     "scan_torus.csv": ["equicurved-scan", "--manifold", "torus",
                        "--grid", "40x20"],
+    # golden-section dips on every grid line, snapped to both poles
+    "scan_sphere2.json": ["equicurved-scan", "--manifold", "sphere2",
+                          "--grid", "8x4", "--format", "json"],
     # one file per classification label, and the d = 3 column layout
     "scan_sphere2.csv": ["equicurved-scan", "--manifold", "sphere2",
                          "--grid", "8x4"],
@@ -107,6 +110,19 @@ def test_quadric_refined_scan_matches_digest(tmp_path):
                      "20x20x20", "--format", "json", "--out", str(out)]) == 0
     assert (hashlib.sha256(out.read_bytes()).hexdigest()
             == QUADRIC_20X20X20_SHA256)
+
+
+# A spheroid scan whose wide threshold starts a dip search on many lines.
+SPHEROID_TOL_SHA256 = (
+    "a73889b186bca768d7a413b0325d017d70c41724f9070123a094bc7611a13979")
+
+
+def test_spheroid_wide_threshold_scan_matches_digest(tmp_path):
+    out = tmp_path / "scan.json"
+    assert cli.main(["equicurved-scan", "--manifold", "spheroid", "--grid",
+                     "60x30", "--format", "json", "--tol-eq", "1e-3",
+                     "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SPHEROID_TOL_SHA256
 
 
 def test_only_json_scans_refine_zeros(tmp_path, monkeypatch):
