@@ -14,10 +14,11 @@ equicurved when ``e1(kappa)^2 = 4 e2(kappa)``, equivalently ``d^2 H^2 =
 Laplace-Beltrami operator.  Scans evaluate the residual ``e1^2 - 4 e2`` over
 a grid on the chart box, in blocks of ``_BLOCK_NODES`` nodes whose arrays
 stay cache-sized.  On request they also refine sign changes along grid edges
-by the Illinois variant of regula falsi and sub-threshold dips by
-golden-section search, and cluster the refined points by ambient position.
-Refinement evaluates the residual in trace form, ``2 tr(a^2) - (tr a)^2``,
-without an eigensolve.
+by the Illinois variant of regula falsi, every edge at once, and sub-threshold
+dips by golden-section search, every grid line at once, then cluster the
+refined points by ambient position.  Refinement evaluates the residual in
+trace form, ``2 tr(a^2) - (tr a)^2``, without an eigensolve; clustering
+reduces each candidate once more and takes eigenvalues only for the chosen.
 
 Scan points are classified over whole arrays: ``flat`` when ``max |kappa_i|
 <= tol_umb``; ``umbilic`` when flat or ``kappa_1 - kappa_d <= tol_umb``;
@@ -229,7 +230,12 @@ def _trace_residual(M: EmbeddedManifold, coords: np.ndarray):
     (tr a)^2``, without an eigensolve.  It does not depend on the normal's
     orientation.
     """
-    a = _reduced_forms(M.jacobian(0, coords), M.hessian(0, coords))[3]
+    return _trace_form(_reduced_forms(M.jacobian(0, coords),
+                                      M.hessian(0, coords))[3])
+
+
+def _trace_form(a):
+    """``(2 tr(a^2) - (tr a)^2, tr a)`` of a batch of symmetric ``a``."""
     e1 = np.trace(a, axis1=-2, axis2=-1)
     return 2.0 * np.sum(a * a, axis=(-2, -1)) - e1 * e1, e1
 
@@ -253,16 +259,11 @@ def shape_at(M: EmbeddedManifold, p: ChartPoint) -> ShapeData:
     kappas = eigvals[::-1]      # descending
     w = np.linalg.solve(chol.T, eigvecs[:, ::-1])
     directions = np.einsum("ni,ik->kn", jac, w)
-    # eigen residual check: |b w - kappa g w| <= 1e-10 |b|
-    g = jac.T @ jac
+    # eigen residual check: |b w - kappa g w| <= 1e-10 |b|, column by column
     b = np.einsum("nij,n->ij", hess, normal)
-    w_chart = np.linalg.solve(g, np.einsum("ni,kn->ik", jac, directions))
-    scale = max(float(np.max(np.abs(b))), 1e-30)
-    for i in range(M.dim):
-        resid = b @ w_chart[:, i] - kappas[i] * (g @ w_chart[:, i])
-        if np.linalg.norm(resid) > EIGEN_RESIDUAL_LIMIT * scale:
-            raise NumericsError(
-                f"eigen residual {np.linalg.norm(resid):.2e} above limit")
+    resid = np.max(np.linalg.norm(b @ w - jac.T @ (jac @ w) * kappas, axis=0))
+    if resid > EIGEN_RESIDUAL_LIMIT * max(float(np.max(np.abs(b))), 1e-30):
+        raise NumericsError(f"eigen residual {resid:.2e} above limit")
     e1 = float(np.sum(kappas))
     e2 = _elementary_symmetric(kappas, 2)
     return ShapeData(dim=M.dim, normal=normal,
@@ -356,10 +357,11 @@ class ScanResult:
     """Grid scan output: raw grid rows plus refined near-zero locations.
 
     ``zero_set`` is the sub-list of non-degenerate grid results whose residual
-    passes the threshold; ``refined_zeros`` holds Illinois- or golden-section-
-    refined and ambient-clustered representatives of the near-zero locus
-    (coordinates may sit on the chart boundary when the locus runs into it),
-    and is empty when the scan ran without refinement.
+    passes the threshold; ``refined_zeros`` holds one refined point per
+    ambient cluster of the near-zero locus, from Illinois iteration on the
+    sign changes and golden-section search on the dips (coordinates may sit
+    on the chart boundary when the locus runs into it); it is empty when the
+    scan ran without refinement.
     """
     grid_shape: tuple[int, ...]
     coords: np.ndarray
@@ -424,8 +426,9 @@ def scan_equicurved(M: EmbeddedManifold, grid: Sequence[int],
     get ``n`` nodes.  All nodes are evaluated in one batched call; nodes at
     the metric determinant floor are classed ``degenerate``.  With ``refine``
     the grid-edge zeros are refined into ``refined_zeros`` (sign changes by
-    Illinois iteration, dips by golden-section search); without it that list
-    stays empty and the grid rows are unchanged.
+    Illinois iteration over every edge at once, dips by golden-section search
+    over every grid line at once); without it that list stays empty and the
+    grid rows are unchanged.
     """
     _require_hypersurface(M)
     grid = [int(g) for g in grid]
@@ -467,19 +470,19 @@ def _refine_zeros(M, shape, coords, residual, tol_arr, tol_eq, valid):
     """Refine the zeros on grid edges between ``valid`` nodes.
 
     Edges whose ends change sign (neither end below threshold) go through one
-    Illinois pass over all axes at once; lines through a sub-threshold node
-    get a golden-section dip search.  Candidates keep the per-axis order
-    (crossings, then dips) that clustering sees.  A dip candidate carries the
-    threshold of the node that started its search; crossings and
-    boundary-snapped dips carry an infinite one.
+    Illinois pass, and grid lines through a sub-threshold node through one
+    golden-section dip search, each over all axes at once.  Candidates keep
+    the order that clustering sees: per axis, its crossings, then its dip
+    lines by their first near edge.  A dip candidate carries the threshold of
+    the node that started its search; crossings and boundary-snapped dips
+    carry an infinite one.
     """
-    res = residual.reshape(shape)
-    tols = tol_arr.reshape(shape)
-    ok = valid.reshape(shape)
-    near = (np.abs(res) <= tol_arr.reshape(shape)) & ok
-    pts = coords.reshape(shape + (len(shape),))
     d = len(shape)
-    ends, dips = [], []
+    res, tols, ok = (x.reshape(shape) for x in (residual, tol_arr, valid))
+    near = (np.abs(res) <= tols) & ok
+    pts = coords.reshape(shape + (d,))
+    line_res = np.where(ok, np.abs(res), np.inf)
+    ends, lines = [], []
     for axis in range(d):
         lead = [slice(None)] * d
         trail = [slice(None)] * d
@@ -491,35 +494,41 @@ def _refine_zeros(M, shape, coords, residual, tol_arr, tol_eq, valid):
             & ok[lead] & ok[trail] & ~near[lead] & ~near[trail]
         ends.append((pts[lead][crossing], pts[trail][crossing],
                      res[lead][crossing], res[trail][crossing]))
-        dips.append(near[lead] | near[trail])
+        # the lines along this axis with a near edge, in the order of their
+        # first near edge; each searches around its smallest residual
+        n = shape[axis]
+        dip = near[lead] | near[trail]
+        line_of = np.arange(math.prod(shape) // n).reshape(
+            shape[:axis] + shape[axis + 1:])
+        key = np.broadcast_to(np.expand_dims(line_of, axis), dip.shape)[dip]
+        key = key[np.sort(np.unique(key, return_index=True)[1])]
+
+        def along(x):
+            return np.moveaxis(x, axis, d - 1).reshape(
+                (-1, n) + x.shape[d:])[key]
+
+        j = np.argmin(along(line_res), axis=1)
+        row, line_pts = np.arange(key.size), along(pts)
+        edge = not M.chart(0).periodic[axis]
+        lines.append((np.full(key.size, axis),
+                      line_pts[row, np.maximum(j - 1, 0)],
+                      line_pts[row, np.minimum(j + 1, n - 1)],
+                      (j == 0) & edge, (j == n - 1) & edge,
+                      along(tols)[row, j]))
     zeros, brackets = _illinois(
         M, *(np.concatenate(parts) for parts in zip(*ends)))
-    splits = np.cumsum([len(e[2]) for e in ends])[:-1]
-
-    refined: list[tuple[np.ndarray, bool, float, float]] = []
-    for axis, (z_axis, w_axis) in enumerate(zip(np.split(zeros, splits),
-                                                np.split(brackets, splits))):
-        refined.extend((z, False, float(w), np.inf)
-                       for z, w in zip(z_axis, w_axis))
-        # sub-threshold dips: walk the minimum along this axis, out to the
-        # domain boundary when the chart allows and the dip sits at the
-        # first or last grid node
-        picked = set()
-        for idx in np.argwhere(dips[axis]):
-            node = tuple(idx)
-            key = node[:axis] + node[axis + 1:]
-            if key in picked:
-                continue
-            picked.add(key)
-            line_sel = list(node)
-            line_sel[axis] = slice(None)
-            line_sel = tuple(line_sel)
-            line_res = np.where(ok[line_sel], np.abs(res[line_sel]), np.inf)
-            j = int(np.argmin(line_res))
-            z, snapped, width = _refine_on_line(M, axis, pts[line_sel], j)
-            refined.append((z, snapped, width,
-                            np.inf if snapped else float(tols[line_sel][j])))
-    return _cluster_refined(M, refined, tol_eq)
+    count = zeros.shape[0]
+    crossings = (zeros, zeros, np.zeros(count, bool), brackets,
+                 np.full(count, np.inf))
+    axis, *line, tol = (np.concatenate(parts) for parts in zip(*lines))
+    coords, at, snapped, bracket = _golden_dips(M, axis, *line)
+    dips = (coords, at, snapped, bracket, np.where(snapped, np.inf, tol))
+    # per axis (key 2 axis) its crossings, then (2 axis + 1) its dip lines
+    order = np.argsort(np.concatenate([
+        2 * np.repeat(np.arange(d), [e[2].size for e in ends]),
+        2 * axis + 1]), kind="stable")
+    return _cluster_refined(M, *(np.concatenate(pair)[order]
+                                 for pair in zip(crossings, dips)), tol_eq)
 
 
 def _illinois(M, a, b, fa, fb):
@@ -561,72 +570,71 @@ def _illinois(M, a, b, fa, fb):
             (hi - lo) * np.linalg.norm(b - a, axis=-1))
 
 
-def _refine_on_line(M, axis, line_pts, j):
-    """Golden-section minimization of the trace-form |residual| along one line.
+def _golden_dips(M, axis, lo_pt, hi_pt, first, last):
+    """Golden-section minima of the trace-form |residual| along chart lines.
 
-    Returns ``(coords, snapped, bracket)``.  When the residual plateaus at
-    rounding level all the way into a chart boundary, minimization cannot
-    localize the zero; the boundary point itself is reported (snapped) in that
-    case, with the ``_eval_floor`` offset as its bracket.  Otherwise the
-    bracket is the final golden-section interval.
+    Line k runs along the chart axis ``axis[k]`` from ``lo_pt[k]`` to
+    ``hi_pt[k]``, or on to the chart edge, less the ``_eval_floor`` offset,
+    when ``first[k]`` or ``last[k]`` is set.  All lines take their steps
+    together (Kiefer, Proc. AMS 4, 1953), one residual evaluation per step.
+    When the residual plateaus at rounding level all the way into an edge,
+    minimization cannot localize the zero; the edge itself is reported
+    (snapped) then, with the floor offset as its bracket.  Otherwise the
+    bracket is the final interval.  Returns ``(coords, at, snapped,
+    bracket)``, ``at`` being where the residual is evaluable: ``coords``, or
+    a snapped line's offset end.
     """
     chart = M.chart(0)
-    lo_pt = line_pts[max(j - 1, 0)].copy()
-    hi_pt = line_pts[min(j + 1, line_pts.shape[0] - 1)].copy()
-    # when the dip touches the first/last node, extend toward the domain edge;
-    # each such end may snap: (boundary, nearest evaluable t, floor offset)
-    snaps = []
-    if not chart.periodic[axis]:
-        if j == 0:
-            floor = _eval_floor(M, axis, lo_pt, at_low=True)
-            lo_pt[axis] = chart.lo[axis] + floor
-            snaps.append((chart.lo[axis], lo_pt[axis], floor))
-        if j == line_pts.shape[0] - 1:
-            floor = _eval_floor(M, axis, hi_pt, at_low=False)
-            hi_pt[axis] = chart.hi[axis] - floor
-            snaps.append((chart.hi[axis], hi_pt[axis], floor))
-    a, b = lo_pt[axis], hi_pt[axis]
-    base = lo_pt.copy()
+    row = np.arange(axis.size)
+    edges = np.flatnonzero(first | last)
+    floor = np.zeros(axis.size)
+    for k in edges:
+        floor[k] = _eval_floor(M, axis[k], lo_pt[k], at_low=bool(first[k]))
+    a = np.where(first, chart.lo[axis] + floor, lo_pt[row, axis])
+    b = np.where(last, chart.hi[axis] - floor, hi_pt[row, axis])
+    edge = np.where(first, chart.lo[axis], chart.hi[axis])
+    end = np.where(first, a, b)
 
-    def point(t):
-        q = base.copy()
-        q[axis] = t
-        return q
+    def residual(lines, t):
+        """``(|e1^2 - 4 e2|, its rounding band)`` on ``lines`` at ``t``."""
+        q = lo_pt[lines]
+        q[np.arange(lines.size), axis[lines]] = t
+        r, e1 = _trace_residual(M, q)
+        return np.abs(r), 1e-12 * (1.0 + e1 ** 2)
 
-    def res_at(t):
-        r, e1 = _trace_residual(M, point(t)[None, :])
-        return abs(float(r[0])), 1e-12 * (1.0 + float(e1[0]) ** 2)
-
-    def f(t):
-        return res_at(t)[0]
-
-    # residual already at rounding level against the boundary: snap outright
-    for boundary, end, floor in snaps:
-        val, noise = res_at(end)
-        if val <= 10.0 * noise:
-            return point(boundary), True, floor
-
+    # residual already at rounding level against the edge: snap outright
+    snapped = np.zeros(axis.size, bool)
+    if edges.size:
+        val, noise = residual(edges, end[edges])
+        snapped[edges] = val <= 10.0 * noise
     phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - phi * (b - a)
-    dpt = a + phi * (b - a)
-    fc, fd = f(c), f(dpt)
+    c, d = b - phi * (b - a), a + phi * (b - a)
+    fc, fd = np.empty(axis.size), np.empty(axis.size)
+    live = np.flatnonzero(~snapped)
+    if live.size:
+        f = residual(np.tile(live, 2), np.concatenate([c[live], d[live]]))[0]
+        fc[live], fd[live] = np.split(f, 2)
     for _ in range(60):
-        if fc < fd:
-            b, dpt, fd = dpt, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, dpt, fd
-            dpt = a + phi * (b - a)
-            fd = f(dpt)
-        if abs(b - a) < 1e-9 * (1.0 + abs(a)):
+        if not live.size:
             break
-    t_best = 0.5 * (a + b)
-    # monotone descent into a degenerate boundary: report the boundary itself
-    for boundary, end, floor in snaps:
-        if abs(t_best - end) <= 1e-6:
-            return point(boundary), True, floor
-    return point(t_best), False, float(b - a)
+        left = fc[live] < fd[live]
+        lo = np.where(left, a[live], c[live])
+        hi = np.where(left, d[live], b[live])
+        t = np.where(left, hi - phi * (hi - lo), lo + phi * (hi - lo))
+        ft = residual(live, t)[0]
+        c[live], d[live], fc[live], fd[live] = (
+            np.where(left, t, d[live]), np.where(left, c[live], t),
+            np.where(left, ft, fd[live]), np.where(left, fc[live], ft))
+        a[live], b[live] = lo, hi
+        live = live[~(np.abs(hi - lo) < 1e-9 * (1.0 + np.abs(lo)))]
+    t = 0.5 * (a + b)
+    # monotone descent into a degenerate edge: report the edge itself
+    snapped |= (first | last) & (np.abs(t - end) <= 1e-6)
+    coords = lo_pt.copy()
+    coords[row, axis] = np.where(snapped, edge, t)
+    at = coords.copy()
+    at[row, axis] = np.where(snapped, end, t)
+    return coords, at, snapped, np.where(snapped, floor, b - a)
 
 
 def _eval_floor(M, axis, probe, at_low):
@@ -645,42 +653,30 @@ def _eval_floor(M, axis, probe, at_low):
     return 1e-2 * width
 
 
-def _cluster_refined(M, refined, tol_eq):
+def _cluster_refined(M, coords, at, snapped, bracket, tol, tol_eq):
     """Cluster refined points by ambient distance; keep best residual each.
 
-    ``refined`` holds ``(coords, snapped, bracket, tol)`` candidates.  A
-    candidate whose trace-form residual is above both its ``tol`` and the
-    rounding-noise band is dropped first: a dip search that ended there found
-    no zero.  Within the rounding-noise band of the best trace-form residual, boundary-snapped
-    candidates win (they carry the exact boundary coordinate); remaining ties
-    break lexicographically for determinism.  Only the chosen representatives
-    go through the eigensolve that reports their curvatures.
+    Candidate k lies at ``coords[k]``, and its residual is evaluated at
+    ``at[k]``, which differs only for a dip snapped to a chart edge where the
+    metric may be singular.  One reduction of all candidates gives their
+    trace-form residuals and the curvatures of the chosen ones.  A candidate
+    whose residual is above both its ``tol`` and the rounding-noise band is
+    dropped first: a dip search that ended there found no zero.  Within the
+    rounding-noise band of the best residual, boundary-snapped candidates win
+    (they carry the exact boundary coordinate); remaining ties break
+    lexicographically for determinism.
     """
-    if not refined:
+    if not coords.shape[0]:
         return []
-    chart = M.chart(0)
-    clipped = np.clip(np.array([r[0] for r in refined]), chart.lo, chart.hi)
-    inset = clipped.copy()
-    for i in range(chart.dim):
-        if chart.periodic[i]:
-            continue
-        width = chart.hi[i] - chart.lo[i]
-        near_lo = inset[:, i] - chart.lo[i] < 1e-2 * width
-        near_hi = chart.hi[i] - inset[:, i] < 1e-2 * width
-        for row in np.where(near_lo | near_hi)[0]:
-            floor = _eval_floor(M, i, inset[row], at_low=bool(near_lo[row]))
-            inset[row, i] = np.clip(inset[row, i], chart.lo[i] + floor,
-                                    chart.hi[i] - floor)
-    res, e1 = _trace_residual(M, inset)
+    a = _reduced_forms(M.jacobian(0, at), M.hessian(0, at))[3]
+    res, e1 = _trace_form(a)
     noise = 1e-10 * (1.0 + e1 * e1)
-    keep = np.flatnonzero(
-        np.abs(res) <= np.maximum([r[3] for r in refined], noise))
+    keep = np.flatnonzero(np.abs(res) <= np.maximum(tol, noise))
     if not keep.size:
         return []
-    refined = [refined[r] for r in keep]
-    clipped, inset, res, noise = (clipped[keep], inset[keep], res[keep],
-                                  noise[keep])
-    ambient = M.embed(0, clipped)
+    coords, snapped, bracket, a, res, noise = (
+        x[keep] for x in (coords, snapped, bracket, a, res, noise))
+    ambient = M.embed(0, coords)
     scale = np.max(np.abs(ambient)) + 1e-12
     chosen = []
     for cluster in _leader_clusters(ambient, 1e-3 * scale):
@@ -688,20 +684,20 @@ def _cluster_refined(M, refined, tol_eq):
 
         def sort_key(r):
             return (max(abs(res[r]) - max(best_res, noise[r]), 0.0),
-                    0 if refined[r][1] else 1, tuple(clipped[r]))
+                    0 if snapped[r] else 1, tuple(coords[r]))
 
         chosen.append(min(cluster, key=sort_key))
-    kappas = _curvatures(M, inset[chosen])[0]
+    kappas = np.linalg.eigvalsh(a[chosen])[..., ::-1]
     e1_rep, _, residual = _symmetric(kappas)
     e2_rep = _elementary_symmetric(kappas, 2)
     spread = kappas[:, 0] - kappas[:, -1]
     labels, flags = _classify_arrays(kappas, residual, spread,
                                      *_tolerances(e1_rep, kappas, tol_eq))
     out = [EquicurvatureResult(
-        point=ChartPoint(0, clipped[r]), kappas=kappas[k],
+        point=ChartPoint(0, coords[r]), kappas=kappas[k],
         e1=float(e1_rep[k]), e2=float(e2_rep[k]),
         residual=float(residual[k]), umbilic_spread=float(spread[k]),
-        classification=labels[k], flags=flags[k], bracket=refined[r][2])
+        classification=labels[k], flags=flags[k], bracket=float(bracket[r]))
         for k, r in enumerate(chosen)]
     out.sort(key=lambda z: tuple(z.point.coords))
     return out

@@ -15,7 +15,12 @@ import ckl.hypersurface as hypersurface
 from ckl import DegenerateChartError, ValidationError
 from ckl.catalog import catalog_manifold, load_manifold_text
 from ckl.fields import ConstField
-from ckl.manifold import ChartPoint, TensorGrid, curvature_at
+from ckl.manifold import (
+    ChartPoint,
+    EmbeddedManifold,
+    TensorGrid,
+    curvature_at,
+)
 from ckl.operator import EpsLadder, LadderSample, eps_sweep
 from ckl.hypersurface import (
     _classify_arrays,
@@ -406,6 +411,86 @@ class TestRefinement:
             # axis
             for z in scan.refined_zeros:
                 assert z.bracket == pytest.approx(1e-6 * math.pi, rel=1e-12)
+
+    def test_curve_inflection_dip(self):
+        # d = 1: a dip line is the whole grid; the inflection point of
+        # y = x^3, where the curvature vanishes, is a double zero, found
+        # within its bracket
+        M = load_manifold_text("type=graph d=1 poly=x1^3 box=1")
+        z, = scan_equicurved(M, [6]).refined_zeros
+        assert abs(z.point.coords[0]) <= z.bracket <= 1e-9
+        assert z.classification == "flat"
+
+    @pytest.mark.parametrize("M", [
+        S2, S3, TORUS, SPHEROID, PLANE, QUADRIC,
+        load_manifold_text("type=graph d=4 poly=0.5*x1^2+0.5*x2^2+x3^2"
+                           "+0.3*x4^2+0.2*x1*x3^3 box=1")],
+        ids=lambda M: M.catalog_id or f"graph{M.dim}")
+    def test_batch_invariance(self, M, rng):
+        # refinement evaluates lines and candidates in batches of any size:
+        # a point must get the same bits alone as inside a batch, and so
+        # must the curvatures taken from a batch's reduced forms
+        pts = random_points(M, 257, rng)
+        batch = np.stack(hypersurface._trace_residual(M, pts), axis=1)
+        alone = np.array([np.ravel(hypersurface._trace_residual(M, p[None]))
+                          for p in pts])
+        np.testing.assert_array_equal(alone.view(np.int64),
+                                      batch.view(np.int64))
+        a = hypersurface._reduced_forms(M.jacobian(0, pts),
+                                        M.hessian(0, pts))[3]
+        chosen = np.arange(0, pts.shape[0], 7)
+        np.testing.assert_array_equal(
+            np.linalg.eigvalsh(a[chosen])[..., ::-1].view(np.int64),
+            hypersurface._curvatures(M, pts[chosen])[0].view(np.int64))
+
+    @pytest.mark.parametrize("manifold, grid", [
+        ("sphere2", "8x4"), ("spheroid", "60x30"), ("quadric411", "20x20x20")])
+    def test_refinement_calls(self, manifold, grid, monkeypatch, tmp_path):
+        # each Illinois and golden-section step of every edge and line is one
+        # batched residual call, so a scan makes a few dozen calls, not one
+        # per point; only a dip at a chart edge probes the metric floor
+        sizes, probes = [], []
+        trace_residual = hypersurface._trace_residual
+        metric = EmbeddedManifold.metric
+
+        def recorded(M, coords):
+            sizes.append(coords.shape[0])
+            return trace_residual(M, coords)
+
+        def probed(self, ci, coords):
+            probes.append(coords)
+            return metric(self, ci, coords)
+
+        monkeypatch.setattr(hypersurface, "_trace_residual", recorded)
+        monkeypatch.setattr(EmbeddedManifold, "metric", probed)
+        assert cli.main(["equicurved-scan", "--manifold", manifold, "--grid",
+                         grid, "--format", "json", "--out",
+                         str(tmp_path / "scan.json")]) == 0
+        assert 0 < len(sizes) <= 60
+        assert 0 not in sizes
+        assert (probes == []) == (manifold == "quadric411")
+
+    def test_scans_without_golden_steps(self, monkeypatch):
+        # the torus has no zero on its grid, so nothing is evaluated; every
+        # plane line dips at its first node, where the residual is already
+        # at rounding level, so one snap check ends every search
+        sizes = []
+        trace_residual = hypersurface._trace_residual
+
+        def recorded(M, coords):
+            sizes.append(coords.shape[0])
+            return trace_residual(M, coords)
+
+        monkeypatch.setattr(hypersurface, "_trace_residual", recorded)
+        assert scan_equicurved(TORUS, [60, 30]).refined_zeros == []
+        assert sizes == []
+        zeros = scan_equicurved(PLANE, [4, 4]).refined_zeros
+        assert sizes == [10]
+        assert len(zeros) == 9
+        for z in zeros:
+            assert -2.0 in z.point.coords
+            assert z.bracket == pytest.approx(1e-7 * 4.0, rel=1e-12)
+            assert z.classification == "flat"
 
     def test_sphere3_degenerate_nodes(self):
         # 220 of the 1,210 nodes sit at the determinant floor: reported and
