@@ -509,11 +509,11 @@ def _refine_zeros(M, shape, coords, residual, tol_arr, tol_eq, valid):
 
         j = np.argmin(along(line_res), axis=1)
         row, line_pts = np.arange(key.size), along(pts)
-        edge = not M.chart(0).periodic[axis]
+        bounded = not M.chart(0).periodic[axis]
         lines.append((np.full(key.size, axis),
                       line_pts[row, np.maximum(j - 1, 0)],
                       line_pts[row, np.minimum(j + 1, n - 1)],
-                      (j == 0) & edge, (j == n - 1) & edge,
+                      (j == 0) & bounded, (j == n - 1) & bounded,
                       along(tols)[row, j]))
     zeros, brackets = _illinois(
         M, *(np.concatenate(parts) for parts in zip(*ends)))
