@@ -21,7 +21,7 @@ from .catalog import CATALOG, load_manifold
 from .errors import CklError, NumericsError, ValidationError
 from .fields import parse_function
 from .fit import compare_closed_form, fit_polynomial, richardson_sequence
-from .hypersurface import scan_equicurved, shape_at
+from .hypersurface import CLASS_NAMES, scan_equicurved, shape_at
 from .manifold import ChartPoint, EmbeddedManifold, curvature_at
 from .operator import (MC_SAMPLES, default_eps_ladder, eps_sweep,
                        max_axis_order, monte_carlo_operator)
@@ -47,16 +47,31 @@ _CSV_BLOCK_ROWS = 4096
 _CSV_TABLE_MAX_SHARE = 0.4
 
 
-def _csv_blocks(header, columns, labels):
-    """The header line, then rows ``0,<columns...>,<label>`` in blocks of
-    ``_CSV_BLOCK_ROWS``, each float printed ``%.17g``.
+def _byte_table(strings) -> np.ndarray:
+    """ASCII strings as the rows of a ``(k, width)`` uint8 matrix, each
+    padded with NUL bytes to the longest."""
+    table = np.array(strings, dtype=np.bytes_)
+    return table.view(np.uint8).reshape(table.size, table.itemsize)
 
-    A column with few distinct bit patterns (bits keep -0.0 apart from 0.0)
-    is formatted once per pattern, and each block gathers its strings by the
-    row codes; any other column is formatted value by value.  One argsort of
-    the bits gives both the count of patterns and the row codes.
+
+def _format(values) -> np.ndarray:
+    """The cells ``%.17g,`` of float values, as a byte table."""
+    return _byte_table(["%.17g," % v for v in values.tolist()])
+
+
+def _csv_blocks(header, columns, codes, names):
+    """The header line, then rows ``0,<columns...>,<names[code]>`` in blocks
+    of ``_CSV_BLOCK_ROWS``, each float printed ``%.17g``.
+
+    Every cell, with the separator after it, comes from a byte table
+    (:func:`_byte_table`).  A column with few distinct bit patterns (bits
+    keep -0.0 apart from 0.0) is formatted once per pattern, and its rows
+    index that table by the codes one argsort of the bits gives; any other
+    column is formatted a block at a time; the class column indexes
+    ``names`` by ``codes``.  A block is the byte matrix of its rows' padded
+    cells, gathered with ``take``; one mask drops the padding.
     """
-    cells, row_fmt = [], "0,"
+    cells = []      # (byte table, row codes), or (values, None)
     for col in columns:
         col = np.asarray(col, dtype=np.float64)
         bits = col.view(np.int64)
@@ -65,28 +80,25 @@ def _csv_blocks(header, columns, labels):
         first = np.empty(ordered.size, dtype=bool)
         first[:1] = True
         np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-        distinct = np.count_nonzero(first)
-        if distinct <= _CSV_TABLE_MAX_SHARE * col.size:
-            codes = np.empty(ordered.size, dtype=np.intp)
-            codes[order] = np.cumsum(first) - 1
-            strings = np.array(["%.17g" % v for v in ordered[first]
-                                .view(np.float64).tolist()], dtype=object)
-            cells.append((strings, codes))
-            row_fmt += "%s,"
+        if np.count_nonzero(first) <= _CSV_TABLE_MAX_SHARE * col.size:
+            # a grid has at most 2^21 rows, so 32-bit codes halve their size
+            rank = np.empty(ordered.size, dtype=np.int32)
+            rank[order] = np.cumsum(first, dtype=np.int32) - 1
+            cells.append((_format(ordered[first].view(np.float64)), rank))
         else:
-            cells.append((None, col))
-            row_fmt += "%.17g,"
-    row_fmt += "%s\n"
+            cells.append((col, None))
+    cells.append((_byte_table([name + "\n" for name in names]), codes))
     yield ",".join(header) + "\n"
-    for start in range(0, len(labels), _CSV_BLOCK_ROWS):
-        block_labels = labels[start:start + _CSV_BLOCK_ROWS]
-        n = len(block_labels)
-        block = np.empty((n, len(columns) + 1), dtype=object)
-        for j, (strings, values) in enumerate(cells):
-            part = values[start:start + n]
-            block[:, j] = part if strings is None else strings[part]
-        block[:, -1] = block_labels
-        yield row_fmt * n % tuple(block.ravel())
+    chart = np.frombuffer(b"0,", dtype=np.uint8)
+    for start in range(0, len(codes), _CSV_BLOCK_ROWS):
+        rows = slice(start, start + _CSV_BLOCK_ROWS)
+        parts = [_format(table[rows]) if index is None
+                 else np.take(table, index[rows], axis=0)
+                 for table, index in cells]
+        block = np.concatenate(
+            [np.broadcast_to(chart, (parts[0].shape[0], chart.size)), *parts],
+            axis=1).ravel()
+        yield block[block != 0].tobytes().decode("ascii")
 
 
 def _emit(text, out: str):
@@ -282,7 +294,8 @@ def _cmd_scan(args) -> int:
                   + ["e1", "e2", "residual", "spread", "class"])
         columns = [*scan.coords.T, *scan.kappas.T, scan.e1, scan.e2,
                    scan.residual, scan.umbilic_spread]
-        _emit(_csv_blocks(header, columns, scan.classification), args.out)
+        _emit(_csv_blocks(header, columns, scan.class_codes, CLASS_NAMES),
+              args.out)
     else:
         def res_to_dict(r):
             return {"chart": r.point.chart,

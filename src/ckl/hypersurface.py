@@ -5,20 +5,24 @@ scalar bilinear form b against the unit normal; its eigenvalues relative to
 the metric g are the principal curvatures.  The normal is the unit cofactor
 vector C of the Jacobian J, oriented by ``det([J | nu]) > 0``, and one pass
 gives ``|C|^2 = det(J^T J)`` with it (Cauchy-Binet).  All of this is column
-arithmetic that follows each matrix's structure, for any d: the minors of C
-by cofactor expansion of J scaled by a power of two, the Cholesky factor L
-of g column by column, and ``a = L^-1 b L^-T`` by forward substitution.  The
-curvatures are the eigenvalues of the symmetric ``a``.  A point is
-equicurved when ``e1(kappa)^2 = 4 e2(kappa)``, equivalently ``d^2 H^2 =
-2 R``; at such points the bandwidth slope of ``f - K_eps f`` reproduces the
-Laplace-Beltrami operator.  Scans evaluate the residual ``e1^2 - 4 e2`` over
-a grid on the chart box, in blocks of ``_BLOCK_NODES`` nodes whose arrays
-stay cache-sized.  On request they also refine sign changes along grid edges
-by the Illinois variant of regula falsi, every edge at once, and sub-threshold
-dips by golden-section search, every grid line at once, then cluster the
-refined points by ambient position.  Refinement evaluates the residual in
-trace form, ``2 tr(a^2) - (tr a)^2``, without an eigensolve; clustering
-reduces each candidate once more and takes eigenvalues only for the chosen.
+arithmetic that follows each matrix's structure, for any d: the minors of C by
+cofactor expansion of J scaled by a power of two, the Cholesky factor L of g
+column by column, and ``a = L^-1 b L^-T`` by forward substitution.  It runs
+component-major: the Jacobians of N nodes as ``(n, d, N)`` and their Hessians
+as ``(n, d, d, N)``, so that every product, pivot and substitution row is one
+contiguous vector over the nodes, for one point as for a grid block, and the
+results go back to the caller as contiguous ``(N, ...)`` arrays.  The
+curvatures are the eigenvalues of the symmetric ``a``.  A point is equicurved
+when ``e1(kappa)^2 = 4 e2(kappa)``, equivalently ``d^2 H^2 = 2 R``; at such
+points the bandwidth slope of ``f - K_eps f`` reproduces the Laplace-Beltrami
+operator.  Scans evaluate the residual ``e1^2 - 4 e2`` over a grid on the
+chart box, in blocks of ``_BLOCK_NODES`` nodes whose arrays stay cache-sized.
+On request they also refine sign changes along grid edges by the Illinois
+variant of regula falsi, every edge at once, and sub-threshold dips by
+golden-section search, every grid line at once, then cluster the refined
+points by ambient position.  Refinement evaluates the residual in trace form,
+``2 tr(a^2) - (tr a)^2``, without an eigensolve; clustering reduces each
+candidate once more and takes eigenvalues only for the chosen.
 
 Scan points are classified over whole arrays: ``flat`` when ``max |kappa_i|
 <= tol_umb``; ``umbilic`` when flat or ``kappa_1 - kappa_d <= tol_umb``;
@@ -27,9 +31,12 @@ umbilic.  The label is the first of these that holds, else ``generic``; a row
 of NaNs is generic with no flags and stays out of the zero set.  A node whose
 metric determinant ``|C|^2`` is at or below ``DET_FLOOR`` is ``degenerate``
 with no flags: its numbers are reported, but it stays out of the zero set and
-out of refinement.  ``tol_umb`` is ``1e-6 (1 + max |kappa_i|)`` and
-``tol_eq`` defaults to ``1e-6 (1 + e1^2)``; both scale with the curvature
-magnitudes and are engineering choices, not intrinsic definitions.
+out of refinement.  A scan keeps one ``uint8`` class code per node, ``flat*4
++ umbilic*2 + equicurved`` or 8 for degenerate, and reads labels and flags
+off one table (:data:`CLASS_NAMES`).  ``tol_umb`` is ``1e-6 (1 + max
+|kappa_i|)`` and ``tol_eq`` defaults to ``1e-6 (1 + e1^2)``; both scale with
+the curvature magnitudes and are engineering choices, not intrinsic
+definitions.
 """
 
 from __future__ import annotations
@@ -56,8 +63,9 @@ from .operator import EpsLadder
 
 EIGEN_RESIDUAL_LIMIT = 1e-10
 _BOUNDARY_INSET = 1e-4
-# a scan grid holds at most this many nodes: at 140-390 bytes per node a
-# scan's peak memory stays below about 0.8 GB
+# a scan grid holds at most this many nodes: at 140-390 bytes per node (a
+# CSV scan 160-225, a JSON scan up to 390) its peak memory stays below about
+# 0.8 GB
 _MAX_GRID_NODES = 2 ** 21
 # the grid pass evaluates this many nodes at a time
 _BLOCK_NODES = 8192
@@ -116,6 +124,47 @@ def _expansion_plan(n: int, d: int):
     return tuple(levels)
 
 
+def _nodes_last(x: np.ndarray, core: tuple[int, ...]) -> np.ndarray:
+    """``x`` of shape ``(..., *core)`` as a contiguous ``(*core, N)`` array,
+    N the number of nodes in the batch ``...``."""
+    k = len(core)
+    return np.ascontiguousarray(
+        x.reshape((-1,) + core).transpose(*range(1, k + 1), 0))
+
+
+def _nodes_first(x: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
+    """A ``(*core, N)`` array back as a contiguous ``(*batch, *core)`` one."""
+    k = x.ndim - 1
+    return np.ascontiguousarray(x.transpose(k, *range(k))).reshape(
+        batch + x.shape[:-1])
+
+
+def _cofactors(jac: np.ndarray):
+    """``(nu, |C|^2)`` of Jacobians held component-major, ``(n, d, N)``:
+    ``nu`` is ``(n, N)``; see :func:`_cofactor_normals`."""
+    n, d = jac.shape[:2]
+    _, shift = np.frexp(np.max(np.abs(jac), axis=(0, 1)))
+    scaled = np.ldexp(jac, -shift)
+    minors = scaled[:, d - 1]
+    for j, (rows, rest) in zip(range(d - 2, -1, -1), _expansion_plan(n, d)):
+        column = scaled[:, j]
+        total = column[rows[0]] * minors[rest[0]]
+        for p in range(1, rows.shape[0]):
+            term = column[rows[p]] * minors[rest[p]]
+            total = total - term if p % 2 else total + term
+        minors = total
+    # the row sets come in combinations order: the k-th misses row n-1-k
+    c = minors[::-1] * ((-1.0) ** (np.arange(n) + n - 1))[:, None]
+    _, exponent = np.frexp(np.max(np.abs(c), axis=0))
+    np.ldexp(c, -exponent, out=c)
+    length_sq = np.sum(c * c, axis=0)
+    # ldexp, like a product, raises on overflow under np.errstate
+    norm_sq = np.ldexp(length_sq, 2 * (exponent + d * shift))
+    length = np.sqrt(length_sq)
+    c /= np.where(length > 0.0, length, 1.0)
+    return c, norm_sq
+
+
 def _cofactor_normals(jac: np.ndarray):
     """Batched ``(nu, |C|^2)`` from Jacobians ``(..., n, d)``, n = d + 1.
 
@@ -127,79 +176,73 @@ def _cofactor_normals(jac: np.ndarray):
     first (:func:`_expansion_plan`), so a ``2^k``-scaled Jacobian gives a
     bit-identical normal.  ``nu = C / |C|``, with C scaled by a second
     power of two so that its norm neither underflows nor overflows; a zero
-    row gives a zero normal.
+    row gives a zero normal.  The arithmetic runs component-major, one
+    contiguous vector over the nodes per entry (:func:`_cofactors`).
     """
-    n, d = jac.shape[-2:]
-    _, shift = np.frexp(np.max(np.abs(jac), axis=(-2, -1)))
-    scaled = np.ldexp(jac, -shift[..., None, None])
-    minors = scaled[..., d - 1]
-    for j, (rows, rest) in zip(range(d - 2, -1, -1), _expansion_plan(n, d)):
-        column = scaled[..., j]
-        total = column[..., rows[0]] * minors[..., rest[0]]
-        for p in range(1, rows.shape[0]):
-            term = column[..., rows[p]] * minors[..., rest[p]]
-            total = total - term if p % 2 else total + term
-        minors = total
-    # the row sets come in combinations order: the k-th misses row n-1-k
-    c = minors[..., ::-1] * (-1.0) ** (np.arange(n) + n - 1)
-    _, exponent = np.frexp(np.max(np.abs(c), axis=-1))
-    np.ldexp(c, -exponent[..., None], out=c)
-    length_sq = np.sum(c * c, axis=-1)
-    # ldexp, like a product, raises on overflow under np.errstate
-    norm_sq = np.ldexp(length_sq, 2 * (exponent + d * shift))
-    length = np.sqrt(length_sq)
-    c /= np.where(length > 0.0, length, 1.0)[..., None]
-    return c, norm_sq
+    batch = jac.shape[:-2]
+    normal, norm_sq = _cofactors(_nodes_last(jac, jac.shape[-2:]))
+    return _nodes_first(normal, batch), norm_sq.reshape(batch)
 
 
 def _reduced_forms(jac: np.ndarray, hess: np.ndarray):
     """Batched ``(normal, det_g, chol, a)`` from Jacobians ``(..., n, d)``
-    and Hessians ``(..., n, d, d)``.
+    and Hessians ``(..., n, d, d)``, returned as contiguous ``(..., n)``,
+    ``(...)``, ``(..., d, d)`` and ``(..., d, d)`` arrays.
 
-    ``normal`` and ``det_g = |C|^2`` come from :func:`_cofactor_normals`.
-    ``chol`` is the lower Cholesky factor L of the metric ``g = J^T J``,
-    computed column by column; a pivot that is not positive raises
-    ``LinAlgError`` before its square root is taken.  ``a`` is ``L^-1 b
-    L^-T`` for the second fundamental form ``b = <hess, nu>``, by two
-    forward substitutions, symmetrized; its eigenvalues are the principal
+    ``normal`` and ``det_g = |C|^2`` come from :func:`_cofactors`.  ``chol``
+    is the lower Cholesky factor L of the metric ``g = J^T J``, computed
+    column by column; a pivot that is not positive raises ``LinAlgError``
+    before its square root is taken.  ``a`` is ``L^-1 b L^-T`` for the
+    second fundamental form ``b = <hess, nu>``, by two forward
+    substitutions, symmetrized; its eigenvalues are the principal
     curvatures.  No metric floor is applied here: callers refuse or mark
     degenerate points.
+
+    Everything is computed component-major, the Jacobian as ``(n, d, N)``
+    and the Hessian as ``(n, d, d, N)`` with the N nodes last, so that each
+    product, pivot and substitution row is one contiguous vector operation.
+    The sums over ambient components run in component order from zero, as
+    the batched ``einsum`` they replace did, so every entry has the bits of
+    a node evaluated alone.
     """
-    d = jac.shape[-1]
-    normal, det_g = _cofactor_normals(jac)
-    g = np.einsum("...ni,...nj->...ij", jac, jac)
-    b = np.einsum("...nij,...n->...ij", hess, normal)
+    batch = jac.shape[:-2]
+    n, d = jac.shape[-2:]
+    jac = _nodes_last(jac, (n, d))
+    normal, det_g = _cofactors(jac)
+    # sums over the n components from zero, in order, as einsum takes them
+    g = np.add.reduce(jac[:, :, None] * jac[:, None], axis=0, initial=0.0)
+    b = np.add.reduce(_nodes_last(hess, (n, d, d)) * normal[:, None, None],
+                      axis=0, initial=0.0)
     chol = np.zeros(g.shape)
-    # (..., 1) views, so that an entry broadcasts against a row
-    entry = [[chol[..., i, j:j + 1] for j in range(i + 1)] for i in range(d)]
     for j in range(d):
-        pivot = g[..., j, j:j + 1]
+        pivot = g[j, j]
         for k in range(j):
-            pivot = pivot - entry[j][k] * entry[j][k]
+            pivot = pivot - chol[j, k] * chol[j, k]
         if not (pivot > 0.0).all():
             raise np.linalg.LinAlgError("metric not positive definite")
-        np.sqrt(pivot, out=entry[j][j])
+        np.sqrt(pivot, out=chol[j, j])
         for i in range(j + 1, d):
-            value = g[..., i, j:j + 1]
+            value = g[i, j]
             for k in range(j):
-                value = value - entry[i][k] * entry[j][k]
-            np.divide(value, entry[j][j], out=entry[i][j])
+                value = value - chol[i, k] * chol[j, k]
+            np.divide(value, chol[j, j], out=chol[i, j])
 
     def forward(rhs):
         """``L^-1 rhs``, one row at a time."""
         x = np.empty(rhs.shape)
         for i in range(d):
-            row = rhs[..., i, :]
+            row = rhs[i]
             for k in range(i):
-                row = row - entry[i][k] * x[..., k, :]
-            np.divide(row, entry[i][i], out=x[..., i, :])
+                row = row - chol[i, k] * x[k]
+            np.divide(row, chol[i, i], out=x[i])
         return x
 
     # b is symmetric, so L^-1 (L^-1 b)^T = L^-1 b L^-T
-    a = forward(np.swapaxes(forward(b), -1, -2))
-    a += np.swapaxes(a, -1, -2)
+    x = forward(np.swapaxes(forward(b), 0, 1))
+    a = x + np.swapaxes(x, 0, 1)
     a *= 0.5
-    return normal, det_g, chol, a
+    return (_nodes_first(normal, batch), det_g.reshape(batch),
+            _nodes_first(chol, batch), _nodes_first(a, batch))
 
 
 def _curvatures(M: EmbeddedManifold, coords: np.ndarray):
@@ -333,22 +376,32 @@ class EquicurvatureResult:
 
 
 _FLAG_BITS = (("flat", 4), ("umbilic", 2), ("equicurved", 1))
-_FLAG_SETS = [tuple(name for name, bit in _FLAG_BITS if code & bit)
-              for code in range(8)]
-# (label, flags) indexed by the code flat*4 + umbilic*2 + equicurved
-_CLASS_TABLE = tuple((flags[0] if flags else "generic", flags)
-                     for flags in _FLAG_SETS)
+_DEGENERATE = 8
+# (label, flags) indexed by the class code: flat*4 + umbilic*2 + equicurved,
+# or _DEGENERATE for a node at the metric determinant floor
+_CLASS_TABLE = tuple(
+    (flags[0] if flags else "generic", flags)
+    for flags in (tuple(name for name, bit in _FLAG_BITS if code & bit)
+                  for code in range(_DEGENERATE))) + (("degenerate", ()),)
+CLASS_NAMES = tuple(label for label, _ in _CLASS_TABLE)
 
 
-def _classify_arrays(kappas, residual, spread, tol_eq, tol_umb):
-    """Labels and flags for rows of ``kappas`` (N, d) and their (N,) data."""
+def _class_codes(kappas, residual, spread, tol_eq, tol_umb):
+    """The ``uint8`` class code of each row of ``kappas`` (N, d), from its
+    (N,) data: ``flat*4 + umbilic*2 + equicurved``."""
     flat = np.max(np.abs(kappas), axis=-1) <= tol_umb
     umbilic = flat | (spread <= tol_umb)
     equicurved = flat | (np.abs(residual) <= tol_eq)
     if kappas.shape[-1] == 2:
         equicurved |= umbilic
-    codes = (4 * flat + 2 * umbilic + equicurved).tolist()
-    entries = [_CLASS_TABLE[c] for c in codes]
+    return (flat.view(np.uint8) << 2) | (umbilic.view(np.uint8) << 1) \
+        | equicurved.view(np.uint8)
+
+
+def _classify_arrays(kappas, residual, spread, tol_eq, tol_umb):
+    """Labels and flags for rows of ``kappas`` (N, d) and their (N,) data."""
+    entries = [_CLASS_TABLE[c] for c in _class_codes(
+        kappas, residual, spread, tol_eq, tol_umb).tolist()]
     return [e[0] for e in entries], [e[1] for e in entries]
 
 
@@ -356,12 +409,17 @@ def _classify_arrays(kappas, residual, spread, tol_eq, tol_umb):
 class ScanResult:
     """Grid scan output: raw grid rows plus refined near-zero locations.
 
-    ``zero_set`` is the sub-list of non-degenerate grid results whose residual
-    passes the threshold; ``refined_zeros`` holds one refined point per
-    ambient cluster of the near-zero locus, from Illinois iteration on the
-    sign changes and golden-section search on the dips (coordinates may sit
-    on the chart boundary when the locus runs into it); it is empty when the
-    scan ran without refinement.
+    Each per-node quantity is one array over the nodes.  ``class_codes``
+    holds one ``uint8`` code per node, indexing :data:`CLASS_NAMES`: ``flat
+    *4 + umbilic*2 + equicurved`` for its flags, or 8 for ``degenerate``.
+    ``classification`` and ``flags`` are the per-node lists read off that
+    table, built on first use.  ``zero_set`` is the sub-list of
+    non-degenerate grid results whose residual passes the threshold;
+    ``refined_zeros`` holds one refined point per ambient cluster of the
+    near-zero locus, from Illinois iteration on the sign changes and
+    golden-section search on the dips (coordinates may sit on the chart
+    boundary when the locus runs into it); it is empty when the scan ran
+    without refinement.
     """
     grid_shape: tuple[int, ...]
     coords: np.ndarray
@@ -370,18 +428,26 @@ class ScanResult:
     e2: np.ndarray
     residual: np.ndarray
     umbilic_spread: np.ndarray
-    classification: list[str]
-    flags: list[tuple[str, ...]]
+    class_codes: np.ndarray
     zero_set: list[EquicurvatureResult]
     refined_zeros: list[EquicurvatureResult]
 
+    @functools.cached_property
+    def classification(self) -> list[str]:
+        return [CLASS_NAMES[c] for c in self.class_codes.tolist()]
+
+    @functools.cached_property
+    def flags(self) -> list[tuple[str, ...]]:
+        return [_CLASS_TABLE[c][1] for c in self.class_codes.tolist()]
+
     def result_at(self, idx: int) -> EquicurvatureResult:
+        label, flags = _CLASS_TABLE[self.class_codes[idx]]
         return EquicurvatureResult(
             point=ChartPoint(0, self.coords[idx]),
             kappas=self.kappas[idx], e1=float(self.e1[idx]),
             e2=float(self.e2[idx]), residual=float(self.residual[idx]),
             umbilic_spread=float(self.umbilic_spread[idx]),
-            classification=self.classification[idx], flags=self.flags[idx])
+            classification=label, flags=flags)
 
 
 def _grid_axes(chart, counts: Sequence[int]) -> list[np.ndarray]:
@@ -448,16 +514,13 @@ def scan_equicurved(M: EmbeddedManifold, grid: Sequence[int],
     spread = kappas[..., 0] - kappas[..., -1]
     tol_eq_arr, tol_umb_arr = _tolerances(e1, kappas, tol_eq)
 
-    classification, flags = _classify_arrays(kappas, residual, spread,
-                                             tol_eq_arr, tol_umb_arr)
-    for i in np.flatnonzero(degenerate):
-        classification[i], flags[i] = "degenerate", ()
+    codes = _class_codes(kappas, residual, spread, tol_eq_arr, tol_umb_arr)
+    codes[degenerate] = _DEGENERATE
 
     result = ScanResult(
         grid_shape=grid_shape, coords=coords, kappas=kappas, e1=e1, e2=e2,
-        residual=residual, umbilic_spread=spread,
-        classification=classification, flags=flags, zero_set=[],
-        refined_zeros=[])
+        residual=residual, umbilic_spread=spread, class_codes=codes,
+        zero_set=[], refined_zeros=[])
     in_zero = (np.abs(residual) <= tol_eq_arr) & ~degenerate
     result.zero_set.extend(result.result_at(i) for i in np.where(in_zero)[0])
     if refine:

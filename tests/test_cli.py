@@ -161,28 +161,31 @@ class TestScan:
 
     def test_csv_blocks_match_per_value_format(self):
         # columns of few distinct values go through a string table, the rest
-        # are formatted value by value; both must print what %.17g prints
-        n = 2 * cli._CSV_BLOCK_ROWS + 5
+        # are formatted a block at a time; both must print what %.17g prints,
+        # in a last block that is full, partial, or the only one, and the
+        # class column prints every code's name, degenerate (8) included
+        names = hypersurface.CLASS_NAMES
         specials = np.array([0.0, -0.0, math.nan, -np.float64(math.nan),
                              5e-324, 1.7976931348623157e308, 1.0,
                              np.nextafter(1.0, 2.0)])
-        rng = np.random.default_rng(3)
-        mixed = rng.standard_normal(n)
-        mixed[::97] = np.resize(specials, mixed[::97].size)
-        columns = [rng.choice(specials, n), np.full(n, 0.25),
-                   rng.standard_normal(n), np.resize(specials, n)[::-1],
-                   mixed]
-        shares = [np.unique(c.view(np.int64)).size / n for c in columns]
-        assert min(shares) <= cli._CSV_TABLE_MAX_SHARE < max(shares)
-        labels = [("generic", "flat", "umbilic")[i % 3] for i in range(n)]
-        text = "".join(cli._csv_blocks(["a", "b"], columns, labels))
-        rows = ["0," + "".join("%.17g," % col[i] for col in columns)
-                + labels[i] + "\n" for i in range(n)]
-        assert text == "a,b\n" + "".join(rows)
-        assert {"0", "-0", "nan", "4.9406564584124654e-324",
-                "1.7976931348623157e+308", "1",
-                "1.0000000000000002"} <= set(text.replace("\n", ",")
-                                              .split(","))
+        for n in (2 * cli._CSV_BLOCK_ROWS + 5, cli._CSV_BLOCK_ROWS, 11):
+            rng = np.random.default_rng(3)
+            mixed = rng.standard_normal(n)
+            mixed[::97] = np.resize(specials, mixed[::97].size)
+            columns = [rng.choice(specials, n), np.full(n, 0.25),
+                       rng.standard_normal(n), np.resize(specials, n)[::-1],
+                       mixed]
+            shares = [np.unique(c.view(np.int64)).size / n for c in columns]
+            assert min(shares) <= cli._CSV_TABLE_MAX_SHARE < max(shares)
+            codes = (np.arange(n) % len(names)).astype(np.uint8)
+            labels = [names[c] for c in codes]
+            text = "".join(cli._csv_blocks(["a", "b"], columns, codes, names))
+            rows = ["0," + "".join("%.17g," % col[i] for col in columns)
+                    + labels[i] + "\n" for i in range(n)]
+            assert text == "a,b\n" + "".join(rows)
+            assert {"0", "-0", "nan", "4.9406564584124654e-324",
+                    "1.7976931348623157e+308", "1", "1.0000000000000002",
+                    "degenerate"} <= set(text.replace("\n", ",").split(","))
 
     def test_nan_grid_row_prints_nan(self, capsys, monkeypatch):
         grid_pass = hypersurface._grid_pass

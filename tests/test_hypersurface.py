@@ -437,21 +437,40 @@ class TestRefinement:
 
     @pytest.mark.parametrize("M", [
         S2, S3, TORUS, SPHEROID, PLANE, QUADRIC,
+        load_manifold_text("type=graph d=1 poly=x1^3+0.4*x1^2 box=1"),
         load_manifold_text("type=graph d=4 poly=0.5*x1^2+0.5*x2^2+x3^2"
                            "+0.3*x4^2+0.2*x1*x3^3 box=1")],
         ids=lambda M: M.catalog_id or f"graph{M.dim}")
     def test_batch_invariance(self, M, rng):
-        # refinement evaluates lines and candidates in batches of any size:
-        # a point must get the same bits alone as inside a batch, and so
-        # must the curvatures taken from a batch's reduced forms
-        pts = random_points(M, 257, rng)
-        batch = np.stack(hypersurface._trace_residual(M, pts), axis=1)
-        alone = np.array([np.ravel(hypersurface._trace_residual(M, p[None]))
-                          for p in pts])
-        np.testing.assert_array_equal(alone.view(np.int64),
-                                      batch.view(np.int64))
-        a = hypersurface._reduced_forms(M.jacobian(0, pts),
-                                        M.hessian(0, pts))[3]
+        # refinement evaluates lines and candidates in batches of any size
+        # and shape: a point must get the same bits alone, in a 1-D or 2-D
+        # batch and in a strided slice, from the reduced forms, the trace
+        # residual and the curvatures; so must the curvatures taken from a
+        # batch's reduced forms
+        pts = random_points(M, 256, rng)
+        twice = np.repeat(pts, 2, axis=0)
+
+        def forms(coords, rows=slice(None)):
+            return hypersurface._reduced_forms(M.jacobian(0, coords)[rows],
+                                               M.hessian(0, coords)[rows])
+
+        for evaluate in (forms,
+                         lambda c: hypersurface._trace_residual(M, c),
+                         lambda c: hypersurface._curvatures(M, c)):
+            flat = [np.asarray(x) for x in evaluate(pts)]
+            grid = evaluate(pts.reshape(16, 16, M.dim))
+            strided = (forms(twice, slice(None, None, 2))
+                       if evaluate is forms else evaluate(twice[::2]))
+            for shaped in (grid, strided):
+                for want, got in zip(flat, shaped):
+                    np.testing.assert_array_equal(
+                        np.reshape(got, want.shape).view(np.int64),
+                        want.view(np.int64))
+            for i in range(0, pts.shape[0], 8):
+                for want, got in zip(flat, evaluate(pts[i])):
+                    np.testing.assert_array_equal(
+                        np.asarray(got).view(np.int64), want[i].view(np.int64))
+        a = forms(pts)[3]
         chosen = np.arange(0, pts.shape[0], 7)
         np.testing.assert_array_equal(
             np.linalg.eigvalsh(a[chosen])[..., ::-1].view(np.int64),
