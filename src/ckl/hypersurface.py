@@ -410,10 +410,10 @@ class ScanResult:
     """Grid scan output: raw grid rows plus refined near-zero locations.
 
     Each per-node quantity is one array over the nodes.  ``class_codes``
-    holds one ``uint8`` code per node, indexing :data:`CLASS_NAMES`: ``flat
-    *4 + umbilic*2 + equicurved`` for its flags, or 8 for ``degenerate``.
-    ``classification`` and ``flags`` are the per-node lists read off that
-    table, built on first use.  ``zero_set`` is the sub-list of
+    holds one ``uint8`` code per node, indexing :data:`CLASS_NAMES`:
+    ``flat*4 + umbilic*2 + equicurved`` for its flags, or 8 for
+    ``degenerate``.  ``classification`` and ``flags`` are the per-node lists
+    read off that table, built on first use.  ``zero_set`` is the sub-list of
     non-degenerate grid results whose residual passes the threshold;
     ``refined_zeros`` holds one refined point per ambient cluster of the
     near-zero locus, from Illinois iteration on the sign changes and

@@ -437,7 +437,8 @@ class TestRefinement:
 
     @pytest.mark.parametrize("M", [
         S2, S3, TORUS, SPHEROID, PLANE, QUADRIC,
-        load_manifold_text("type=graph d=1 poly=x1^3+0.4*x1^2 box=1"),
+        pytest.param(load_manifold_text("type=graph d=1 poly=x1^3+0.4*x1^2 "
+                                        "box=1"), id="curve"),
         load_manifold_text("type=graph d=4 poly=0.5*x1^2+0.5*x2^2+x3^2"
                            "+0.3*x4^2+0.2*x1*x3^3 box=1")],
         ids=lambda M: M.catalog_id or f"graph{M.dim}")
@@ -466,7 +467,7 @@ class TestRefinement:
                     np.testing.assert_array_equal(
                         np.reshape(got, want.shape).view(np.int64),
                         want.view(np.int64))
-            for i in range(0, pts.shape[0], 8):
+            for i in range(pts.shape[0]):
                 for want, got in zip(flat, evaluate(pts[i])):
                     np.testing.assert_array_equal(
                         np.asarray(got).view(np.int64), want[i].view(np.int64))
