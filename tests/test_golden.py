@@ -125,6 +125,29 @@ def test_spheroid_wide_threshold_scan_matches_digest(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SPHEROID_TOL_SHA256
 
 
+# Larger refined JSON scans: 4,705 refined zeros on quadric411 40^3, the 20^3
+# scan with a zero threshold (no dip search starts), and a spheroid scan with
+# a 600-row zero set.
+JSON_SCAN_SHA256 = {
+    ("quadric411", "40x40x40"):
+        "a7374e3dba094b02341c6326c7e236503a168602d6de390ba6c084ab85676028",
+    ("quadric411", "20x20x20", "--tol-eq", "0"):
+        "73a72c5d1a7ec87f6c8c3f1e79f05057b74a2cc554199774155db24843ec0d6a",
+    ("spheroid", "200x100"):
+        "d7ab9f01f50cb0ea3b9f7369384a987a4556dadba62062960344ef137103713b",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(JSON_SCAN_SHA256), ids="_".join)
+def test_refined_json_scan_matches_digest(spec, tmp_path):
+    manifold, grid, *extra = spec
+    out = tmp_path / "scan.json"
+    assert cli.main(["equicurved-scan", "--manifold", manifold, "--grid", grid,
+                     "--format", "json", *extra, "--out", str(out)]) == 0
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == JSON_SCAN_SHA256[spec])
+
+
 def test_only_json_scans_refine_zeros(tmp_path, monkeypatch):
     # CSV prints no refined zeros, so it must not compute them
     def no_refinement(*args):
