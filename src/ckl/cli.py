@@ -36,7 +36,8 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-# CSV rows per formatted block: the table never sits in memory as one string
+# rows per formatted block of a CSV table or a JSON row list: the output
+# never sits in memory as one string
 _CSV_BLOCK_ROWS = 4096
 
 
@@ -62,7 +63,7 @@ def _format(values) -> np.ndarray:
 
 def _csv_blocks(header, columns, codes, names):
     """The header line, then rows ``0,<columns...>,<names[code]>`` in blocks
-    of ``_CSV_BLOCK_ROWS``, each float printed ``%.17g``.
+    of ``_CSV_BLOCK_ROWS``, each float printed ``%.17g``, all as ASCII bytes.
 
     Every cell, with the separator after it, comes from a byte table
     (:func:`_byte_table`).  A column with few distinct bit patterns (bits
@@ -89,7 +90,7 @@ def _csv_blocks(header, columns, codes, names):
         else:
             cells.append((col, None))
     cells.append((_byte_table([name + "\n" for name in names]), codes))
-    yield ",".join(header) + "\n"
+    yield (",".join(header) + "\n").encode("ascii")
     chart = np.frombuffer(b"0,", dtype=np.uint8)
     for start in range(0, len(codes), _CSV_BLOCK_ROWS):
         rows = slice(start, start + _CSV_BLOCK_ROWS)
@@ -99,29 +100,145 @@ def _csv_blocks(header, columns, codes, names):
         block = np.concatenate(
             [np.broadcast_to(chart, (parts[0].shape[0], chart.size)), *parts],
             axis=1).ravel()
-        yield block[block != 0].tobytes().decode("ascii")
+        yield block[block != 0].tobytes()
 
 
-def _emit(text, out: str):
-    """Write a string, or an iterable of strings as it yields them."""
-    chunks = [text] if isinstance(text, str) else text
-    if out == "-":
-        sys.stdout.writelines(chunks)
+def _emit(chunks, out: str):
+    """Write a string, or the strings or bytes an iterable yields as it
+    yields them, to the file ``out`` or, for ``-``, to standard output.
+    Strings are written UTF-8 encoded."""
+    if isinstance(chunks, str):
+        chunks = [chunks]
+    data = (c.encode() if isinstance(c, str) else c for c in chunks)
+    if out != "-":
+        with open(out, "wb") as fh:
+            fh.writelines(data)
+        return
+    sys.stdout.flush()
+    binary = getattr(sys.stdout, "buffer", None)
+    if binary is None:      # a text-only stream, such as io.StringIO
+        sys.stdout.writelines(c.decode() for c in data)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+        binary.writelines(data)
+        binary.flush()
 
 
-def _json_dump(obj) -> str:
-    def np_scalar(o):
-        if isinstance(o, np.generic):
-            return o.item()
-        raise TypeError(f"not JSON serializable: {type(o)}")
-    try:
-        return json.dumps(obj, indent=2, sort_keys=True, default=np_scalar,
-                          allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise NumericsError(f"output is not finite: {exc}") from None
+# ---------------------------------------------------------------------------
+# JSON
+# ---------------------------------------------------------------------------
+
+_JSON_STRING = json.encoder.encode_basestring_ascii
+
+
+class _Rows:
+    """A JSON list of objects built from arrays, one object per row.
+
+    ``columns`` maps a key to float values: an (N,) array prints a number
+    per row, an (N, k) array a list of k numbers.  ``label`` is ``(key,
+    codes, names)``: row i prints the string ``names[codes[i]]``.
+    ``shared`` maps a key to a value every row prints alike.
+    """
+
+    def __init__(self, columns: dict, label: tuple, shared: dict):
+        self.columns, self.label, self.shared = columns, label, shared
+
+    def chunks(self, level: int):
+        """The list's text at nesting ``level``, as an iterator of strings.
+
+        Every float column is checked finite before this returns.  Each row
+        fills one ``%`` template, from cells formatted a column and a block
+        of ``_CSV_BLOCK_ROWS`` rows at a time.
+        """
+        key, codes, names = self.label
+        if not len(codes):
+            return iter(["[]"])
+        pad = "\n" + "  " * (level + 1)
+        fields, sources = [], []     # sources: (values, names or None)
+        for name in sorted([*self.columns, key, *self.shared]):
+            head = (pad + "  " + _JSON_STRING(name) + ": ").replace("%", "%%")
+            if name in self.shared:
+                text = "".join(_json_parts(self.shared[name], level + 2, []))
+                fields.append(head + text.replace("%", "%%"))
+            elif name == key:
+                fields.append(head + "%s")
+                sources.append((codes, [_JSON_STRING(n) for n in names]))
+            else:
+                values = self.columns[name]
+                bad = ~np.isfinite(values)
+                if bad.any():
+                    raise NumericsError(
+                        f"output is not finite: {values[bad][0]!r}")
+                if values.ndim == 1:
+                    fields.append(head + "%s")
+                    sources.append((values, None))
+                elif values.shape[1]:
+                    fields.append(head + "[" + ",".join(
+                        [pad + "    %s"] * values.shape[1]) + pad + "  ]")
+                    sources.extend((column, None) for column in values.T)
+                else:
+                    fields.append(head + "[]")
+        template = pad + "{" + ",".join(fields) + pad + "}"
+        return self._blocks(template, sources, len(codes),
+                            "\n" + "  " * level + "]")
+
+    @staticmethod
+    def _blocks(template, sources, count, close):
+        for start in range(0, count, _CSV_BLOCK_ROWS):
+            block = slice(start, start + _CSV_BLOCK_ROWS)
+            cells = [list(map(float.__repr__, values[block].tolist()))
+                     if names is None
+                     else [names[c] for c in values[block].tolist()]
+                     for values, names in sources]
+            yield ("[" if start == 0 else ",") + ",".join(
+                map(template.__mod__, zip(*cells)))
+        yield close
+
+
+def _json_parts(obj, level: int, parts: list) -> list:
+    """Append the JSON text of ``obj``, nested ``level`` deep, to ``parts``:
+    strings, and one iterator of strings per :class:`_Rows`.  Returns
+    ``parts``."""
+    if isinstance(obj, str):
+        parts.append(_JSON_STRING(obj))
+    elif obj is None or obj is True or obj is False:
+        parts.append({None: "null", True: "true", False: "false"}[obj])
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        if not np.isfinite(obj):
+            raise NumericsError(f"output is not finite: {obj!r}")
+        parts.append(float.__repr__(obj))
+    elif isinstance(obj, np.generic):
+        _json_parts(obj.item(), level, parts)
+    elif isinstance(obj, _Rows):
+        parts.append(obj.chunks(level))
+    elif isinstance(obj, (dict, list, tuple)):
+        is_dict = isinstance(obj, dict)
+        opening, closing = "{}" if is_dict else "[]"
+        if not obj:
+            parts.append(opening + closing)
+            return parts
+        pad = "\n" + "  " * (level + 1)
+        items = sorted(obj.items()) if is_dict else enumerate(obj)
+        for i, (key, value) in enumerate(items):
+            parts.append((opening if i == 0 else ",") + pad
+                         + (_JSON_STRING(key) + ": " if is_dict else ""))
+            _json_parts(value, level + 1, parts)
+        parts.append("\n" + "  " * level + closing)
+    else:
+        raise TypeError(f"not JSON serializable: {type(obj)}")
+    return parts
+
+
+def _json(obj):
+    """The text ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    + "\\n"`` as an iterator of strings, with numpy scalars as their Python
+    values and each :class:`_Rows` as its list of objects.  A non-finite
+    number anywhere raises :class:`NumericsError` before this returns."""
+    parts = _json_parts(obj, 0, [])
+    parts.append("\n")
+    return (chunk for part in parts
+            for chunk in ((part,) if isinstance(part, str) else part))
 
 
 def _parse_point(spec: str | None, M: EmbeddedManifold) -> ChartPoint:
@@ -191,7 +308,7 @@ def _cmd_catalog(args) -> int:
         rows.append({"id": name, "description": CATALOG[name][1],
                      "dim": M.dim, "ambient_dim": M.ambient_dim,
                      "delta": M.delta})
-    _emit(_json_dump(rows), args.out)
+    _emit(_json(rows), args.out)
     return 0
 
 
@@ -210,7 +327,7 @@ def _cmd_curvature(args) -> int:
     payload["e1"] = sd.e1
     payload["e2"] = sd.e2
     payload["equicurvature_residual"] = sd.e1 ** 2 - 4.0 * sd.e2
-    _emit(_json_dump(payload), args.out)
+    _emit(_json(payload), args.out)
     return 0
 
 
@@ -250,7 +367,7 @@ def _cmd_operator(args) -> int:
                 {"eps": e, "estimate": est, "std_error": se, "n": args.mc,
                  "seed": args.seed}
                 for e, (est, se) in zip(eps_list, mc_rows)]
-        _emit(_json_dump(payload), args.out)
+        _emit(_json(payload), args.out)
     return 0
 
 
@@ -276,7 +393,7 @@ def _cmd_expand(args) -> int:
         "a1_criterion": comparison.a1_criterion,
         "passed": comparison.passed,
     }
-    _emit(_json_dump(payload), args.out)
+    _emit(_json(payload), args.out)
     return 0
 
 
@@ -298,24 +415,30 @@ def _cmd_scan(args) -> int:
         _emit(_csv_blocks(header, columns, scan.class_codes, CLASS_NAMES),
               args.out)
     else:
-        def res_to_dict(r):
-            return {"chart": r.point.chart,
-                    "coords": [float(c) for c in r.point.coords],
-                    "kappas": [float(k) for k in r.kappas],
-                    "e1": r.e1, "e2": r.e2, "residual": r.residual,
-                    "spread": r.umbilic_spread, "class": r.classification}
         payload = {
             "manifold": args.manifold,
             "grid": grid,
             "nodes": int(scan.coords.shape[0]),
-            "zero_set": [res_to_dict(r) for r in scan.zero_set],
-            "refined_zeros": [dict(res_to_dict(r), bracket=r.bracket)
-                              for r in scan.refined_zeros],
+            "zero_set": _scan_rows(scan, scan.zero_index),
+            "refined_zeros": _scan_rows(scan.refined,
+                                        bracket=scan.refined.bracket),
             "residual_min": float(np.min(np.abs(scan.residual))),
             "residual_max": float(np.max(np.abs(scan.residual))),
         }
-        _emit(_json_dump(payload), args.out)
+        _emit(_json(payload), args.out)
     return 0
+
+
+def _scan_rows(rows, index=slice(None), **extra) -> _Rows:
+    """JSON rows of scan points ``index`` of ``rows``, a
+    :class:`~ckl.hypersurface.ScanResult` or its ``refined`` zeros, with the
+    float columns ``extra``."""
+    return _Rows({"coords": rows.coords[index], "kappas": rows.kappas[index],
+                  "e1": rows.e1[index], "e2": rows.e2[index],
+                  "residual": rows.residual[index],
+                  "spread": rows.umbilic_spread[index], **extra},
+                 ("class", rows.class_codes[index], CLASS_NAMES),
+                 {"chart": 0})
 
 
 def _cmd_verify(args) -> int:

@@ -405,6 +405,41 @@ def _classify_arrays(kappas, residual, spread, tol_eq, tol_umb):
     return [e[0] for e in entries], [e[1] for e in entries]
 
 
+def _result_at(rows, idx: int, bracket: float | None = None
+               ) -> EquicurvatureResult:
+    """Row ``idx`` of a :class:`ScanResult` or :class:`RefinedZeros`."""
+    label, flags = _CLASS_TABLE[rows.class_codes[idx]]
+    return EquicurvatureResult(
+        point=ChartPoint(0, rows.coords[idx]),
+        kappas=rows.kappas[idx], e1=float(rows.e1[idx]),
+        e2=float(rows.e2[idx]), residual=float(rows.residual[idx]),
+        umbilic_spread=float(rows.umbilic_spread[idx]),
+        classification=label, flags=flags, bracket=bracket)
+
+
+@dataclass(frozen=True)
+class RefinedZeros:
+    """Refined zeros as arrays over their k rows, in ascending order of the
+    coordinates: ``coords`` and ``kappas`` (k, d); ``e1``, ``e2``,
+    ``residual``, ``umbilic_spread``, ``class_codes`` (indexing
+    :data:`CLASS_NAMES`) and ``bracket`` (k,)."""
+    coords: np.ndarray
+    kappas: np.ndarray
+    e1: np.ndarray
+    e2: np.ndarray
+    residual: np.ndarray
+    umbilic_spread: np.ndarray
+    class_codes: np.ndarray
+    bracket: np.ndarray
+
+    @classmethod
+    def empty(cls, d: int) -> RefinedZeros:
+        rows = np.empty((0, d))
+        flat = np.empty(0)
+        return cls(rows, rows, flat, flat, flat, flat,
+                   np.empty(0, dtype=np.uint8), flat)
+
+
 @dataclass(frozen=True)
 class ScanResult:
     """Grid scan output: raw grid rows plus refined near-zero locations.
@@ -412,14 +447,14 @@ class ScanResult:
     Each per-node quantity is one array over the nodes.  ``class_codes``
     holds one ``uint8`` code per node, indexing :data:`CLASS_NAMES`:
     ``flat*4 + umbilic*2 + equicurved`` for its flags, or 8 for
-    ``degenerate``.  ``classification`` and ``flags`` are the per-node lists
-    read off that table, built on first use.  ``zero_set`` is the sub-list of
-    non-degenerate grid results whose residual passes the threshold;
-    ``refined_zeros`` holds one refined point per ambient cluster of the
-    near-zero locus, from Illinois iteration on the sign changes and
-    golden-section search on the dips (coordinates may sit on the chart
-    boundary when the locus runs into it); it is empty when the scan ran
-    without refinement.
+    ``degenerate``.  ``zero_index`` lists, in node order, the
+    non-degenerate nodes whose residual passes the threshold.  ``refined``
+    holds one refined point per ambient cluster of the near-zero locus, from
+    Illinois iteration on the sign changes and golden-section search on the
+    dips (coordinates may sit on the chart boundary when the locus runs into
+    it); it has no rows when the scan ran without refinement.
+    ``classification``, ``flags``, ``zero_set`` and ``refined_zeros`` are
+    list views of these arrays, built on first use.
     """
     grid_shape: tuple[int, ...]
     coords: np.ndarray
@@ -429,8 +464,8 @@ class ScanResult:
     residual: np.ndarray
     umbilic_spread: np.ndarray
     class_codes: np.ndarray
-    zero_set: list[EquicurvatureResult]
-    refined_zeros: list[EquicurvatureResult]
+    zero_index: np.ndarray
+    refined: RefinedZeros
 
     @functools.cached_property
     def classification(self) -> list[str]:
@@ -440,14 +475,14 @@ class ScanResult:
     def flags(self) -> list[tuple[str, ...]]:
         return [_CLASS_TABLE[c][1] for c in self.class_codes.tolist()]
 
-    def result_at(self, idx: int) -> EquicurvatureResult:
-        label, flags = _CLASS_TABLE[self.class_codes[idx]]
-        return EquicurvatureResult(
-            point=ChartPoint(0, self.coords[idx]),
-            kappas=self.kappas[idx], e1=float(self.e1[idx]),
-            e2=float(self.e2[idx]), residual=float(self.residual[idx]),
-            umbilic_spread=float(self.umbilic_spread[idx]),
-            classification=label, flags=flags)
+    @functools.cached_property
+    def zero_set(self) -> list[EquicurvatureResult]:
+        return [_result_at(self, i) for i in self.zero_index.tolist()]
+
+    @functools.cached_property
+    def refined_zeros(self) -> list[EquicurvatureResult]:
+        return [_result_at(self.refined, k, bracket)
+                for k, bracket in enumerate(self.refined.bracket.tolist())]
 
 
 def _grid_axes(chart, counts: Sequence[int]) -> list[np.ndarray]:
@@ -517,16 +552,14 @@ def scan_equicurved(M: EmbeddedManifold, grid: Sequence[int],
     codes = _class_codes(kappas, residual, spread, tol_eq_arr, tol_umb_arr)
     codes[degenerate] = _DEGENERATE
 
-    result = ScanResult(
+    in_zero = (np.abs(residual) <= tol_eq_arr) & ~degenerate
+    refined = (_refine_zeros(M, grid_shape, coords, residual, tol_eq_arr,
+                             tol_eq, ~degenerate) if refine
+               else RefinedZeros.empty(M.dim))
+    return ScanResult(
         grid_shape=grid_shape, coords=coords, kappas=kappas, e1=e1, e2=e2,
         residual=residual, umbilic_spread=spread, class_codes=codes,
-        zero_set=[], refined_zeros=[])
-    in_zero = (np.abs(residual) <= tol_eq_arr) & ~degenerate
-    result.zero_set.extend(result.result_at(i) for i in np.where(in_zero)[0])
-    if refine:
-        result.refined_zeros.extend(_refine_zeros(
-            M, grid_shape, coords, residual, tol_eq_arr, tol_eq, ~degenerate))
-    return result
+        zero_index=np.flatnonzero(in_zero), refined=refined)
 
 
 def _refine_zeros(M, shape, coords, residual, tol_arr, tol_eq, valid):
@@ -724,46 +757,58 @@ def _cluster_refined(M, coords, at, snapped, bracket, tol, tol_eq):
     metric may be singular.  One reduction of all candidates gives their
     trace-form residuals and the curvatures of the chosen ones.  A candidate
     whose residual is above both its ``tol`` and the rounding-noise band is
-    dropped first: a dip search that ended there found no zero.  Within the
-    rounding-noise band of the best residual, boundary-snapped candidates win
-    (they carry the exact boundary coordinate); remaining ties break
-    lexicographically for determinism.
+    dropped first: a dip search that ended there found no zero.  Each
+    cluster keeps one candidate (:func:`_representatives`).  Returns
+    :class:`RefinedZeros`.
     """
+    empty = RefinedZeros.empty(coords.shape[1])
     if not coords.shape[0]:
-        return []
+        return empty
     a = _reduced_forms(M.jacobian(0, at), M.hessian(0, at))[3]
     res, e1 = _trace_form(a)
     noise = 1e-10 * (1.0 + e1 * e1)
     keep = np.flatnonzero(np.abs(res) <= np.maximum(tol, noise))
     if not keep.size:
-        return []
+        return empty
     coords, snapped, bracket, a, res, noise = (
         x[keep] for x in (coords, snapped, bracket, a, res, noise))
     ambient = M.embed(0, coords)
     scale = np.max(np.abs(ambient)) + 1e-12
-    chosen = []
-    for cluster in _leader_clusters(ambient, 1e-3 * scale):
-        best_res = min(abs(res[r]) for r in cluster)
-
-        def sort_key(r):
-            return (max(abs(res[r]) - max(best_res, noise[r]), 0.0),
-                    0 if snapped[r] else 1, tuple(coords[r]))
-
-        chosen.append(min(cluster, key=sort_key))
-    kappas = np.linalg.eigvalsh(a[chosen])[..., ::-1]
+    rows = _representatives(_leader_clusters(ambient, 1e-3 * scale), res,
+                            noise, snapped, coords)
+    kappas = np.linalg.eigvalsh(a[rows])[..., ::-1]
     e1_rep, _, residual = _symmetric(kappas)
-    e2_rep = _elementary_symmetric(kappas, 2)
     spread = kappas[:, 0] - kappas[:, -1]
-    labels, flags = _classify_arrays(kappas, residual, spread,
-                                     *_tolerances(e1_rep, kappas, tol_eq))
-    out = [EquicurvatureResult(
-        point=ChartPoint(0, coords[r]), kappas=kappas[k],
-        e1=float(e1_rep[k]), e2=float(e2_rep[k]),
-        residual=float(residual[k]), umbilic_spread=float(spread[k]),
-        classification=labels[k], flags=flags[k], bracket=float(bracket[r]))
-        for k, r in enumerate(chosen)]
-    out.sort(key=lambda z: tuple(z.point.coords))
-    return out
+    codes = _class_codes(kappas, residual, spread,
+                         *_tolerances(e1_rep, kappas, tol_eq))
+    return RefinedZeros(coords[rows], kappas, e1_rep,
+                        _elementary_symmetric(kappas, 2), residual, spread,
+                        codes, bracket[rows])
+
+
+def _representatives(clusters, res, noise, snapped, coords) -> np.ndarray:
+    """One candidate per cluster, as indices in ascending order of their
+    ``coords`` (N, d) (cluster order on equal coordinates).
+
+    A cluster keeps the candidate that sorts first by the excess of
+    ``|res|`` over the larger of its ``noise`` band and the cluster's best
+    ``|res|``, then boundary-``snapped`` before not (a snapped candidate
+    carries the exact boundary coordinate), then coordinates, then candidate
+    order.  Both sorts are stable ``lexsort`` calls over every cluster at
+    once; ``clusters`` are lists of candidate indices, each ascending.
+    """
+    label = np.empty(res.size, dtype=np.intp)
+    label[np.concatenate(clusters)] = np.repeat(
+        np.arange(len(clusters)), [len(c) for c in clusters])
+    size = np.abs(res)
+    best = np.full(len(clusters), np.inf)
+    np.minimum.at(best, label, size)
+    excess = np.maximum(size - np.maximum(best[label], noise), 0.0)
+    order = np.lexsort((*coords.T[::-1], ~snapped, excess, label))
+    first = np.ones(order.size, dtype=bool)
+    np.not_equal(label[order[1:]], label[order[:-1]], out=first[1:])
+    chosen = order[first]
+    return chosen[np.lexsort(coords[chosen].T[::-1])]
 
 
 def _leader_clusters(points: np.ndarray, radius: float) -> list[list[int]]:

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: subcommands, formats, determinism, exit codes."""
 
+import dataclasses
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -179,7 +181,8 @@ class TestScan:
             assert min(shares) <= cli._CSV_TABLE_MAX_SHARE < max(shares)
             codes = (np.arange(n) % len(names)).astype(np.uint8)
             labels = [names[c] for c in codes]
-            text = "".join(cli._csv_blocks(["a", "b"], columns, codes, names))
+            text = b"".join(cli._csv_blocks(["a", "b"], columns, codes,
+                                            names)).decode("ascii")
             rows = ["0," + "".join("%.17g," % col[i] for col in columns)
                     + labels[i] + "\n" for i in range(n)]
             assert text == "a,b\n" + "".join(rows)
@@ -201,6 +204,120 @@ class TestScan:
         assert code == 0
         first = out.split("\n")[1].split(",")
         assert first[3:] == ["nan"] * 6 + ["generic"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["equicurved-scan", "--manifold", "sphere2", "--grid", "8x4"],
+    ["equicurved-scan", "--manifold", "quadric411", "--grid", "4x4x4",
+     "--format", "json"],
+    ["verify"],
+], ids=["scan-csv", "scan-json", "verify"])
+def test_stdout_bytes_equal_file_bytes(argv, capsysbinary, tmp_path):
+    assert cli.main(argv + ["--out", "-"]) in (0, 1)
+    out = capsysbinary.readouterr().out
+    path = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(path)]) in (0, 1)
+    assert out == path.read_bytes() and out
+
+
+def reference_json(obj):
+    """What the CLI's JSON must equal, numpy scalars as their Python values."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False,
+                      default=lambda o: o.item()) + "\n"
+
+
+JSON_KEYS = st.text(st.sampled_from('ab"\\\n\t\x00\x1f\x7f é€😀%/'),
+                    max_size=4)
+JSON_FLOATS = st.floats(allow_nan=False, allow_infinity=False) \
+    | st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e22, 0.1, 1.0])
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | JSON_FLOATS
+                | JSON_KEYS | JSON_FLOATS.map(np.float64)
+                | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
+                | st.booleans().map(np.bool_))
+JSON_PAYLOADS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(JSON_KEYS, inner, max_size=4),
+    max_leaves=20)
+
+
+@st.composite
+def row_tables(draw):
+    """A ``_Rows`` table and the list of dicts it must print as."""
+    n = draw(st.integers(0, 7))
+    width = draw(st.integers(0, 3))
+    floats = st.lists(JSON_FLOATS, min_size=n, max_size=n)
+    vector = np.array(draw(floats))
+    matrix = np.array([draw(floats) for _ in range(width)]).T.reshape(n, width)
+    names = draw(st.lists(JSON_KEYS, min_size=1, max_size=3))
+    codes = np.array(draw(st.lists(st.integers(0, len(names) - 1),
+                                   min_size=n, max_size=n)), dtype=np.uint8)
+    shared = draw(st.dictionaries(st.sampled_from(["chart", "%s", "z"]),
+                                  JSON_PAYLOADS, max_size=2))
+    label = draw(st.sampled_from(["class", "a%"]))
+    shared.pop(label, None)
+    table = cli._Rows({"v": vector, "m": matrix}, (label, codes, names),
+                      shared)
+    rows = [{"v": vector[i], "m": list(matrix[i]), label: names[codes[i]],
+             **shared} for i in range(n)]
+    return table, rows
+
+
+class TestJsonWriter:
+    @settings(max_examples=300)
+    @given(JSON_PAYLOADS)
+    def test_matches_json_dumps(self, obj):
+        assert "".join(cli._json(obj)) == reference_json(obj)
+
+    @settings(max_examples=200)
+    @given(row_tables(), st.integers(1, 4))
+    def test_row_tables_match_json_dumps(self, table_rows, block_rows):
+        # blocks of a few rows, so that a table spans several
+        table, rows = table_rows
+        with mock.patch.object(cli, "_CSV_BLOCK_ROWS", block_rows):
+            text = "".join(cli._json({"rows": table, "n": [table]}))
+        assert text == reference_json({"rows": rows, "n": [rows]})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_anywhere_raises_before_output(self, bad):
+        table = cli._Rows({"v": np.array([0.0, bad])},
+                          ("c", np.zeros(2, dtype=np.uint8), ["x"]), {})
+        for payload in ({"a": [1.0, {"b": bad}]}, [np.float64(bad)],
+                        {"a": "x", "rows": table}):
+            with pytest.raises(NumericsError):
+                cli._json(payload)
+
+    @pytest.mark.parametrize("poison", ["refined", "zero_set", "scalar"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_scan_writes_nothing(self, capsys, monkeypatch,
+                                           tmp_path, poison, bad):
+        scan_equicurved = cli.scan_equicurved
+
+        def poisoned(*args, **kwargs):
+            scan = scan_equicurved(*args, **kwargs)
+            refined = scan.refined
+            if poison == "refined":
+                kappas = refined.kappas.copy()
+                kappas[-1, 1] = bad
+                refined = dataclasses.replace(refined, kappas=kappas)
+            e2, residual = scan.e2.copy(), scan.residual.copy()
+            if poison == "zero_set":
+                e2[scan.zero_index[-1]] = bad
+            elif poison == "scalar":
+                # outside the zero set: only residual_max sees it
+                residual[np.argmax(np.abs(residual))] = bad
+            return dataclasses.replace(scan, refined=refined, e2=e2,
+                                       residual=residual)
+
+        monkeypatch.setattr(cli, "scan_equicurved", poisoned)
+        out = tmp_path / "scan.json"
+        code, stdout, err = run(capsys, "equicurved-scan", "--manifold",
+                                "quadric411", "--grid", "4x4x4", "--format",
+                                "json", "--out", str(out))
+        assert code == 2 and stdout == "" and not out.exists()
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"]["type"] == "NumericsError"
 
 
 def assert_one_validation_line(code, out, err):

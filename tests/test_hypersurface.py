@@ -600,6 +600,63 @@ class TestLeaderClusters:
         assert hypersurface._leader_clusters(points, 0.25) == [[0, 2], [1, 3]]
 
 
+def representatives_loop(clusters, res, noise, snapped, coords):
+    """Reference: each cluster's ``min`` by a Python sort key, then a stable
+    sort of the chosen by their coordinates."""
+    chosen = []
+    for cluster in clusters:
+        best_res = min(abs(res[r]) for r in cluster)
+
+        def sort_key(r):
+            return (max(abs(res[r]) - max(best_res, noise[r]), 0.0),
+                    0 if snapped[r] else 1, tuple(coords[r]))
+
+        chosen.append(min(cluster, key=sort_key))
+    return sorted(chosen, key=lambda r: tuple(coords[r]))
+
+
+class TestRepresentatives:
+    def check(self, clusters, res, noise, snapped, coords):
+        args = (np.asarray(res, dtype=float), np.asarray(noise, dtype=float),
+                np.asarray(snapped, dtype=bool),
+                np.asarray(coords, dtype=float))
+        got = hypersurface._representatives(clusters, *args)
+        assert got.tolist() == representatives_loop(clusters, *args)
+        return got.tolist()
+
+    def test_ties(self):
+        noise = [1e-10] * 8
+        # 0-2: equal excess (all inside the noise band), so snapped 1 wins;
+        # 3-4: snapped and unsnapped at one residual; 5-7: equal leading
+        # coordinates, -0.0 against 0.0, and two identical keys
+        res = [1e-12, -5e-11, 5e-11, 2e-3, -2e-3, 1e-3, 1e-3, 1e-3]
+        snapped = [False, True, False, False, True, False, False, False]
+        coords = [[0.5, 0.1], [0.5, 0.2], [0.4, 0.0], [1.0, 1.0], [1.0, 2.0],
+                  [0.0, 0.3], [-0.0, 0.3], [0.0, -0.0]]
+        clusters = [[0, 1, 2], [3, 4], [5, 6, 7]]
+        assert self.check(clusters, res, noise, snapped, coords) == [7, 1, 4]
+        # -0.0 and 0.0 tie in every coordinate: the first candidate stays
+        coords[7] = [-0.0, 0.3]
+        assert self.check(clusters, res, noise, snapped, coords) == [5, 1, 4]
+        # two representatives on equal coordinates keep cluster order
+        assert self.check([[0], [1]], [0.0, 0.0], [1e-10] * 2, [False] * 2,
+                          [[0.0, 1.0], [-0.0, 1.0]]) == [0, 1]
+
+    def test_random_ties(self, rng):
+        # few distinct values, so that every key component ties often
+        for _ in range(200):
+            n = int(rng.integers(1, 30))
+            cuts = np.sort(rng.choice(np.arange(1, n), size=min(
+                n - 1, int(rng.integers(0, 6))), replace=False))
+            clusters = [c.tolist() for c in np.split(rng.permutation(n), cuts)]
+            clusters = [sorted(c) for c in clusters]
+            res = rng.choice([0.0, -0.0, 1e-12, -1e-12, 2e-10, -3e-10, 1e-3], n)
+            noise = rng.choice([1e-10, 2e-10, 1e-12], n)
+            snapped = rng.random(n) < 0.3
+            coords = rng.choice([0.0, -0.0, 0.5, -0.5, 1.0], (n, 3))
+            self.check(clusters, res, noise, snapped, coords)
+
+
 def classify_row(kappas, residual, spread, tol_eq, tol_umb):
     """Reference: the module docstring's rules applied to one row."""
     flat = max(abs(k) for k in kappas) <= tol_umb
