@@ -97,6 +97,7 @@ from .hypersurface import (
     EquicurvatureResult,
     LimitCriterionReport,
     PropositionReport,
+    RefinedZeros,
     ScanResult,
     ShapeData,
     check_propositions,

@@ -104,22 +104,20 @@ def _csv_blocks(header, columns, codes, names):
 
 
 def _emit(chunks, out: str):
-    """Write a string, or the strings or bytes an iterable yields as it
-    yields them, to the file ``out`` or, for ``-``, to standard output.
-    Strings are written UTF-8 encoded."""
-    if isinstance(chunks, str):
+    """Write bytes, or the bytes an iterable yields as it yields them, to the
+    file ``out`` or, for ``-``, to standard output."""
+    if isinstance(chunks, bytes):
         chunks = [chunks]
-    data = (c.encode() if isinstance(c, str) else c for c in chunks)
     if out != "-":
         with open(out, "wb") as fh:
-            fh.writelines(data)
+            fh.writelines(chunks)
         return
     sys.stdout.flush()
     binary = getattr(sys.stdout, "buffer", None)
     if binary is None:      # a text-only stream, such as io.StringIO
-        sys.stdout.writelines(c.decode() for c in data)
+        sys.stdout.writelines(chunk.decode() for chunk in chunks)
     else:
-        binary.writelines(data)
+        binary.writelines(chunks)
         binary.flush()
 
 
@@ -143,7 +141,7 @@ class _Rows:
         self.columns, self.label, self.shared = columns, label, shared
 
     def chunks(self, level: int):
-        """The list's text at nesting ``level``, as an iterator of strings.
+        """The list's text at nesting ``level``, as an iterator of ASCII bytes.
 
         Every float column is checked finite before this returns.  Each row
         fills one ``%`` template, from cells formatted a column and a block
@@ -151,7 +149,7 @@ class _Rows:
         """
         key, codes, names = self.label
         if not len(codes):
-            return iter(["[]"])
+            return iter([b"[]"])
         pad = "\n" + "  " * (level + 1)
         fields, sources = [], []     # sources: (values, names or None)
         for name in sorted([*self.columns, key, *self.shared]):
@@ -189,14 +187,14 @@ class _Rows:
                      if names is None
                      else [names[c] for c in values[block].tolist()]
                      for values, names in sources]
-            yield ("[" if start == 0 else ",") + ",".join(
-                map(template.__mod__, zip(*cells)))
-        yield close
+            yield (("[" if start == 0 else ",") + ",".join(
+                map(template.__mod__, zip(*cells)))).encode("ascii")
+        yield close.encode("ascii")
 
 
 def _json_parts(obj, level: int, parts: list) -> list:
     """Append the JSON text of ``obj``, nested ``level`` deep, to ``parts``:
-    strings, and one iterator of strings per :class:`_Rows`.  Returns
+    strings, and one iterator of ASCII bytes per :class:`_Rows`.  Returns
     ``parts``."""
     if isinstance(obj, str):
         parts.append(_JSON_STRING(obj))
@@ -231,14 +229,25 @@ def _json_parts(obj, level: int, parts: list) -> list:
 
 
 def _json(obj):
-    """The text ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    + "\\n"`` as an iterator of strings, with numpy scalars as their Python
-    values and each :class:`_Rows` as its list of objects.  A non-finite
-    number anywhere raises :class:`NumericsError` before this returns."""
+    """The bytes of ``json.dumps(obj, indent=2, sort_keys=True,
+    allow_nan=False) + "\\n"`` as an iterator, with numpy scalars as their
+    Python values and each :class:`_Rows` as its list of objects.  A
+    non-finite number anywhere raises :class:`NumericsError` before this
+    returns."""
     parts = _json_parts(obj, 0, [])
     parts.append("\n")
-    return (chunk for part in parts
-            for chunk in ((part,) if isinstance(part, str) else part))
+    return _chunks([part.encode("ascii") if isinstance(part, str) else part
+                    for part in parts])
+
+
+def _chunks(parts):
+    # yield from hands each block on without holding it while the next is
+    # formatted
+    for part in parts:
+        if isinstance(part, bytes):
+            yield part
+        else:
+            yield from part
 
 
 def _parse_point(spec: str | None, M: EmbeddedManifold) -> ChartPoint:
@@ -352,7 +361,7 @@ def _cmd_operator(args) -> int:
         lines = ["eps,value,tail_bound,quad_error"]
         lines += [f"{_fmt(s.eps)},{_fmt(s.value)},{_fmt(s.tail_bound)},"
                   f"{_fmt(s.quad_error)}" for s in ladder.samples]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(("\n".join(lines) + "\n").encode(), args.out)
     else:
         payload = {
             "manifold": args.manifold, "f": f.field_id,
@@ -446,7 +455,7 @@ def _cmd_verify(args) -> int:
     from . import verify
 
     results = verify.run_all()
-    _emit(verify.format_table(results), args.out)
+    _emit(verify.format_table(results).encode(), args.out)
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -398,13 +398,6 @@ def _class_codes(kappas, residual, spread, tol_eq, tol_umb):
         | equicurved.view(np.uint8)
 
 
-def _classify_arrays(kappas, residual, spread, tol_eq, tol_umb):
-    """Labels and flags for rows of ``kappas`` (N, d) and their (N,) data."""
-    entries = [_CLASS_TABLE[c] for c in _class_codes(
-        kappas, residual, spread, tol_eq, tol_umb).tolist()]
-    return [e[0] for e in entries], [e[1] for e in entries]
-
-
 def _result_at(rows, idx: int, bracket: float | None = None
                ) -> EquicurvatureResult:
     """Row ``idx`` of a :class:`ScanResult` or :class:`RefinedZeros`."""

@@ -268,7 +268,7 @@ class TestJsonWriter:
     @settings(max_examples=300)
     @given(JSON_PAYLOADS)
     def test_matches_json_dumps(self, obj):
-        assert "".join(cli._json(obj)) == reference_json(obj)
+        assert b"".join(cli._json(obj)).decode() == reference_json(obj)
 
     @settings(max_examples=200)
     @given(row_tables(), st.integers(1, 4))
@@ -276,8 +276,8 @@ class TestJsonWriter:
         # blocks of a few rows, so that a table spans several
         table, rows = table_rows
         with mock.patch.object(cli, "_CSV_BLOCK_ROWS", block_rows):
-            text = "".join(cli._json({"rows": table, "n": [table]}))
-        assert text == reference_json({"rows": rows, "n": [rows]})
+            text = b"".join(cli._json({"rows": table, "n": [table]}))
+        assert text.decode() == reference_json({"rows": rows, "n": [rows]})
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_anywhere_raises_before_output(self, bad):

@@ -23,7 +23,6 @@ from ckl.manifold import (
 )
 from ckl.operator import EpsLadder, LadderSample, eps_sweep
 from ckl.hypersurface import (
-    _classify_arrays,
     check_propositions,
     equicurvature_residual,
     limit_criterion_check,
@@ -699,8 +698,10 @@ class TestClassifier:
         spread = kappas[:, 0] - kappas[:, -1]
         tol_eq = np.array([r[1] for r in rows])
         tol_umb = np.full(e1.shape, self.TOL)
-        labels, flags = _classify_arrays(kappas, residual, spread, tol_eq,
-                                         tol_umb)
+        labels, flags = zip(*(hypersurface._CLASS_TABLE[c] for c in
+                              hypersurface._class_codes(
+                                  kappas, residual, spread, tol_eq, tol_umb)))
+        labels, flags = list(labels), list(flags)
         assert labels == [r[2] for r in rows]
         assert flags == [r[3] for r in rows]
         for i in range(kappas.shape[0]):
