@@ -91,16 +91,22 @@ def _csv_blocks(header, columns, codes, names):
             cells.append((col, None))
     cells.append((_byte_table([name + "\n" for name in names]), codes))
     yield (",".join(header) + "\n").encode("ascii")
-    chart = np.frombuffer(b"0,", dtype=np.uint8)
     for start in range(0, len(codes), _CSV_BLOCK_ROWS):
-        rows = slice(start, start + _CSV_BLOCK_ROWS)
-        parts = [_format(table[rows]) if index is None
-                 else np.take(table, index[rows], axis=0)
-                 for table, index in cells]
-        block = np.concatenate(
-            [np.broadcast_to(chart, (parts[0].shape[0], chart.size)), *parts],
-            axis=1).ravel()
-        yield block[block != 0].tobytes()
+        yield _csv_block(cells, slice(start, start + _CSV_BLOCK_ROWS))
+
+
+def _csv_block(cells, rows: slice) -> bytes:
+    """The bytes of CSV rows ``rows`` from the cells of :func:`_csv_blocks`,
+    in a call of its own so that no temporary of one block stays alive while
+    the next is built."""
+    parts = [_format(table[rows]) if index is None
+             else np.take(table, index[rows], axis=0)
+             for table, index in cells]
+    chart = np.frombuffer(b"0,", dtype=np.uint8)
+    block = np.concatenate(
+        [np.broadcast_to(chart, (parts[0].shape[0], chart.size)), *parts],
+        axis=1).ravel()
+    return block[block != 0].tobytes()
 
 
 def _emit(chunks, out: str):
@@ -182,14 +188,19 @@ class _Rows:
     @staticmethod
     def _blocks(template, sources, count, close):
         for start in range(0, count, _CSV_BLOCK_ROWS):
-            block = slice(start, start + _CSV_BLOCK_ROWS)
-            cells = [list(map(float.__repr__, values[block].tolist()))
-                     if names is None
-                     else [names[c] for c in values[block].tolist()]
-                     for values, names in sources]
-            yield (("[" if start == 0 else ",") + ",".join(
-                map(template.__mod__, zip(*cells)))).encode("ascii")
+            yield b"," if start else b"["
+            yield _Rows._block(template, sources,
+                               slice(start, start + _CSV_BLOCK_ROWS))
         yield close.encode("ascii")
+
+    @staticmethod
+    def _block(template, sources, rows: slice) -> bytes:
+        # a call of its own, so that no cell of one block stays alive while
+        # the next is formatted
+        cells = [list(map(float.__repr__, values[rows].tolist()))
+                 if names is None else [names[c] for c in values[rows].tolist()]
+                 for values, names in sources]
+        return ",".join(map(template.__mod__, zip(*cells))).encode("ascii")
 
 
 def _json_parts(obj, level: int, parts: list) -> list:
