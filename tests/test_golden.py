@@ -148,6 +148,29 @@ def test_refined_json_scan_matches_digest(spec, tmp_path):
             == JSON_SCAN_SHA256[spec])
 
 
+# Monte Carlo over the default ladder: a window across both torus seams, the
+# 3-sphere, a spheroid pole and a clipped quadric411 box.
+MC_SHA256 = {
+    ("torus", "--point", "6.2,0.05", "--f", "ambient:3"):
+        "6a51bc911fa05eb3a915c9b53547fbb23d67a2700e536f9b71a6006ac3bc7e6b",
+    ("sphere3", "--f", "ambient:4"):
+        "ed795ecfb32658c49ac8bde4e170a7472915fff84750ec667c5fea01c2868e6b",
+    ("spheroid", "--point", "0.05,1.0"):
+        "14e5b32904116d83aa04eb59e173fabcd86babeba28039586ef661868f4bf1a2",
+    ("quadric411", "--point", "0.95,0,0", "--f", "ambient:4"):
+        "7181d0ba17d7226894a994e9a22a6b42bd01d298d7914d61cb71050928f63926",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(MC_SHA256), ids="_".join)
+def test_monte_carlo_ladder_matches_digest(spec, tmp_path):
+    manifold, *extra = spec
+    out = tmp_path / "mc.json"
+    assert cli.main(["operator", "--manifold", manifold, *extra, "--mc", "5000",
+                     "--seed", "3", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == MC_SHA256[spec]
+
+
 def test_only_json_scans_refine_zeros(tmp_path, monkeypatch):
     # CSV prints no refined zeros, so it must not compute them
     def no_refinement(*args):
