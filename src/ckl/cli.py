@@ -366,8 +366,8 @@ def _cmd_operator(args) -> int:
                        f_id=f.field_id)
     mc_rows = None
     if args.mc is not None:
-        mc_rows = [monte_carlo_operator(M, f, point, e, args.mc, seed=args.seed)
-                   for e in eps_list]
+        mc_rows = monte_carlo_operator(M, f, point, eps_list, args.mc,
+                                       seed=args.seed)
     if args.format == "csv":
         lines = ["eps,value,tail_bound,quad_error"]
         lines += [f"{_fmt(s.eps)},{_fmt(s.value)},{_fmt(s.tail_bound)},"

@@ -73,6 +73,8 @@ _BLOCK_NODES = 8192
 # after _ILLINOIS_STEPS steps plain bisection finishes an edge
 _EDGE_BRACKET = 2.0 ** -45
 _ILLINOIS_STEPS = 40
+# refined zeros are clustered from window pairs formed about this many at a time
+_PAIR_CHUNK = 2 ** 15
 
 
 # ---------------------------------------------------------------------------
@@ -812,21 +814,34 @@ def _leader_clusters(points: np.ndarray, radius: float) -> list[list[int]]:
     closer than ``radius`` can join, and ``|p.(a - b)| <= |a - b|`` for a
     unit vector p, so one sort of the projections on a fixed generic p finds
     every such pair; the window is widened to ``2 radius`` against rounding
-    in the projections.  Returns the clusters as lists of row indices.
+    in the projections.  The window's pairs are formed a run of sorted
+    positions at a time, about ``_PAIR_CHUNK`` pairs each, and only the near
+    ones are kept.  Returns the clusters as lists of row indices.
     """
     count = points.shape[0]
     direction = np.random.default_rng(0).standard_normal(points.shape[1])
     proj = points @ (direction / np.linalg.norm(direction))
     order = np.argsort(proj, kind="stable")
     start = np.searchsorted(proj[order], proj[order] - 2.0 * radius)
-    # pairs (sorted position k, each earlier position in its window)
+    # pairs (sorted position k, each earlier position in its window), with
+    # before[k] the pairs of the positions ahead of k
     width = np.arange(count) - start
-    later = np.repeat(np.arange(count), width)
-    earlier = np.repeat(start - np.cumsum(width) + width, width) \
-        + np.arange(later.size)
-    a, b = order[later], order[earlier]
-    near = np.linalg.norm(points[a] - points[b], axis=1) <= radius
-    hi, lo = np.maximum(a, b)[near], np.minimum(a, b)[near]
+    before = np.concatenate(([0], np.cumsum(width)))
+    his, los = [], []
+    k0 = 0
+    while k0 < count:
+        k1 = max(k0 + 1, int(np.searchsorted(before, before[k0] + _PAIR_CHUNK,
+                                             side="right")) - 1)
+        w = width[k0:k1]
+        later = np.repeat(np.arange(k0, k1), w)
+        earlier = np.repeat(start[k0:k1] - before[k0:k1] + before[k0], w) \
+            + np.arange(later.size)
+        a, b = order[later], order[earlier]
+        near = np.linalg.norm(points[a] - points[b], axis=1) <= radius
+        his.append(np.maximum(a, b)[near])
+        los.append(np.minimum(a, b)[near])
+        k0 = k1
+    hi, lo = np.concatenate(his), np.concatenate(los)
     by_row = np.lexsort((lo, hi))
     hi, lo = hi[by_row], lo[by_row]
     bounds = np.searchsorted(hi, np.arange(count + 1)).tolist()

@@ -34,7 +34,9 @@ for them.
 
 :func:`monte_carlo_operator` samples the kernel's own Gaussian at the point,
 mixed with a uniform share over the chart box, and takes its terms from the
-same evaluator as a rule's.
+same evaluator as a rule's.  It takes a whole ladder and makes its random
+draws once per call; each bandwidth scales the shared draws to its own nodes,
+so its row is the one a call with that bandwidth alone returns.
 
 A rule holds its nodes as a :class:`TensorGrid` of per-axis arrays, so the
 geometry is evaluated per axis and broadcast, never on dense ``(N, d)`` nodes.
@@ -139,8 +141,10 @@ class QuadratureRule:
     the kernel's scale: ``axis_rules`` names each axis's rule (``HERMITE``,
     ``CLIPPED`` or ``FULL``) and ``window`` is the node box ``(lo, hi)``,
     outside which the rule samples nothing; on a periodic axis it may
-    straddle the period seam.  :func:`monte_carlo_operator` passes its
-    uniform nodes as a dense ``(n, d)`` array with equal weights.
+    straddle the period seam.  :func:`monte_carlo_operator` passes each
+    bandwidth's mixture nodes as a :class:`TensorGrid` of ``d`` contiguous
+    columns of length ``n``, each node weighted ``1 / (n q)`` by its mixture
+    density ``q``, or 0 outside the window, with no ``window`` of its own.
     """
     nodes: TensorGrid
     weights: np.ndarray
@@ -617,10 +621,25 @@ def eps_sweep(M: EmbeddedManifold, f: Callable, x: ChartPoint,
 # Monte Carlo
 # ---------------------------------------------------------------------------
 
+def _require_mc_inputs(n_samples: int, seed: int) -> None:
+    """Refuse a sample count outside ``MC_SAMPLES`` or a seed that is not a
+    non-negative integer, before numpy sees either."""
+    if not (isinstance(n_samples, (int, np.integer))
+            and n_samples in MC_SAMPLES):
+        raise ValidationError(
+            f"need an integer {MC_SAMPLES[0]} to {MC_SAMPLES[-1]} samples, "
+            f"got {n_samples!r}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValidationError(
+            f"the seed must be a non-negative integer, got {seed!r}")
+
+
 def monte_carlo_operator(M: EmbeddedManifold, f: Callable, x: ChartPoint,
-                         eps: float, n_samples: int, seed: int = 42
-                         ) -> tuple[float, float]:
-    """Monte Carlo estimate of the kernel integral with its standard error.
+                         eps_list: Sequence[float], n_samples: int,
+                         seed: int = 42) -> list[tuple[float, float]]:
+    """Monte Carlo estimates of the kernel integral with their standard
+    errors, one ``(estimate, std_error)`` per bandwidth of ``eps_list``, in
+    order.
 
     Defensive importance sampling (Owen, *Monte Carlo theory, methods and
     examples*, 2013, ch. 9): each node is drawn uniformly on the window with
@@ -632,31 +651,52 @@ def monte_carlo_operator(M: EmbeddedManifold, f: Callable, x: ChartPoint,
     rules' evaluator; the estimate is their sum and the standard error
     ``sqrt(n)`` times their standard deviation.  The generator is
     counter-based (Philox), so a fixed seed reproduces the result exactly.
+
+    The draws do not depend on eps, so they are made once per call: the
+    standard normals ``z``, the uniform mask and the uniform nodes.  Each
+    bandwidth then scales ``z`` by its own Cholesky factor, so a row is the
+    value a one-bandwidth call returns, bit for bit, whichever bandwidths
+    share the call; the rows of one call are correlated.
     """
-    if n_samples not in MC_SAMPLES:
-        raise ValidationError(f"need {MC_SAMPLES[0]} to {MC_SAMPLES[-1]} samples")
-    _require_bandwidth(eps)
+    _require_mc_inputs(n_samples, seed)
+    eps_list = [float(eps) for eps in eps_list]
+    for eps in eps_list:
+        _require_bandwidth(eps)
     chart, x0 = M.chart(x.chart), np.asarray(x.coords, dtype=float)
     lo = np.where(chart.periodic, x0 - 0.5 * (chart.hi - chart.lo), chart.lo)
     hi = lo + (chart.hi - chart.lo)
     g = M.metric(x.chart, x0)
-    chol = np.linalg.cholesky(2.0 * eps * np.linalg.inv(g))
+    ginv, rho = np.linalg.inv(g), math.sqrt(np.linalg.det(g))
     rng = np.random.Generator(np.random.Philox(seed))
     z = rng.standard_normal((n_samples, chart.dim))
-    nodes = x0 + z @ chol.T
     uniform = rng.random(n_samples) < MC_DEFENSIVE
-    nodes[uniform] = rng.uniform(lo, hi, size=(int(uniform.sum()), chart.dim))
-    z[uniform] = np.linalg.solve(chol, (nodes[uniform] - x0).T).T
-    # the Gaussian's density is rho(x) times the kernel of the metric's
-    # squared distance (y - x)^T g (y - x) = 2 eps |z|^2
-    gauss = math.sqrt(np.linalg.det(g)) * _kernel_of_chord(
-        2.0 * eps * np.sum(z * z, axis=1), eps, M.dim)
-    density = MC_DEFENSIVE / float(np.prod(hi - lo)) + (1.0 - MC_DEFENSIVE) * gauss
-    inside = np.all((lo <= nodes) & (nodes <= hi), axis=1)
-    nodes[~inside] = x0
-    weighted, ambient = _rule_terms(M, f, QuadratureRule(
-        nodes, np.where(inside, 1.0 / (n_samples * density), 0.0)))
-    terms = _weighted_terms(
-        weighted, k_eps(M.embed(x.chart, x.coords), ambient, eps, M.dim))
-    return (float(np.sum(terms)),
-            math.sqrt(n_samples) * float(np.std(terms, ddof=1)))
+    drawn = rng.uniform(lo, hi, size=(int(uniform.sum()), chart.dim))
+    offsets, z_sq = (drawn - x0).T, z * z
+    box = MC_DEFENSIVE / float(np.prod(hi - lo))
+    y0 = M.embed(x.chart, x.coords)
+    out = []
+    for eps in eps_list:
+        chol = np.linalg.cholesky(2.0 * eps * ginv)
+        nodes = x0 + z @ chol.T
+        nodes[uniform] = drawn
+        # a uniform node's z, which the Gaussian's density reads
+        z_u = np.linalg.solve(chol, offsets)
+        sq = z_sq.copy()
+        sq[uniform] = (z_u * z_u).T
+        # the Gaussian's density is rho(x) times the kernel of the metric's
+        # squared distance (y - x)^T g (y - x) = 2 eps |z|^2
+        gauss = rho * _kernel_of_chord(2.0 * eps * np.sum(sq, axis=1),
+                                       eps, M.dim)
+        density = box + (1.0 - MC_DEFENSIVE) * gauss
+        columns = nodes.T.copy()
+        inside = np.ones(n_samples, dtype=bool)
+        for i, col in enumerate(columns):
+            inside &= (lo[i] <= col) & (col <= hi[i])
+        columns[:, ~inside] = x0[:, None]
+        weighted, ambient = _rule_terms(M, f, QuadratureRule(
+            TensorGrid(columns),
+            np.where(inside, 1.0 / (n_samples * density), 0.0)))
+        terms = _weighted_terms(weighted, k_eps(y0, ambient, eps, M.dim))
+        out.append((float(np.sum(terms)),
+                    math.sqrt(n_samples) * float(np.std(terms, ddof=1))))
+    return out

@@ -594,6 +594,19 @@ class TestLeaderClusters:
             assert hypersurface._leader_clusters(points, radius) == \
                 leader_loop(points, radius)
 
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    def test_pairs_in_small_chunks(self, rng, monkeypatch, chunk):
+        # forming the window's pairs a few at a time keeps the clusters;
+        # chunk 1 takes one sorted position at a time
+        lattice = rng.integers(-4, 5, (300, 3)) * 0.125
+        clouds = [(rng.uniform(-1.0, 1.0, (400, 3)), 0.1), (lattice, 0.25),
+                  (np.zeros((50, 3)), 0.0)]
+        expected = [hypersurface._leader_clusters(*cloud) for cloud in clouds]
+        monkeypatch.setattr(hypersurface, "_PAIR_CHUNK", chunk)
+        for cloud, clusters in zip(clouds, expected):
+            assert hypersurface._leader_clusters(*cloud) == clusters
+            assert clusters == leader_loop(*cloud)
+
     def test_tie_goes_to_lowest_index(self):
         points = np.array([[0.0, 0.0], [0.5, 0.0], [0.25, 0.0], [0.75, 0.0]])
         assert hypersurface._leader_clusters(points, 0.25) == [[0, 2], [1, 3]]

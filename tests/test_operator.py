@@ -77,7 +77,7 @@ class TestKernel:
         with pytest.raises(ValidationError):
             build_localized_rule(S2, EQUATOR, eps)
         with pytest.raises(ValidationError):
-            monte_carlo_operator(S2, const_one, EQUATOR, eps, 1000)
+            monte_carlo_operator(S2, const_one, EQUATOR, [eps], 1000)
         with pytest.raises(ValidationError):
             EpsLadder([LadderSample(eps, 1.0, 0.0)])
 
@@ -630,21 +630,21 @@ class TestKernelScaleRules:
 
 class TestMonteCarlo:
     def test_sphere_within_four_sigma(self):
-        est, se = monte_carlo_operator(S2, const_one, EQUATOR, 0.05, 100_000,
-                                       seed=42)
+        est, se = monte_carlo_operator(S2, const_one, EQUATOR, [0.05],
+                                       100_000, seed=42)[0]
         exact = 1.0 - math.exp(-20.0)
         assert abs(est - exact) <= 4.0 * se
 
     def test_zero_function(self):
-        est, se = monte_carlo_operator(S2, const_zero, EQUATOR, 0.05, 2000,
-                                       seed=7)
+        est, se = monte_carlo_operator(S2, const_zero, EQUATOR, [0.05],
+                                       2000, seed=7)[0]
         assert est == 0.0 and se == 0.0
 
     def test_reproducible(self):
         a = monte_carlo_operator(TORUS, const_one, ChartPoint(0, [0.3, 0.0]),
-                                 0.05, 5000, seed=11)
+                                 [0.05], 5000, seed=11)[0]
         b = monte_carlo_operator(TORUS, const_one, ChartPoint(0, [0.3, 0.0]),
-                                 0.05, 5000, seed=11)
+                                 [0.05], 5000, seed=11)[0]
         assert a == b
 
     def test_scaling_law(self):
@@ -652,12 +652,12 @@ class TestMonteCarlo:
         # quadrupling halves it (within 20% averaged over seeds)
         ratios2, ratios4 = [], []
         for seed in range(10):
-            _, se1 = monte_carlo_operator(S2, const_one, EQUATOR, 0.05,
-                                          10_000, seed=seed)
-            _, se2 = monte_carlo_operator(S2, const_one, EQUATOR, 0.05,
-                                          20_000, seed=seed)
-            _, se4 = monte_carlo_operator(S2, const_one, EQUATOR, 0.05,
-                                          40_000, seed=seed)
+            _, se1 = monte_carlo_operator(S2, const_one, EQUATOR, [0.05],
+                                          10_000, seed=seed)[0]
+            _, se2 = monte_carlo_operator(S2, const_one, EQUATOR, [0.05],
+                                          20_000, seed=seed)[0]
+            _, se4 = monte_carlo_operator(S2, const_one, EQUATOR, [0.05],
+                                          40_000, seed=seed)[0]
             ratios2.append(se2 / se1)
             ratios4.append(se4 / se1)
         mean2 = float(np.mean(ratios2))
@@ -667,13 +667,49 @@ class TestMonteCarlo:
 
     def test_sample_floor(self):
         with pytest.raises(ValidationError):
-            monte_carlo_operator(S2, const_one, EQUATOR, 0.05, 100, seed=1)
+            monte_carlo_operator(S2, const_one, EQUATOR, [0.05], 100, seed=1)
+
+    @pytest.mark.parametrize("kwargs", [{"n_samples": 2000.0}, {"seed": -1},
+                                        {"seed": 1.5}],
+                             ids=["n_samples=2000.0", "seed=-1", "seed=1.5"])
+    def test_inputs_refused_before_numpy(self, kwargs):
+        # each used to reach numpy and raise its TypeError or ValueError
+        with pytest.raises(ValidationError):
+            monte_carlo_operator(S2, const_one, EQUATOR, [0.05],
+                                 **{"n_samples": 2000, **kwargs})
+
+    LADDER_CASES = {
+        **{name: (catalog_manifold(name), None) for name in sorted(CATALOG)},
+        "spike": (make_graph(PolyTerms(1, [(1e4, (120,))]), halfwidth=1.0),
+                  [0.0])}
+
+    @pytest.mark.parametrize("name", list(LADDER_CASES))
+    def test_ladder_rows_equal_one_bandwidth_calls(self, name):
+        # the draws do not depend on eps: a ladder call's rows are the
+        # one-bandwidth calls' values, bit for bit
+        M, point = self.LADDER_CASES[name]
+        chart = M.chart(0)
+        x = ChartPoint(0, 0.5 * (chart.lo + chart.hi) if point is None
+                       else point)
+        f = AmbientCoordField(1, M.ambient_dim)
+        ladder = default_eps_ladder()
+
+        def bits(rows):
+            return [tuple(v.hex() for v in row) for row in rows]
+
+        rows = bits(monte_carlo_operator(M, f, x, ladder, 1000, seed=5))
+        assert rows == [bits(monte_carlo_operator(M, f, x, [e], 1000, seed=5))[0]
+                        for e in ladder]
+        # nor does a row depend on the bandwidths that share its call
+        assert (bits(monte_carlo_operator(M, f, x, [0.05], 1000, seed=5))
+                == bits(monte_carlo_operator(M, f, x, [0.1, 0.05, 0.01], 1000,
+                                             seed=5))[1:2])
 
     def test_small_bandwidth(self):
         # at eps = 1e-6 the kernel is 2.8e-3 wide: uniform chart nodes never
         # reach it, while the Gaussian share lands in it
-        est, se = monte_carlo_operator(S2, const_one, EQUATOR, 1e-6, 20_000,
-                                       seed=42)
+        est, se = monte_carlo_operator(S2, const_one, EQUATOR, [1e-6],
+                                       20_000, seed=42)[0]
         assert se < 0.01
         assert abs(est - 1.0) <= 4.0 * se
 
@@ -683,7 +719,8 @@ class TestMonteCarlo:
         # quadrature
         spike = make_graph(PolyTerms(1, [(1e4, (120,))]), halfwidth=1.0)
         x = ChartPoint(0, [0.0])
-        est, se = monte_carlo_operator(spike, const_one, x, 0.01, 2000, seed=1)
+        est, se = monte_carlo_operator(spike, const_one, x, [0.01], 2000,
+                                       seed=1)[0]
         reference = eps_sweep(spike, const_one, x, [0.01]).values[0]
         assert math.isfinite(est)
         assert abs(est - reference) <= 4.0 * se
@@ -706,5 +743,6 @@ class TestMonteCarlo:
         for f in (const_one, AmbientCoordField(M.ambient_dim, M.ambient_dim)):
             reference = eps_sweep(M, f, x, [0.05]).values[0]
             for seed in range(10):
-                est, se = monte_carlo_operator(M, f, x, 0.05, 20_000, seed=seed)
+                est, se = monte_carlo_operator(M, f, x, [0.05], 20_000,
+                                               seed=seed)[0]
                 assert abs(est - reference) <= 5.0 * se, seed
