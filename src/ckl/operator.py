@@ -689,9 +689,8 @@ def monte_carlo_operator(M: EmbeddedManifold, f: Callable, x: ChartPoint,
                                        eps, M.dim)
         density = box + (1.0 - MC_DEFENSIVE) * gauss
         columns = nodes.T.copy()
-        inside = np.ones(n_samples, dtype=bool)
-        for i, col in enumerate(columns):
-            inside &= (lo[i] <= col) & (col <= hi[i])
+        inside = np.all((lo[:, None] <= columns) & (columns <= hi[:, None]),
+                        axis=0)
         columns[:, ~inside] = x0[:, None]
         weighted, ambient = _rule_terms(M, f, QuadratureRule(
             TensorGrid(columns),
