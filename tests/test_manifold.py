@@ -1,5 +1,6 @@
 """Geometry-layer tests: metric, curvature, Laplacian, geodesics, density."""
 
+import hashlib
 import itertools
 import math
 
@@ -696,6 +697,73 @@ class TestVolumeDensity:
         near_edge = ChartPoint(0, [0.9, 0.0, 0.0])
         with pytest.raises(TruncatedPathError):
             volume_density(QUADRIC, near_edge, np.array([1.0, 0.0, 0.0]), 0.5)
+
+
+class TestPinnedBits:
+    """Geodesic, chord and density outputs pinned bit for bit, so that a
+    rewrite of the connection or the RK4 walk shows any change of
+    arithmetic."""
+
+    GEODESICS = {
+        "torus": (TORUS, [0.4, 1.1], [0.28, 0.96], 0.8, {"steps": 40},
+                  "cfda11d32c4b8fa63883aef2009ddc525d66d51fe4d4ae3ffbae61128c9b1662"),
+        "sphere2-pole": (S2, [0.05, 1.0], [-0.28, 0.96], 0.3, {"steps": 30},
+                         "27160dbb28bc41b439e799d739d9d9228d5284d4c6055cf51b9e73391f09f8f6"),
+        "quadric411-truncated": (
+            QUADRIC, [0.9, 0.0, 0.0], [1.0, 0.0, 0.0], 0.9, {"steps": 300},
+            "70fc1cac9ff2b4f4ae8c7b2b78252e3be893be96e2c3e977ca2ff35012265cbf"),
+        "sphere3-record": (
+            S3, [1.4, 1.2, 0.8], [0.0, 0.6, 0.8], 0.5,
+            {"record_times": np.linspace(0.05, 0.5, 10)},
+            "41ce06a2669e43df1827cd567c16c0cb599e4931de0a7f4befe03d2dd0dc6abc"),
+        "spheroid-record": (
+            SPHEROID, [0.3, 6.2], [0.6, -0.8], 0.45,
+            {"record_times": [0.1, 0.2, 0.35, 0.45]},
+            "79d2f258945c2643f9ae1569a30c583348e6ec521cf8f2f50e0169f16ebcf095"),
+        "plane-edge": (PLANE, [-2.0 + 1e-4, 0.0], [1.0, 0.0], 0.5, {"steps": 50},
+                       "7fc81d521e9afa492cf58fee8960d9e00523fe436c7ac6ab87de3e4eb11ecda5"),
+    }
+
+    @pytest.mark.parametrize("name", list(GEODESICS))
+    def test_geodesic_states(self, name):
+        M, coords, v, t_max, kwargs, digest = self.GEODESICS[name]
+        path = geodesic_shoot(M, ChartPoint(0, coords), np.array(v), t_max,
+                              **kwargs)
+        h = hashlib.sha256()
+        for s in path.states:
+            for a in (s.position, s.velocity, s.chart_position.coords,
+                      [s.arc_length]):
+                h.update(np.asarray(a, dtype=float).tobytes())
+        h.update(bytes([path.truncated]))
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("M, coords, bits", [
+        (S2, [math.pi / 2, 1.0], ("0x1.00000000724abp+1", "-0x1.00001ed9d72d2p+1",
+                                  "0x1.80ead44899241p+2")),
+        (TORUS, [1.0, 0.7], ("0x1.000000003f0eap+1", "-0x1.180f0aa708a53p+0",
+                             "0x1.42c487ca2f018p+2")),
+    ], ids=["sphere2", "torus"])
+    def test_chord_expansion(self, M, coords, bits):
+        ce = chord_expansion_check(M, ChartPoint(0, coords), np.array([0.6, 0.8]),
+                                   np.geomspace(0.02, 0.25, 12))
+        assert (ce.g2.hex(), ce.g4.hex(), ce.residual_exponent.hex()) == bits
+
+    @pytest.mark.parametrize("M, coords, v, s, bits", [
+        (S2, [math.pi / 2, 1.0], [0.6, 0.8], 0.3, "0x1.f85abf98c8d58p-1"),
+        (TORUS, [1.0, 0.7], [0.6, 0.8], 0.4, "0x1.fca6d3ab4921dp-1"),
+        (S3, [1.4, 1.2, 0.8], [0.0, 0.6, 0.8], 0.25, "0x1.f56bfcd24180ep-1"),
+        (SPHEROID, [0.3, 6.2], [0.6, -0.8], 0.4, "0x1.eac33a2eaf831p-1"),
+        (PLANE, [0.0, 0.0], [0.6, -0.8], 0.5, "0x1.fffffffffff46p-1"),
+    ], ids=["sphere2", "torus", "sphere3", "spheroid", "plane"])
+    def test_volume_density(self, M, coords, v, s, bits):
+        assert volume_density(M, ChartPoint(0, coords), np.array(v), s).hex() == bits
+
+    def test_volume_density_quadric(self):
+        # the one density whose last bits depend on the order in which the
+        # Christoffel symbols' derivatives are summed
+        rho = volume_density(QUADRIC, ChartPoint(0, [0.2, -0.1, 0.15]),
+                             np.array([0.48, 0.6, 0.64]), 0.4)
+        assert abs(rho - 0.956015735493169) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
