@@ -418,8 +418,6 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    if args.tol_eq is not None and not 0 <= args.tol_eq < np.inf:
-        raise ValidationError("--tol-eq must be finite and >= 0")
     M = load_manifold(args.manifold)
     grid = _parse_grid(args.grid)
     # only the JSON form prints refined zeros

@@ -526,6 +526,8 @@ def scan_equicurved(M: EmbeddedManifold, grid: Sequence[int],
     over every grid line at once); without it that list stays empty and the
     grid rows are unchanged.
     """
+    if tol_eq is not None and not 0 <= tol_eq < np.inf:
+        raise ValidationError("tol_eq must be finite and >= 0")
     _require_hypersurface(M)
     grid = [int(g) for g in grid]
     if len(grid) != M.dim:

@@ -8,10 +8,10 @@ second fundamental form, curvature, geodesics, normal-coordinate volume
 density, Laplace-Beltrami operator) is computed from those tensors, and
 nothing is differenced: the Christoffel symbols are
 ``g^{kl} <d_l X, d_i d_j X>``, the Laplacian takes the field's exact chart
-derivatives from the same arrays, and the third derivatives give the metric's
-second derivatives to ``scalar_curvature_intrinsic``, the deliberately
-independent cross-check, and the Christoffel symbols' derivatives to the
-Jacobi fields of ``volume_density``.
+derivatives from the same arrays, and the third derivatives give the
+Christoffel symbols' derivatives, by the product rule of that formula, to
+``scalar_curvature_intrinsic``, the deliberately independent cross-check,
+and to the Jacobi fields of ``volume_density``.
 
 All evaluation entry points accept batched coordinates with shape ``(..., d)``
 and return correspondingly batched results.  A :class:`TensorGrid` of shape
@@ -229,11 +229,31 @@ def _gram(jac: np.ndarray) -> np.ndarray:
     return g
 
 
-def _connection(jac: np.ndarray, hess: np.ndarray):
-    """``(g^{-1}, Gamma)`` from the chart's Jacobian and Hessian arrays."""
+def _connection(jac: np.ndarray, hess: np.ndarray,
+                third: np.ndarray | None = None):
+    """``(g^{-1}, Gamma)`` from the chart's Jacobian and Hessian arrays, or
+    with its third derivative ``(g^{-1}, Gamma, dGamma)``, on a batch
+    ``(..., n, d, ...)``.
+
+    ``Gamma[..., k, i, j] = Gamma^k_ij = g^{kl} <X_l, X_ij>`` and
+    ``dGamma[..., m, k, i, j] = d_m Gamma^k_ij``, by the product rule of the
+    same formula.
+    """
     ginv = np.linalg.inv(_gram(jac))
     first_kind = np.einsum("...nl,...nij->...lij", jac, hess)
-    return ginv, np.einsum("...kl,...lij->...kij", ginv, first_kind)
+    gamma = np.einsum("...kl,...lij->...kij", ginv, first_kind)
+    if third is None:
+        return ginv, gamma
+    # d_m g^{-1} = -g^{-1} (d_m g) g^{-1}, d_m g_ab = <X_am, X_b> + <X_a, X_bm>
+    half = np.einsum("...nam,...nb->...mab", hess, jac)
+    dg = half + np.einsum("...mab->...mba", half)
+    dginv = -np.einsum("...ka,...mab,...bl->...mkl", ginv, dg, ginv)
+    # d_m <X_l, X_ij> = <X_lm, X_ij> + <X_l, X_ijm>
+    dfirst = (np.einsum("...nlm,...nij->...mlij", hess, hess)
+              + np.einsum("...nl,...nijm->...mlij", jac, third))
+    dgamma = (np.einsum("...mkl,...lij->...mkij", dginv, first_kind)
+              + np.einsum("...kl,...mlij->...mkij", ginv, dfirst))
+    return ginv, gamma, dgamma
 
 
 class EmbeddedManifold:
@@ -285,10 +305,6 @@ class EmbeddedManifold:
     def sqrt_det_metric(self, ci: int, coords: np.ndarray) -> np.ndarray:
         """Volume element sqrt(det g); see :meth:`Chart.jet`."""
         return self.chart(ci).jet(coords, volume=True)[1]
-
-    def christoffel(self, ci: int, coords: np.ndarray) -> np.ndarray:
-        """Christoffel symbols ``Gamma[..., k, i, j] = g^{kl} <d_l X, d_i d_j X>``."""
-        return _connection(*self.chart(ci).jet(coords, (1, 2))[1:])[1]
 
     def coarse_grid(self) -> tuple[TensorGrid, TensorGrid]:
         """The tail bound's ``(grid, embedding)``, kept in ``cache``: 33 points
@@ -404,48 +420,18 @@ def curvature_at(M: EmbeddedManifold, p: ChartPoint) -> CurvatureReport:
                            frame=q.T)
 
 
-def _levi_civita(jac: np.ndarray, hess: np.ndarray, third: np.ndarray):
-    """``(g^{-1}, Gamma, dGamma)`` from the metric ``g = J^T J`` and its first
-    and second derivatives alone, each taken exactly from the chart's
-    Jacobian, Hessian and third derivative, on a batch ``(..., n, d, ...)``.
-
-    ``Gamma[..., k, i, j] = Gamma^k_ij`` and ``dGamma[..., m, k, i, j] =
-    d_m Gamma^k_ij``.
-    """
-    ginv = np.linalg.inv(_gram(jac))
-    # dg[k, i, j] = d_k g_ij = <X_ik, X_j> + <X_i, X_jk>
-    half = np.einsum("...nik,...nj->...kij", hess, jac)
-    dg = half + np.einsum("...kij->...kji", half)
-    # d2g[m, k, i, j] = d_m d_k g_ij
-    #   = <X_ikm, X_j> + <X_ik, X_jm> + (the same with i and j swapped)
-    half = (np.einsum("...nikm,...nj->...mkij", third, jac)
-            + np.einsum("...nik,...njm->...mkij", hess, hess))
-    d2g = half + np.einsum("...mkij->...mkji", half)
-    # T[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-    tsym = (dg + np.einsum("...jil->...ijl", dg)
-            - np.einsum("...lij->...ijl", dg))
-    gamma = 0.5 * np.einsum("...kl,...ijl->...kij", ginv, tsym)
-    dginv = -np.einsum("...ka,...mab,...bl->...mkl", ginv, dg, ginv)
-    # U[m, i, j, l] = d_m T[i, j, l]
-    usym = (d2g + np.einsum("...mjil->...mijl", d2g)
-            - np.einsum("...mlij->...mijl", d2g))
-    dgamma = 0.5 * (np.einsum("...mkl,...ijl->...mkij", dginv, tsym)
-                    + np.einsum("...kl,...mijl->...mkij", ginv, usym))
-    return ginv, gamma, dgamma
-
-
 def scalar_curvature_intrinsic(M: EmbeddedManifold, p: ChartPoint) -> float:
-    """Scalar curvature from the metric alone (no embedding normals).
+    """Scalar curvature from the connection (no embedding normals).
 
-    The metric's first and second chart derivatives are exact, from the
-    chart's jet to order 3 at ``p`` alone; the Christoffel symbols, their
-    derivatives and the Ricci tensor are built from them and contracted.
+    The Christoffel symbols and their first chart derivatives are exact,
+    from the chart's jet to order 3 at ``p`` alone; the Ricci tensor is
+    built from them and contracted.
     Sign convention: the unit 2-sphere returns +2.  Serves as the intrinsic
     cross-check of :func:`curvature_at`: it uses neither the frame nor the
     second fundamental form.
     """
     _, jac, hess, third = M.chart(p.chart).jet(p.coords, (1, 2, 3))
-    ginv, gamma, dgamma = _levi_civita(jac, hess, third)
+    ginv, gamma, dgamma = _connection(jac, hess, third)
     # Ricci: R_jk = d_i Gamma^i_jk - d_j Gamma^i_ik + G^i_im G^m_jk - G^i_jm G^m_ik
     ricci = (np.einsum("iijk->jk", dgamma)
              - np.einsum("jiik->jk", dgamma)
@@ -518,89 +504,81 @@ class GeodesicPath:
         return self.states[-1]
 
 
-def _integrate_batch(M: EmbeddedManifold, ci: int, state: Sequence[np.ndarray],
-                     t_total: float, steps: int
-                     ) -> tuple[list[np.ndarray], np.ndarray]:
-    """RK4 for the geodesic equation on a batch of initial conditions.
+def _integrate(M: EmbeddedManifold, ci: int, state: Sequence[np.ndarray],
+               t_total: float, steps: int) -> tuple[list[np.ndarray], bool]:
+    """RK4 for the geodesic equation from one initial condition.
 
-    ``state`` is ``(pos, vel)``, chart positions and velocities ``(B, d)``,
-    or ``(pos, vel, V, W)`` to carry along each geodesic the Jacobi fields
-    ``V`` and their derivatives ``W``, ``(B, d, k)``, through the same RK4
+    ``state`` is ``(pos, vel)``, the chart position and velocity ``(1, d)``,
+    or ``(pos, vel, V, W)`` to carry along the geodesic the Jacobi fields
+    ``V`` and their derivatives ``W``, ``(1, d, k)``, through the same RK4
     stages: ``W' = -dGamma(V; v, v) - 2 Gamma(v, W)``, the geodesic equation
     linearized in chart coordinates, with ``dGamma`` from the chart's order-3
-    jet.  Velocities keep their initial metric norm through per-step
-    rescaling, and ``W`` is rescaled with them.  Returns the final state and
-    a boolean mask of rows that left the chart (integration stops for those
-    rows at the last inside state).  No RK stage is evaluated outside the
-    chart box.
+    jet.  The velocity keeps its initial metric norm through per-step
+    rescaling, and ``W`` is rescaled with it.  Returns ``(state,
+    left_chart)``: when the path leaves the chart, integration stops at the
+    last inside state.  No RK stage is evaluated outside the chart box.
     """
     chart = M.chart(ci)
     state = [np.array(a, dtype=float) for a in state]
-    pos, vel = state[:2]
-    alive = np.ones(pos.shape[0], dtype=bool)
+    orders = (1, 2, 3) if len(state) == 4 else (1, 2)
     dt = t_total / steps
-    g0 = M.metric(ci, pos)
-    speed0 = np.sqrt(np.einsum("bi,bij,bj->b", vel, g0, vel))
+    speed0 = np.sqrt(np.einsum("bi,bij,bj->b", state[1],
+                               M.metric(ci, state[0]), state[1]))
     # the box, unbounded along periodic axes
     box_lo = np.where(chart.periodic, -np.inf, chart.lo)
     box_hi = np.where(chart.periodic, np.inf, chart.hi)
 
-    def rates(stage, escaped):
-        """The state's derivative at an RK stage.  A row whose stage
-        position leaves the box is flagged in ``escaped`` and evaluated at
-        the nearest box point instead: a row moving away from an edge can
-        still bend out across it within one step."""
+    def rates(stage):
+        """The state's derivative at an RK stage, evaluated at the nearest
+        box point: a path moving away from an edge can still bend out
+        across it within one step."""
         p, v, *jacobi = stage
-        escaped |= np.any((p < box_lo) | (p > box_hi), axis=-1)
-        p = np.clip(p, box_lo, box_hi)
+        _, gamma, *dgamma = _connection(
+            *chart.jet(np.clip(p, box_lo, box_hi), orders)[1:])
+        accel = -np.einsum("bkij,bi,bj->bk", gamma, v, v)
         if not jacobi:
-            gamma = M.christoffel(ci, p)
-            return v, -np.einsum("bkij,bi,bj->bk", gamma, v, v)
-        _, gamma, dgamma = _levi_civita(*chart.jet(p, (1, 2, 3))[1:])
+            return v, accel
         V, W = jacobi
-        return (v, -np.einsum("bkij,bi,bj->bk", gamma, v, v), W,
-                -np.einsum("bmkij,bmc,bi,bj->bkc", dgamma, V, v, v)
+        return (v, accel, W,
+                -np.einsum("bmkij,bmc,bi,bj->bkc", dgamma[0], V, v, v)
                 - 2.0 * np.einsum("bkij,bi,bjc->bkc", gamma, v, W))
 
-    def near_boundary(p, v):
-        """Rows within ``1.5 dt |v_i|`` of the edge that some axis i moves
-        toward, whose next step would leave the box."""
-        gap = np.where(v < 0, p - box_lo, box_hi - p)
-        return np.any(gap < 1.5 * dt * np.abs(v), axis=-1)
-
     for _ in range(steps):
-        if not np.any(alive):
-            break
-        exiting = near_boundary(pos[alive], vel[alive])
-        if np.any(exiting):
-            idx = np.where(alive)[0]
-            alive[idx[exiting]] = False
-            if not np.any(alive):
-                break
-        y = [a[alive] for a in state]
-        esc = np.zeros(y[0].shape[0], dtype=bool)
-        k1 = rates(y, esc)
-        k2 = rates([a + 0.5 * dt * k for a, k in zip(y, k1)], esc)
-        k3 = rates([a + 0.5 * dt * k for a, k in zip(y, k2)], esc)
-        k4 = rates([a + dt * k for a, k in zip(y, k3)], esc)
+        pos, vel = state[:2]
+        # within 1.5 dt |v_i| of the edge that some axis i moves toward, the
+        # next step would leave the box
+        gap = np.where(vel < 0, pos - box_lo, box_hi - pos)
+        if np.any(gap < 1.5 * dt * np.abs(vel)):
+            return state, True
+        ks = [rates(state)]
+        escaped = False
+        for h in (0.5 * dt, 0.5 * dt, dt):
+            stage = [a + h * k for a, k in zip(state, ks[-1])]
+            escaped |= bool(np.any((stage[0] < box_lo) | (stage[0] > box_hi)))
+            ks.append(rates(stage))
         y = [a + dt / 6.0 * (r1 + 2 * r2 + 2 * r3 + r4)
-             for a, r1, r2, r3, r4 in zip(y, k1, k2, k3, k4)]
+             for a, r1, r2, r3, r4 in zip(state, *ks)]
         y[0] = chart.wrap(y[0])
-        inside = chart.contains(y[0]) & ~esc
-        idx = np.where(alive)[0]
-        if np.any(inside):
-            ok = idx[inside]
-            y = [a[inside] for a in y]
-            g = M.metric(ci, y[0])
-            speed = np.sqrt(np.einsum("bi,bij,bj->b", y[1], g, y[1]))
-            factor = speed0[ok] / speed
-            y[1] = y[1] * factor[:, None]
-            if len(y) == 4:
-                y[3] = y[3] * factor[:, None, None]
-            for a, new in zip(state, y):
-                a[ok] = new
-        alive[idx[~inside]] = False
-    return state, ~alive
+        if escaped or not np.all(chart.contains(y[0])):
+            return state, True
+        speed = np.sqrt(np.einsum("bi,bij,bj->b", y[1], M.metric(ci, y[0]), y[1]))
+        factor = speed0 / speed
+        y[1] = y[1] * factor[:, None]
+        if len(y) == 4:
+            y[3] = y[3] * factor[:, None, None]
+        state = y
+    return state, False
+
+
+def _start(M: EmbeddedManifold, x: ChartPoint, v) -> tuple[np.ndarray, np.ndarray]:
+    """``(sdot, R)``: the chart velocity of the unit direction ``v``, given in
+    the Gram-Schmidt frame at ``x``, and that frame's triangular factor."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (M.dim,) or not abs(np.linalg.norm(v) - 1.0) <= 1e-8:
+        raise ValidationError(
+            f"direction must be a unit vector of length {M.dim}")
+    _, r = _orthonormal_frame(M.jacobian(x.chart, x.coords))
+    return np.linalg.solve(r, v), r
 
 
 def geodesic_shoot(M: EmbeddedManifold, x: ChartPoint, v: np.ndarray,
@@ -614,22 +592,13 @@ def geodesic_shoot(M: EmbeddedManifold, x: ChartPoint, v: np.ndarray,
     renormalization.  If the path leaves the chart the result is truncated
     and flagged.
     """
-    v = np.asarray(v, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-8:
-        raise ValidationError("geodesic direction must be a unit vector")
-    if t_max <= 0:
-        raise ValidationError("t_max must be positive")
-    if steps is not None and steps < 1:
-        raise ValidationError(f"steps must be at least 1, got {steps}")
-    if t_max > M.delta:
-        raise ValidationError(
-            f"t_max {t_max} exceeds the injectivity-radius bound {M.delta}")
-    ci = x.chart
-    chart = M.chart(ci)
-    chart.require_inside(x.coords)
-    jac = M.jacobian(ci, x.coords)
-    _, r = _orthonormal_frame(jac)
-    sdot = np.linalg.solve(r, v)
+    if not 0 < t_max <= M.delta:
+        raise ValidationError(f"t_max must lie in (0, delta={M.delta}], "
+                              f"got {t_max}")
+    if steps is not None and not (isinstance(steps, (int, np.integer))
+                                  and steps >= 1):
+        raise ValidationError(f"steps must be an integer >= 1, got {steps}")
+    sdot, _ = _start(M, x, v)
 
     if record_times is None:
         base = steps if steps is not None else max(int(math.ceil(2000 * t_max)), 16)
@@ -637,10 +606,10 @@ def geodesic_shoot(M: EmbeddedManifold, x: ChartPoint, v: np.ndarray,
         seg_steps = [1] * base
     else:
         record_times = [float(t) for t in record_times]
-        if any(t <= 0 for t in record_times) or any(
-                record_times[i] >= record_times[i + 1]
-                for i in range(len(record_times) - 1)):
-            raise ValidationError("record times must be positive and increasing")
+        if not all(a < b < math.inf
+                   for a, b in zip([0.0, *record_times], record_times)):
+            raise ValidationError(
+                "record times must be finite, positive and increasing")
         base_dt = t_max / steps if steps else 1.0 / 2000.0
         seg_steps = []
         prev = 0.0
@@ -651,24 +620,22 @@ def geodesic_shoot(M: EmbeddedManifold, x: ChartPoint, v: np.ndarray,
             seg_steps.append(max(int(math.ceil(quotient)), 1))
             prev = t
 
+    ci = x.chart
     raw = [(np.asarray(x.coords, dtype=float), sdot, 0.0)]
     pos = np.asarray(x.coords, dtype=float)[None, :]
     vel = sdot[None, :]
     prev_t = 0.0
     truncated = False
     for t, nsteps in zip(record_times, seg_steps):
-        (pos, vel), dead = _integrate_batch(M, ci, (pos, vel), t - prev_t,
-                                            nsteps)
-        if dead[0]:
-            truncated = True
+        (pos, vel), truncated = _integrate(M, ci, (pos, vel), t - prev_t, nsteps)
+        if truncated:
             break
         raw.append((pos[0].copy(), vel[0].copy(), t))
         prev_t = t
 
     all_coords = np.array([c for c, _, _ in raw])
     all_sdot = np.array([s for _, s, _ in raw])
-    positions = M.embed(ci, all_coords)
-    jacs = M.jacobian(ci, all_coords)
+    _, positions, jacs = M.chart(ci).jet(all_coords, (0, 1))
     velocities = np.einsum("bni,bi->bn", jacs, all_sdot)
     states = [GeodesicState(position=positions[k], velocity=velocities[k],
                             chart_position=ChartPoint(ci, all_coords[k]),
@@ -701,7 +668,7 @@ def chord_expansion_check(M: EmbeddedManifold, x: ChartPoint, v: np.ndarray,
     t_grid = np.asarray(sorted(float(t) for t in t_grid))
     if t_grid.size < 6:
         raise ValidationError("need at least 6 grid times")
-    if t_grid[0] <= 0 or t_grid[-1] >= M.delta:
+    if not np.all((t_grid > 0) & (t_grid < M.delta)):
         raise ValidationError("t_grid must lie in (0, delta)")
     path = geodesic_shoot(M, x, v, float(t_grid[-1]), record_times=t_grid)
     if path.truncated:
@@ -734,19 +701,15 @@ def volume_density(M: EmbeddedManifold, x: ChartPoint, v: np.ndarray,
     of the Gram determinant of those images (Gray 1973).  Tends to 1 as
     s -> 0.
     """
-    v = np.asarray(v, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-8:
-        raise ValidationError("direction must be a unit vector")
     if not 0 < s < M.delta:
         raise ValidationError(f"radius must lie in (0, delta={M.delta})")
     d, ci = M.dim, x.chart
-    _, r = _orthonormal_frame(M.jacobian(ci, x.coords))
-    state = (np.asarray(x.coords, dtype=float)[None, :],
-             np.linalg.solve(r, v)[None, :], np.zeros((1, d, d)),
-             np.linalg.inv(r)[None])
+    sdot, r = _start(M, x, v)
+    state = (np.asarray(x.coords, dtype=float)[None, :], sdot[None, :],
+             np.zeros((1, d, d)), np.linalg.inv(r)[None])
     steps = max(int(math.ceil(800 * s)), 16)
-    (pos, _, jacobi, _), dead = _integrate_batch(M, ci, state, s, steps)
-    if dead[0]:
+    (pos, _, jacobi, _), left_chart = _integrate(M, ci, state, s, steps)
+    if left_chart:
         raise TruncatedPathError("the geodesic left the chart")
     images = M.jacobian(ci, pos)[0] @ jacobi[0]
     return float(math.sqrt(np.linalg.det(images.T @ images))) / s ** d

@@ -284,6 +284,13 @@ class TestScan:
         with pytest.raises(ValidationError, match="nodes"):
             scan_equicurved(QUADRIC, [10 ** 12, 2, 2])
 
+    @pytest.mark.parametrize("tol_eq", [float("nan"), -1.0, float("inf")])
+    def test_bad_tol_eq_rejected(self, tol_eq):
+        # NaN and -1 would give an empty zero set and inf would class every
+        # node equicurved
+        with pytest.raises(ValidationError, match="tol_eq"):
+            scan_equicurved(TORUS, [8, 4], tol_eq=tol_eq)
+
     @pytest.mark.parametrize("description, grid", [
         ("type=graph d=4 poly=0.5*x1^2+0.5*x2^2+x3^2+0.3*x4^2 box=1",
          [4, 4, 4, 4]),

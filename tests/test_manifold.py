@@ -264,6 +264,10 @@ class TestVolumeElement:
 # Christoffel symbols
 # ---------------------------------------------------------------------------
 
+def christoffel(M, pts):
+    return _connection(*M.charts[0].jet(pts, (1, 2))[1:])[1]
+
+
 class TestChristoffel:
     def test_sphere_closed_form(self, rng):
         pts = random_points(S2, 200, rng)
@@ -271,7 +275,7 @@ class TestChristoffel:
         expected = np.zeros((pts.shape[0], 2, 2, 2))
         expected[:, 0, 1, 1] = -np.sin(theta) * np.cos(theta)
         expected[:, 1, 0, 1] = expected[:, 1, 1, 0] = np.cos(theta) / np.sin(theta)
-        np.testing.assert_allclose(S2.christoffel(0, pts), expected,
+        np.testing.assert_allclose(christoffel(S2, pts), expected,
                                    rtol=0, atol=1e-12)
 
     def test_torus_closed_form(self, rng):
@@ -282,7 +286,7 @@ class TestChristoffel:
         expected = np.zeros((pts.shape[0], 2, 2, 2))
         expected[:, 0, 0, 1] = expected[:, 0, 1, 0] = -r * np.sin(v) / w
         expected[:, 1, 0, 0] = w * np.sin(v) / r
-        np.testing.assert_allclose(TORUS.christoffel(0, pts), expected,
+        np.testing.assert_allclose(christoffel(TORUS, pts), expected,
                                    rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("M", [TORUS, S3, S2, SPHEROID, QUADRIC, GRAPH],
@@ -296,7 +300,7 @@ class TestChristoffel:
         np.testing.assert_allclose(jac, M.jacobian(0, pts), rtol=0, atol=1e-8)
         np.testing.assert_allclose(hess, M.hessian(0, pts), rtol=0, atol=1e-8)
         np.testing.assert_allclose(_connection(jac, hess)[1],
-                                   M.christoffel(0, pts), rtol=0, atol=1e-8)
+                                   christoffel(M, pts), rtol=0, atol=1e-8)
 
 
 class TestJet:
@@ -534,13 +538,13 @@ class TestGeodesics:
         # on the saddle z = x^2 - y^2 a geodesic along the edge x = 1 bends
         # outward within one step: it is truncated, and no stage leaves the box
         M = load_manifold_text("type=graph d=2 poly=1:(2,0),-1:(0,2) box=1.0")
-        chart, christoffel, stages = M.charts[0], M.christoffel, []
+        chart, jet, stages = M.charts[0], M.charts[0].jet, []
 
-        def recorded(ci, coords):
+        def recorded(coords, *args, **kwargs):
             stages.append(np.array(coords))
-            return christoffel(ci, coords)
+            return jet(coords, *args, **kwargs)
 
-        monkeypatch.setattr(M, "christoffel", recorded)
+        monkeypatch.setattr(chart, "jet", recorded)
         for start, heading in (([1.0, 0.0], [0.0, 1.0]), ([0.99, 0.0], [0.0, 1.0]),
                                ([1.0 - 1e-4, 0.0], [1.0, 0.0])):
             path = geodesic_shoot(M, ChartPoint(0, start), np.array(heading), 0.5)
@@ -562,6 +566,27 @@ class TestGeodesics:
             geodesic_shoot(S2, EQUATOR, np.array([1.0, 0.0]), 0.5, steps=steps,
                            record_times=record_times)
 
+    @pytest.mark.parametrize("call", [
+        lambda: geodesic_shoot(S2, EQUATOR, [1.0, 0.0], float("nan")),
+        lambda: geodesic_shoot(S2, EQUATOR, [1.0, 0.0], 0.5,
+                               record_times=[0.1, float("nan")]),
+        lambda: geodesic_shoot(S2, EQUATOR, [1.0, 0.0], 0.5,
+                               record_times=[0.1, float("inf")]),
+        lambda: geodesic_shoot(S2, EQUATOR, [1.0, 0.0], 0.5, steps=2.5),
+        lambda: geodesic_shoot(S2, EQUATOR, [float("nan"), 0.0], 0.5),
+        lambda: geodesic_shoot(S2, EQUATOR, [0.6, 0.0, 0.8], 0.5),
+        lambda: chord_expansion_check(
+            S2, EQUATOR, [1.0, 0.0], [0.02, 0.04, float("nan"), 0.1, 0.15, 0.2]),
+        lambda: volume_density(S2, EQUATOR, [float("nan"), 1.0], 0.3),
+    ], ids=["t_max-nan", "record-nan", "record-inf", "steps-fraction",
+            "direction-nan", "direction-length", "t_grid-nan", "density-nan"])
+    def test_nonfinite_inputs_rejected(self, call):
+        # each is refused as bad input, not as a chart-domain error or a raw
+        # numpy or conversion error
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert err.type is ValidationError
+
     def test_record_time_takes_whole_steps(self, monkeypatch):
         # a record time t = t_max is t_max / (t_max / steps) = steps segments
         # up to rounding; 250 of these 6,000 quotients round just above it
@@ -571,9 +596,9 @@ class TestGeodesics:
 
         def count_steps(M, ci, state, span, nsteps):
             taken.append(nsteps)
-            return state, np.zeros(1, dtype=bool)
+            return state, False
 
-        monkeypatch.setattr(manifold, "_integrate_batch", count_steps)
+        monkeypatch.setattr(manifold, "_integrate", count_steps)
         extra = []
         for steps in (100, 600, 800):
             for k in range(1, 2001):
