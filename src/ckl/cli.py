@@ -2,11 +2,19 @@
 
 Subcommands: ``catalog``, ``curvature``, ``operator``, ``expand``,
 ``equicurved-scan``, ``verify``.  Structured output is JSON (default) or CSV;
-``--out -`` writes to stdout.  Outputs are byte-identical across runs for a
-fixed configuration and seed.  Exit codes: 0 success, 1 validation error,
-2 numerical failure; errors are reported as one-line JSON on stderr.  Each
+``--out -`` writes to stdout, and an ``--out`` path that cannot be opened is
+a validation error.  Outputs are byte-identical across runs for a fixed
+configuration and seed.  Exit codes: 0 success, 1 validation error, 2
+numerical failure; errors are reported as one-line JSON on stderr.  Each
 subcommand runs with numpy overflow and invalid operations raised, and JSON
 is written without NaN or Infinity; either failure exits 2.
+
+One row writer, :func:`_row_blocks`, prints every table: the scan and
+operator CSVs and the scan JSON's ``zero_set`` and ``refined_zeros`` lists.
+The rest of the JSON is laid out by :func:`_json_parts`, which prints each
+scalar with ``json.dumps``.  Each input is checked once, by the library
+function that owns it; the CLI parses text and adds the rules of its own
+options, such as the per-dimension ``--order`` cap.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -23,8 +32,8 @@ from .fields import parse_function
 from .fit import compare_closed_form, fit_polynomial, richardson_sequence
 from .hypersurface import CLASS_NAMES, scan_equicurved, shape_at
 from .manifold import ChartPoint, EmbeddedManifold, curvature_at
-from .operator import (MC_SAMPLES, default_eps_ladder, eps_sweep,
-                       max_axis_order, monte_carlo_operator)
+from .operator import (default_eps_ladder, eps_sweep, max_axis_order,
+                       monte_carlo_operator)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -32,20 +41,16 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
-# rows per formatted block of a CSV table or a JSON row list: the output
-# never sits in memory as one string
+# rows per formatted block of a row table: the output never sits in memory
+# as one string
 _CSV_BLOCK_ROWS = 4096
 
 
-# a CSV column goes through a table of its distinct values when they number at
-# most this share of its rows.  On 80,000-row columns the table is faster than
-# formatting block by block up to a share of about 0.8, but it holds every
-# distinct cell for the whole write where a block holds 4,096 rows, so the cap
-# stays low to bound the memory of large grids
+# a float column goes through a table of its distinct values when they number
+# at most this share of its rows.  On 80,000-row columns the table is faster
+# than formatting block by block up to a share of about 0.8, but it holds
+# every distinct cell for the whole write where a block holds 4,096 rows, so
+# the cap stays low to bound the memory of large grids
 _CSV_TABLE_MAX_SHARE = 0.4
 
 
@@ -56,57 +61,71 @@ def _byte_table(strings) -> np.ndarray:
     return table.view(np.uint8).reshape(table.size, table.itemsize)
 
 
-def _format(values) -> np.ndarray:
-    """The cells ``%.17g,`` of float values, as a byte table."""
-    return _byte_table(["%.17g," % v for v in values.tolist()])
+def _row_blocks(head: str, row: list, fmt: str):
+    """The text ``head``, then the text of each row, as ASCII bytes in
+    blocks of ``_CSV_BLOCK_ROWS`` rows.
 
-
-def _csv_blocks(header, columns, codes, names):
-    """The header line, then rows ``0,<columns...>,<names[code]>`` in blocks
-    of ``_CSV_BLOCK_ROWS``, each float printed ``%.17g``, all as ASCII bytes.
-
-    Every cell, with the separator after it, comes from a byte table
-    (:func:`_byte_table`).  A column with few distinct bit patterns (bits
-    keep -0.0 apart from 0.0) is formatted once per pattern, and its rows
-    index that table by the codes one argsort of the bits gives; any other
-    column is formatted a block at a time; the class column indexes
-    ``names`` by ``codes``.  A block is the byte matrix of its rows' padded
-    cells, gathered with ``take``; one mask drops the padding.
+    ``row`` lists a row's pieces in order: text every row prints alike; a
+    float array, row i printing ``fmt % values[i]``; or a label ``(names,
+    codes)``, row i printing ``names[codes[i]]``.  Every piece comes from a
+    byte table (:func:`_byte_table`), which a text holds once and a label
+    once per name.  A float array with few distinct bit patterns (bits keep
+    -0.0 apart from 0.0) is formatted once per pattern, and its rows index
+    that table by the codes one argsort of the bits gives; any other float
+    array is formatted a block at a time.  A block is the byte matrix of its
+    rows' padded pieces, gathered with ``take``; one mask drops the padding.
     """
-    cells = []      # (byte table, row codes), or (values, None)
-    for col in columns:
-        col = np.asarray(col, dtype=np.float64)
-        bits = col.view(np.int64)
-        order = np.argsort(bits)
-        ordered = bits[order]
-        first = np.empty(ordered.size, dtype=bool)
-        first[:1] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-        if np.count_nonzero(first) <= _CSV_TABLE_MAX_SHARE * col.size:
-            # a grid has at most 2^21 rows, so 32-bit codes halve their size
-            rank = np.empty(ordered.size, dtype=np.int32)
-            rank[order] = np.cumsum(first, dtype=np.int32) - 1
-            cells.append((_format(ordered[first].view(np.float64)), rank))
+    count = len(next(p if isinstance(p, np.ndarray) else p[1]
+                     for p in row if not isinstance(p, str)))
+    pieces = []     # (byte table, row codes), or (values, None)
+    for piece in row:
+        if isinstance(piece, str):
+            # a zero-stride index picks the one row of every row's text
+            pieces.append((_byte_table([piece]),
+                           np.broadcast_to(np.intp(0), (count,))))
+        elif isinstance(piece, tuple):
+            names, codes = piece
+            pieces.append((_byte_table(names), codes))
         else:
-            cells.append((col, None))
-    cells.append((_byte_table([name + "\n" for name in names]), codes))
-    yield (",".join(header) + "\n").encode("ascii")
-    for start in range(0, len(codes), _CSV_BLOCK_ROWS):
-        yield _csv_block(cells, slice(start, start + _CSV_BLOCK_ROWS))
+            piece = np.asarray(piece, dtype=np.float64)
+            bits = piece.view(np.int64)
+            order = np.argsort(bits)
+            ordered = bits[order]
+            first = np.empty(ordered.size, dtype=bool)
+            first[:1] = True
+            np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+            if np.count_nonzero(first) <= _CSV_TABLE_MAX_SHARE * count:
+                # a grid has at most 2^21 rows, so 32-bit codes halve their size
+                rank = np.empty(ordered.size, dtype=np.int32)
+                rank[order] = np.cumsum(first, dtype=np.int32) - 1
+                distinct = ordered[first].view(np.float64).tolist()
+                pieces.append((_byte_table([fmt % v for v in distinct]), rank))
+            else:
+                pieces.append((piece, None))
+    yield head.encode("ascii")
+    for start in range(0, count, _CSV_BLOCK_ROWS):
+        yield _row_block(pieces, fmt, slice(start, start + _CSV_BLOCK_ROWS))
 
 
-def _csv_block(cells, rows: slice) -> bytes:
-    """The bytes of CSV rows ``rows`` from the cells of :func:`_csv_blocks`,
-    in a call of its own so that no temporary of one block stays alive while
+def _row_block(pieces, fmt: str, rows: slice) -> bytes:
+    """The bytes of rows ``rows`` from the pieces of :func:`_row_blocks`, in
+    a call of its own so that no temporary of one block stays alive while
     the next is built."""
-    parts = [_format(table[rows]) if index is None
-             else np.take(table, index[rows], axis=0)
-             for table, index in cells]
-    chart = np.frombuffer(b"0,", dtype=np.uint8)
     block = np.concatenate(
-        [np.broadcast_to(chart, (parts[0].shape[0], chart.size)), *parts],
-        axis=1).ravel()
+        [_byte_table([fmt % v for v in table[rows].tolist()]) if index is None
+         else np.take(table, index[rows], axis=0)
+         for table, index in pieces], axis=1).ravel()
     return block[block != 0].tobytes()
+
+
+def _csv(header: list[str], fields: list):
+    """A CSV table: the ``header`` line, then rows of ``fields``, the pieces
+    of :func:`_row_blocks` with a comma between two, floats printed
+    ``%.17g``."""
+    row = [","] * (2 * len(fields))
+    row[::2] = fields
+    row[-1] = "\n"
+    return _row_blocks(",".join(header) + "\n", row, "%.17g")
 
 
 def _emit(chunks, out: str):
@@ -115,7 +134,12 @@ def _emit(chunks, out: str):
     if isinstance(chunks, bytes):
         chunks = [chunks]
     if out != "-":
-        with open(out, "wb") as fh:
+        try:
+            fh = open(out, "wb")
+        except OSError as exc:
+            raise ValidationError(
+                f"cannot open --out {out!r}: {exc.strerror}") from None
+        with fh:
             fh.writelines(chunks)
         return
     sys.stdout.flush()
@@ -130,9 +154,6 @@ def _emit(chunks, out: str):
 # ---------------------------------------------------------------------------
 # JSON
 # ---------------------------------------------------------------------------
-
-_JSON_STRING = json.encoder.encode_basestring_ascii
-
 
 class _Rows:
     """A JSON list of objects built from arrays, one object per row.
@@ -149,23 +170,21 @@ class _Rows:
     def chunks(self, level: int):
         """The list's text at nesting ``level``, as an iterator of ASCII bytes.
 
-        Every float column is checked finite before this returns.  Each row
-        fills one ``%`` template, from cells formatted a column and a block
-        of ``_CSV_BLOCK_ROWS`` rows at a time.
+        Every float column is checked finite before this returns.  The rows
+        come from :func:`_row_blocks`, each but the first opened by a comma.
         """
         key, codes, names = self.label
         if not len(codes):
             return iter([b"[]"])
         pad = "\n" + "  " * (level + 1)
-        fields, sources = [], []     # sources: (values, names or None)
-        for name in sorted([*self.columns, key, *self.shared]):
-            head = (pad + "  " + _JSON_STRING(name) + ": ").replace("%", "%%")
+        row = [(["", ","], np.arange(len(codes)) > 0), pad + "{"]
+        for i, name in enumerate(sorted([*self.columns, key, *self.shared])):
+            row.append("," * (i > 0) + pad + "  " + json.dumps(name) + ": ")
             if name in self.shared:
-                text = "".join(_json_parts(self.shared[name], level + 2, []))
-                fields.append(head + text.replace("%", "%%"))
+                row.append("".join(_json_parts(self.shared[name], level + 2,
+                                               [])))
             elif name == key:
-                fields.append(head + "%s")
-                sources.append((codes, [_JSON_STRING(n) for n in names]))
+                row.append(([json.dumps(n) for n in names], codes))
             else:
                 values = self.columns[name]
                 bad = ~np.isfinite(values)
@@ -173,69 +192,39 @@ class _Rows:
                     raise NumericsError(
                         f"output is not finite: {values[bad][0]!r}")
                 if values.ndim == 1:
-                    fields.append(head + "%s")
-                    sources.append((values, None))
-                elif values.shape[1]:
-                    fields.append(head + "[" + ",".join(
-                        [pad + "    %s"] * values.shape[1]) + pad + "  ]")
-                    sources.extend((column, None) for column in values.T)
-                else:
-                    fields.append(head + "[]")
-        template = pad + "{" + ",".join(fields) + pad + "}"
-        return self._blocks(template, sources, len(codes),
-                            "\n" + "  " * level + "]")
-
-    @staticmethod
-    def _blocks(template, sources, count, close):
-        for start in range(0, count, _CSV_BLOCK_ROWS):
-            yield b"," if start else b"["
-            yield _Rows._block(template, sources,
-                               slice(start, start + _CSV_BLOCK_ROWS))
-        yield close.encode("ascii")
-
-    @staticmethod
-    def _block(template, sources, rows: slice) -> bytes:
-        # a call of its own, so that no cell of one block stays alive while
-        # the next is formatted
-        cells = [list(map(float.__repr__, values[rows].tolist()))
-                 if names is None else [names[c] for c in values[rows].tolist()]
-                 for values, names in sources]
-        return ",".join(map(template.__mod__, zip(*cells))).encode("ascii")
+                    row.append(values)
+                    continue
+                for j, column in enumerate(values.T):
+                    row += [("," if j else "[") + pad + "    ", column]
+                row.append(pad + "  ]" if values.shape[1] else "[]")
+        row.append(pad + "}")
+        return chain(_row_blocks("[", row, "%r"),
+                     [("\n" + "  " * level + "]").encode("ascii")])
 
 
 def _json_parts(obj, level: int, parts: list) -> list:
     """Append the JSON text of ``obj``, nested ``level`` deep, to ``parts``:
     strings, and one iterator of ASCII bytes per :class:`_Rows`.  Returns
     ``parts``."""
-    if isinstance(obj, str):
-        parts.append(_JSON_STRING(obj))
-    elif obj is None or obj is True or obj is False:
-        parts.append({None: "null", True: "true", False: "false"}[obj])
-    elif isinstance(obj, int):
-        parts.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        if not np.isfinite(obj):
-            raise NumericsError(f"output is not finite: {obj!r}")
-        parts.append(float.__repr__(obj))
-    elif isinstance(obj, np.generic):
-        _json_parts(obj.item(), level, parts)
-    elif isinstance(obj, _Rows):
+    if isinstance(obj, _Rows):
         parts.append(obj.chunks(level))
-    elif isinstance(obj, (dict, list, tuple)):
+    elif isinstance(obj, (dict, list, tuple)) and obj:
         is_dict = isinstance(obj, dict)
         opening, closing = "{}" if is_dict else "[]"
-        if not obj:
-            parts.append(opening + closing)
-            return parts
         pad = "\n" + "  " * (level + 1)
         items = sorted(obj.items()) if is_dict else enumerate(obj)
         for i, (key, value) in enumerate(items):
             parts.append((opening if i == 0 else ",") + pad
-                         + (_JSON_STRING(key) + ": " if is_dict else ""))
+                         + (json.dumps(key) + ": " if is_dict else ""))
             _json_parts(value, level + 1, parts)
         parts.append("\n" + "  " * level + closing)
     else:
-        raise TypeError(f"not JSON serializable: {type(obj)}")
+        try:
+            parts.append(json.dumps(
+                obj.item() if isinstance(obj, np.generic) else obj,
+                allow_nan=False))
+        except ValueError:
+            raise NumericsError(f"output is not finite: {obj!r}") from None
     return parts
 
 
@@ -247,18 +236,8 @@ def _json(obj):
     returns."""
     parts = _json_parts(obj, 0, [])
     parts.append("\n")
-    return _chunks([part.encode("ascii") if isinstance(part, str) else part
-                    for part in parts])
-
-
-def _chunks(parts):
-    # yield from hands each block on without holding it while the next is
-    # formatted
-    for part in parts:
-        if isinstance(part, bytes):
-            yield part
-        else:
-            yield from part
+    return chain.from_iterable([part.encode("ascii")] if isinstance(part, str)
+                               else part for part in parts)
 
 
 def _parse_point(spec: str | None, M: EmbeddedManifold) -> ChartPoint:
@@ -280,8 +259,6 @@ def _parse_point(spec: str | None, M: EmbeddedManifold) -> ChartPoint:
     if coords.size != M.dim:
         raise ValidationError(
             f"point has {coords.size} coordinates, manifold needs {M.dim}")
-    if not np.all(np.isfinite(coords)):
-        raise ValidationError(f"point coordinates must be finite, got {spec!r}")
     point = ChartPoint(chart_index, coords)
     M.chart(chart_index).jet(coords)     # wraps and checks the box
     return point
@@ -302,8 +279,8 @@ def _parse_eps_list(text: str) -> list[float]:
         eps = [float(t) for t in text.split(",") if t.strip()]
     except ValueError:
         raise ValidationError(f"bad eps list {text!r}") from None
-    if not eps or not all(0 < e < np.inf for e in eps):
-        raise ValidationError("eps values must be positive and finite")
+    if not eps:
+        raise ValidationError(f"bad eps list {text!r}")
     if len(set(eps)) < len(eps):
         raise ValidationError("eps values must be distinct")
     return sorted(eps, reverse=True)
@@ -352,10 +329,6 @@ def _cmd_curvature(args) -> int:
 
 
 def _cmd_operator(args) -> int:
-    if args.seed < 0:
-        raise ValidationError("--seed must be >= 0")
-    if args.mc is not None and args.mc not in MC_SAMPLES:
-        raise ValidationError(f"--mc must be in [{MC_SAMPLES[0]}, {MC_SAMPLES[-1]}]")
     if args.mc is not None and args.format == "csv":
         raise ValidationError("--mc needs --format json: the CSV table has no "
                               "Monte Carlo column")
@@ -369,10 +342,9 @@ def _cmd_operator(args) -> int:
         mc_rows = monte_carlo_operator(M, f, point, eps_list, args.mc,
                                        seed=args.seed)
     if args.format == "csv":
-        lines = ["eps,value,tail_bound,quad_error"]
-        lines += [f"{_fmt(s.eps)},{_fmt(s.value)},{_fmt(s.tail_bound)},"
-                  f"{_fmt(s.quad_error)}" for s in ladder.samples]
-        _emit(("\n".join(lines) + "\n").encode(), args.out)
+        names = ["eps", "value", "tail_bound", "quad_error"]
+        _emit(_csv(names, [np.array([getattr(s, name) for s in ladder.samples],
+                                    dtype=float) for name in names]), args.out)
     else:
         payload = {
             "manifold": args.manifold, "f": f.field_id,
@@ -392,8 +364,6 @@ def _cmd_operator(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    if not 0 < args.eps0 < np.inf:
-        raise ValidationError("--eps0 must be finite and > 0")
     M, point, f = _load_inputs(args)
     eps_list = default_eps_ladder(args.eps0, args.eps_count)
     ladder = eps_sweep(M, f, point, eps_list, order=args.order,
@@ -428,10 +398,9 @@ def _cmd_scan(args) -> int:
         header = (["chart"] + [f"s{i + 1}" for i in range(d)]
                   + [f"kappa_{i + 1}" for i in range(d)]
                   + ["e1", "e2", "residual", "spread", "class"])
-        columns = [*scan.coords.T, *scan.kappas.T, scan.e1, scan.e2,
-                   scan.residual, scan.umbilic_spread]
-        _emit(_csv_blocks(header, columns, scan.class_codes, CLASS_NAMES),
-              args.out)
+        _emit(_csv(header, ["0", *scan.coords.T, *scan.kappas.T, scan.e1,
+                            scan.e2, scan.residual, scan.umbilic_spread,
+                            (CLASS_NAMES, scan.class_codes)]), args.out)
     else:
         payload = {
             "manifold": args.manifold,

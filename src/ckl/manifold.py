@@ -130,6 +130,8 @@ class Chart:
         self.hi = np.asarray(hi, dtype=float)
         if self.lo.shape != self.hi.shape or self.lo.ndim != 1:
             raise ValidationError("chart box lo/hi must be 1-d and equal length")
+        if not self.lo.size:
+            raise ValidationError("chart box needs at least one axis")
         if np.any(self.hi <= self.lo):
             raise ValidationError("chart box must have positive extent")
         self.dim = self.lo.size
@@ -210,13 +212,16 @@ class Chart:
 
 @dataclass(frozen=True)
 class ChartPoint:
-    """A point given by chart index and chart coordinates."""
+    """A point given by chart index and finite chart coordinates."""
     chart: int
     coords: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "coords",
-                           np.atleast_1d(np.asarray(self.coords, dtype=float)))
+        coords = np.atleast_1d(np.asarray(self.coords, dtype=float))
+        if not np.all(np.isfinite(coords)):
+            raise ValidationError(
+                f"chart coordinates must be finite, got {coords.tolist()}")
+        object.__setattr__(self, "coords", coords)
 
 
 def _gram(jac: np.ndarray) -> np.ndarray:
@@ -606,10 +611,11 @@ def geodesic_shoot(M: EmbeddedManifold, x: ChartPoint, v: np.ndarray,
         seg_steps = [1] * base
     else:
         record_times = [float(t) for t in record_times]
-        if not all(a < b < math.inf
+        if not all(a < b <= t_max and b < math.inf
                    for a, b in zip([0.0, *record_times], record_times)):
             raise ValidationError(
-                "record times must be finite, positive and increasing")
+                "record times must be finite, positive, increasing and at "
+                f"most t_max={t_max}")
         base_dt = t_max / steps if steps else 1.0 / 2000.0
         seg_steps = []
         prev = 0.0

@@ -210,7 +210,13 @@ def _hermite_axis(center: float, scale: float, order: int):
 
 def _tensor_rule(axes: list[tuple[np.ndarray, np.ndarray]]
                  ) -> tuple[TensorGrid, np.ndarray]:
-    """The node grid and the weights' outer product, multiplied from axis 0."""
+    """The node grid and the weights' outer product, multiplied from axis 0;
+    a rule of more than ``_MAX_RULE_NODES`` nodes is refused before either
+    is built."""
+    size = math.prod(len(nodes) for nodes, _ in axes)
+    if size > _MAX_RULE_NODES:
+        raise ValidationError(f"rule has {size} nodes, more than the "
+                              f"{_MAX_RULE_NODES} allowed")
     nodes, weights = (TensorGrid.product(a) for a in zip(*axes))
     return nodes, reduce(mul, weights.columns, 1.0)
 
@@ -227,6 +233,9 @@ def build_full_rule(M: EmbeddedManifold, order: int = DEFAULT_ORDER,
 
 
 _MAX_AXIS_ORDER = {1: 1024, 2: 512, 3: 192}
+# a rule holds at most 64^4 nodes: sphere3's largest box (192^3) and the
+# 2048 x 512 reference rules fit, a 64^6 box (6.9e10 nodes) does not
+_MAX_RULE_NODES = 2 ** 24
 # Monte Carlo sample counts; a run draws n x d Gaussian chart coordinates
 MC_SAMPLES = range(1000, 1_000_001)
 # the share of Monte Carlo nodes drawn uniformly on the window
@@ -508,6 +517,8 @@ def default_eps_ladder(eps0: float = 0.1, count: int = 8) -> list[float]:
     """Geometric ladder eps0 * 2^-k, floored at 1e-4 to keep quadrature
     resolvable.  It ends at the first value below the floor, so a huge
     ``count`` builds no more values than the floor keeps."""
+    if not 0 < eps0 < math.inf:
+        raise ValidationError(f"eps0 must be finite and > 0, got {eps0!r}")
     out = list(takewhile(lambda e: e >= 1e-4,
                          (eps0 * 2.0 ** (-k) for k in range(count))))
     if len(out) < 2:

@@ -181,8 +181,9 @@ class TestScan:
             assert min(shares) <= cli._CSV_TABLE_MAX_SHARE < max(shares)
             codes = (np.arange(n) % len(names)).astype(np.uint8)
             labels = [names[c] for c in codes]
-            text = b"".join(cli._csv_blocks(["a", "b"], columns, codes,
-                                            names)).decode("ascii")
+            text = b"".join(cli._csv(["a", "b"], ["0", *columns,
+                                                  (names, codes)])
+                            ).decode("ascii")
             rows = ["0," + "".join("%.17g," % col[i] for col in columns)
                     + labels[i] + "\n" for i in range(n)]
             assert text == "a,b\n" + "".join(rows)
@@ -244,11 +245,18 @@ JSON_PAYLOADS = st.recursive(
 
 @st.composite
 def row_tables(draw):
-    """A ``_Rows`` table and the list of dicts it must print as."""
+    """A ``_Rows`` table and the list of dicts it must print as.
+
+    Column ``p`` draws from a pool of two values, so that it is formatted
+    through a table of its distinct values when they are few enough.
+    """
     n = draw(st.integers(0, 7))
     width = draw(st.integers(0, 3))
     floats = st.lists(JSON_FLOATS, min_size=n, max_size=n)
     vector = np.array(draw(floats))
+    pool = st.sampled_from(draw(st.lists(JSON_FLOATS, min_size=2,
+                                         max_size=2)))
+    pooled = np.array(draw(st.lists(pool, min_size=n, max_size=n)), dtype=float)
     matrix = np.array([draw(floats) for _ in range(width)]).T.reshape(n, width)
     names = draw(st.lists(JSON_KEYS, min_size=1, max_size=3))
     codes = np.array(draw(st.lists(st.integers(0, len(names) - 1),
@@ -257,10 +265,10 @@ def row_tables(draw):
                                   JSON_PAYLOADS, max_size=2))
     label = draw(st.sampled_from(["class", "a%"]))
     shared.pop(label, None)
-    table = cli._Rows({"v": vector, "m": matrix}, (label, codes, names),
-                      shared)
-    rows = [{"v": vector[i], "m": list(matrix[i]), label: names[codes[i]],
-             **shared} for i in range(n)]
+    table = cli._Rows({"v": vector, "m": matrix, "p": pooled},
+                      (label, codes, names), shared)
+    rows = [{"v": vector[i], "m": list(matrix[i]), "p": pooled[i],
+             label: names[codes[i]], **shared} for i in range(n)]
     return table, rows
 
 
@@ -403,8 +411,8 @@ class TestErrors:
     ], ids=["inf", "nan", "0.1,inf", "eps0=inf", "eps0=0", "seed=-1", "mc=0",
             "mc=1000001"])
     def test_nonfinite_eps_rejected(self, capsys, argv):
-        # bandwidths and the Monte Carlo seed and sample count are
-        # range-checked at parse time
+        # bandwidths are range-checked at parse time, --eps0 by the ladder
+        # and the Monte Carlo seed and sample count by the sampler
         command, *rest = argv
         assert_one_validation_line(*run(capsys, command, "--manifold",
                                         "sphere2", *rest))
@@ -423,6 +431,26 @@ class TestErrors:
         # on its own, before the coordinate is wrapped
         assert_one_validation_line(*run(capsys, "curvature", "--manifold",
                                         manifold, "--point=" + point))
+
+    @pytest.mark.parametrize("argv, description", [
+        (["operator"], "type=graph d=0"),
+        (["curvature"], "type=graph d=0"),
+        (["operator", "--eps", "0.1"], "type=graph d=6 poly=x1^2"),
+    ], ids=["operator-d0", "curvature-d0", "operator-d6"])
+    def test_unbuildable_description_rejected(self, capsys, tmp_path, argv,
+                                              description):
+        # a box with no axes, and a 64^6-node rule, are refused before any
+        # array is built
+        path = tmp_path / "graph.txt"
+        path.write_text(description + "\n", encoding="utf-8")
+        assert_one_validation_line(*run(capsys, argv[0], "--manifold",
+                                        str(path), *argv[1:]))
+
+    def test_unopenable_out_rejected(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x"
+        code, out, err = run(capsys, "catalog", "--out", str(target))
+        assert_one_validation_line(code, out, err)
+        assert "--out" in json.loads(err)["error"]["message"]
 
     def test_monte_carlo_needs_json(self, capsys):
         # the CSV table has no Monte Carlo column

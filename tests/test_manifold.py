@@ -151,6 +151,18 @@ class TestMetric:
             with pytest.raises(ValidationError):
                 TORUS.chart(ci)
 
+    @pytest.mark.parametrize("coords", [[math.nan, 0.3], [0.3, math.inf],
+                                        [-math.inf, 0.0]])
+    def test_nonfinite_point_rejected(self, coords):
+        # a NaN on the torus's periodic axis has no box to fail, and would
+        # reach np.linalg.det in every consumer of the point
+        with pytest.raises(ValidationError):
+            ChartPoint(0, coords)
+
+    def test_box_without_axes_rejected(self):
+        with pytest.raises(ValidationError):
+            load_manifold_text("type=graph d=0")
+
 
 # ---------------------------------------------------------------------------
 # Volume element
@@ -578,8 +590,11 @@ class TestGeodesics:
         lambda: chord_expansion_check(
             S2, EQUATOR, [1.0, 0.0], [0.02, 0.04, float("nan"), 0.1, 0.15, 0.2]),
         lambda: volume_density(S2, EQUATOR, [float("nan"), 1.0], 0.3),
+        lambda: geodesic_shoot(S2, EQUATOR, [0.0, 1.0], 0.5,
+                               record_times=[0.1, 5.0]),
     ], ids=["t_max-nan", "record-nan", "record-inf", "steps-fraction",
-            "direction-nan", "direction-length", "t_grid-nan", "density-nan"])
+            "direction-nan", "direction-length", "t_grid-nan", "density-nan",
+            "record-beyond-t_max"])
     def test_nonfinite_inputs_rejected(self, call):
         # each is refused as bad input, not as a chart-domain error or a raw
         # numpy or conversion error

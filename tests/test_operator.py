@@ -159,6 +159,12 @@ class TestRules:
             with pytest.raises(ValidationError):
                 build_full_rule(TORUS, order=order)
 
+    def test_rule_node_cap(self):
+        # 257 x 256 x 256 is one axis row more than 2^24 nodes; the cap
+        # refuses it before any node or weight array is built
+        with pytest.raises(ValidationError, match="more than the 16777216"):
+            build_full_rule(S3, axis_orders=(257, 256, 256))
+
 
 class TestApplyOperator:
     def test_sphere_closed_form_ladder(self):
@@ -485,8 +491,9 @@ class TestSweep:
         # values are made only until the first one below the 1e-4 floor
         assert default_eps_ladder(0.1, 10 ** 12) == default_eps_ladder(0.1, 11)
         assert default_eps_ladder(0.1, 11)[-1] == 0.1 * 2.0 ** -9
-        with pytest.raises(ValidationError):
-            default_eps_ladder(math.nan, 10 ** 12)
+        for eps0 in (math.nan, math.inf, 0.0, -0.1):
+            with pytest.raises(ValidationError, match="eps0"):
+                default_eps_ladder(eps0, 10 ** 12)
 
     def test_manifold_cache_is_declared(self):
         # the volume and the coarse grid are kept in M.cache, and a sweep
