@@ -12,15 +12,19 @@ component-major: the Jacobians of N nodes as ``(n, d, N)`` and their Hessians
 as ``(n, d, d, N)``, so that every product, pivot and substitution row is one
 contiguous vector over the nodes, for one point as for a grid block, and the
 results go back to the caller as contiguous ``(N, ...)`` arrays.  The
-curvatures are the eigenvalues of the symmetric ``a``.  A point is equicurved
-when ``e1(kappa)^2 = 4 e2(kappa)``, equivalently ``d^2 H^2 = 2 R``; at such
-points the bandwidth slope of ``f - K_eps f`` reproduces the Laplace-Beltrami
-operator.  Scans evaluate the residual ``e1^2 - 4 e2`` over a grid on the
-chart box, in blocks of ``_BLOCK_NODES`` nodes whose arrays stay cache-sized.
-On request they also refine sign changes along grid edges by the Illinois
-variant of regula falsi, every edge at once, and sub-threshold dips by
-golden-section search, every grid line at once, then cluster the refined
-points by ambient position.  Refinement evaluates the residual in trace form,
+curvatures are the eigenvalues of the symmetric ``a``: for d = 2 by LAPACK's
+own formula for one 2x2 matrix, applied over whole arrays, with ``eigvalsh``
+itself where LAPACK would rescale (:func:`_eigvalsh_descending`); for larger
+d by ``eigvalsh``.  A point is equicurved when ``e1(kappa)^2 = 4 e2(kappa)``,
+equivalently ``d^2 H^2 = 2 R``; at such points the bandwidth slope of ``f -
+K_eps f`` reproduces the Laplace-Beltrami operator.  Scans evaluate the
+residual ``e1^2 - 4 e2`` over a grid on the chart box, in sub-grids of at
+most ``_BLOCK_NODES`` nodes whose arrays stay cache-sized; the chart takes
+the sinusoids of each axis value once per sub-grid.  On request they also
+refine sign changes along grid edges by the Illinois variant of regula
+falsi, every edge at once, and sub-threshold dips by golden-section search,
+every grid line at once, then cluster the refined points by ambient
+position.  Refinement evaluates the residual in trace form,
 ``2 tr(a^2) - (tr a)^2``, without an eigensolve; clustering reduces each
 candidate once more and takes eigenvalues only for the chosen.
 
@@ -67,8 +71,13 @@ _BOUNDARY_INSET = 1e-4
 # CSV scan 125-190, a JSON scan up to 350) its peak memory stays below about
 # 0.75 GB
 _MAX_GRID_NODES = 2 ** 21
-# the grid pass evaluates this many nodes at a time
+# the grid pass evaluates sub-grids of at most this many nodes at a time
 _BLOCK_NODES = 8192
+# 2x2 curvature matrices whose largest entry lies in this range are never
+# rescaled by LAPACK (dsyevd rescales outside about [1e-146, 1e146], dsterf
+# outside about [1.5e-122, 2.2e153]), so _eigvalsh_descending takes their
+# eigenvalues by LAPACK's formula
+_EIGH2_RANGE = (1e-100, 1e100)
 # sign-change refinement stops at this bracket width, in units of the edge;
 # after _ILLINOIS_STEPS steps plain bisection finishes an edge
 _EDGE_BRACKET = 2.0 ** -45
@@ -247,23 +256,109 @@ def _reduced_forms(jac: np.ndarray, hess: np.ndarray):
             _nodes_first(chol, batch), _nodes_first(a, batch))
 
 
-def _curvatures(M: EmbeddedManifold, coords: np.ndarray):
+def _eigvalsh_descending(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh(a)[..., ::-1]`` of a batch of symmetric ``a``
+    ``(..., d, d)``, read from the lower triangle, bit for bit.
+
+    For d = 2 this is LAPACK's own path for one matrix (``dsyevd`` ->
+    ``dsterf`` -> ``dlae2``) over whole arrays, without a call per matrix.
+    ``dsterf`` returns the diagonal as it is when the off-diagonal ``e``
+    passes either split test, ``|e| <= sqrt|a11| sqrt|a22| 2^-53`` or ``e^2
+    <= 2^-106 |a11 a22|``; otherwise ``dlae2(a11, sqrt(e^2), a22)`` gives
+    the eigenvalue of larger magnitude and then the other.  ``dlasrt``
+    swaps a pair only when it is strictly out of ascending order, which
+    keeps the sign of a zero.  Rows whose largest entry lies outside
+    ``_EIGH2_RANGE``, and is not 0, are rescaled by ``dsyevd`` and
+    ``dsterf``: they go to ``eigvalsh`` itself.  Each branch is computed
+    only on its own rows, so none divides by zero or overflows.
+    """
+    if a.shape[-1] != 2:
+        return np.linalg.eigvalsh(a)[..., ::-1]
+    batch = a.shape[:-2]
+    a = a.reshape(-1, 2, 2)
+    out = np.empty((a.shape[0], 2))
+    a11, e, a22 = a[:, 0, 0], a[:, 1, 0], a[:, 1, 1]
+    big = np.maximum(np.maximum(np.abs(a11), np.abs(e)), np.abs(a22))
+    lo, hi = _EIGH2_RANGE
+    direct = ((big >= lo) & (big <= hi)) | (big == 0.0)
+    all_direct = direct.all()
+    if not all_direct:
+        out[~direct] = np.linalg.eigvalsh(a[~direct])[:, ::-1]
+        a11, e, a22 = a11[direct], e[direct], a22[direct]
+    e2 = e * e
+    split = ((np.abs(e) <= np.sqrt(np.abs(a11)) * np.sqrt(np.abs(a22))
+              * 2.0 ** -53)
+             | (e2 <= 2.0 ** -106 * np.abs(a11 * a22)))
+    # the diagonal, ascending by dlasrt's swap, then reversed; the rows
+    # that do not split are overwritten below
+    swap = a22 < a11
+    k1, k2 = np.where(swap, a11, a22), np.where(swap, a22, a11)
+    rest = np.flatnonzero(~split)
+    if rest.size:
+        rt1, rt2 = _dlae2(a11[rest], np.sqrt(e2[rest]), a22[rest])
+        swap = rt2 < rt1
+        k1[rest], k2[rest] = np.where(swap, rt1, rt2), np.where(swap, rt2, rt1)
+    if all_direct:
+        out[:, 0], out[:, 1] = k1, k2
+    else:
+        out[direct] = np.stack([k1, k2], axis=1)
+    return out.reshape(batch + (2,))
+
+
+def _dlae2(a, b, c):
+    """LAPACK's ``dlae2``, in its order of operations, over arrays: the
+    eigenvalues ``(rt1, rt2)`` of ``[[a, b], [b, c]]``, ``rt1`` the larger
+    in magnitude, for b != 0."""
+    sm = a + c
+    adf = np.abs(a - c)
+    ab = np.abs(b + b)
+    # b != 0, so the larger of adf and ab is positive; at a tie the ratio
+    # is 1 and the root is ab sqrt(2), as dlae2 takes it
+    larger, smaller = np.maximum(adf, ab), np.minimum(adf, ab)
+    rt = larger * np.sqrt(1.0 + (smaller / larger) ** 2)
+    a_larger = np.abs(a) > np.abs(c)
+    acmx, acmn = np.where(a_larger, a, c), np.where(a_larger, c, a)
+    rt1 = 0.5 * np.where(sm < 0.0, sm - rt, sm + rt)
+    rt2 = np.where(sm == 0.0, -0.5 * rt, (acmx / rt1) * acmn - (b / rt1) * b)
+    return rt1, rt2
+
+
+def _curvatures(M: EmbeddedManifold, coords):
     """Batched ``(kappas, det_g)``: descending principal curvatures and the
-    metric determinant, from eigenvalues alone."""
+    metric determinant, from eigenvalues alone.  ``coords`` is an array of
+    nodes or a :class:`TensorGrid`."""
     _, det_g, _, a = _reduced_forms(M.jacobian(0, coords),
                                     M.hessian(0, coords))
-    return np.linalg.eigvalsh(a)[..., ::-1], det_g
+    return _eigvalsh_descending(a), det_g
 
 
-def _grid_pass(M: EmbeddedManifold, coords: np.ndarray):
-    """:func:`_curvatures` of the nodes ``coords`` (N, d), ``_BLOCK_NODES``
-    at a time, so that each block's Jacobians, Hessians and matrix
-    temporaries stay cache-sized."""
-    kappas = np.empty(coords.shape)
-    det_g = np.empty(coords.shape[0])
-    for start in range(0, coords.shape[0], _BLOCK_NODES):
-        block = slice(start, start + _BLOCK_NODES)
-        kappas[block], det_g[block] = _curvatures(M, coords[block])
+def _grid_pass(M: EmbeddedManifold, axes: Sequence[np.ndarray]):
+    """:func:`_curvatures` of the tensor grid on ``axes``, as ``(N, d)`` and
+    ``(N,)`` arrays in the grid's flat order, a block at a time, so that
+    each block's Jacobians, Hessians and matrix temporaries stay cache-sized.
+
+    A block is a sub-grid whose nodes run contiguously in flat order: with
+    k the first axis whose trailing sub-grid holds at most ``_BLOCK_NODES``
+    nodes, one index on each axis before k, a run of axis k that fits, and
+    every axis after it whole.  Its chart evaluation takes the sinusoids of
+    each axis value once.
+    """
+    shape = tuple(len(x) for x in axes)
+    d = len(shape)
+    kappas = np.empty((math.prod(shape), d))
+    det_g = np.empty(kappas.shape[0])
+    k = next(i for i in range(d) if math.prod(shape[i + 1:]) <= _BLOCK_NODES)
+    run = _BLOCK_NODES // math.prod(shape[k + 1:])
+    start = 0
+    for lead in itertools.product(*map(range, shape[:k])):
+        for j in range(0, shape[k], run):
+            box = ([x[i:i + 1] for x, i in zip(axes, lead)]
+                   + [axes[k][j:j + run]] + list(axes[k + 1:]))
+            block_kappas, block_det = _curvatures(M, TensorGrid.product(box))
+            stop = start + block_det.size
+            kappas[start:stop] = block_kappas.reshape(-1, d)
+            det_g[start:stop] = block_det.reshape(-1)
+            start = stop
     return kappas, det_g
 
 
@@ -537,7 +632,7 @@ def scan_equicurved(M: EmbeddedManifold, grid: Sequence[int],
     grid_shape = tuple(len(a) for a in axes)
 
     try:
-        kappas, det_g = _grid_pass(M, coords)
+        kappas, det_g = _grid_pass(M, axes)
     except np.linalg.LinAlgError:
         raise DegenerateChartError("metric not positive definite at a grid "
                                    "node") from None
@@ -773,7 +868,7 @@ def _cluster_refined(M, coords, at, snapped, bracket, tol, tol_eq):
     scale = np.max(np.abs(ambient)) + 1e-12
     rows = _representatives(_leader_clusters(ambient, 1e-3 * scale), res,
                             noise, snapped, coords)
-    kappas = np.linalg.eigvalsh(a[rows])[..., ::-1]
+    kappas = _eigvalsh_descending(a[rows])
     e1_rep, _, residual = _symmetric(kappas)
     spread = kappas[:, 0] - kappas[:, -1]
     codes = _class_codes(kappas, residual, spread,
@@ -813,15 +908,16 @@ def _leader_clusters(points: np.ndarray, radius: float) -> list[list[int]]:
 
     Each row joins the cluster of its nearest leader within ``radius`` (the
     lowest cluster index on a tie), or else leads a new cluster.  Only pairs
-    closer than ``radius`` can join, and ``|p.(a - b)| <= |a - b|`` for a
-    unit vector p, so one sort of the projections on a fixed generic p finds
-    every such pair; the window is widened to ``2 radius`` against rounding
-    in the projections.  The window's pairs are formed a run of sorted
-    positions at a time, about ``_PAIR_CHUNK`` pairs each, and only the near
-    ones are kept.  Returns the clusters as lists of row indices.
+    closer than ``radius`` can join, and ``|p.(a - b)| <= |a - b|`` for any
+    unit vector p, so one sort of the projections on p finds every such
+    pair; p is ``(sqrt 2, sqrt 3, ...)`` normalised, a fixed direction that
+    needs no random draw, and the window is widened to ``2 radius`` against
+    rounding in the projections.  The window's pairs are formed a run of
+    sorted positions at a time, about ``_PAIR_CHUNK`` pairs each, and only
+    the near ones are kept.  Returns the clusters as lists of row indices.
     """
     count = points.shape[0]
-    direction = np.random.default_rng(0).standard_normal(points.shape[1])
+    direction = np.sqrt(np.arange(2.0, points.shape[1] + 2.0))
     proj = points @ (direction / np.linalg.norm(direction))
     order = np.argsort(proj, kind="stable")
     start = np.searchsorted(proj[order], proj[order] - 2.0 * radius)

@@ -584,6 +584,26 @@ def test_import_is_numpy_only():
     assert out.strip() == "[]"
 
 
+def test_json_scan_leaves_numpy_random_unloaded():
+    # refined zeros are clustered along a fixed direction, so a JSON scan
+    # loads numpy.random only if importing numpy already did (numpy < 2)
+    code = ("import os, sys, numpy; "
+            "before = 'numpy.random' in sys.modules; import ckl.cli; "
+            "code = ckl.cli.main(['equicurved-scan', '--manifold', "
+            "'quadric411', '--grid', '4x4x4', '--format', 'json', "
+            "'--out', os.devnull]); "
+            "print(code, before, 'numpy.random' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    code, before, after = out.split()
+    assert code == "0"
+    assert after == before
+    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+        assert after == "False"
+
+
 def _chart_box(name):
     chart = cli.load_manifold(name).charts[0]
     return chart.lo, chart.hi

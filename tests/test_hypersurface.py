@@ -174,6 +174,81 @@ class TestShapeOperator:
             assert np.max(rel) < 1e-7, M.catalog_id
 
 
+def symmetric_2x2(a11, e, a22):
+    """Symmetric 2x2 matrices ``[[a11, e], [e, a22]]`` from broadcast parts."""
+    a = np.empty(np.broadcast(a11, e, a22).shape + (2, 2))
+    a[..., 0, 0], a[..., 1, 1] = a11, a22
+    a[..., 1, 0] = a[..., 0, 1] = e
+    return a
+
+
+class TestScanEigenvalues:
+    @staticmethod
+    def assert_bits_match(a):
+        want = np.linalg.eigvalsh(a)[..., ::-1]
+        got = hypersurface._eigvalsh_descending(a)
+        # bit patterns: -0.0 and 0.0 differ
+        mismatch = np.flatnonzero(np.any(
+            got.view(np.int64) != want.view(np.int64), axis=-1))
+        assert not mismatch.size, (a[mismatch[:5]].tolist(),
+                                   got[mismatch[:5]].tolist())
+
+    def test_2x2_matches_eigvalsh_bit_for_bit(self, rng):
+        # LAPACK's own 2x2 path over arrays: both split tests, dlae2 and the
+        # ascending swap, and eigvalsh itself where LAPACK rescales
+        n = 20000
+        g = rng.standard_normal((3, n))
+        lo, hi = hypersurface._EIGH2_RANGE
+        cases = [symmetric_2x2(*(g * 10.0 ** p)) for p in range(-160, 161, 20)]
+        # diagonal, and off-diagonals from 1e-8 to 1e-30 of the diagonal
+        cases.append(symmetric_2x2(g[0], 0.0, g[2]))
+        for p in range(8, 31, 2):
+            tiny = g[1] * 10.0 ** -p
+            cases += [symmetric_2x2(g[0], tiny, g[2]),
+                      symmetric_2x2(g[0], tiny * np.abs(g[0]), g[0]),
+                      symmetric_2x2(g[0], tiny, 0.0)]
+        # off-diagonals at the first split test's threshold and one ulp to
+        # either side, where the two tests disagree by rounding
+        t = np.sqrt(np.abs(g[0])) * np.sqrt(np.abs(g[2])) * 2.0 ** -53
+        for e in (t, np.nextafter(t, 0.0), -np.nextafter(t, np.inf)):
+            cases.append(symmetric_2x2(g[0], e, g[2]))
+        # equal and opposite diagonals
+        cases += [symmetric_2x2(g[0], g[1], g[0]),
+                  symmetric_2x2(g[0], g[1], -g[0]),
+                  symmetric_2x2(g[0], 0.0, -g[0])]
+        # zeros, signed zeros, small integers and dyadic values
+        values = np.array([0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 0.5, -0.125])
+        cases.append(symmetric_2x2(*(x.ravel() for x in
+                                     np.meshgrid(values, values, values))))
+        ints = rng.integers(-4, 5, (3, n)).astype(float)
+        cases += [symmetric_2x2(*ints), symmetric_2x2(*(ints / 8.0))]
+        # both sides of the range LAPACK leaves unscaled
+        edges = np.array([lo, hi])
+        for edge in np.concatenate([edges, np.nextafter(edges, 0.0),
+                                    np.nextafter(edges, np.inf)]):
+            quarter = g * edge / 4.0
+            cases += [symmetric_2x2(edge, quarter[1], quarter[2]),
+                      symmetric_2x2(quarter[0], -edge, quarter[2])]
+        a = np.concatenate(cases)
+        with np.errstate(all="raise"):
+            self.assert_bits_match(a)
+            self.assert_bits_match(a[:7].reshape(7, 1, 2, 2))
+            self.assert_bits_match(a[0])
+
+    def test_2x2_gradual_underflow(self):
+        # entries far apart in size, down to subnormals, underflow inside
+        # LAPACK's formula as they do in LAPACK; the bits still match
+        values = np.array([0.0, -0.0, 5e-324, -1e-310, 1e-160, 1e-101, 1e-100,
+                           1e-50, -1.0, 3.0, 1e50, -1e100, 1e101, 1e160])
+        parts = np.meshgrid(values, values, values)
+        self.assert_bits_match(symmetric_2x2(*(x.ravel() for x in parts)))
+
+    def test_larger_matrices_use_eigvalsh(self, rng):
+        a = rng.standard_normal((50, 3, 3))
+        a = a + np.swapaxes(a, 1, 2)
+        self.assert_bits_match(a)
+
+
 class TestMeanCurvatures:
     def test_quadric_triplet(self):
         sd = synthetic_shape([4.0, 1.0, 1.0])
@@ -316,19 +391,34 @@ class TestScan:
             assert scan.residual[origin] == pytest.approx(-8.44, abs=1e-13)
 
     def test_blocks_match_slices(self):
-        # the blocked grid pass gives, bit for bit, the curvatures and |C|^2
-        # of the same nodes evaluated in slices of other lengths
-        axes = hypersurface._grid_axes(TORUS.chart(0), [129, 65])
-        coords = np.asarray(TensorGrid.product(axes)).reshape(-1, 2)
-        assert coords.shape[0] % hypersurface._BLOCK_NODES != 0
-        kappas, det_g = hypersurface._grid_pass(TORUS, coords)
-        for length in (37, 999, 8193):
-            parts = [hypersurface._curvatures(TORUS, coords[s:s + length])
-                     for s in range(0, coords.shape[0], length)]
-            np.testing.assert_array_equal(
-                kappas, np.concatenate([k for k, _ in parts]))
-            np.testing.assert_array_equal(
-                det_g, np.concatenate([d for _, d in parts]))
+        # the grid pass over sub-grids gives, bit for bit, the curvatures and
+        # |C|^2 of the same nodes evaluated densely in slices of other
+        # lengths; no sub-grid holds more than _BLOCK_NODES nodes, even where
+        # the last axis alone holds more (the plane at 2x9000)
+        curvatures = hypersurface._curvatures
+        for M, grid in ((TORUS, [129, 65]), (QUADRIC, [20, 20, 20]),
+                        (PLANE, [2, 9000])):
+            axes = hypersurface._grid_axes(M.chart(0), grid)
+            coords = np.asarray(TensorGrid.product(axes)).reshape(-1, M.dim)
+            assert coords.shape[0] % hypersurface._BLOCK_NODES != 0
+            blocks = []
+
+            def record(M, nodes):
+                blocks.append(math.prod(nodes.shape[:-1]))
+                return curvatures(M, nodes)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(hypersurface, "_curvatures", record)
+                kappas, det_g = hypersurface._grid_pass(M, axes)
+            assert sum(blocks) == coords.shape[0]
+            assert max(blocks) <= hypersurface._BLOCK_NODES
+            for length in (37, 999, 8193):
+                parts = [curvatures(M, coords[s:s + length])
+                         for s in range(0, coords.shape[0], length)]
+                np.testing.assert_array_equal(
+                    kappas, np.concatenate([k for k, _ in parts]))
+                np.testing.assert_array_equal(
+                    det_g, np.concatenate([d for _, d in parts]))
 
     def test_singular_metric_at_a_node(self, zero_column_at):
         # one node whose metric is singular: the scan refuses the grid, with
@@ -590,7 +680,7 @@ class TestLeaderClusters:
             clouds.append((lattice, 0.125))
         # many points with one projection on the clustering direction:
         # duplicates, and a plane orthogonal to it
-        direction = np.random.default_rng(0).standard_normal(3)
+        direction = np.sqrt([2.0, 3.0, 4.0])
         basis = np.linalg.svd(direction[None, :])[2][1:]
         plane = rng.uniform(-1.0, 1.0, (300, 2)) @ basis
         clouds.append((plane, 0.2))
