@@ -1,5 +1,6 @@
 """Geometry-layer tests: metric, curvature, Laplacian, geodesics, density."""
 
+import copy
 import hashlib
 import itertools
 import math
@@ -12,6 +13,7 @@ from ckl.catalog import catalog_manifold, load_manifold_text, parse_poly
 from ckl.fields import AmbientCoordField, ChartPolyField, ConstField
 from ckl.manifold import (
     ChartPoint,
+    TensorGrid,
     _connection,
     chord_expansion_check,
     curvature_at,
@@ -164,6 +166,67 @@ class TestMetric:
             load_manifold_text("type=graph d=0")
 
 
+def bits(a):
+    """The float64 bit patterns of ``a``: -0.0 and 0.0 differ, as do NaNs."""
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+class TestWrap:
+    """``Chart.wrap`` maps each periodic axis by ``lo + mod(col - lo, w)``,
+    bit for bit, on the values where a shortcut could differ from it."""
+
+    PERIODIC = {"sphere2": S2, "sphere3": S3, "spheroid": SPHEROID,
+                "torus": TORUS, "file torus": load_manifold_text(
+                    "type=torus R=3 r=0.5")}
+    BOXES = [(0.0, 2 * math.pi), (-math.pi, math.pi), (0.3, 7.1),
+             (-0.0, 2 * math.pi), (1e-300, 1.0)]
+
+    @staticmethod
+    def values(lo, hi, rng):
+        w = hi - lo
+        base = np.array([0.0, -0.0, lo, hi, lo - w, lo + w, lo + 2 * w])
+        near = [base]
+        for step in (1, 2):
+            for direction in (-math.inf, math.inf):
+                v = base
+                for _ in range(step):
+                    v = np.nextafter(v, direction)
+                near.append(v)
+        spread = rng.uniform(lo - 3 * w, lo + 3 * w, 4000)
+        inside = rng.uniform(lo, hi, 4000)
+        return np.concatenate(near + [spread, inside])
+
+    @staticmethod
+    def reference(chart, coords):
+        out = np.array(coords, dtype=float, copy=True)
+        for i, per in enumerate(chart.periodic):
+            if per:
+                lo, w = chart.lo[i], chart.hi[i] - chart.lo[i]
+                out[..., i] = lo + np.mod(out[..., i] - lo, w)
+        return out
+
+    def check(self, chart, rng):
+        for i in np.flatnonzero(chart.periodic):
+            col = self.values(chart.lo[i], chart.hi[i], rng)
+            coords = np.tile(0.5 * (chart.lo + chart.hi), (col.size, 1))
+            coords[:, i] = col
+            np.testing.assert_array_equal(bits(chart.wrap(coords)),
+                                          bits(self.reference(chart, coords)))
+            grid = chart.wrap(TensorGrid([coords[:, j] for j in range(chart.dim)]))
+            np.testing.assert_array_equal(bits(grid[..., i]),
+                                          bits(self.reference(chart, coords)[:, i]))
+
+    @pytest.mark.parametrize("name", list(PERIODIC))
+    def test_catalog_axes(self, name, rng):
+        self.check(self.PERIODIC[name].charts[0], rng)
+
+    @pytest.mark.parametrize("box", BOXES, ids=str)
+    def test_other_boxes(self, box, rng):
+        chart = copy.copy(TORUS.charts[0])
+        chart.lo, chart.hi = np.array([box[0]] * 2), np.array([box[1]] * 2)
+        self.check(chart, rng)
+
+
 # ---------------------------------------------------------------------------
 # Volume element
 # ---------------------------------------------------------------------------
@@ -237,6 +300,48 @@ class TestVolumeElement:
         ulps = 4 * np.finfo(float).eps * np.max(dens)
         np.testing.assert_allclose(M.sqrt_det_metric(0, corners),
                                    det_chain(M, corners), rtol=1e-14, atol=ulps)
+
+    @staticmethod
+    def spheroid_form(a, c):
+        def form(coords):
+            sin, cos = np.sin(coords[..., 0]), np.cos(coords[..., 0])
+            return a * np.abs(sin) * np.sqrt(a * a * cos * cos + c * c * sin * sin)
+        return form
+
+    @staticmethod
+    def sphere3_form(radius):
+        def form(coords):
+            sin_psi = np.sin(coords[..., 0])
+            return radius ** 3 * sin_psi * sin_psi * np.abs(np.sin(coords[..., 1]))
+        return form
+
+    @staticmethod
+    def torus_form(R, r):
+        return lambda coords: r * (R + r * np.cos(coords[..., 1]))
+
+    CLOSED_FORMS = {
+        "sphere2": spheroid_form(1.0, 1.0), "sphere3": sphere3_form(1.0),
+        "spheroid": spheroid_form(1.0, 1.6), "torus": torus_form(2.0, 1.0),
+        "type=sphere dim=3 radius=2": sphere3_form(2.0),
+        "type=spheroid a=0.7 c=2.5": spheroid_form(0.7, 2.5),
+        "type=torus R=3 r=0.5": torus_form(3.0, 0.5)}
+
+    @pytest.mark.parametrize("name", list(TRIG))
+    def test_trig_volume_element_bits(self, name, rng):
+        # the closed forms as the catalog writes them, bit for bit, at random
+        # points (periodic axes beyond the box) and on a tensor grid
+        M, form = self.TRIG[name], self.CLOSED_FORMS[name]
+        chart = M.charts[0]
+        width = np.where(chart.periodic, chart.hi - chart.lo, 0.0)
+        pts = rng.uniform(chart.lo - width, chart.hi + width, size=(2000, M.dim))
+        np.testing.assert_array_equal(bits(M.sqrt_det_metric(0, pts)),
+                                      bits(form(chart.wrap(pts))))
+        grid = TensorGrid.product([np.linspace(lo - w, hi + w, 7 + 2 * i)
+                                   for i, (lo, hi, w) in enumerate(
+                                       zip(chart.lo, chart.hi, width))])
+        expected = np.broadcast_to(form(chart.wrap(grid)), grid.shape[:-1])
+        np.testing.assert_array_equal(bits(M.sqrt_det_metric(0, grid)),
+                                      bits(expected))
 
     def test_sphere3_outside_box_rejected(self):
         for axis in (0, 1):         # psi and theta; phi is periodic
