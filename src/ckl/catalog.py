@@ -4,10 +4,12 @@ Catalog surfaces ship exact embedding derivatives of every order, each
 builder by one rule (:func:`derivative_rule`).  The trig charts (spheres,
 spheroid, torus) write each embedding component as a sum of products of
 per-axis sinusoids ``a + b sin x_i + c cos x_i``, whose derivatives are phase
-shifts.  Polynomial graph charts differentiate their monomials.  Every catalog
-chart also ships its closed-form volume element: ``sqrt(1 + |grad P|^2)`` for
-graphs, and for the trig charts, whose coordinates are orthogonal, the product
-of the coordinate vectors' lengths.
+shifts.  Polynomial graph charts differentiate their monomials.  The same
+closure returns the chart's closed-form volume element on request:
+``sqrt(1 + |grad P|^2)`` for graphs, from the order-1 partials, and for the
+trig charts, whose coordinates are orthogonal, the product of the coordinate
+vectors' lengths, read from the per-axis ``sin`` and ``cos`` table that the
+embedding's sinusoids use.
 
 Description files are UTF-8 ``key=value`` tokens, e.g.::
 
@@ -63,18 +65,18 @@ def derivative_rule(base: list, diff, d: int):
 
 
 def trig_chart(components: list[list[TrigTerm]], lo, hi, periodic,
-               volume_element) -> Chart:
+               volume_form) -> Chart:
     """A chart with exact derivatives of every order whose embedding
     components are trig terms.
 
     Order k is k phase shifts (:func:`trig_diff`) of each component.  The
-    derivative closure evaluates the sinusoid factors of the requested orders
-    once, as a table, and multiplies out only those orders' tensors; the
-    embedding is returned as its component columns, each broadcast over the
-    axes its factors use.
-    ``volume_element`` is the chart's closed-form ``sqrt(det g)``; the catalog
-    coordinates are orthogonal, so it is the product of the lengths of the
-    coordinate vectors.
+    derivative closure takes ``sin`` and ``cos`` of each axis once, as a
+    table, evaluates the sinusoid factors of the requested orders from it,
+    and multiplies out only those orders' tensors; the embedding is returned
+    as its component columns, each broadcast over the axes its factors use.
+    ``volume_form(sin, cos)`` is the chart's closed-form ``sqrt(det g)`` from
+    the same table (``sin[i]`` is ``sin`` of axis i); the catalog coordinates
+    are orthogonal, so it is the product of the coordinate vectors' lengths.
     """
     d, n = len(lo), len(components)
     entries = derivative_rule(components, trig_diff, d)
@@ -85,10 +87,9 @@ def trig_chart(components: list[list[TrigTerm]], lo, hi, periodic,
         return {(i, *abc) for terms in entries(k) for _, fs in terms
                 for i, abc in fs.items()}
 
-    def derivs(coords, orders):
-        coords = as_coords(coords)
+    def derivs(coords, orders, volume=False):
         used = set().union(*(factors(k) for k in orders))
-        axes = {i for i, *_ in used}
+        axes = range(d) if volume else {i for i, *_ in used}
         sin = {i: np.sin(coords[..., i]) for i in axes}
         cos = {i: np.cos(coords[..., i]) for i in axes}
         val = {}
@@ -113,9 +114,11 @@ def trig_chart(components: list[list[TrigTerm]], lo, hi, periodic,
                 if terms:
                     tensor[..., e] = entry(terms)
             out.append(tensor.reshape(coords.shape[:-1] + (n,) + (d,) * k))
+        if volume:
+            out.append(volume_form(sin, cos))
         return out
 
-    return Chart(derivs, volume_element, lo=lo, hi=hi, periodic=periodic)
+    return Chart(derivs, lo=lo, hi=hi, periodic=periodic)
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +161,7 @@ def graph_chart(poly: PolyTerms, halfwidth: float) -> Chart:
     d = poly.dim
     partials = derivative_rule([poly], PolyTerms.partial, d)
 
-    def derivs(coords, orders):
-        coords = as_coords(coords)
+    def derivs(coords, orders, volume=False):
         out = []
         for k in orders:
             if k == 0:
@@ -174,17 +176,15 @@ def graph_chart(poly: PolyTerms, halfwidth: float) -> Chart:
             for idx, p in zip(np.ndindex((d,) * k), partials(k)):
                 tensor[(..., d, *idx)] = p(coords)
             out.append(tensor)
+        if volume:
+            # sqrt(det g) = sqrt(1 + |grad P|^2) for the metric I + grad P grad P^T
+            sq = 1.0
+            for g in partials(1):
+                sq = sq + g(coords) ** 2
+            out.append(np.sqrt(sq))
         return out
 
-    def volume_element(coords):
-        # sqrt(det g) = sqrt(1 + |grad P|^2) for the metric I + grad P grad P^T
-        coords = as_coords(coords)
-        sq = 1.0
-        for g in partials(1):
-            sq = sq + g(coords) ** 2
-        return np.sqrt(sq)
-
-    return Chart(derivs, volume_element, lo=[-halfwidth] * d, hi=[halfwidth] * d,
+    return Chart(derivs, lo=[-halfwidth] * d, hi=[halfwidth] * d,
                  periodic=[False] * d)
 
 
@@ -197,14 +197,14 @@ SIN, COS = (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
 
 def _spheroid_chart(a: float, c: float) -> Chart:
     """(a sin t cos p, a sin t sin p, c cos t) over (t, p) in [0, pi] x [0, 2 pi)."""
-    def volume_element(coords):
+    def volume(sin, cos):
         # |d_p X| |d_t X| = a |sin t| sqrt(a^2 cos^2 t + c^2 sin^2 t)
-        sin, cos = np.sin(coords[..., 0]), np.cos(coords[..., 0])
-        return a * np.abs(sin) * np.sqrt(a * a * cos * cos + c * c * sin * sin)
+        return a * np.abs(sin[0]) * np.sqrt(a * a * cos[0] * cos[0]
+                                            + c * c * sin[0] * sin[0])
 
     return trig_chart([[(a, {0: SIN, 1: COS})], [(a, {0: SIN, 1: SIN})],
                        [(c, {0: COS})]], lo=[0.0, 0.0], hi=[math.pi, TWO_PI],
-                      periodic=[False, True], volume_element=volume_element)
+                      periodic=[False, True], volume_form=volume)
 
 
 def make_sphere(radius: float = 1.0, dim: int = 2,
@@ -214,18 +214,16 @@ def make_sphere(radius: float = 1.0, dim: int = 2,
     if dim == 2:
         chart = _spheroid_chart(radius, radius)
     elif dim == 3:
-        def volume_element(coords):
+        def volume(sin, cos):
             # (psi, theta, phi) lengths r, r sin psi, r sin psi sin theta
-            sin_psi = np.sin(coords[..., 0])
-            return radius ** 3 * sin_psi * sin_psi * np.abs(np.sin(coords[..., 1]))
+            return radius ** 3 * sin[0] * sin[0] * np.abs(sin[1])
 
         chart = trig_chart([[(radius, {0: SIN, 1: SIN, 2: COS})],
                             [(radius, {0: SIN, 1: SIN, 2: SIN})],
                             [(radius, {0: SIN, 1: COS})],
                             [(radius, {0: COS})]],
                            lo=[0.0, 0.0, 0.0], hi=[math.pi, math.pi, TWO_PI],
-                           periodic=[False, False, True],
-                           volume_element=volume_element)
+                           periodic=[False, False, True], volume_form=volume)
     else:
         raise ValidationError(f"sphere charts are provided for dim 2 and 3, not {dim}")
     return EmbeddedManifold([chart], delta=delta or (math.pi - 0.1) * radius,
@@ -247,13 +245,13 @@ def make_torus(R: float = 2.0, r: float = 1.0,
     # (u, v) -> ((R + r cos v) cos u, (R + r cos v) sin u, r sin v)
     tube = (R, 0.0, r)
 
-    def volume_element(coords):
+    def volume(sin, cos):
         # |d_u X| |d_v X| = (R + r cos v) r
-        return r * (R + r * np.cos(coords[..., 1]))
+        return r * (R + r * cos[1])
 
     chart = trig_chart([[(1.0, {0: COS, 1: tube})], [(1.0, {0: SIN, 1: tube})],
                         [(r, {1: SIN})]], lo=[0.0, 0.0], hi=[TWO_PI, TWO_PI],
-                       periodic=[True, True], volume_element=volume_element)
+                       periodic=[True, True], volume_form=volume)
     return EmbeddedManifold([chart], delta=delta or 0.9 * r, catalog_id="torus")
 
 

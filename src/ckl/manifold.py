@@ -2,8 +2,9 @@
 
 A manifold is a single chart: an embedding of an axis-aligned box in R^d into
 R^n.  A chart is one exact derivative closure, which returns the embedding
-and its derivative tensors of any requested orders (:meth:`Chart.jet`), plus a
-closed-form volume element ``sqrt(det g)``.  Everything downstream (metric,
+and its derivative tensors of any requested orders (:meth:`Chart.jet`) and,
+on request, the closed-form volume element ``sqrt(det g)`` from the same
+evaluation.  Everything downstream (metric,
 second fundamental form, curvature, geodesics, normal-coordinate volume
 density, Laplace-Beltrami operator) is computed from those tensors, and
 nothing is differenced: the Christoffel symbols are
@@ -109,23 +110,24 @@ class Chart:
     Parameters
     ----------
     derivs : callable
-        ``derivs(coords, orders)`` maps coordinates ``(..., d)``, an array or
-        a :class:`TensorGrid` whose columns it indexes, to the list of
-        the embedding's derivatives of the requested orders, in that order:
-        0 is the embedding as its n component columns, each of any shape that
-        broadcasts to ``(...)``, and an order k >= 1 the tensor
-        ``(..., n, d, ..., d)`` of k derivative indices, symmetric in them:
-        1 is the Jacobian ``(..., n, d)`` and 2 the Hessian ``(..., n, d, d)``.
-    volume_element : callable
-        Closed-form Riemannian volume element ``sqrt(det g)`` with shape
-        ``(...,)``, or on a grid any shape that broadcasts to it.
+        ``derivs(coords, orders, volume=False)`` maps coordinates
+        ``(..., d)``, an array or a :class:`TensorGrid` whose columns it
+        indexes, to the list of the embedding's derivatives of the requested
+        orders, in that order: 0 is the embedding as its n component
+        columns, each of any shape that broadcasts to ``(...)``, and an order
+        k >= 1 the tensor ``(..., n, d, ..., d)`` of k derivative indices,
+        symmetric in them: 1 is the Jacobian ``(..., n, d)`` and 2 the
+        Hessian ``(..., n, d, d)``.  With ``volume`` the list ends with the
+        closed-form volume element ``sqrt(det g)``, of shape ``(...,)`` or
+        on a grid any shape that broadcasts to it, computed from the same
+        evaluation as the derivatives.
     lo, hi : sequence of float
         Axis-aligned coordinate box.
     periodic : sequence of bool
         Per-axis periodicity; periodic axes wrap modulo ``hi - lo``.
     """
 
-    def __init__(self, derivs, volume_element, lo, hi, periodic=None):
+    def __init__(self, derivs, lo, hi, periodic=None):
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
         if self.lo.shape != self.hi.shape or self.lo.ndim != 1:
@@ -139,7 +141,6 @@ class Chart:
         if len(self.periodic) != self.dim:
             raise ValidationError("periodic flags must match chart dimension")
         self._derivs = derivs
-        self._volume_element = volume_element
         probe = np.asarray(derivs(0.5 * (self.lo + self.hi), (0,))[0], dtype=float)
         if probe.ndim != 1:
             raise ValidationError("the embedding must map a point to a 1-d vector")
@@ -150,7 +151,14 @@ class Chart:
     def _wrap_axis(self, i: int, col: np.ndarray) -> np.ndarray:
         if not self.periodic[i]:
             return col
-        return self.lo[i] + np.mod(col - self.lo[i], self.hi[i] - self.lo[i])
+        # lo + mod(col - lo, w), where mod returns its input on 0 < r < w
+        # (fmod is exact there); zeros take it, to map -0.0 to +0.0
+        lo, width = self.lo[i], self.hi[i] - self.lo[i]
+        rem = np.asarray(col - lo)
+        off = ~((rem > 0.0) & (rem < width))
+        rem[off] = np.mod(rem[off], width)
+        rem += lo
+        return rem
 
     def wrap(self, coords):
         """``coords`` with periodic axes mapped into the box: a copy of an
@@ -201,12 +209,11 @@ class Chart:
         self.require_inside(coords)
         batch = coords.shape[:-1]
         embed = TensorGrid if isinstance(coords, TensorGrid) else _stack
+        values = self._derivs(coords, orders, volume) if orders or volume else []
         out = [np.asarray(t, dtype=float) if k else embed(t, batch)
-               for k, t in zip(orders,
-                               self._derivs(coords, orders) if orders else ())]
+               for k, t in zip(orders, values)]
         if volume:
-            out.append(np.broadcast_to(
-                np.asarray(self._volume_element(coords), dtype=float), batch))
+            out.append(np.broadcast_to(np.asarray(values[-1], dtype=float), batch))
         return (coords, *out)
 
 

@@ -240,6 +240,8 @@ _MAX_RULE_NODES = 2 ** 24
 MC_SAMPLES = range(1000, 1_000_001)
 # the share of Monte Carlo nodes drawn uniformly on the window
 MC_DEFENSIVE = 0.1
+# the largest node rounding, 2^-52 |x_i|, allowed per Gaussian width
+MC_RESOLUTION = 1e-3
 
 
 def max_axis_order(dim: int) -> int:
@@ -293,9 +295,29 @@ def build_localized_rule(M: EmbeddedManifold, x: ChartPoint, eps: float,
     chart = M.chart(x.chart)
     chart.require_inside(x.coords)
     g_diag, ginv_diag = metric or _metric_diagonals(M, x)
+    scale, kinds, lo, hi = _node_box(M, x, eps, ginv_diag, hermite_order)
+    if all(kind == FULL for kind in kinds):
+        return build_full_rule(M, order,
+                               axis_orders=_full_box_orders(M, eps, g_diag, order))
+    axes = [_hermite_axis(float(x.coords[i]), scale[i], hermite_order)
+            if kind == HERMITE
+            else _axis_rule(lo[i], hi[i], kind == FULL and chart.periodic[i], order)
+            for i, kind in enumerate(kinds)]
+    return QuadratureRule(*_tensor_rule(axes),
+                          window=(np.array(lo), np.array(hi)),
+                          axis_rules=tuple(kinds))
+
+
+def _node_box(M: EmbeddedManifold, x: ChartPoint, eps: float,
+              ginv_diag: np.ndarray, hermite_order: int):
+    """``(scale, kinds, lo, hi)`` of the kernel-scale rule at ``x``: the
+    Hermite scale of each axis, its rule (``HERMITE``, ``CLIPPED`` or
+    ``FULL``) and its node box, as :func:`build_localized_rule` decides
+    them; nothing is built."""
+    chart = M.chart(x.chart)
     scale = 2.0 * np.sqrt(eps * ginv_diag)
     half = _gauss_hermite(hermite_order)[0][-1] * scale
-    kinds, axes, lo, hi = [], [], [], []
+    kinds, lo, hi = [], [], []
     for i in range(chart.dim):
         c = float(x.coords[i])
         a, b = c - half[i], c + half[i]
@@ -313,15 +335,7 @@ def build_localized_rule(M: EmbeddedManifold, x: ChartPoint, eps: float,
         kinds.append(kind)
         lo.append(a)
         hi.append(b)
-        axes.append(_hermite_axis(c, scale[i], hermite_order) if kind == HERMITE
-                    else _axis_rule(a, b, kind == FULL and chart.periodic[i],
-                                    order))
-    if all(kind == FULL for kind in kinds):
-        return build_full_rule(M, order,
-                               axis_orders=_full_box_orders(M, eps, g_diag, order))
-    return QuadratureRule(*_tensor_rule(axes),
-                          window=(np.array(lo), np.array(hi)),
-                          axis_rules=tuple(kinds))
+    return scale, kinds, lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -563,9 +577,9 @@ def _full_box_sample(M: EmbeddedManifold, f: Callable, x0: np.ndarray,
                         quad_error=abs(value - coarse))
 
 
-def _sample(M: EmbeddedManifold, f: Callable, x: ChartPoint, eps: float,
-            order: int, metric: tuple[np.ndarray, np.ndarray], boxes: dict
-            ) -> LadderSample:
+def _sample(M: EmbeddedManifold, f: Callable, x: ChartPoint, x0: np.ndarray,
+            eps: float, order: int, metric: tuple[np.ndarray, np.ndarray],
+            boxes: dict) -> LadderSample:
     """One bandwidth's sample, by the order ladder of the module docstring.
 
     Each order from ``HERMITE_ORDERS[1]`` on is compared with the previous
@@ -575,22 +589,25 @@ def _sample(M: EmbeddedManifold, f: Callable, x: ChartPoint, eps: float,
     every value it summed, and neither is below the rounding floor of
     :func:`_rule_sum`.  The full box is used where the ladder tries no
     order, or meets no target and the box's spacing resolves the kernel.
+    Each order's axis rules are decided (:func:`_node_box`) before its rule
+    is built, and a rule is built only to be summed.
     """
-    x0 = M.embed(x.chart, x.coords)
-    first = build_localized_rule(M, x, eps, order, HERMITE_ORDERS[0], metric)
+    def full_axes(hermite_order: int) -> int:
+        return _node_box(M, x, eps, metric[1], hermite_order)[1].count(FULL)
+
+    first_full = full_axes(HERMITE_ORDERS[0])
     rule, seen, met = None, [], False   # the last order tried, values summed
-    for prev, n in [] if first.covers_atlas else pairwise(HERMITE_ORDERS):
-        candidate = build_localized_rule(M, x, eps, order, n, metric)
-        if candidate.covers_atlas or (candidate.axis_rules.count(FULL)
-                                      > first.axis_rules.count(FULL)):
+    for prev, n in [] if first_full == M.dim else pairwise(HERMITE_ORDERS):
+        if full_axes(n) > first_full:   # a full box, or a new full axis
             break
-        rule = candidate
+        rule = build_localized_rule(M, x, eps, order, n, metric)
         value, floor = _rule_sum(M, f, x0, eps, rule)
         if any(kind != HERMITE for kind in rule.axis_rules):
             reference, _ = _rule_sum(M, f, x0, eps, build_localized_rule(
                 M, x, eps, _coarser(order), prev, metric))
         elif not seen:
-            reference, _ = _rule_sum(M, f, x0, eps, first)
+            reference, _ = _rule_sum(M, f, x0, eps, build_localized_rule(
+                M, x, eps, order, HERMITE_ORDERS[0], metric))
         else:   # an all-Hermite rule's previous order was all-Hermite too
             reference = seen[-1]
         error = abs(value - reference)
@@ -600,9 +617,7 @@ def _sample(M: EmbeddedManifold, f: Callable, x: ChartPoint, eps: float,
             break
     orders = _full_box_orders(M, eps, metric[0], order)
     if rule is None or not (met or max(orders) >= max_axis_order(M.dim)):
-        # the ladder's rules, the last candidate perhaps a full box, are
-        # freed before the full box is built
-        first = candidate = rule = None
+        rule = None     # freed before the full box is built
         return _full_box_sample(M, f, x0, eps, orders, boxes)
     value, tail = apply_operator(M, f, x, eps, rule)
     return LadderSample(eps=eps, value=value, tail_bound=tail,
@@ -622,9 +637,10 @@ def eps_sweep(M: EmbeddedManifold, f: Callable, x: ChartPoint,
     for eps in eps_list:
         _require_bandwidth(eps)
     M.chart(x.chart).require_inside(x.coords)
-    metric = _metric_diagonals(M, x)
+    metric, x0 = _metric_diagonals(M, x), M.embed(x.chart, x.coords)
     boxes = {}
-    samples = [_sample(M, f, x, eps, order, metric, boxes) for eps in eps_list]
+    samples = [_sample(M, f, x, x0, eps, order, metric, boxes)
+               for eps in eps_list]
     return EpsLadder(samples=samples, f_id=f_id)
 
 
@@ -643,6 +659,14 @@ def _require_mc_inputs(n_samples: int, seed: int) -> None:
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ValidationError(
             f"the seed must be a non-negative integer, got {seed!r}")
+
+
+def _sum_columns(columns: np.ndarray) -> np.ndarray:
+    """The row sums of the ``(n, d)`` array with these ``d`` columns, in
+    numpy's own order: left to right for d < 8 (see :func:`k_eps`)."""
+    if len(columns) < 8:
+        return reduce(np.add, columns)
+    return np.sum(np.ascontiguousarray(columns.T), axis=1)
 
 
 def monte_carlo_operator(M: EmbeddedManifold, f: Callable, x: ChartPoint,
@@ -667,7 +691,15 @@ def monte_carlo_operator(M: EmbeddedManifold, f: Callable, x: ChartPoint,
     standard normals ``z``, the uniform mask and the uniform nodes.  Each
     bandwidth then scales ``z`` by its own Cholesky factor, so a row is the
     value a one-bandwidth call returns, bit for bit, whichever bandwidths
-    share the call; the rows of one call are correlated.
+    share the call; the rows of one call are correlated.  The nodes are built
+    as ``d`` contiguous columns, and ``|z|^2`` is summed one column at a time.
+
+    A bandwidth whose Gaussian width ``sigma_i = sqrt(2 eps (g^-1)_ii)`` on
+    some axis is less than ``1 / MC_RESOLUTION`` times the rounding
+    ``2^-52 |x_i|`` of its nodes raises :class:`NumericsError` before any
+    draw: the nodes would round onto a few floats about ``x`` while their
+    weights read the unrounded ``z`` (8.3 +- 1.1 for a true 1.0 on the unit
+    sphere at (1.1, 2.0) and eps 1e-40).
     """
     _require_mc_inputs(n_samples, seed)
     eps_list = [float(eps) for eps in eps_list]
@@ -678,28 +710,35 @@ def monte_carlo_operator(M: EmbeddedManifold, f: Callable, x: ChartPoint,
     hi = lo + (chart.hi - chart.lo)
     g = M.metric(x.chart, x0)
     ginv, rho = np.linalg.inv(g), math.sqrt(np.linalg.det(g))
+    # the smallest bandwidth has the narrowest Gaussian on every axis
+    sigma = np.sqrt(2.0 * min(eps_list, default=1.0) * np.diagonal(ginv))
+    if np.any(np.finfo(float).eps * np.abs(x0) > MC_RESOLUTION * sigma):
+        raise NumericsError(
+            f"Monte Carlo cannot resolve eps={min(eps_list):g} at {x0.tolist()}: "
+            f"the Gaussian's widths {sigma.tolist()} are within "
+            f"{1 / MC_RESOLUTION:g} roundings of the coordinates")
     rng = np.random.Generator(np.random.Philox(seed))
     z = rng.standard_normal((n_samples, chart.dim))
     uniform = rng.random(n_samples) < MC_DEFENSIVE
     drawn = rng.uniform(lo, hi, size=(int(uniform.sum()), chart.dim))
-    offsets, z_sq = (drawn - x0).T, z * z
+    offsets, z_sq = (drawn - x0).T, _sum_columns((z * z).T)
     box = MC_DEFENSIVE / float(np.prod(hi - lo))
     y0 = M.embed(x.chart, x.coords)
     out = []
     for eps in eps_list:
         chol = np.linalg.cholesky(2.0 * eps * ginv)
-        nodes = x0 + z @ chol.T
-        nodes[uniform] = drawn
+        columns = (z @ chol.T).T.copy()
+        columns += x0[:, None]
+        columns[:, uniform] = drawn.T
         # a uniform node's z, which the Gaussian's density reads
         z_u = np.linalg.solve(chol, offsets)
         sq = z_sq.copy()
-        sq[uniform] = (z_u * z_u).T
+        sq[uniform] = _sum_columns(z_u * z_u)
         # the Gaussian's density is rho(x) times the kernel of the metric's
         # squared distance (y - x)^T g (y - x) = 2 eps |z|^2
-        gauss = rho * _kernel_of_chord(2.0 * eps * np.sum(sq, axis=1),
-                                       eps, M.dim)
+        sq *= 2.0 * eps
+        gauss = rho * _kernel_of_chord(sq, eps, M.dim)
         density = box + (1.0 - MC_DEFENSIVE) * gauss
-        columns = nodes.T.copy()
         inside = np.all((lo[:, None] <= columns) & (columns <= hi[:, None]),
                         axis=0)
         columns[:, ~inside] = x0[:, None]

@@ -563,6 +563,21 @@ class TestErrors:
         assert code == 0
         assert out.startswith("eps,value,tail_bound,quad_error\n")
 
+    def test_unresolved_monte_carlo_bandwidth(self, capsys):
+        # at eps 1e-40 the Gaussian's nodes x + sigma z round onto a few
+        # floats about x: the estimate read 8.27 +- 1.05 for a true 1.0
+        base = ["operator", "--manifold", "sphere2", "--point", "1.1,2.0",
+                "--mc", "1000"]
+        code, out, err = run(capsys, *base, "--eps", "0.1,1e-40")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"]["type"] == "NumericsError"
+        # at 1e-24 each width is at least 3.6e3 roundings of its coordinate
+        code, out, _ = run(capsys, *base, "--eps", "1e-24")
+        assert code == 0
+        (row,) = json.loads(out)["monte_carlo"]
+        assert abs(row["estimate"] - 1.0) <= 5.0 * row["std_error"]
+
     def test_numerics_exit_code(self, capsys, monkeypatch):
         def boom(args):
             raise NumericsError("synthetic numerical failure")

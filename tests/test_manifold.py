@@ -90,10 +90,10 @@ def embedding_only(chart):
     """``chart``'s derivative closure, refusing every order above 0."""
     derivs = chart._derivs
 
-    def call(coords, orders):
+    def call(coords, orders, volume=False):
         if any(k >= 1 for k in orders):
             raise AssertionError("volume element evaluated a derivative")
-        return derivs(coords, orders)
+        return derivs(coords, orders, volume)
     return call
 
 
