@@ -70,8 +70,8 @@ def trig_chart(components: list[list[TrigTerm]], lo, hi, periodic,
     components are trig terms.
 
     Order k is k phase shifts (:func:`trig_diff`) of each component.  The
-    derivative closure takes ``sin`` and ``cos`` of each axis once, as a
-    table, evaluates the sinusoid factors of the requested orders from it,
+    derivative closure takes ``sin`` and ``cos`` once per axis it reads, as
+    a table, evaluates the sinusoid factors of the requested orders from it,
     and multiplies out only those orders' tensors; the embedding is returned
     as its component columns, each broadcast over the axes its factors use.
     ``volume_form(sin, cos)`` is the chart's closed-form ``sqrt(det g)`` from

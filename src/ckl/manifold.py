@@ -151,12 +151,13 @@ class Chart:
     def _wrap_axis(self, i: int, col: np.ndarray) -> np.ndarray:
         if not self.periodic[i]:
             return col
+        lo, width = self.lo[i], self.hi[i] - self.lo[i]
+        rem = col - lo
+        if not isinstance(rem, np.ndarray):     # one point
+            return lo + np.mod(rem, width)
         # lo + mod(col - lo, w), where mod returns its input on 0 < r < w
         # (fmod is exact there); zeros take it, to map -0.0 to +0.0
-        lo, width = self.lo[i], self.hi[i] - self.lo[i]
-        rem = np.asarray(col - lo)
-        off = ~((rem > 0.0) & (rem < width))
-        rem[off] = np.mod(rem[off], width)
+        np.mod(rem, width, out=rem, where=~((rem > 0.0) & (rem < width)))
         rem += lo
         return rem
 

@@ -711,7 +711,7 @@ def monte_carlo_operator(M: EmbeddedManifold, f: Callable, x: ChartPoint,
     g = M.metric(x.chart, x0)
     ginv, rho = np.linalg.inv(g), math.sqrt(np.linalg.det(g))
     # the smallest bandwidth has the narrowest Gaussian on every axis
-    sigma = np.sqrt(2.0 * min(eps_list, default=1.0) * np.diagonal(ginv))
+    sigma = np.sqrt(2.0 * min(eps_list, default=math.inf) * np.diagonal(ginv))
     if np.any(np.finfo(float).eps * np.abs(x0) > MC_RESOLUTION * sigma):
         raise NumericsError(
             f"Monte Carlo cannot resolve eps={min(eps_list):g} at {x0.tolist()}: "
