@@ -25,7 +25,8 @@ ladder stops where the node box comes to cover an axis it did not cover at
 16 nodes.  When no order before that meets the target, the sweep uses the
 full box if the box's spacing resolves the kernel within
 :func:`max_axis_order` nodes per axis, and reports the difference between the
-box's orders ``n`` and ``ceil(2n/3)``; otherwise it keeps the last order
+box's orders ``n`` and ``ceil(2n/3)`` (``n + 1`` where that is ``n``:
+a 2-node axis is compared with 3 nodes); otherwise it keeps the last order
 tried and reports the spread of every value the ladder summed.  The tail
 bound is the kernel mass over the part of the chart box that the rule never
 samples; its volume, separation and sup norm are read from the manifold's
@@ -37,6 +38,13 @@ mixed with a uniform share over the chart box, and takes its terms from the
 same evaluator as a rule's.  It takes a whole ladder and makes its random
 draws once per call; each bandwidth scales the shared draws to its own nodes,
 so its row is the one a call with that bandwidth alone returns.
+
+The base rules ``eps_sweep`` always uses, Gauss-Hermite of every order in
+``HERMITE_ORDERS`` and Gauss-Legendre of ``DEFAULT_ORDER`` and the order its
+error estimate compares with (64 and 43), are numpy's own, read from a table
+shipped with the package (``gauss_rules.f64``) on first use; a test checks
+the table against numpy bit for bit.  Every other order is computed by numpy
+once per process.
 
 A rule holds its nodes as a :class:`TensorGrid` of per-axis arrays, so the
 geometry is evaluated per axis and broadcast, never on dense ``(N, d)`` nodes.
@@ -56,10 +64,12 @@ tail bounds refer to that closure.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import pairwise, takewhile
 from operator import mul
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -164,25 +174,68 @@ def _require_order(order: int) -> None:
         raise ValidationError("quadrature order must be at least 2")
 
 
-@cache
-def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
-    rule = np.polynomial.legendre.leggauss(order)
+def _compared_order(order: int) -> int:
+    """The order a rule's error estimate compares with: ``ceil(2 order / 3)``,
+    or ``order + 1`` where that is ``order`` itself (``order`` 2), so a rule
+    is never compared with itself."""
+    coarse = -(-2 * order // 3)
+    return coarse if coarse < order else order + 1
+
+
+# the rules eps_sweep always uses, in the order GAUSS_TABLE holds them
+TABULATED = (*(("hermite", n) for n in HERMITE_ORDERS),
+             ("legendre", DEFAULT_ORDER),
+             ("legendre", _compared_order(DEFAULT_ORDER)))
+GAUSS_TABLE = Path(__file__).with_name("gauss_rules.f64")
+
+
+def _read_only(rule: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     for a in rule:
         a.flags.writeable = False
     return rule
+
+
+@cache
+def _gauss_table() -> dict[tuple[str, int], tuple[np.ndarray, np.ndarray]]:
+    """The ``TABULATED`` rules as numpy's ``hermgauss``/``leggauss`` return
+    them, read from ``GAUSS_TABLE`` on first use.  The file holds, rule after
+    rule, the nonnegative nodes (ascending) and then their weights, as
+    little-endian float64; numpy makes its rules exactly symmetric, so the
+    rest of a rule is that half mirrored, its nodes negated."""
+    # np.asarray of the buffer, not np.frombuffer: nothing else in a ckl
+    # process runs frombuffer's code, and mapping it costs 64 KB of RSS
+    data = np.asarray(memoryview(GAUSS_TABLE.read_bytes()).cast("d"))
+    if sys.byteorder == "big":
+        data = data.byteswap()
+    table, start = {}, 0
+    for key in TABULATED:
+        n = key[1]
+        half = n - n // 2
+        t, w = data[start:start + half], data[start + half:start + 2 * half]
+        start += 2 * half
+        table[key] = _read_only((np.concatenate((-t[::-1][:n // 2], t)),
+                                 np.concatenate((w[::-1][:n // 2], w))))
+    return table
+
+
+@cache
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]: numpy's
+    ``leggauss``, from the table for a ``TABULATED`` order."""
+    if ("legendre", order) in TABULATED:
+        return _gauss_table()["legendre", order]
+    return _read_only(np.polynomial.legendre.leggauss(order))
 
 
 @cache
 def _gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss-Hermite nodes ``t_k``, ascending, and the weights
     ``w_k e^(t_k^2)``, which integrate ``g`` over the line where ``g`` is
-    ``e^(-t^2)`` times a smooth factor."""
-    t, w = np.polynomial.hermite.hermgauss(order)
-    rule = (t, w * np.exp(t * t))
-    for a in rule:
-        a.flags.writeable = False
-    return rule
+    ``e^(-t^2)`` times a smooth factor; ``(t_k, w_k)`` is numpy's
+    ``hermgauss``, from the table for a ``TABULATED`` order."""
+    t, w = (_gauss_table()["hermite", order] if ("hermite", order) in TABULATED
+            else np.polynomial.hermite.hermgauss(order))
+    return _read_only((t, w * np.exp(t * t)))
 
 
 def _axis_rule(lo: float, hi: float, periodic_full: bool, order: int):
@@ -540,17 +593,12 @@ def default_eps_ladder(eps0: float = 0.1, count: int = 8) -> list[float]:
     return out
 
 
-def _coarser(order: int) -> int:
-    """``ceil(2 order / 3)``: the order a rule's error estimate compares with."""
-    return -(-2 * order // 3)
-
-
 def _full_box_sample(M: EmbeddedManifold, f: Callable, x0: np.ndarray,
                      eps: float, orders: Sequence[int], boxes: dict
                      ) -> LadderSample:
     """The full box's sample; its error estimate compares the box with one of
-    ``ceil(2 n / 3)`` nodes on each axis of ``n``.  The box misses nothing,
-    so its tail bound is 0.
+    ``_compared_order(n)`` nodes on each axis of ``n``.  The box misses
+    nothing, so its tail bound is 0.
 
     ``boxes`` maps a box's node counts to its ``(w rho) f`` product, from
     :func:`_rule_terms`, and its chord ``|y - x|^2``, so a sweep evaluates
@@ -559,7 +607,7 @@ def _full_box_sample(M: EmbeddedManifold, f: Callable, x0: np.ndarray,
     :func:`_rule_sum`.  Only this bandwidth's two boxes are kept: the node
     counts never fall as eps does.
     """
-    keys = [tuple(orders), tuple(_coarser(n) for n in orders)]
+    keys = [tuple(orders), tuple(_compared_order(n) for n in orders)]
     for key in set(boxes) - set(keys):
         del boxes[key]
     for key in keys:
@@ -584,7 +632,7 @@ def _sample(M: EmbeddedManifold, f: Callable, x: ChartPoint, x0: np.ndarray,
 
     Each order from ``HERMITE_ORDERS[1]`` on is compared with the previous
     one; axes without Hermite nodes take ``order`` nodes in the one and
-    ``ceil(2 order / 3)`` in the other, so the difference covers them too.
+    :func:`_compared_order` in the other, so the difference covers them too.
     A met order's error is its difference, an unmet ladder's the spread of
     every value it summed, and neither is below the rounding floor of
     :func:`_rule_sum`.  The full box is used where the ladder tries no
@@ -604,7 +652,7 @@ def _sample(M: EmbeddedManifold, f: Callable, x: ChartPoint, x0: np.ndarray,
         value, floor = _rule_sum(M, f, x0, eps, rule)
         if any(kind != HERMITE for kind in rule.axis_rules):
             reference, _ = _rule_sum(M, f, x0, eps, build_localized_rule(
-                M, x, eps, _coarser(order), prev, metric))
+                M, x, eps, _compared_order(order), prev, metric))
         elif not seen:
             reference, _ = _rule_sum(M, f, x0, eps, build_localized_rule(
                 M, x, eps, order, HERMITE_ORDERS[0], metric))

@@ -619,6 +619,26 @@ def test_json_scan_leaves_numpy_random_unloaded():
         assert after == "False"
 
 
+@pytest.mark.parametrize("manifold", ["sphere3", "torus"])
+def test_default_operator_leaves_numpy_polynomial_unloaded(manifold):
+    # the rules a default sweep uses come from the package's table, so
+    # numpy's quadrature generators load only if importing numpy did
+    code = ("import os, sys, numpy; "
+            "before = 'numpy.polynomial' in sys.modules; import ckl.cli; "
+            f"code = ckl.cli.main(['operator', '--manifold', '{manifold}', "
+            "'--out', os.devnull]); "
+            "print(code, before, 'numpy.polynomial' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    code, before, after = out.split()
+    assert code == "0"
+    if before == "True":
+        pytest.skip("importing numpy loads numpy.polynomial")
+    assert after == "False"
+
+
 def _chart_box(name):
     chart = cli.load_manifold(name).charts[0]
     return chart.lo, chart.hi

@@ -373,12 +373,51 @@ class TestTensorGrid:
         np.testing.assert_array_equal(rule.weights.reshape(-1), flat)
 
     def test_gauss_legendre_cache_is_read_only(self):
-        from ckl.operator import _gauss_legendre
+        from ckl.operator import _gauss_hermite, _gauss_legendre, _gauss_table
         base, w = _gauss_legendre(16)
         assert _gauss_legendre(16)[0] is base
         np.testing.assert_array_equal(base, np.polynomial.legendre.leggauss(16)[0])
-        with pytest.raises(ValueError):
-            w[0] = 1.0
+        rules = [_gauss_legendre(16), _gauss_legendre(64), _gauss_hermite(20),
+                 _gauss_hermite(32), *_gauss_table().values()]
+        for a in (a for rule in rules for a in rule):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    def test_tabulated_rules_are_numpys_bit_for_bit(self):
+        # the table holds every rule eps_sweep always uses: the Hermite
+        # ladder, and Gauss-Legendre of the default order and the order
+        # its error estimate compares with
+        from ckl.operator import (
+            DEFAULT_ORDER,
+            GAUSS_TABLE,
+            HERMITE_ORDERS,
+            TABULATED,
+            _gauss_hermite,
+            _gauss_legendre,
+            _gauss_table,
+        )
+        gauss = {"hermite": np.polynomial.hermite.hermgauss,
+                 "legendre": np.polynomial.legendre.leggauss}
+        orders = [("hermite", n) for n in HERMITE_ORDERS] + [
+            ("legendre", DEFAULT_ORDER),
+            ("legendre", math.ceil(2 * DEFAULT_ORDER / 3))]
+        assert list(TABULATED) == orders
+        halves = []
+        for kind, n in orders:
+            t, w = gauss[kind](n)
+            got = _gauss_table()[kind, n]
+            for a, b in zip((t, w), got, strict=True):
+                np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+            halves += [t[n // 2:], w[n // 2:]]
+            if kind == "hermite":
+                assert _gauss_hermite(n)[0] is got[0]
+                expected = w * np.exp(t * t)
+                np.testing.assert_array_equal(
+                    _gauss_hermite(n)[1].view(np.int64), expected.view(np.int64))
+            else:
+                assert _gauss_legendre(n) is got
+        assert GAUSS_TABLE.read_bytes() == np.concatenate(halves).astype("<f8").tobytes()
 
 
 class TestBenchmarkTracer:
@@ -621,6 +660,18 @@ class TestKernelScaleRules:
         ref, _ = apply_operator(TORUS, const_one, ChartPoint(0, [0.3, 0.0]),
                                 0.001, reference)
         assert abs(s["value"] - ref) <= s["tail_bound"] + s["quad_error"]
+
+    def test_order_two_full_box_error_covers_the_closed_form(self, tmp_path):
+        # the 2 x 2 full box was compared with itself and reported quad_error
+        # 0 while missing 1 - e^(-1/eps) by 3.2e-4 and 6.4e-4; it is now
+        # compared with the 3 x 3 box
+        out = tmp_path / "order2.json"
+        assert cli.main(["operator", "--manifold", "sphere2", "--order", "2",
+                         "--eps", "100,50", "--out", str(out)]) == 0
+        for s in json.loads(out.read_text())["samples"]:
+            error = abs(s["value"] - (1.0 - math.exp(-1.0 / s["eps"])))
+            assert s["tail_bound"] == 0.0
+            assert 3e-4 < error <= s["quad_error"]
 
     def test_quad_error_in_json_and_csv(self, tmp_path):
         argv = ["operator", "--manifold", "sphere2", "--eps", "0.05,0.001"]
