@@ -171,6 +171,30 @@ def test_monte_carlo_ladder_matches_digest(spec, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == MC_SHA256[spec]
 
 
+# Full boxes whose field is an embedding column: quadric411's dense P(s) and
+# an axis column s_1, and sphere3's dense x_0; the goldens above use f = 1.
+FULL_BOX_FIELD_SHA256 = {
+    ("operator", "quadric411", "--point", "0.1,0,-0.05", "--f", "ambient:4"):
+        "3d94e263693a03d12f47b2fb37aece6e9dedfbd503e9b29be2cef0c37b90dd15",
+    ("operator", "quadric411", "--point", "0.1,0,-0.05", "--f", "ambient:1"):
+        "94569c60f273eaf915c25e2a2e600f3ff95e5c75d46fa3fc012b721944006e7a",
+    ("operator", "sphere3", "--f", "ambient:1"):
+        "1f78aae80894bfbd4b22ea4e8a3e621ca71f2c6966e898870ae1ba089d4d0b27",
+    ("expand", "quadric411", "--point", "0.1,0,-0.05", "--f", "ambient:4"):
+        "179495063ec556229caff0410dddcd589b15843a524d568f715cefae84dbfc0c",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(FULL_BOX_FIELD_SHA256), ids="_".join)
+def test_full_box_field_matches_digest(spec, tmp_path):
+    command, manifold, *extra = spec
+    out = tmp_path / "out"
+    assert cli.main([command, "--manifold", manifold, *extra,
+                     "--out", str(out)]) == 0
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == FULL_BOX_FIELD_SHA256[spec])
+
+
 def test_only_json_scans_refine_zeros(tmp_path, monkeypatch):
     # CSV prints no refined zeros, so it must not compute them
     def no_refinement(*args):
