@@ -125,6 +125,16 @@ def trig_chart(components: list[list[TrigTerm]], lo, hi, periodic,
 # Polynomial graph charts (hand-coded exact derivatives)
 # ---------------------------------------------------------------------------
 
+def _add_into(total, term):
+    """``total + term``, in ``total``'s own array once that has the sum's
+    shape; ``total`` is a sum this module started from a constant."""
+    if isinstance(total, np.ndarray) and total.shape == np.broadcast(
+            total, term).shape:
+        total += term
+        return total
+    return total + term
+
+
 class PolyTerms:
     """A multivariate polynomial as a list of (coefficient, exponent-tuple)."""
 
@@ -145,7 +155,7 @@ class PolyTerms:
             for i, e in enumerate(alpha):
                 if e:
                     mono = mono * coords[..., i] ** e
-            out = out + mono
+            out = _add_into(out, mono)
         return out
 
     def partial(self, i: int) -> "PolyTerms":
@@ -180,8 +190,9 @@ def graph_chart(poly: PolyTerms, halfwidth: float) -> Chart:
             # sqrt(det g) = sqrt(1 + |grad P|^2) for the metric I + grad P grad P^T
             sq = 1.0
             for g in partials(1):
-                sq = sq + g(coords) ** 2
-            out.append(np.sqrt(sq))
+                sq = _add_into(sq, g(coords) ** 2)
+            out.append(np.sqrt(sq, out=sq) if isinstance(sq, np.ndarray)
+                       else np.sqrt(sq))
         return out
 
     return Chart(derivs, lo=[-halfwidth] * d, hi=[halfwidth] * d,

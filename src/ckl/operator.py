@@ -56,6 +56,13 @@ For an ambient dimension below 8 that is the order in which numpy reduces a
 last axis, so the values are those of ``np.sum((y - x) ** 2, axis=-1)`` on
 the stacked array, bit for bit.
 
+A sweep's full box keeps two arrays of its size, the ``(w rho) f`` product
+in the weights' outer product and the chord in a dense embedding column, and
+holds a third only while it is built: the other dense column on a trig
+chart, or ``1 + |grad P|^2`` on a graph.  No embedding column outlives the
+chord.  Each bandwidth adds its kernel, one box at a time.  Windowed rules
+and Monte Carlo nodes build their arrays afresh.
+
 Non-compact chart-defined manifolds (polynomial graphs) are integrated over
 the compact closure of their chart boxes; volume and sup-norm figures used in
 tail bounds refer to that closure.
@@ -93,18 +100,26 @@ def _require_bandwidth(eps: float) -> None:
         raise ValidationError(f"eps must be positive and finite, got {eps:g}")
 
 
-def _chord_sq(x: np.ndarray, y) -> np.ndarray:
+def _chord_sq(x: np.ndarray, y, scratch: frozenset[int] = frozenset()
+              ) -> np.ndarray:
     """``|y - x|^2`` of an array or :class:`TensorGrid` ``y``, summed one
     ambient component at a time, left to right (see :func:`k_eps`).  Each
-    term is squared in place, and added in place once the sum has the batch
-    shape, so at most two batch-sized arrays are alive."""
-    dist_sq = (y[..., 0] - x[..., 0]) ** 2
-    for i in range(1, y.shape[-1]):
-        term = y[..., i] - x[..., i]
+    term is squared in place, and the sum is added into whichever of the two
+    already has the sum's shape (addition commutes, so the bits are those of
+    a left-to-right sum): at most two batch-sized arrays are alive.  The
+    columns whose indices are in ``scratch`` are overwritten, each with its
+    own term; ``y``'s other columns are only read."""
+    dist_sq = None
+    for i in range(y.shape[-1]):
+        col = y[..., i]
+        term = np.subtract(col, x[..., i], out=col if i in scratch else None)
         term *= term
-        if np.shape(dist_sq) == np.broadcast_shapes(np.shape(dist_sq),
-                                                    np.shape(term)):
+        if dist_sq is None:
+            dist_sq = term
+        elif np.shape(dist_sq) == (shape := np.broadcast(dist_sq, term).shape):
             dist_sq += term
+        elif np.shape(term) == shape:
+            dist_sq = np.add(dist_sq, term, out=term)
         else:
             dist_sq = dist_sq + term
     return dist_sq
@@ -593,6 +608,35 @@ def default_eps_ladder(eps0: float = 0.1, count: int = 8) -> list[float]:
     return out
 
 
+def _scratch_columns(nodes: TensorGrid, ambient: TensorGrid) -> frozenset[int]:
+    """The embedding columns a full box may overwrite: writable arrays of
+    the box's shape that own their memory and share it with no node axis
+    (a graph's ``s_i``, any axis at d = 1) and no other column."""
+    batch, arrays = ambient.shape[:-1], (*nodes.columns, *ambient.columns)
+    return frozenset(
+        i for i, col in enumerate(ambient.columns)
+        if col.shape == batch and col.base is None and col.flags.writeable
+        and sum(np.may_share_memory(col, a) for a in arrays) == 1)
+
+
+def _box_terms(M: EmbeddedManifold, f: Callable, x0: np.ndarray,
+               orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The full box's ``(w rho) f`` product and chord ``|y - x|^2``, with
+    the bits of :func:`_rule_terms` and :func:`_chord_sq`, each in an array
+    the box built: the product in the weights' outer product, the chord in
+    a dense embedding column (on a graph, whose only dense column is
+    ``P(s)``, in the sum of its axis terms).  The volume element is freed
+    before ``f`` is called, and ``f`` is multiplied in before the chord
+    overwrites any column, since a field may return a column itself."""
+    rule = build_full_rule(M, axis_orders=orders)
+    nodes, ambient, dens = M.chart(0).jet(rule.nodes, (0,), volume=True)
+    weighted = rule.weights     # built for this box alone
+    weighted *= dens
+    del rule, dens
+    weighted *= np.asarray(f(nodes, ambient), dtype=float)
+    return weighted, _chord_sq(x0, ambient, _scratch_columns(nodes, ambient))
+
+
 def _full_box_sample(M: EmbeddedManifold, f: Callable, x0: np.ndarray,
                      eps: float, orders: Sequence[int], boxes: dict
                      ) -> LadderSample:
@@ -600,21 +644,21 @@ def _full_box_sample(M: EmbeddedManifold, f: Callable, x0: np.ndarray,
     ``_compared_order(n)`` nodes on each axis of ``n``.  The box misses
     nothing, so its tail bound is 0.
 
-    ``boxes`` maps a box's node counts to its ``(w rho) f`` product, from
-    :func:`_rule_terms`, and its chord ``|y - x|^2``, so a sweep evaluates
-    the geometry, ``f`` and the chord once per box and each bandwidth only
+    ``boxes`` maps a box's node counts to its ``(w rho) f`` product and its
+    chord ``|y - x|^2`` (:func:`_box_terms`), so a sweep evaluates the
+    geometry, ``f`` and the chord once per box and each bandwidth only
     applies its kernel; the sum ``((w rho) f) k`` keeps the bits of
     :func:`_rule_sum`.  Only this bandwidth's two boxes are kept: the node
-    counts never fall as eps does.
+    counts never fall as eps does.  A box takes at most three arrays of its
+    size while it is built and keeps two; each bandwidth adds one, the
+    kernel, per box in turn.
     """
     keys = [tuple(orders), tuple(_compared_order(n) for n in orders)]
     for key in set(boxes) - set(keys):
         del boxes[key]
     for key in keys:
         if key not in boxes:
-            weighted, ambient = _rule_terms(
-                M, f, build_full_rule(M, axis_orders=key))
-            boxes[key] = weighted, _chord_sq(x0, ambient)
+            boxes[key] = _box_terms(M, f, x0, key)
     value, coarse = (
         float(np.sum(_weighted_terms(weighted,
                                      _kernel_of_chord(chord, eps, M.dim))))

@@ -2,11 +2,13 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import ckl.cli as cli
+import ckl.fields as fields
 import ckl.operator as operator
 from ckl import NumericsError, ValidationError
 from ckl.catalog import (
@@ -556,6 +558,73 @@ class TestSweep:
         ladder = eps_sweep(catalog_manifold("sphere3"), const_one,
                            ChartPoint(0, [1.0, 1.2, 0.5]), [1e-3])
         assert ladder.samples[0].tail_bound > 0.0
+
+    @pytest.mark.parametrize("M, coords, index", [
+        (S3, [math.pi / 2, math.pi / 2, math.pi], 1),   # dense x_0
+        (QUADRIC, [0.1, 0.0, -0.05], 4),                # dense P(s)
+        (QUADRIC, [0.1, 0.0, -0.05], 1),                # the node axis s_1
+        # d = 1: the node axis s is box-sized, and must stay the rule's
+        (make_graph(PolyTerms(1, [(1.0, (2,))])), [0.1], 1),
+        (make_graph(PolyTerms(1, [(1.0, (2,))])), [0.1], 2),
+    ], ids=["sphere3-x0", "quadric-P", "quadric-s1", "graph1-s", "graph1-P"])
+    def test_full_box_sample_keeps_the_rule_sums_bits(self, M, coords, index):
+        # a sweep builds its full box in arrays of its own, and a field that
+        # returns an embedding column is read before the chord overwrites it;
+        # a rule a caller passes in is only read, call after call
+        x, f, eps = ChartPoint(0, coords), AmbientCoordField(index, M.ambient_dim), 0.1
+        orders = operator._full_box_orders(
+            M, eps, operator._metric_diagonals(M, x)[0], operator.DEFAULT_ORDER)
+        rule = build_full_rule(M, axis_orders=orders)
+        nodes = [a.copy() for a in rule.nodes.columns]
+        weights = rule.weights.copy()
+        (sample,) = eps_sweep(M, f, x, [eps]).samples
+        for _ in range(2):
+            assert apply_operator(M, f, x, eps, rule) == (sample.value, 0.0)
+        assert all(np.array_equal(a, b) for a, b in zip(rule.nodes.columns, nodes))
+        assert np.array_equal(rule.weights, weights)
+
+    @pytest.mark.parametrize("name, coords, field", [
+        ("sphere3", [math.pi / 2, math.pi / 2, math.pi], "const1"),
+        ("quadric411", [0.1, 0.0, -0.05], "ambient:4"),
+    ])
+    def test_full_box_memory_peak(self, name, coords, field, monkeypatch):
+        # numpy reports its buffers to tracemalloc.  A full box of N nodes
+        # keeps two arrays of N float64s, its (w rho) f product and its
+        # chord, and takes a third while it is built; each bandwidth adds its
+        # kernel, one box at a time.  So the peak is at most the largest
+        # fine box's pair and kernel and its comparison box's pair.  The
+        # slack, 1.5 MB, covers arrays of one or two axes and the windowed
+        # rules tried while the first box pair is kept (sphere3's peak, at
+        # eps = 0.05: six arrays of a 64 x 64 x 24-node rule beside the 64^3
+        # pair).  Building the whole embedding beside the product, and
+        # keeping it, peaked at 13.6 and 13.3 MB here.
+        M = catalog_manifold(name)
+        f = fields.parse_function(field, M)
+        x = ChartPoint(0, coords)
+        M.volume()      # the coarse grid and the volume are kept in M.cache
+        boxes = []
+
+        def recording(M, order=operator.DEFAULT_ORDER, axis_orders=None):
+            boxes.append(math.prod(axis_orders))
+            return build_full_rule(M, order, axis_orders)
+
+        monkeypatch.setattr(operator, "build_full_rule", recording)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            eps_sweep(M, f, x, default_eps_ladder())
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        # boxes are built fine then coarse, and the node counts never fall
+        fine, coarse = boxes[-2:]
+        assert fine > coarse
+        bound = 8 * (3 * fine + 2 * coarse) + 1.5e6
+        assert peak <= bound, f"peak {peak / 1e6:.2f} MB > {bound / 1e6:.2f} MB"
 
     def test_ladder_validation(self):
         with pytest.raises(ValidationError):
