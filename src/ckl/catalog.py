@@ -126,8 +126,8 @@ def trig_chart(components: list[list[TrigTerm]], lo, hi, periodic,
 # ---------------------------------------------------------------------------
 
 def _add_into(total, term):
-    """``total + term``, in ``total``'s own array once that has the sum's
-    shape; ``total`` is a sum this module started from a constant."""
+    """``total + term``, in ``total``'s array (a sum begun from a constant)
+    once that has the sum's shape."""
     if isinstance(total, np.ndarray) and total.shape == np.broadcast(
             total, term).shape:
         total += term

@@ -57,11 +57,9 @@ last axis, so the values are those of ``np.sum((y - x) ** 2, axis=-1)`` on
 the stacked array, bit for bit.
 
 A sweep's full box keeps two arrays of its size, the ``(w rho) f`` product
-in the weights' outer product and the chord in a dense embedding column, and
-holds a third only while it is built: the other dense column on a trig
-chart, or ``1 + |grad P|^2`` on a graph.  No embedding column outlives the
-chord.  Each bandwidth adds its kernel, one box at a time.  Windowed rules
-and Monte Carlo nodes build their arrays afresh.
+and the chord, built in the weights and a dense embedding column; while it is
+built it holds a third, the other dense column on a trig chart or
+``1 + |grad P|^2`` on a graph.  Each bandwidth adds its kernel, box by box.
 
 Non-compact chart-defined manifolds (polynomial graphs) are integrated over
 the compact closure of their chart boxes; volume and sup-norm figures used in
@@ -104,11 +102,9 @@ def _chord_sq(x: np.ndarray, y, scratch: frozenset[int] = frozenset()
               ) -> np.ndarray:
     """``|y - x|^2`` of an array or :class:`TensorGrid` ``y``, summed one
     ambient component at a time, left to right (see :func:`k_eps`).  Each
-    term is squared in place, and the sum is added into whichever of the two
-    already has the sum's shape (addition commutes, so the bits are those of
-    a left-to-right sum): at most two batch-sized arrays are alive.  The
-    columns whose indices are in ``scratch`` are overwritten, each with its
-    own term; ``y``'s other columns are only read."""
+    term is squared in place and the sum added into whichever of the two has
+    its shape (addition commutes), so at most two batch-sized arrays are
+    alive.  The columns indexed in ``scratch`` are overwritten by their terms."""
     dist_sq = None
     for i in range(y.shape[-1]):
         col = y[..., i]
@@ -608,33 +604,26 @@ def default_eps_ladder(eps0: float = 0.1, count: int = 8) -> list[float]:
     return out
 
 
-def _scratch_columns(nodes: TensorGrid, ambient: TensorGrid) -> frozenset[int]:
-    """The embedding columns a full box may overwrite: writable arrays of
-    the box's shape that own their memory and share it with no node axis
-    (a graph's ``s_i``, any axis at d = 1) and no other column."""
-    batch, arrays = ambient.shape[:-1], (*nodes.columns, *ambient.columns)
-    return frozenset(
-        i for i, col in enumerate(ambient.columns)
-        if col.shape == batch and col.base is None and col.flags.writeable
-        and sum(np.may_share_memory(col, a) for a in arrays) == 1)
-
-
 def _box_terms(M: EmbeddedManifold, f: Callable, x0: np.ndarray,
                orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The full box's ``(w rho) f`` product and chord ``|y - x|^2``, with
-    the bits of :func:`_rule_terms` and :func:`_chord_sq`, each in an array
-    the box built: the product in the weights' outer product, the chord in
-    a dense embedding column (on a graph, whose only dense column is
-    ``P(s)``, in the sum of its axis terms).  The volume element is freed
-    before ``f`` is called, and ``f`` is multiplied in before the chord
-    overwrites any column, since a field may return a column itself."""
+    the bits of :func:`_rule_terms` and :func:`_chord_sq`, in arrays the box
+    built: the product in the weights' outer product, the chord in the
+    embedding columns of the box's shape that own their memory and share it
+    with no node axis (a graph's ``s_i``, any axis at d = 1) or other column.
+    ``f`` is multiplied in first, since a field may return such a column."""
     rule = build_full_rule(M, axis_orders=orders)
     nodes, ambient, dens = M.chart(0).jet(rule.nodes, (0,), volume=True)
     weighted = rule.weights     # built for this box alone
     weighted *= dens
     del rule, dens
     weighted *= np.asarray(f(nodes, ambient), dtype=float)
-    return weighted, _chord_sq(x0, ambient, _scratch_columns(nodes, ambient))
+    arrays = (*nodes.columns, *ambient.columns)
+    return weighted, _chord_sq(x0, ambient, frozenset(
+        i for i, col in enumerate(ambient.columns)
+        if col.shape == weighted.shape and col.base is None
+        and col.flags.writeable
+        and sum(np.may_share_memory(col, a) for a in arrays) == 1))
 
 
 def _full_box_sample(M: EmbeddedManifold, f: Callable, x0: np.ndarray,
