@@ -596,8 +596,7 @@ class TestSweep:
         # slack, 1.5 MB, covers arrays of one or two axes and the windowed
         # rules tried while the first box pair is kept (sphere3's peak, at
         # eps = 0.05: six arrays of a 64 x 64 x 24-node rule beside the 64^3
-        # pair).  Building the whole embedding beside the product, and
-        # keeping it, peaked at 13.6 and 13.3 MB here.
+        # pair).
         M = catalog_manifold(name)
         f = fields.parse_function(field, M)
         x = ChartPoint(0, coords)
