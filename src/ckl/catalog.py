@@ -136,22 +136,27 @@ def _add_into(total, term):
 
 
 class PolyTerms:
-    """A multivariate polynomial as a list of (coefficient, exponent-tuple)."""
+    """A multivariate polynomial as a list of (coefficient, exponent-tuple),
+    each term's coefficient times its integer ``factors`` entry (1 unless
+    the polynomial is a partial)."""
 
-    def __init__(self, dim: int, terms: list[tuple[float, tuple[int, ...]]]):
+    def __init__(self, dim: int, terms: list[tuple[float, tuple[int, ...]]],
+                 factors: list[int] | None = None):
         self.dim = dim
         self.terms = [(float(c), tuple(int(e) for e in a)) for c, a in terms]
+        self.factors = [1] * len(self.terms) if factors is None else factors
         for _, alpha in self.terms:
             if len(alpha) != dim or any(e < 0 for e in alpha):
                 raise ValidationError(f"bad exponent tuple {alpha} for dim {dim}")
 
     def __call__(self, coords: np.ndarray) -> np.ndarray | float:
         """P at ``coords``, broadcast only over the axes its monomials use: a
-        monomial starts from its coefficient, and the polynomial from 0."""
+        monomial starts from its coefficient times its factor, and the
+        polynomial from 0."""
         coords = as_coords(coords)
         out = 0.0
-        for c, alpha in self.terms:
-            mono = c
+        for (c, alpha), k in zip(self.terms, self.factors):
+            mono = c * k
             for i, e in enumerate(alpha):
                 if e:
                     mono = mono * coords[..., i] ** e
@@ -159,9 +164,13 @@ class PolyTerms:
         return out
 
     def partial(self, i: int) -> "PolyTerms":
-        """d/dx_i, exactly."""
-        return PolyTerms(self.dim, [(c * a[i], a[:i] + (a[i] - 1,) + a[i + 1:])
-                                    for c, a in self.terms if a[i]])
+        """d/dx_i, exactly: the falling-factorial factor stays an integer, so
+        the coefficient is rounded once, in whatever order the partials of a
+        mixed derivative are taken."""
+        kept = [(c, a, k) for (c, a), k in zip(self.terms, self.factors) if a[i]]
+        return PolyTerms(self.dim,
+                         [(c, a[:i] + (a[i] - 1,) + a[i + 1:]) for c, a, _ in kept],
+                         [k * a[i] for _, a, k in kept])
 
 
 def graph_chart(poly: PolyTerms, halfwidth: float) -> Chart:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import ValidationError
@@ -114,22 +113,27 @@ def flat_taylor_data(dim: int, f_terms: Sequence[HomogeneousPoly],
     return TaylorData(dim=dim, f_terms=f_full, rho_terms=rho, q_terms=q)
 
 
-def _sinc_power_series(power: int, top: int) -> list[Fraction]:
-    """Taylor coefficients of (sin u / u)^power through degree ``top``."""
-    sinc = [Fraction(0)] * (top + 1)
+def _sinc_power_series(power: int, top: int) -> list[float]:
+    """Taylor coefficients of (sin u / u)^power through degree ``top``, each
+    rounded once: the series is multiplied out in integers over the common
+    denominator ``((top + 1)!)^power``, and an integer quotient rounds
+    correctly, as ``float(Fraction)`` does."""
+    denom = _FACT[top + 1]
+    sinc = [0] * (top + 1)
     for j in range(0, top + 1, 2):
-        sinc[j] = Fraction((-1) ** (j // 2), _FACT[j + 1])
-    out = [Fraction(0)] * (top + 1)
-    out[0] = Fraction(1)
+        sinc[j] = (-1) ** (j // 2) * (denom // _FACT[j + 1])
+    out = [0] * (top + 1)
+    out[0] = 1
     for _ in range(power):
-        new = [Fraction(0)] * (top + 1)
+        new = [0] * (top + 1)
         for i, a in enumerate(out):
             if a == 0:
                 continue
             for j in range(0, top + 1 - i, 2):
                 new[i + j] += a * sinc[j]
         out = new
-    return out
+    scale = denom ** power
+    return [n / scale for n in out]
 
 
 def sphere_taylor_data(dim: int, radius: float = 1.0, max_degree: int = 8,
@@ -154,7 +158,7 @@ def sphere_taylor_data(dim: int, radius: float = 1.0, max_degree: int = 8,
         if c == 0 or k % 2:
             rho_terms.append(HomogeneousPoly.zero(d, k))
         else:
-            value = float(c) * _FACT[k] * radius ** (-k)
+            value = c * _FACT[k] * radius ** (-k)
             rho_terms.append(radial_power(d, k, value))
 
     q_terms = []

@@ -185,7 +185,16 @@ class Chart:
         return np.broadcast_to(ok, coords.shape[:-1])
 
     def require_inside(self, coords: np.ndarray):
-        if not np.all(self.contains(coords)):
+        """Raise :class:`DomainError` unless every point lies in the box on
+        every non-periodic axis.  A :class:`TensorGrid` is checked one
+        column at a time, with no mask of its batch's shape."""
+        if isinstance(coords, TensorGrid):
+            inside = all(
+                np.all((coords[..., i] >= self.lo[i]) & (coords[..., i] <= self.hi[i]))
+                for i, per in enumerate(self.periodic) if not per)
+        else:
+            inside = np.all(self.contains(coords))
+        if not inside:
             raise DomainError(
                 f"coordinates outside chart domain [{self.lo}, {self.hi}]")
 

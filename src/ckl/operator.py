@@ -39,12 +39,12 @@ same evaluator as a rule's.  It takes a whole ladder and makes its random
 draws once per call; each bandwidth scales the shared draws to its own nodes,
 so its row is the one a call with that bandwidth alone returns.
 
-The base rules ``eps_sweep`` always uses, Gauss-Hermite of every order in
-``HERMITE_ORDERS`` and Gauss-Legendre of ``DEFAULT_ORDER`` and the order its
-error estimate compares with (64 and 43), are numpy's own, read from a table
-shipped with the package (``gauss_rules.f64``) on first use; a test checks
-the table against numpy bit for bit.  Every other order is computed by numpy
-once per process.
+Gauss-Hermite of every order in ``HERMITE_ORDERS`` and Gauss-Legendre of
+every order a d = 3 full box may take (2 to ``max_axis_order(3)``, 192) are
+numpy's own, read from a table shipped with the package (``gauss_rules.f64``),
+each rule alone on its first use; a test checks the table against numpy bit
+for bit.  So an escalated box runs no eigensolver.  numpy computes every
+other order once per process.
 
 A rule holds its nodes as a :class:`TensorGrid` of per-axis arrays, so the
 geometry is evaluated per axis and broadcast, never on dense ``(N, d)`` nodes.
@@ -60,6 +60,11 @@ A sweep's full box keeps two arrays of its size, the ``(w rho) f`` product
 and the chord, built in the weights and a dense embedding column; while it is
 built it holds a third, the other dense column on a trig chart or
 ``1 + |grad P|^2`` on a graph.  Each bandwidth adds its kernel, box by box.
+numpy's SIMD ``exp`` leaves its vector path for an argument whose result is
+not normal, at 20 to 200 times the cost, so where a box's largest chord puts
+``chord / (-4 eps)`` below -708 the kernel skips the arguments whose result
+is 0 and takes the subnormal ones apart (:func:`_split_exp`), keeping every
+bit.  A windowed rule's kernel is formed in its own chord.
 
 Non-compact chart-defined manifolds (polynomial graphs) are integrated over
 the compact closure of their chart boxes; volume and sup-norm figures used in
@@ -72,7 +77,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import pairwise, takewhile
+from itertools import accumulate, pairwise, takewhile
 from operator import mul
 from pathlib import Path
 from typing import Callable, Sequence
@@ -98,17 +103,36 @@ def _require_bandwidth(eps: float) -> None:
         raise ValidationError(f"eps must be positive and finite, got {eps:g}")
 
 
+# the elements of a dense chord term formed at a time where it is added into
+# a dense sum and its column may not be overwritten (see _chord_sq)
+_CHORD_BLOCK = 2 ** 13
+
+
 def _chord_sq(x: np.ndarray, y, scratch: frozenset[int] = frozenset()
               ) -> np.ndarray:
     """``|y - x|^2`` of an array or :class:`TensorGrid` ``y``, summed one
     ambient component at a time, left to right (see :func:`k_eps`).  Each
     term is squared in place and the sum added into whichever of the two has
     its shape (addition commutes), so at most two batch-sized arrays are
-    alive.  The columns indexed in ``scratch`` are overwritten by their terms."""
+    alive; a term of the sum's shape, added into it, is formed
+    ``_CHORD_BLOCK`` elements at a time, so then only one is.  The columns
+    indexed in ``scratch`` are overwritten by their terms."""
     dist_sq = None
     for i in range(y.shape[-1]):
-        col = y[..., i]
-        term = np.subtract(col, x[..., i], out=col if i in scratch else None)
+        col, xi = y[..., i], x[..., i]
+        if (i not in scratch and isinstance(dist_sq, np.ndarray)
+                and np.shape(col) == dist_sq.shape and np.ndim(xi) == 0
+                and col.flags.c_contiguous and dist_sq.flags.c_contiguous):
+            flat_col, flat_sum = col.reshape(-1), dist_sq.reshape(-1)
+            buf = np.empty(min(_CHORD_BLOCK, flat_sum.size))
+            for start in range(0, flat_sum.size, _CHORD_BLOCK):
+                stop = min(start + _CHORD_BLOCK, flat_sum.size)
+                term = np.subtract(flat_col[start:stop], xi,
+                                   out=buf[:stop - start])
+                term *= term
+                flat_sum[start:stop] += term
+            continue
+        term = np.subtract(col, xi, out=col if i in scratch else None)
         term *= term
         if dist_sq is None:
             dist_sq = term
@@ -130,21 +154,61 @@ def k_eps(x: np.ndarray, y, eps: float, d: int) -> np.ndarray:
     columns.  Arrays and columns take one path: the chord is summed one
     component at a time, left to right, so no ``(..., n)`` difference array
     is formed; for n < 8 that is numpy's own order for a last-axis sum, and
-    the values are bit-identical to summing the stacked array.  ``eps``
-    must satisfy ``0 < eps < inf``.
+    the values are bit-identical to summing the stacked array.  The kernel
+    is formed in the chord's own array.  ``eps`` must satisfy
+    ``0 < eps < inf``.
     """
     _require_bandwidth(eps)
+    chord = _chord_sq(np.asarray(x, dtype=float), as_coords(y))
     return _kernel_of_chord(
-        _chord_sq(np.asarray(x, dtype=float), as_coords(y)), eps, d)
+        chord, eps, d, out=chord if isinstance(chord, np.ndarray) else None)
 
 
-def _kernel_of_chord(dist_sq: np.ndarray, eps: float, d: int) -> np.ndarray:
-    """``(4 pi eps)^(-d/2) exp(-dist_sq / (4 eps))`` in one new array: the
-    quotient, exponentiated and scaled in place (``dist_sq`` is untouched)."""
-    kern = dist_sq / (-4.0 * eps)
-    kern = np.exp(kern, out=kern) if isinstance(kern, np.ndarray) else np.exp(kern)
+# np.exp's result is normal from -708.39 up and rounds to 0 below -745.13;
+# numpy's SIMD exp leaves its vector path for any other argument, at 20 times
+# the cost below the zero cut-off and 200 times between the cut-offs
+_NORMAL_EXP, _ZERO_EXP = -708.0, -746.0
+# the elements of a kernel split per pass, so its masks stay this small
+_EXP_CHUNK = 2 ** 16
+
+
+def _kernel_of_chord(dist_sq: np.ndarray, eps: float, d: int,
+                     out: np.ndarray | None = None,
+                     largest: float = 0.0) -> np.ndarray:
+    """``(4 pi eps)^(-d/2) exp(-dist_sq / (4 eps))``: the quotient,
+    exponentiated and scaled in place, in ``out`` or else in a new array
+    (``dist_sq`` is then untouched).  Where ``largest``, the chord's
+    maximum, puts a quotient below ``_NORMAL_EXP``, the exponential is
+    split (:func:`_split_exp`)."""
+    if out is None:
+        kern = dist_sq / (-4.0 * eps)
+    else:
+        kern = np.divide(dist_sq, -4.0 * eps, out=out)
+    if not isinstance(kern, np.ndarray):
+        kern = np.exp(kern)
+    elif largest / (-4.0 * eps) < _NORMAL_EXP:
+        _split_exp(kern)
+    else:
+        np.exp(kern, out=kern)
     kern *= (4.0 * math.pi * eps) ** (-d / 2.0)
     return kern
+
+
+def _split_exp(q: np.ndarray) -> None:
+    """``np.exp`` of the contiguous array ``q`` in place, with the bits of
+    one call: per ``_EXP_CHUNK`` elements, np.exp runs on the quotients from
+    ``_NORMAL_EXP`` up, 0 is written below ``_ZERO_EXP``, and np.exp runs
+    again on the few quotients in between."""
+    flat = q.reshape(-1)
+    for start in range(0, flat.size, _EXP_CHUNK):
+        chunk = flat[start:start + _EXP_CHUNK]
+        low = np.flatnonzero(chunk < _NORMAL_EXP)
+        tiny = chunk[low]
+        chunk[low] = 0.0
+        np.exp(chunk, out=chunk)
+        chunk[low] = 0.0
+        band = np.flatnonzero(tiny >= _ZERO_EXP)
+        chunk[low[band]] = np.exp(tiny[band])
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +257,23 @@ def _compared_order(order: int) -> int:
     return coarse if coarse < order else order + 1
 
 
-# the rules eps_sweep always uses, in the order GAUSS_TABLE holds them
+_MAX_AXIS_ORDER = {1: 1024, 2: 512, 3: 192}
+
+
+def max_axis_order(dim: int) -> int:
+    """Largest per-axis node count a rule may use in dimension ``dim``."""
+    return _MAX_AXIS_ORDER.get(dim, 128)
+
+
+# the rules GAUSS_TABLE holds, in its order: Gauss-Hermite of the ladder's
+# orders, and Gauss-Legendre of every order a d = 3 full box may take
 TABULATED = (*(("hermite", n) for n in HERMITE_ORDERS),
-             ("legendre", DEFAULT_ORDER),
-             ("legendre", _compared_order(DEFAULT_ORDER)))
+             *(("legendre", n) for n in range(2, max_axis_order(3) + 1)))
 GAUSS_TABLE = Path(__file__).with_name("gauss_rules.f64")
+# each tabulated rule's offset in GAUSS_TABLE, in float64s: a rule of n
+# nodes holds ceil(n / 2) nodes and as many weights
+_TABLE_OFFSETS = dict(zip(TABULATED, accumulate(
+    (2 * (n - n // 2) for _, n in TABULATED), initial=0)))
 
 
 def _read_only(rule: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
@@ -207,34 +283,33 @@ def _read_only(rule: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
 
 
 @cache
-def _gauss_table() -> dict[tuple[str, int], tuple[np.ndarray, np.ndarray]]:
-    """The ``TABULATED`` rules as numpy's ``hermgauss``/``leggauss`` return
-    them, read from ``GAUSS_TABLE`` on first use.  The file holds, rule after
-    rule, the nonnegative nodes (ascending) and then their weights, as
-    little-endian float64; numpy makes its rules exactly symmetric, so the
-    rest of a rule is that half mirrored, its nodes negated."""
+def _tabulated(kind: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``TABULATED`` rule ``(kind, n)`` as numpy's ``hermgauss`` or
+    ``leggauss`` returns it, read alone from ``GAUSS_TABLE``: the whole file
+    is 150 KB, a rule at most 1.5 KB.  The file holds, rule after rule, the
+    nonnegative nodes (ascending) and then their weights, as little-endian
+    float64; numpy makes its rules exactly symmetric, so the rest of a rule
+    is that half mirrored, its nodes negated."""
+    half = n - n // 2
+    with GAUSS_TABLE.open("rb") as fh:
+        fh.seek(8 * _TABLE_OFFSETS[kind, n])
+        raw = fh.read(16 * half)
     # np.asarray of the buffer, not np.frombuffer: nothing else in a ckl
     # process runs frombuffer's code, and mapping it costs 64 KB of RSS
-    data = np.asarray(memoryview(GAUSS_TABLE.read_bytes()).cast("d"))
+    data = np.asarray(memoryview(raw).cast("d"))
     if sys.byteorder == "big":
         data = data.byteswap()
-    table, start = {}, 0
-    for key in TABULATED:
-        n = key[1]
-        half = n - n // 2
-        t, w = data[start:start + half], data[start + half:start + 2 * half]
-        start += 2 * half
-        table[key] = _read_only((np.concatenate((-t[::-1][:n // 2], t)),
-                                 np.concatenate((w[::-1][:n // 2], w))))
-    return table
+    t, w = data[:half], data[half:]
+    return _read_only((np.concatenate((-t[::-1][:n // 2], t)),
+                       np.concatenate((w[::-1][:n // 2], w))))
 
 
 @cache
 def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss-Legendre nodes and weights on [-1, 1]: numpy's
     ``leggauss``, from the table for a ``TABULATED`` order."""
-    if ("legendre", order) in TABULATED:
-        return _gauss_table()["legendre", order]
+    if ("legendre", order) in _TABLE_OFFSETS:
+        return _tabulated("legendre", order)
     return _read_only(np.polynomial.legendre.leggauss(order))
 
 
@@ -244,7 +319,7 @@ def _gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
     ``w_k e^(t_k^2)``, which integrate ``g`` over the line where ``g`` is
     ``e^(-t^2)`` times a smooth factor; ``(t_k, w_k)`` is numpy's
     ``hermgauss``, from the table for a ``TABULATED`` order."""
-    t, w = (_gauss_table()["hermite", order] if ("hermite", order) in TABULATED
+    t, w = (_tabulated("hermite", order) if ("hermite", order) in _TABLE_OFFSETS
             else np.polynomial.hermite.hermgauss(order))
     return _read_only((t, w * np.exp(t * t)))
 
@@ -296,7 +371,6 @@ def build_full_rule(M: EmbeddedManifold, order: int = DEFAULT_ORDER,
          for i, n in enumerate(axis_orders)]))
 
 
-_MAX_AXIS_ORDER = {1: 1024, 2: 512, 3: 192}
 # a rule holds at most 64^4 nodes: sphere3's largest box (192^3) and the
 # 2048 x 512 reference rules fit, a 64^6 box (6.9e10 nodes) does not
 _MAX_RULE_NODES = 2 ** 24
@@ -306,11 +380,6 @@ MC_SAMPLES = range(1000, 1_000_001)
 MC_DEFENSIVE = 0.1
 # the largest node rounding, 2^-52 |x_i|, allowed per Gaussian width
 MC_RESOLUTION = 1e-3
-
-
-def max_axis_order(dim: int) -> int:
-    """Largest per-axis node count a rule may use in dimension ``dim``."""
-    return _MAX_AXIS_ORDER.get(dim, 128)
 
 
 def _metric_diagonals(M: EmbeddedManifold, x: ChartPoint
@@ -605,8 +674,9 @@ def default_eps_ladder(eps0: float = 0.1, count: int = 8) -> list[float]:
 
 
 def _box_terms(M: EmbeddedManifold, f: Callable, x0: np.ndarray,
-               orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The full box's ``(w rho) f`` product and chord ``|y - x|^2``, with
+               orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, float]:
+    """The full box's ``(w rho) f`` product, chord ``|y - x|^2`` and largest
+    chord, the product and chord with
     the bits of :func:`_rule_terms` and :func:`_chord_sq`, in arrays the box
     built: the product in the weights' outer product, the chord in the
     embedding columns of the box's shape that own their memory and share it
@@ -619,11 +689,12 @@ def _box_terms(M: EmbeddedManifold, f: Callable, x0: np.ndarray,
     del rule, dens
     weighted *= np.asarray(f(nodes, ambient), dtype=float)
     arrays = (*nodes.columns, *ambient.columns)
-    return weighted, _chord_sq(x0, ambient, frozenset(
+    chord = _chord_sq(x0, ambient, frozenset(
         i for i, col in enumerate(ambient.columns)
         if col.shape == weighted.shape and col.base is None
         and col.flags.writeable
         and sum(np.may_share_memory(col, a) for a in arrays) == 1))
+    return weighted, chord, float(np.max(chord))
 
 
 def _full_box_sample(M: EmbeddedManifold, f: Callable, x0: np.ndarray,
@@ -633,11 +704,12 @@ def _full_box_sample(M: EmbeddedManifold, f: Callable, x0: np.ndarray,
     ``_compared_order(n)`` nodes on each axis of ``n``.  The box misses
     nothing, so its tail bound is 0.
 
-    ``boxes`` maps a box's node counts to its ``(w rho) f`` product and its
-    chord ``|y - x|^2`` (:func:`_box_terms`), so a sweep evaluates the
-    geometry, ``f`` and the chord once per box and each bandwidth only
-    applies its kernel; the sum ``((w rho) f) k`` keeps the bits of
-    :func:`_rule_sum`.  Only this bandwidth's two boxes are kept: the node
+    ``boxes`` maps a box's node counts to its ``(w rho) f`` product, its
+    chord ``|y - x|^2`` and the chord's maximum (:func:`_box_terms`), so a
+    sweep evaluates the geometry, ``f`` and the chord once per box and each
+    bandwidth only applies its kernel, split where the maximum underflows
+    its exponential (:func:`_kernel_of_chord`); the sum ``((w rho) f) k``
+    keeps the bits of :func:`_rule_sum`.  Only this bandwidth's two boxes are kept: the node
     counts never fall as eps does.  A box takes at most three arrays of its
     size while it is built and keeps two; each bandwidth adds one, the
     kernel, per box in turn.
@@ -649,9 +721,9 @@ def _full_box_sample(M: EmbeddedManifold, f: Callable, x0: np.ndarray,
         if key not in boxes:
             boxes[key] = _box_terms(M, f, x0, key)
     value, coarse = (
-        float(np.sum(_weighted_terms(weighted,
-                                     _kernel_of_chord(chord, eps, M.dim))))
-        for weighted, chord in map(boxes.get, keys))
+        float(np.sum(_weighted_terms(
+            weighted, _kernel_of_chord(chord, eps, M.dim, largest=largest))))
+        for weighted, chord, largest in map(boxes.get, keys))
     if not (math.isfinite(value) and math.isfinite(coarse)):
         raise NumericsError(f"operator value at eps={eps:g} is not finite")
     return LadderSample(eps=eps, value=value, tail_bound=0.0,
@@ -683,13 +755,12 @@ def _sample(M: EmbeddedManifold, f: Callable, x: ChartPoint, x0: np.ndarray,
             break
         rule = build_localized_rule(M, x, eps, order, n, metric)
         value, floor = _rule_sum(M, f, x0, eps, rule)
-        if any(kind != HERMITE for kind in rule.axis_rules):
+        # an all-Hermite rule ignores ``order``, and its previous order's
+        # rule was all-Hermite too: summed already, unless it is the first
+        if not seen or any(kind != HERMITE for kind in rule.axis_rules):
             reference, _ = _rule_sum(M, f, x0, eps, build_localized_rule(
                 M, x, eps, _compared_order(order), prev, metric))
-        elif not seen:
-            reference, _ = _rule_sum(M, f, x0, eps, build_localized_rule(
-                M, x, eps, order, HERMITE_ORDERS[0], metric))
-        else:   # an all-Hermite rule's previous order was all-Hermite too
+        else:
             reference = seen[-1]
         error = abs(value - reference)
         seen += [reference, value]

@@ -588,10 +588,11 @@ class TestErrors:
 
 
 def test_import_is_numpy_only():
-    # the runtime needs numpy alone: neither sympy nor scipy is loaded
+    # the runtime needs numpy alone: neither sympy nor scipy is loaded, and
+    # the exact series use integers, not fractions (which loads decimal)
     code = ("import sys, ckl, ckl.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('sympy', 'scipy')))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('sympy', 'scipy', 'fractions', 'decimal', '_pydecimal')))")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
@@ -619,14 +620,19 @@ def test_json_scan_leaves_numpy_random_unloaded():
         assert after == "False"
 
 
-@pytest.mark.parametrize("manifold", ["sphere3", "torus"])
-def test_default_operator_leaves_numpy_polynomial_unloaded(manifold):
+@pytest.mark.parametrize("argv", [
+    ["operator", "--manifold", "sphere3"],
+    ["operator", "--manifold", "torus"],
+    # full boxes of 72 x 71 x 73 and 48 x 48 x 49 nodes at eps 0.003125
+    ["expand", "--manifold", "quadric411", "--point", "0.1,0,-0.05",
+     "--f", "ambient:4"],
+], ids=["sphere3", "torus", "quadric411-expand"])
+def test_default_operator_leaves_numpy_polynomial_unloaded(argv):
     # the rules a default sweep uses come from the package's table, so
     # numpy's quadrature generators load only if importing numpy did
     code = ("import os, sys, numpy; "
             "before = 'numpy.polynomial' in sys.modules; import ckl.cli; "
-            f"code = ckl.cli.main(['operator', '--manifold', '{manifold}', "
-            "'--out', os.devnull]); "
+            f"code = ckl.cli.main({argv!r} + ['--out', os.devnull]); "
             "print(code, before, 'numpy.polynomial' in sys.modules)")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}

@@ -2,6 +2,7 @@
 weights, assembly, closed forms, Taylor-data validation."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -52,6 +53,27 @@ class TestAlphaTerms:
         td = sphere_taylor_data(2, 1.0, max_degree=6)
         alphas = alpha_terms(td)
         assert alphas[2] == td.rho_terms[2]
+
+
+class TestSphereTaylorData:
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    @pytest.mark.parametrize("radius", [1.0, 0.7, 2.5])
+    def test_density_matches_a_fraction_reference(self, dim, radius):
+        # (sin u / u)^(d - 1) multiplied out in Fractions, each coefficient
+        # rounded once by float(Fraction): the integer series must give the
+        # same floats
+        top = 14
+        sinc = [Fraction((-1) ** (j // 2), math.factorial(j + 1)) if j % 2 == 0
+                else Fraction(0) for j in range(top + 1)]
+        series = [Fraction(1)] + [Fraction(0)] * top
+        for _ in range(dim - 1):
+            series = [sum((series[i] * sinc[k - i] for i in range(k + 1)),
+                          Fraction(0)) for k in range(top + 1)]
+        td = sphere_taylor_data(dim, radius, max_degree=top)
+        for k, c in enumerate(series):
+            expected = (HP.zero(dim, k) if c == 0 or k % 2 else radial_power(
+                dim, k, float(c) * math.factorial(k) * radius ** (-k)))
+            assert td.rho_terms[k] == expected, k
 
 
 class TestBetaTerms:

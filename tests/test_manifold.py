@@ -354,6 +354,33 @@ class TestVolumeElement:
         np.testing.assert_array_equal(
             wrapped, S3.sqrt_det_metric(0, np.array([[1.0, 1.0, 1.0]])))
 
+    @pytest.mark.parametrize("M, axis, value", [
+        (S3, 0, -0.1), (S3, 1, math.pi + 1e-12), (S3, 0, math.nan),
+        (S3, 2, 3 * math.pi), (S3, 2, math.nan), (S3, 1, math.pi),
+        (QUADRIC, 2, 1.5), (QUADRIC, 1, math.nan), (QUADRIC, 0, -1.0),
+    ], ids=["psi-low", "theta-high", "psi-nan", "phi-beyond", "phi-nan",
+            "theta-edge", "quadric-high", "quadric-nan", "quadric-edge"])
+    def test_tensor_grid_checked_per_axis(self, M, axis, value, monkeypatch):
+        # a grid's bounds are decided one axis column at a time, as the
+        # dense check decides them; a periodic axis is never refused
+        chart = M.charts[0]
+        axes = [np.linspace(lo + 0.1, min(hi, lo + 3.0) - 0.1, 4 + i)
+                for i, (lo, hi) in enumerate(zip(chart.lo, chart.hi))]
+        axes[axis][-2] = value
+        grid = TensorGrid.product(axes)
+        inside = bool(np.all(chart.contains(np.asarray(grid))))
+        assert inside == (chart.periodic[axis] or chart.lo[axis] <= value <= chart.hi[axis])
+
+        def dense(self, coords):
+            raise AssertionError("a box-sized mask was built")
+
+        monkeypatch.setattr(type(chart), "contains", dense)
+        if inside:
+            chart.require_inside(grid)
+        else:
+            with pytest.raises(DomainError):
+                chart.require_inside(grid)
+
     @pytest.mark.parametrize("name", ["sphere2", "sphere3", "spheroid", "torus"])
     def test_trig_density_never_uses_jacobian(self, name, monkeypatch, rng):
         # the closed form must stay the only route for trig densities
@@ -439,6 +466,19 @@ class TestJet:
             for perm in itertools.permutations(range(2, 2 + k)):
                 np.testing.assert_allclose(t.transpose(0, 1, *perm), t,
                                            rtol=0, atol=4e-16 * scale)
+
+    @pytest.mark.parametrize("M", [
+        QUADRIC, PLANE, GRAPH, CUBIC,
+        load_manifold_text("type=graph d=2 poly=0.1:(3,5),0.7:(2,1),1.3:(1,1) box=1.0"),
+    ], ids=["quadric411", "plane", "graph", "cubic", "mixed"])
+    def test_graph_derivatives_exactly_symmetric(self, M, rng):
+        # a mixed partial's coefficient is rounded once, whatever the order
+        # in which its partials are taken (0.1 * 3 * 5 != 0.1 * 5 * 3)
+        pts = random_points(M, 10, rng)
+        for k in (2, 3, 4):
+            t = M.charts[0].jet(pts, (k,))[1]
+            for perm in itertools.permutations(range(2, 2 + k)):
+                np.testing.assert_array_equal(t.transpose(0, 1, *perm), t)
 
     def test_graph_vanishes_above_its_degree(self, rng):
         M = load_manifold_text(
