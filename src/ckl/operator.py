@@ -180,10 +180,7 @@ def _kernel_of_chord(dist_sq: np.ndarray, eps: float, d: int,
     (``dist_sq`` is then untouched).  Where ``largest``, the chord's
     maximum, puts a quotient below ``_NORMAL_EXP``, the exponential is
     split (:func:`_split_exp`)."""
-    if out is None:
-        kern = dist_sq / (-4.0 * eps)
-    else:
-        kern = np.divide(dist_sq, -4.0 * eps, out=out)
+    kern = np.divide(dist_sq, -4.0 * eps, out=out)
     if not isinstance(kern, np.ndarray):
         kern = np.exp(kern)
     elif largest / (-4.0 * eps) < _NORMAL_EXP:
