@@ -186,15 +186,12 @@ class Chart:
 
     def require_inside(self, coords: np.ndarray):
         """Raise :class:`DomainError` unless every point lies in the box on
-        every non-periodic axis.  A :class:`TensorGrid` is checked one
-        column at a time, with no mask of its batch's shape."""
-        if isinstance(coords, TensorGrid):
-            inside = all(
+        every non-periodic axis, checked one axis column at a time, so a
+        :class:`TensorGrid` builds no mask of its batch's shape."""
+        coords = as_coords(coords)
+        if not all(
                 np.all((coords[..., i] >= self.lo[i]) & (coords[..., i] <= self.hi[i]))
-                for i, per in enumerate(self.periodic) if not per)
-        else:
-            inside = np.all(self.contains(coords))
-        if not inside:
+                for i, per in enumerate(self.periodic) if not per):
             raise DomainError(
                 f"coordinates outside chart domain [{self.lo}, {self.hi}]")
 

@@ -60,11 +60,7 @@ A sweep's full box keeps two arrays of its size, the ``(w rho) f`` product
 and the chord, built in the weights and a dense embedding column; while it is
 built it holds a third, the other dense column on a trig chart or
 ``1 + |grad P|^2`` on a graph.  Each bandwidth adds its kernel, box by box.
-numpy's SIMD ``exp`` leaves its vector path for an argument whose result is
-not normal, at 20 to 200 times the cost, so where a box's largest chord puts
-``chord / (-4 eps)`` below -708 the kernel skips the arguments whose result
-is 0 and takes the subnormal ones apart (:func:`_split_exp`), keeping every
-bit.  A windowed rule's kernel is formed in its own chord.
+A windowed rule's kernel is formed in its own chord.
 
 Non-compact chart-defined manifolds (polynomial graphs) are integrated over
 the compact closure of their chart boxes; volume and sup-norm figures used in
@@ -103,36 +99,17 @@ def _require_bandwidth(eps: float) -> None:
         raise ValidationError(f"eps must be positive and finite, got {eps:g}")
 
 
-# the elements of a dense chord term formed at a time where it is added into
-# a dense sum and its column may not be overwritten (see _chord_sq)
-_CHORD_BLOCK = 2 ** 13
-
-
 def _chord_sq(x: np.ndarray, y, scratch: frozenset[int] = frozenset()
               ) -> np.ndarray:
     """``|y - x|^2`` of an array or :class:`TensorGrid` ``y``, summed one
     ambient component at a time, left to right (see :func:`k_eps`).  Each
     term is squared in place and the sum added into whichever of the two has
     its shape (addition commutes), so at most two batch-sized arrays are
-    alive; a term of the sum's shape, added into it, is formed
-    ``_CHORD_BLOCK`` elements at a time, so then only one is.  The columns
-    indexed in ``scratch`` are overwritten by their terms."""
+    alive.  The columns indexed in ``scratch`` are overwritten by their terms."""
     dist_sq = None
     for i in range(y.shape[-1]):
-        col, xi = y[..., i], x[..., i]
-        if (i not in scratch and isinstance(dist_sq, np.ndarray)
-                and np.shape(col) == dist_sq.shape and np.ndim(xi) == 0
-                and col.flags.c_contiguous and dist_sq.flags.c_contiguous):
-            flat_col, flat_sum = col.reshape(-1), dist_sq.reshape(-1)
-            buf = np.empty(min(_CHORD_BLOCK, flat_sum.size))
-            for start in range(0, flat_sum.size, _CHORD_BLOCK):
-                stop = min(start + _CHORD_BLOCK, flat_sum.size)
-                term = np.subtract(flat_col[start:stop], xi,
-                                   out=buf[:stop - start])
-                term *= term
-                flat_sum[start:stop] += term
-            continue
-        term = np.subtract(col, xi, out=col if i in scratch else None)
+        col = y[..., i]
+        term = np.subtract(col, x[..., i], out=col if i in scratch else None)
         term *= term
         if dist_sq is None:
             dist_sq = term
@@ -164,48 +141,15 @@ def k_eps(x: np.ndarray, y, eps: float, d: int) -> np.ndarray:
         chord, eps, d, out=chord if isinstance(chord, np.ndarray) else None)
 
 
-# np.exp's result is normal from -708.39 up and rounds to 0 below -745.13;
-# numpy's SIMD exp leaves its vector path for any other argument, at 20 times
-# the cost below the zero cut-off and 200 times between the cut-offs
-_NORMAL_EXP, _ZERO_EXP = -708.0, -746.0
-# the elements of a kernel split per pass, so its masks stay this small
-_EXP_CHUNK = 2 ** 16
-
-
 def _kernel_of_chord(dist_sq: np.ndarray, eps: float, d: int,
-                     out: np.ndarray | None = None,
-                     largest: float = 0.0) -> np.ndarray:
+                     out: np.ndarray | None = None) -> np.ndarray:
     """``(4 pi eps)^(-d/2) exp(-dist_sq / (4 eps))``: the quotient,
     exponentiated and scaled in place, in ``out`` or else in a new array
-    (``dist_sq`` is then untouched).  Where ``largest``, the chord's
-    maximum, puts a quotient below ``_NORMAL_EXP``, the exponential is
-    split (:func:`_split_exp`)."""
+    (``dist_sq`` is then untouched)."""
     kern = np.divide(dist_sq, -4.0 * eps, out=out)
-    if not isinstance(kern, np.ndarray):
-        kern = np.exp(kern)
-    elif largest / (-4.0 * eps) < _NORMAL_EXP:
-        _split_exp(kern)
-    else:
-        np.exp(kern, out=kern)
+    kern = np.exp(kern, out=kern) if isinstance(kern, np.ndarray) else np.exp(kern)
     kern *= (4.0 * math.pi * eps) ** (-d / 2.0)
     return kern
-
-
-def _split_exp(q: np.ndarray) -> None:
-    """``np.exp`` of the contiguous array ``q`` in place, with the bits of
-    one call: per ``_EXP_CHUNK`` elements, np.exp runs on the quotients from
-    ``_NORMAL_EXP`` up, 0 is written below ``_ZERO_EXP``, and np.exp runs
-    again on the few quotients in between."""
-    flat = q.reshape(-1)
-    for start in range(0, flat.size, _EXP_CHUNK):
-        chunk = flat[start:start + _EXP_CHUNK]
-        low = np.flatnonzero(chunk < _NORMAL_EXP)
-        tiny = chunk[low]
-        chunk[low] = 0.0
-        np.exp(chunk, out=chunk)
-        chunk[low] = 0.0
-        band = np.flatnonzero(tiny >= _ZERO_EXP)
-        chunk[low[band]] = np.exp(tiny[band])
 
 
 # ---------------------------------------------------------------------------
@@ -671,9 +615,8 @@ def default_eps_ladder(eps0: float = 0.1, count: int = 8) -> list[float]:
 
 
 def _box_terms(M: EmbeddedManifold, f: Callable, x0: np.ndarray,
-               orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, float]:
-    """The full box's ``(w rho) f`` product, chord ``|y - x|^2`` and largest
-    chord, the product and chord with
+               orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The full box's ``(w rho) f`` product and chord ``|y - x|^2``, with
     the bits of :func:`_rule_terms` and :func:`_chord_sq`, in arrays the box
     built: the product in the weights' outer product, the chord in the
     embedding columns of the box's shape that own their memory and share it
@@ -686,12 +629,11 @@ def _box_terms(M: EmbeddedManifold, f: Callable, x0: np.ndarray,
     del rule, dens
     weighted *= np.asarray(f(nodes, ambient), dtype=float)
     arrays = (*nodes.columns, *ambient.columns)
-    chord = _chord_sq(x0, ambient, frozenset(
+    return weighted, _chord_sq(x0, ambient, frozenset(
         i for i, col in enumerate(ambient.columns)
         if col.shape == weighted.shape and col.base is None
         and col.flags.writeable
         and sum(np.may_share_memory(col, a) for a in arrays) == 1))
-    return weighted, chord, float(np.max(chord))
 
 
 def _full_box_sample(M: EmbeddedManifold, f: Callable, x0: np.ndarray,
@@ -701,12 +643,11 @@ def _full_box_sample(M: EmbeddedManifold, f: Callable, x0: np.ndarray,
     ``_compared_order(n)`` nodes on each axis of ``n``.  The box misses
     nothing, so its tail bound is 0.
 
-    ``boxes`` maps a box's node counts to its ``(w rho) f`` product, its
-    chord ``|y - x|^2`` and the chord's maximum (:func:`_box_terms`), so a
-    sweep evaluates the geometry, ``f`` and the chord once per box and each
-    bandwidth only applies its kernel, split where the maximum underflows
-    its exponential (:func:`_kernel_of_chord`); the sum ``((w rho) f) k``
-    keeps the bits of :func:`_rule_sum`.  Only this bandwidth's two boxes are kept: the node
+    ``boxes`` maps a box's node counts to its ``(w rho) f`` product and its
+    chord ``|y - x|^2`` (:func:`_box_terms`), so a sweep evaluates the
+    geometry, ``f`` and the chord once per box and each bandwidth only
+    applies its kernel; the sum ``((w rho) f) k`` keeps the bits of
+    :func:`_rule_sum`.  Only this bandwidth's two boxes are kept: the node
     counts never fall as eps does.  A box takes at most three arrays of its
     size while it is built and keeps two; each bandwidth adds one, the
     kernel, per box in turn.
@@ -718,9 +659,9 @@ def _full_box_sample(M: EmbeddedManifold, f: Callable, x0: np.ndarray,
         if key not in boxes:
             boxes[key] = _box_terms(M, f, x0, key)
     value, coarse = (
-        float(np.sum(_weighted_terms(
-            weighted, _kernel_of_chord(chord, eps, M.dim, largest=largest))))
-        for weighted, chord, largest in map(boxes.get, keys))
+        float(np.sum(_weighted_terms(weighted,
+                                     _kernel_of_chord(chord, eps, M.dim))))
+        for weighted, chord in map(boxes.get, keys))
     if not (math.isfinite(value) and math.isfinite(coarse)):
         raise NumericsError(f"operator value at eps={eps:g} is not finite")
     return LadderSample(eps=eps, value=value, tail_bound=0.0,

@@ -360,9 +360,9 @@ class TestVolumeElement:
         (QUADRIC, 2, 1.5), (QUADRIC, 1, math.nan), (QUADRIC, 0, -1.0),
     ], ids=["psi-low", "theta-high", "psi-nan", "phi-beyond", "phi-nan",
             "theta-edge", "quadric-high", "quadric-nan", "quadric-edge"])
-    def test_tensor_grid_checked_per_axis(self, M, axis, value, monkeypatch):
-        # a grid's bounds are decided one axis column at a time, as the
-        # dense check decides them; a periodic axis is never refused
+    def test_bounds_checked_per_axis(self, M, axis, value, monkeypatch):
+        # a grid's or array's bounds are decided one axis column at a time,
+        # as the dense mask decides them; a periodic axis is never refused
         chart = M.charts[0]
         axes = [np.linspace(lo + 0.1, min(hi, lo + 3.0) - 0.1, 4 + i)
                 for i, (lo, hi) in enumerate(zip(chart.lo, chart.hi))]
@@ -371,15 +371,16 @@ class TestVolumeElement:
         inside = bool(np.all(chart.contains(np.asarray(grid))))
         assert inside == (chart.periodic[axis] or chart.lo[axis] <= value <= chart.hi[axis])
 
-        def dense(self, coords):
-            raise AssertionError("a box-sized mask was built")
+        def masked(self, coords):
+            raise AssertionError("a mask of the batch's shape was built")
 
-        monkeypatch.setattr(type(chart), "contains", dense)
-        if inside:
-            chart.require_inside(grid)
-        else:
-            with pytest.raises(DomainError):
-                chart.require_inside(grid)
+        monkeypatch.setattr(type(chart), "contains", masked)
+        for coords in (grid, np.asarray(grid)):
+            if inside:
+                chart.require_inside(coords)
+            else:
+                with pytest.raises(DomainError):
+                    chart.require_inside(coords)
 
     @pytest.mark.parametrize("name", ["sphere2", "sphere3", "spheroid", "torus"])
     def test_trig_density_never_uses_jacobian(self, name, monkeypatch, rng):

@@ -41,7 +41,6 @@ PLANE = catalog_manifold("plane")
 QUADRIC = catalog_manifold("quadric411")
 
 EQUATOR = ChartPoint(0, [math.pi / 2, 1.0])
-_SPLIT_EXP = operator._split_exp
 
 
 def bits(a):
@@ -89,9 +88,8 @@ class TestKernel:
             EpsLadder([LadderSample(eps, 1.0, 0.0)])
 
     def test_kernel_formed_in_its_chord(self):
-        # dense columns (more than one _CHORD_BLOCK of them) are added into
-        # the chord a block at a time and the kernel formed in the chord: the
-        # bits of the stacked array's sum, and the columns are only read
+        # the kernel is formed in the chord's own array: the bits of the
+        # stacked array's sum, and the dense columns are only read
         rng = np.random.default_rng(5)
         y = TensorGrid([rng.normal(size=(40, 1, 1)), rng.normal(size=(40, 9, 50)),
                         rng.normal(size=(1, 9, 1)), rng.normal(size=(40, 9, 50))])
@@ -102,46 +100,24 @@ class TestKernel:
         np.testing.assert_array_equal(bits(k_eps(x, y, 0.3, 3)), bits(expected))
         assert all(np.array_equal(a, b) for a, b in zip(y.columns, before))
 
-    @pytest.mark.parametrize("eps, chord", [
-        # quotients spanning [-800, 0], in more than one _EXP_CHUNK
-        (0.003125, np.random.default_rng(7).uniform(0.0, 3200.0 * 0.003125,
-                                                     3 * operator._EXP_CHUNK + 5)),
-        # -4 eps = -1: each cut-off's quotient and its float neighbours,
-        # beside NaN and an infinite chord
-        (0.25, np.array([c for cut in (-operator._NORMAL_EXP, -operator._ZERO_EXP)
-                         for c in (np.nextafter(cut, 0.0), cut, np.nextafter(cut, np.inf))]
-                        + [0.0, 1.0, 720.0, 1e300, np.inf, np.nan])),
-    ], ids=["span", "cut-offs"])
-    def test_split_exponential_keeps_the_bits(self, eps, chord, monkeypatch):
-        calls = []
-        monkeypatch.setattr(operator, "_split_exp",
-                            lambda q: calls.append(q.size) or _SPLIT_EXP(q))
-        kept = chord.copy()
-        whole = operator._kernel_of_chord(chord, eps, 3)
-        parts = operator._kernel_of_chord(chord, eps, 3, largest=np.nanmax(chord))
-        assert calls == [chord.size]
-        np.testing.assert_array_equal(bits(parts), bits(whole))
-        np.testing.assert_array_equal(bits(chord), bits(kept))
-
-    @pytest.mark.parametrize("M, coords, eps, underflows", [
-        (QUADRIC, [0.1, 0.0, -0.05], 0.003125, True),
-        (S3, [math.pi / 2, math.pi / 2, math.pi], 0.1, False),
-    ], ids=["quadric411", "sphere3"])
-    def test_full_box_kernel_split_only_where_it_underflows(
-            self, M, coords, eps, underflows, monkeypatch):
-        x = ChartPoint(0, coords)
-        orders = tuple(operator._full_box_orders(
-            M, eps, operator._metric_diagonals(M, x)[0], operator.DEFAULT_ORDER))
-        weighted, chord, largest = operator._box_terms(
-            M, const_one, M.embed(0, x.coords), orders)
-        assert largest == np.max(chord)
-        calls = []
-        monkeypatch.setattr(operator, "_split_exp",
-                            lambda q: calls.append(q.size) or _SPLIT_EXP(q))
-        kern = operator._kernel_of_chord(chord, eps, M.dim, largest=largest)
-        assert calls == ([chord.size] if underflows else [])
-        np.testing.assert_array_equal(
-            bits(kern), bits(operator._kernel_of_chord(chord, eps, M.dim)))
+    def test_kernel_adds_no_array_to_its_chord(self):
+        # each chord term is an axis column, so the chord is the one array of
+        # the grid's shape, and the kernel is formed in it
+        axis = np.linspace(-1.0, 1.0, 512)
+        y = TensorGrid([axis[:, None], axis[None, :]])
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            kern = k_eps(np.zeros(2), y, 0.3, 2)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert kern.shape == (512, 512)
+        assert peak <= 1.25 * kern.nbytes, f"peak {peak} B for a {kern.nbytes} B kernel"
 
 
 class TestRules:
@@ -652,9 +628,9 @@ class TestSweep:
         # kernel, one box at a time.  So the peak is at most the largest
         # fine box's pair and kernel and its comparison box's pair.  The
         # slack, 1.5 MB, covers arrays of one or two axes and the windowed
-        # rules tried while the first box pair is kept (at eps = 0.05 on
-        # sphere3: five arrays of a 64 x 64 x 24-node rule beside the 64^3
-        # pair, see test_kernel_scale_rule_memory_peak).
+        # rules tried while the first box pair is kept (sphere3's peak, at
+        # eps = 0.05: six arrays of a 64 x 64 x 24-node rule beside the 64^3
+        # pair).
         M = catalog_manifold(name)
         f = fields.parse_function(field, M)
         x = ChartPoint(0, coords)
@@ -682,41 +658,6 @@ class TestSweep:
         assert fine > coarse
         bound = 8 * (3 * fine + 2 * coarse) + 1.5e6
         assert peak <= bound, f"peak {peak / 1e6:.2f} MB > {bound / 1e6:.2f} MB"
-
-    def test_kernel_scale_rule_memory_peak(self, monkeypatch):
-        # at eps = 0.05 sphere3's default sweep keeps the 64^3 box and its
-        # 43^3 comparison box, two arrays each, and tries 64 x 64 x 24-node
-        # Hermite rules.  A rule's sum holds five arrays of its nodes: the
-        # weights, two dense embedding columns, the (w rho) f product and
-        # the chord, with the kernel formed in the chord and each dense
-        # chord term in blocks.  The slack, 0.5 MB, covers arrays of one or
-        # two axes; a sixth array of the rule's nodes is 0.79 MB.
-        M = catalog_manifold("sphere3")
-        M.volume()      # the coarse grid and the volume are kept in M.cache
-        peaks, sample = {}, operator._sample
-
-        def traced(M, f, x, x0, eps, *args):
-            tracemalloc.reset_peak()
-            try:
-                return sample(M, f, x, x0, eps, *args)
-            finally:
-                peaks[eps] = tracemalloc.get_traced_memory()[1] - start
-
-        monkeypatch.setattr(operator, "_sample", traced)
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            eps_sweep(M, fields.parse_function("const1", M),
-                      ChartPoint(0, [math.pi / 2, math.pi / 2, math.pi]),
-                      default_eps_ladder())
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        bound = 8 * (2 * 64 ** 3 + 2 * 43 ** 3 + 5 * 64 * 64 * 24) + 0.5e6
-        assert peaks[0.05] <= bound, (
-            f"peak {peaks[0.05] / 1e6:.2f} MB > {bound / 1e6:.2f} MB")
 
     def test_ladder_validation(self):
         with pytest.raises(ValidationError):
