@@ -869,12 +869,11 @@ def _cluster_refined(M, coords, at, snapped, bracket, tol, tol_eq):
     rows = _representatives(_leader_clusters(ambient, 1e-3 * scale), res,
                             noise, snapped, coords)
     kappas = _eigvalsh_descending(a[rows])
-    e1_rep, _, residual = _symmetric(kappas)
+    e1_rep, e2_rep, residual = _symmetric(kappas)
     spread = kappas[:, 0] - kappas[:, -1]
     codes = _class_codes(kappas, residual, spread,
                          *_tolerances(e1_rep, kappas, tol_eq))
-    return RefinedZeros(coords[rows], kappas, e1_rep,
-                        _elementary_symmetric(kappas, 2), residual, spread,
+    return RefinedZeros(coords[rows], kappas, e1_rep, e2_rep, residual, spread,
                         codes, bracket[rows])
 
 

@@ -101,7 +101,7 @@ def test_large_scan_matches_digest(tmp_path):
 
 # The benchmark's refined quadric scan, pinned the same way.
 QUADRIC_20X20X20_SHA256 = (
-    "bc4c65cb847889ea145ab9ca6103aa25c0468300cfdeb3b5a94f477481508003")
+    "52e44759b30d816a3f01b710cdb566349ddbe5ac24c4aa00d818136456b35967")
 
 
 def test_quadric_refined_scan_matches_digest(tmp_path):
@@ -114,7 +114,7 @@ def test_quadric_refined_scan_matches_digest(tmp_path):
 
 # A spheroid scan whose wide threshold starts a dip search on many lines.
 SPHEROID_TOL_SHA256 = (
-    "a73889b186bca768d7a413b0325d017d70c41724f9070123a094bc7611a13979")
+    "c017306cce79d7e85dee40615e1e74451bc03b44a15cddd49eefcb7f6c564081")
 
 
 def test_spheroid_wide_threshold_scan_matches_digest(tmp_path):
@@ -130,11 +130,11 @@ def test_spheroid_wide_threshold_scan_matches_digest(tmp_path):
 # a 600-row zero set.
 JSON_SCAN_SHA256 = {
     ("quadric411", "40x40x40"):
-        "a7374e3dba094b02341c6326c7e236503a168602d6de390ba6c084ab85676028",
+        "e88449ce8a1bce98dd06863f38bbc5b9bfde142ba8c317a25b4385c1d1d14058",
     ("quadric411", "20x20x20", "--tol-eq", "0"):
-        "73a72c5d1a7ec87f6c8c3f1e79f05057b74a2cc554199774155db24843ec0d6a",
+        "9c4e6b6dd1edf29e68cfb1f27172dbcab10bc6dca59c0b1c26afd296b6557c20",
     ("spheroid", "200x100"):
-        "d7ab9f01f50cb0ea3b9f7369384a987a4556dadba62062960344ef137103713b",
+        "c37b5976dafe279b68d1813343317493bd701dec5e229a133230aff29e88e0d4",
 }
 
 

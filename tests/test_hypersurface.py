@@ -500,6 +500,20 @@ class TestRefinement:
         for z in scan.refined_zeros:
             assert abs(z.residual) <= 1e-6 * (1.0 + z.e1 ** 2)
 
+    @pytest.mark.parametrize("manifold, grid", [
+        ("quadric411", "20x20x20"), ("spheroid", "60x30"), ("sphere2", "8x4")])
+    def test_refined_rows_print_their_residual(self, manifold, grid):
+        # each printed refined row's residual is e1^2 - 4 e2 of its own
+        # printed numbers, bit for bit
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            assert cli.main(["equicurved-scan", "--manifold", manifold,
+                             "--grid", grid, "--format", "json"]) == 0
+        rows = json.loads(buf.getvalue())["refined_zeros"]
+        assert rows
+        for r in rows:
+            assert r["residual"] == r["e1"] * r["e1"] - 4.0 * r["e2"], r
+
     @pytest.mark.parametrize("grid", [[4, 4, 4], [20, 20, 20]])
     def test_small_tol_eq_keeps_refined_zeros(self, grid):
         # the quadric's node residuals are exact zeros or far from zero, so a
