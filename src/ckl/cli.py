@@ -30,7 +30,8 @@ from .catalog import CATALOG, load_manifold
 from .errors import CklError, NumericsError, ValidationError
 from .fields import parse_function
 from .fit import compare_closed_form, fit_polynomial, richardson_sequence
-from .hypersurface import CLASS_NAMES, scan_equicurved, shape_at
+from .hypersurface import (CLASS_NAMES, equicurvature_residual,
+                           scan_equicurved, shape_at)
 from .manifold import ChartPoint, EmbeddedManifold, curvature_at
 from .operator import (default_eps_ladder, eps_sweep, max_axis_order,
                        monte_carlo_operator)
@@ -312,19 +313,16 @@ def _cmd_catalog(args) -> int:
 def _cmd_curvature(args) -> int:
     M = load_manifold(args.manifold)
     point = _parse_point(args.point, M)
-    rep = curvature_at(M, point)
-    payload = {
+    rep, sd = curvature_at(M, point), shape_at(M, point)
+    _emit(_json({
         "point": {"chart": point.chart, "coords": [float(c) for c in point.coords]},
         "metric": [[float(v) for v in row] for row in rep.metric],
         "mean_curvature_norm_sq": rep.mean_curvature_norm_sq,
         "scalar_curvature": rep.scalar_curvature,
-    }
-    sd = shape_at(M, point)
-    payload["principal_curvatures"] = [float(k) for k in sd.principal_curvatures]
-    payload["e1"] = sd.e1
-    payload["e2"] = sd.e2
-    payload["equicurvature_residual"] = sd.e1 ** 2 - 4.0 * sd.e2
-    _emit(_json(payload), args.out)
+        "principal_curvatures": [float(k) for k in sd.principal_curvatures],
+        "e1": sd.e1, "e2": sd.e2,
+        "equicurvature_residual": equicurvature_residual(sd),
+    }), args.out)
     return 0
 
 

@@ -61,6 +61,7 @@ from .manifold import (
     ChartPoint,
     EmbeddedManifold,
     TensorGrid,
+    _gram,
     laplace_beltrami,
 )
 from .operator import EpsLadder
@@ -390,10 +391,8 @@ def shape_at(M: EmbeddedManifold, p: ChartPoint) -> ShapeData:
     unit sphere has curvatures -1.
     """
     _require_hypersurface(M)
-    M.chart(p.chart).require_inside(p.coords)
-    M.metric(0, p.coords)    # refuses a point at the determinant floor
-    coords = np.asarray(p.coords, dtype=float)
-    jac, hess = M.jacobian(0, coords), M.hessian(0, coords)
+    _, jac, hess = M.chart(p.chart).jet(p.coords, (1, 2))
+    _gram(jac)      # refuses a point at the determinant floor
     normal, _, chol, a = _reduced_forms(jac, hess)
     eigvals, eigvecs = np.linalg.eigh(a)
     kappas = eigvals[::-1]      # descending
@@ -404,12 +403,9 @@ def shape_at(M: EmbeddedManifold, p: ChartPoint) -> ShapeData:
     resid = np.max(np.linalg.norm(b @ w - jac.T @ (jac @ w) * kappas, axis=0))
     if resid > EIGEN_RESIDUAL_LIMIT * max(float(np.max(np.abs(b))), 1e-30):
         raise NumericsError(f"eigen residual {resid:.2e} above limit")
-    e1 = float(np.sum(kappas))
-    e2 = _elementary_symmetric(kappas, 2)
-    return ShapeData(dim=M.dim, normal=normal,
-                     principal_curvatures=kappas,
-                     principal_directions=directions,
-                     e1=e1, e2=e2)
+    return ShapeData(dim=M.dim, normal=normal, principal_curvatures=kappas,
+                     principal_directions=directions, e1=float(np.sum(kappas)),
+                     e2=_elementary_symmetric(kappas, 2))
 
 
 def synthetic_shape(kappas: Sequence[float]) -> ShapeData:
@@ -423,19 +419,14 @@ def synthetic_shape(kappas: Sequence[float]) -> ShapeData:
                      e1=float(np.sum(k)), e2=_elementary_symmetric(k, 2))
 
 
-def _elementary_symmetric(kappas: np.ndarray, i: int):
-    """e_i by the direct product recursion (no Newton identities).
-
-    ``kappas`` is one curvature vector (d,), giving a float, or rows (n, d),
-    giving an array (n,).
-    """
-    kappas = np.asarray(kappas, dtype=float)
-    e = np.zeros((i + 1,) + kappas.shape[:-1])
-    e[0] = 1.0
-    for k in kappas.T:
+def _elementary_symmetric(kappas: np.ndarray, i: int) -> float:
+    """e_i of one curvature vector by the direct product recursion (no
+    Newton identities)."""
+    e = [1.0] + [0.0] * i
+    for k in np.asarray(kappas, dtype=float):
         for j in range(i, 0, -1):
             e[j] = e[j] + k * e[j - 1]
-    return float(e[i]) if kappas.ndim == 1 else e[i]
+    return float(e[i])
 
 
 def mean_curvatures(sd: ShapeData, i: int) -> float:

@@ -579,7 +579,9 @@ class EpsLadder:
             _require_bandwidth(e)
         if any(eps[i + 1] >= eps[i] for i in range(len(eps) - 1)):
             raise ValidationError("ladder bandwidths must be strictly decreasing")
-        if any(s.tail_bound < 0 for s in self.samples):
+        if any(not math.isfinite(s.value) for s in self.samples):
+            raise ValidationError("ladder values must be finite")
+        if any(not s.tail_bound >= 0 for s in self.samples):
             raise ValidationError("tail bounds must be non-negative")
         if any(not s.quad_error >= 0 for s in self.samples):
             raise ValidationError("quadrature errors must be non-negative")

@@ -1,8 +1,8 @@
 """One table of invariant checks for ``ckl verify`` and the acceptance tests.
 
-Each check in :data:`CHECKS` takes a :class:`Size`.  :func:`run_all` runs the
-table at ``FAST`` for the ``verify`` subcommand, which prints one
-fixed-format row per check and exits nonzero when any fails;
+Each of the 18 checks in :data:`CHECKS` takes a :class:`Size`.
+:func:`run_all` runs the table at ``FAST`` for the ``verify`` subcommand,
+which prints one fixed-format row per check and exits nonzero when any fails;
 ``tests/test_acceptance.py`` runs every row at ``FULL``, the paper's stated
 sizes and tolerances.  A check reads its numbers from the size it is given
 and never branches on which one it got; every case outside :class:`Size` is
@@ -19,12 +19,14 @@ import numpy as np
 
 from .catalog import catalog_manifold
 from .coeffs import a1_closed_form, expansion_from_taylor, sphere_taylor_data
-from .fields import ConstField
+from .fields import AmbientCoordField, ConstField
+from .fit import compare_closed_form, fit_polynomial
 from .manifold import (
     ChartPoint,
     chord_expansion_check,
     curvature_at,
     geodesic_shoot,
+    ricci_frame,
     scalar_curvature_intrinsic,
     volume_density,
 )
@@ -40,6 +42,7 @@ from .moments import (
 from .operator import apply_operator, build_full_rule, eps_sweep
 from .hypersurface import (
     check_propositions,
+    limit_criterion_check,
     scan_equicurved,
     shape_at,
     synthetic_shape,
@@ -71,6 +74,7 @@ class Size:
     mc_samples: int                         # Monte Carlo draws per dimension
     mc_alphas: dict[int, list[tuple[int, ...]]]     # dimension -> moments
     scans: tuple[tuple[str, tuple[int, ...], bool], ...]  # (name, grid, refine)
+    density_radii: int                      # radii in [0.05, 0.3] per density
 
 
 FAST = Size(
@@ -80,6 +84,7 @@ FAST = Size(
                    (2, 2) + (0,) * (d - 2), (4, 2) + (0,) * (d - 2)]
                for d in (2, 3, 4)},
     scans=(("sphere2", (30, 15), False), ("torus", (30, 15), False)),
+    density_radii=4,
 )
 
 FULL = Size(
@@ -88,6 +93,7 @@ FULL = Size(
     mc_alphas={d: _even_multi_indices(d, 8) for d in range(1, 6)},
     scans=(("sphere2", (200, 100), False), ("quadric411", (50, 50, 50), True),
            ("spheroid", (60, 30), True), ("torus", (60, 30), True)),
+    density_radii=8,
 )
 
 
@@ -250,6 +256,37 @@ def _volume_density(size: Size) -> tuple[bool, str]:
     return err <= 1e-12, f"|rho - sin(s)/s| = {err:.2e}"
 
 
+def _density_terms(size: Size) -> tuple[bool, str]:
+    """The density along v is 1 - Ric(v, v) s^2 / 6 + O(s^4): the residual
+    falls with log-log slope >= 2.9 over at least four radii above 1e-11, on
+    S2, S3 and the torus; on S2 the s^4 term is within 5% of 1/120."""
+    radii = np.geomspace(0.05, 0.3, size.density_radii)
+    slopes, failed = [], []
+    for case, name, coords, v in (
+            ("S2", "sphere2", [math.pi / 2, 1.0], [0.6, 0.8]),
+            ("S3", "sphere3", [1.4, 1.2, 0.8], [0.0, 0.6, 0.8]),
+            ("torus", "torus", [1.0, 0.7], [0.6, 0.8])):
+        M, x, v = catalog_manifold(name), ChartPoint(0, coords), np.array(v)
+        dens = np.array([volume_density(M, x, v, float(s)) for s in radii])
+        rho2_v = float(-v @ ricci_frame(M, x) @ v / 3.0)
+        resid = dens - (1.0 + rho2_v * radii ** 2 / 2.0)
+        above = np.abs(resid) > 1e-11
+        slope = (np.polyfit(np.log(radii[above]),
+                            np.log(np.abs(resid[above])), 1)[0]
+                 if np.count_nonzero(above) >= 4 else math.nan)
+        slopes.append(f"{slope:.2f}")
+        if not slope >= 2.9:
+            failed.append(case)
+        if case == "S2":
+            design = np.stack([radii ** 4, radii ** 6], axis=1)
+            c4 = np.linalg.lstsq(design, dens - (1.0 - radii ** 2 / 6.0),
+                                 rcond=None)[0][0]
+            if not abs(c4 - 1.0 / 120.0) <= 0.05 / 120.0:
+                failed.append("S2 quartic")
+    return _outcome(f"slopes = {', '.join(slopes)}, S2 s^4 term = {c4:.6f}",
+                    failed)
+
+
 def _sphere_operator(size: Size) -> tuple[bool, str]:
     M = catalog_manifold("sphere2")
     p = ChartPoint(0, [math.pi / 2, 1.0])
@@ -259,6 +296,62 @@ def _sphere_operator(size: Size) -> tuple[bool, str]:
         value, _ = apply_operator(M, ConstField(1.0), p, eps)
         gaps[f"eps={eps:g}"] = abs(value - (1.0 - math.exp(-1.0 / eps)))
     return _largest(gaps, 1e-8, "max |err| = {:.2e}")
+
+
+# case -> (manifold, field, point, fit degree, a_1, *eps_sweep options), the
+# options being _LADDER when none are given; the quadric's higher
+# coefficients grow like kappa^2 per order, so its ladder runs to the
+# resolvability floor at a higher quadrature order
+_LADDER = [0.1 * 2.0 ** -k for k in range(8)]
+_SWEEPS = {
+    "S2 f=1": ("sphere2", ConstField(1.0), [math.pi / 2, 1.0], 3, 0.0),
+    "S2 f=z": ("sphere2", AmbientCoordField(3, 3), [math.acos(0.6), 1.0], 3,
+               -1.2),
+    "S3 f=1": ("sphere3", ConstField(1.0), [math.pi / 2, math.pi / 2, 1.0], 3,
+               -0.75),
+    "torus f=1": ("torus", ConstField(1.0), [0.3, 0.0], 3, 1.0 / 9.0),
+    "quadric f=1": ("quadric411", ConstField(1.0), [0.0, 0.0, 0.0], 4, 0.0,
+                    [1.1313708498984761e-3 * 2.0 ** (-k / 2.0)
+                     for k in range(8)], 96),
+}
+
+
+def _sweep(case: str):
+    """``(M, f, x, ladder)`` of one case of :data:`_SWEEPS`."""
+    name, f, coords, _, _, *options = _SWEEPS[case]
+    M, x = catalog_manifold(name), ChartPoint(0, coords)
+    return M, f, x, eps_sweep(M, f, x, *(options or [_LADDER]))
+
+
+def _leading_coefficients(size: Size) -> tuple[bool, str]:
+    """a_0 and a_1 fitted to each sweep pass :func:`compare_closed_form`, and
+    the closed-form a_1 is within 2e-6 of the case's stated value."""
+    worst, failed = 0.0, []
+    for case, (_, _, _, degree, a1, *_) in _SWEEPS.items():
+        M, f, x, ladder = _sweep(case)
+        cmp = compare_closed_form(M, f, x, fit_polynomial(ladder, degree))
+        worst = max(worst, cmp.a1_error)
+        if not (abs(cmp.a1_reference - a1) <= 2e-6 and cmp.a0_passed
+                and cmp.a1_passed):
+            failed.append(case)
+    return _outcome(f"max a1 error = {worst:.1e}", failed)
+
+
+def _limit_criterion(size: Size) -> tuple[bool, str]:
+    """(f - K_eps f) / eps tends to the Laplace-Beltrami value at equicurved
+    points of S2 (f = z: within 2% of 1.2) and misses it on the torus, by a
+    gap of at least 0.05 and within 0.01 of 1/9."""
+    one, z, torus = (limit_criterion_check(*_sweep(case))
+                     for case in ("S2 f=1", "S2 f=z", "torus f=1"))
+    failed = [case for case, ok in (
+        ("S2 f=1", one.equicurved and one.matches_laplacian),
+        ("S2 f=z", z.equicurved and z.matches_laplacian
+         and abs(z.limit - 1.2) <= 0.02 * 1.2),
+        ("torus f=1", not torus.equicurved and not torus.matches_laplacian
+         and torus.gap >= 0.05 and abs(torus.gap - 1.0 / 9.0) <= 0.01))
+        if not ok]
+    return _outcome(f"S2 gaps = {one.gap:.1e}, {z.gap:.1e}, "
+                    f"torus gap = {torus.gap:.4f}", failed)
 
 
 def _engine_s3(size: Size) -> tuple[bool, str]:
@@ -372,7 +465,10 @@ CHECKS: dict[str, Callable[[Size], tuple[bool, str]]] = {
     "geodesic-unit-speed": _geodesic_speed,
     "chord-expansion-sphere": _chord_expansion,
     "volume-density-sphere": _volume_density,
+    "volume-density-terms": _density_terms,
     "sphere-operator-closed-form": _sphere_operator,
+    "leading-coefficients": _leading_coefficients,
+    "limit-criterion": _limit_criterion,
     "engine-three-sphere": _engine_s3,
     "engine-matches-closed-form": _engine_vs_closed_form,
     "equicurvature-scans": _scans,

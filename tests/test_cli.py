@@ -741,23 +741,51 @@ def test_fuzzed_inputs_keep_the_error_contract(argv):
             assert field in SCAN_LABELS or math.isfinite(float(field)), line
 
 
+def _perturbed(real, change):
+    """``real`` with its result passed through ``change(result, *args)``."""
+    return lambda *args: change(real(*args), *args)
+
+
 class TestVerify:
+    @staticmethod
+    def failed_row(capsys, monkeypatch, row, name, change):
+        """The verify line of ``row`` alone, with the library function
+        ``name`` it calls perturbed by ``change``: the row must fail."""
+        monkeypatch.setattr(verify, name,
+                            _perturbed(getattr(verify, name), change))
+        monkeypatch.setattr(verify, "CHECKS", {row: verify.CHECKS[row]})
+        code, out, _ = run(capsys, "verify")
+        line, total = out.strip().split("\n")[1:]
+        assert code == 1 and total == "0/1 checks passed"
+        assert line.split()[1] == "FAIL"
+        return line
+
     def test_failed_check_names_its_case(self, capsys, monkeypatch):
         # every check passing is the verify.txt golden; a failing row exits 1
         # and its detail names the bandwidth that failed
-        real = verify.apply_operator
+        line = self.failed_row(
+            capsys, monkeypatch, "sphere-operator-closed-form",
+            "apply_operator", lambda out, M, f, x, eps, *rule:
+            (out[0] + (1e-6 if eps == 0.025 else 0.0), out[1]))
+        assert line.endswith("failed: eps=0.025")
 
-        def off_at_one_eps(M, f, x, eps, *rule):
-            value, tail = real(M, f, x, eps, *rule)
-            return value + (1e-6 if eps == 0.025 else 0.0), tail
-
-        monkeypatch.setattr(verify, "apply_operator", off_at_one_eps)
-        monkeypatch.setattr(verify, "CHECKS", {
-            "sphere-operator-closed-form":
-                verify.CHECKS["sphere-operator-closed-form"]})
-        code, out, _ = run(capsys, "verify")
-        assert code == 1
-        row, total = out.strip().split("\n")[1:]
-        assert row.split()[1] == "FAIL"
-        assert row.endswith("failed: eps=0.025")
-        assert total == "0/1 checks passed"
+    @pytest.mark.parametrize("row, name, change, case", [
+        # the quadric is the only sweep fitted to degree 4
+        ("leading-coefficients", "fit_polynomial",
+         lambda rep, ladder, degree: rep if degree != 4 else
+         dataclasses.replace(rep, coefficients=(
+             rep.coefficients[0], rep.coefficients[1] + 0.01,
+             *rep.coefficients[2:])), "quadric f=1"),
+        # a term linear in s: the residual's slope on S3 falls to about 1
+        ("volume-density-terms", "volume_density",
+         lambda rho, M, x, v, s: rho + (1e-3 * s if M.dim == 3 else 0.0),
+         "S3"),
+        # only the torus case bounds the gap itself
+        ("limit-criterion", "limit_criterion_check",
+         lambda rep, *args: dataclasses.replace(rep, gap=rep.gap + 0.02),
+         "torus f=1"),
+    ], ids=["leading-coefficients", "volume-density-terms", "limit-criterion"])
+    def test_acceptance_row_names_its_case(self, capsys, monkeypatch, row,
+                                           name, change, case):
+        line = self.failed_row(capsys, monkeypatch, row, name, change)
+        assert line.endswith(f"failed: {case}")

@@ -45,7 +45,7 @@ CASES = {
     # one full-atlas rule and one windowed rule on the closed-form S^3 volume element
     "operator_sphere3.csv": ["operator", "--manifold", "sphere3",
                              "--eps", "0.05,0.0125", "--format", "csv"],
-    # the 15 detail strings of the invariant suite
+    # the 18 detail strings of the invariant suite
     "verify.txt": ["verify"],
     # a clipped axis beside two Hermite axes; the target is met
     "operator_quadric_clipped.csv": ["operator", "--manifold", "quadric411",

@@ -666,6 +666,11 @@ class TestSweep:
             EpsLadder([LadderSample(0.1, 1.0, -1.0)])
         with pytest.raises(ValidationError):
             EpsLadder([LadderSample(0.1, 1.0, 0.0, quad_error=math.nan)])
+        # a NaN tail bound would vanish from the fit's noise floor (max drops
+        # it), and a non-finite value gives NaN coefficients with no error
+        for value, tail in ((math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan)):
+            with pytest.raises(ValidationError):
+                EpsLadder([LadderSample(0.1, value, tail)])
 
 
 class TestKernelScaleRules:
