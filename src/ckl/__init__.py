@@ -43,7 +43,6 @@ from .manifold import (
     curvature_at,
     geodesic_shoot,
     laplace_beltrami,
-    metric_at,
     ricci_frame,
     scalar_curvature_intrinsic,
     volume_density,
@@ -103,7 +102,6 @@ from .hypersurface import (
     check_propositions,
     equicurvature_residual,
     limit_criterion_check,
-    mean_curvatures,
     scan_equicurved,
     shape_at,
     synthetic_shape,

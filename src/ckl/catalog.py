@@ -1,11 +1,12 @@
 """Built-in manifolds and the plain-text manifold description format.
 
 Catalog surfaces ship exact embedding derivatives of every order, each
-builder by one rule (:func:`derivative_rule`).  The trig charts (spheres,
-spheroid, torus) write each embedding component as a sum of products of
-per-axis sinusoids ``a + b sin x_i + c cos x_i``, whose derivatives are phase
-shifts.  Polynomial graph charts differentiate their monomials.  The same
-closure returns the chart's closed-form volume element on request:
+builder by one rule (:func:`derivative_rule`), one row per nondecreasing
+index tuple.  The trig charts (spheres, spheroid, torus) write each
+embedding component as a sum of products of per-axis sinusoids
+``a + b sin x_i + c cos x_i``, whose derivatives are phase shifts.
+Polynomial graph charts differentiate their monomials.  The same closure
+returns the chart's closed-form volume element on request:
 ``sqrt(1 + |grad P|^2)`` for graphs, from the order-1 partials, and for the
 trig charts, whose coordinates are orthogonal, the product of the coordinate
 vectors' lengths, read from the per-axis ``sin`` and ``cos`` table that the
@@ -52,15 +53,18 @@ def trig_diff(terms: list[TrigTerm], i: int) -> list[TrigTerm]:
 
 
 def derivative_rule(base: list, diff, d: int):
-    """``entries(k)``: the order-k derivatives of the entries of ``base``, each
-    ``diff(entry, i)`` of an order k-1 entry for every axis i, flattened in
-    row-major order over ``(len(base), d, ..., d)``.  Each order is built on
-    its first request and kept."""
+    """``entries(k)``: ``{t: row}`` over the nondecreasing index tuples t of
+    order k, in ``combinations_with_replacement(range(d), k)`` order, a row
+    holding ``diff(entry, i)`` of each entry of its prefix's row, i the last
+    index: the C(d+k-1, k) distinct derivatives of the entries of ``base``
+    (``{(): base}`` at order 0).  Each order is built on first request."""
     @cache
-    def entries(k: int) -> list:
+    def entries(k: int) -> dict[tuple[int, ...], list]:
         if k == 0:
-            return list(base)
-        return [diff(e, i) for e in entries(k - 1) for i in range(d)]
+            return {(): list(base)}
+        return {t + (i,): [diff(e, i) for e in row]
+                for t, row in entries(k - 1).items()
+                for i in range(t[-1] if t else 0, d)}
     return entries
 
 
@@ -69,23 +73,24 @@ def trig_chart(components: list[list[TrigTerm]], lo, hi, periodic,
     """A chart with exact derivatives of every order whose embedding
     components are trig terms.
 
-    Order k is k phase shifts (:func:`trig_diff`) of each component.  The
-    derivative closure takes ``sin`` and ``cos`` once per axis it reads, as
-    a table, evaluates the sinusoid factors of the requested orders from it,
-    and multiplies out only those orders' tensors; the embedding is returned
-    as its component columns, each broadcast over the axes its factors use.
-    ``volume_form(sin, cos)`` is the chart's closed-form ``sqrt(det g)`` from
-    the same table (``sin[i]`` is ``sin`` of axis i); the catalog coordinates
-    are orthogonal, so it is the product of the coordinate vectors' lengths.
+    Order k is k phase shifts (:func:`trig_diff`) under
+    :func:`derivative_rule`.  The derivative closure takes ``sin`` and
+    ``cos`` once per axis it reads, as a table, evaluates the sinusoid
+    factors of the requested orders from it, then each sorted entry once;
+    the embedding is returned as its component columns, each broadcast over
+    the axes its factors use.  ``volume_form(sin, cos)`` is the chart's
+    closed-form ``sqrt(det g)`` from the same table (``sin[i]`` is ``sin``
+    of axis i); the catalog coordinates are orthogonal, so it is the product
+    of the coordinate vectors' lengths.
     """
-    d, n = len(lo), len(components)
+    d = len(lo)
     entries = derivative_rule(components, trig_diff, d)
 
     @cache
     def factors(k: int) -> set:
         """The sinusoid factors ``(i, a, b, c)`` that order k uses."""
-        return {(i, *abc) for terms in entries(k) for _, fs in terms
-                for i, abc in fs.items()}
+        return {(i, *abc) for row in entries(k).values() for terms in row
+                for _, fs in terms for i, abc in fs.items()}
 
     def derivs(coords, orders, volume=False):
         used = set().union(*(factors(k) for k in orders))
@@ -104,16 +109,8 @@ def trig_chart(components: list[list[TrigTerm]], lo, hi, periodic,
                       for coef, fs in terms]
             return sum(values[1:], values[0])
 
-        out = []
-        for k in orders:
-            if k == 0:
-                out.append([entry(terms) for terms in components])
-                continue
-            tensor = np.zeros(coords.shape[:-1] + (n * d ** k,))
-            for e, terms in enumerate(entries(k)):
-                if terms:
-                    tensor[..., e] = entry(terms)
-            out.append(tensor.reshape(coords.shape[:-1] + (n,) + (d,) * k))
+        out = [[[entry(terms) if terms else None for terms in row]
+                for row in entries(k).values()] for k in orders]
         if volume:
             out.append(volume_form(sin, cos))
         return out
@@ -122,7 +119,7 @@ def trig_chart(components: list[list[TrigTerm]], lo, hi, periodic,
 
 
 # ---------------------------------------------------------------------------
-# Polynomial graph charts (hand-coded exact derivatives)
+# Polynomial graph charts (partials of their monomials)
 # ---------------------------------------------------------------------------
 
 def _add_into(total, term):
@@ -175,31 +172,27 @@ class PolyTerms:
 
 def graph_chart(poly: PolyTerms, halfwidth: float) -> Chart:
     """The graph (s, P(s)) over the box [-halfwidth, halfwidth]^d, with exact
-    derivatives of every order: order k of P is k :meth:`PolyTerms.partial`
-    steps."""
+    derivatives of every order: the components (s_1, ..., s_d, P) under
+    :func:`derivative_rule` with :meth:`PolyTerms.partial`, an identically
+    zero partial as ``None``.  Order 0 returns the node axes themselves."""
     d = poly.dim
-    partials = derivative_rule([poly], PolyTerms.partial, d)
+    entries = derivative_rule(
+        [PolyTerms(d, [(1.0, tuple(int(j == i) for j in range(d)))])
+         for i in range(d)] + [poly], PolyTerms.partial, d)
 
     def derivs(coords, orders, volume=False):
         out = []
         for k in orders:
             if k == 0:
-                out.append([coords[..., i] for i in range(d)] + [poly(coords)])
+                out.append([[coords[..., i] for i in range(d)] + [poly(coords)]])
                 continue
-            # rows 0..d-1 are the identity at order 1 and zero above it; row d
-            # holds the derivatives of P
-            tensor = np.zeros(coords.shape[:-1] + (d + 1,) + (d,) * k)
-            if k == 1:
-                for i in range(d):
-                    tensor[..., i, i] = 1.0
-            for idx, p in zip(np.ndindex((d,) * k), partials(k)):
-                tensor[(..., d, *idx)] = p(coords)
-            out.append(tensor)
+            out.append([[p(coords) if p.terms else None for p in row]
+                        for row in entries(k).values()])
         if volume:
             # sqrt(det g) = sqrt(1 + |grad P|^2) for the metric I + grad P grad P^T
             sq = 1.0
-            for g in partials(1):
-                sq = _add_into(sq, g(coords) ** 2)
+            for row in entries(1).values():
+                sq = _add_into(sq, row[d](coords) ** 2)
             out.append(np.sqrt(sq, out=sq) if isinstance(sq, np.ndarray)
                        else np.sqrt(sq))
         return out

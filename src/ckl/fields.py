@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .catalog import parse_poly
+from .catalog import PolyTerms, derivative_rule, parse_poly
 from .errors import ValidationError
-from .manifold import EmbeddedManifold
+from .manifold import EmbeddedManifold, _tensor
 
 
 class ScalarField:
@@ -71,18 +71,20 @@ class AmbientCoordField(ScalarField):
 
 
 class ChartPolyField(ScalarField):
+    """A chart polynomial, its gradient and Hessian by :func:`derivative_rule`."""
+
     def __init__(self, text: str, dim: int):
         super().__init__(f"poly:{text}")
         self.poly = parse_poly(text, dim)
-        self.grad = [self.poly.partial(i) for i in range(dim)]
-        self.hess = [[g.partial(j) for j in range(dim)] for g in self.grad]
+        self.partials = derivative_rule([self.poly], PolyTerms.partial, dim)
 
     def __call__(self, coords, ambient):
         return self.poly(coords)
 
     def jet(self, coords, ambient, jac, hess):
-        return (self.poly(coords), np.array([g(coords) for g in self.grad]),
-                np.array([[h(coords) for h in row] for row in self.hess]))
+        grad, second = (_tensor([[p(coords)] for p, in self.partials(k).values()],
+                                (), self.poly.dim, k)[0] for k in (1, 2))
+        return self.poly(coords), grad, second
 
 
 def parse_function(spec: str, M: EmbeddedManifold) -> ScalarField:

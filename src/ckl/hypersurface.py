@@ -405,7 +405,7 @@ def shape_at(M: EmbeddedManifold, p: ChartPoint) -> ShapeData:
         raise NumericsError(f"eigen residual {resid:.2e} above limit")
     return ShapeData(dim=M.dim, normal=normal, principal_curvatures=kappas,
                      principal_directions=directions, e1=float(np.sum(kappas)),
-                     e2=_elementary_symmetric(kappas, 2))
+                     e2=_e2(kappas))
 
 
 def synthetic_shape(kappas: Sequence[float]) -> ShapeData:
@@ -416,24 +416,15 @@ def synthetic_shape(kappas: Sequence[float]) -> ShapeData:
     normal = np.eye(d + 1)[d]
     return ShapeData(dim=d, normal=normal, principal_curvatures=k,
                      principal_directions=directions,
-                     e1=float(np.sum(k)), e2=_elementary_symmetric(k, 2))
+                     e1=float(np.sum(k)), e2=_e2(k))
 
 
-def _elementary_symmetric(kappas: np.ndarray, i: int) -> float:
-    """e_i of one curvature vector by the direct product recursion (no
-    Newton identities)."""
-    e = [1.0] + [0.0] * i
+def _e2(kappas: np.ndarray) -> float:
+    """e2 of one curvature vector by the product recursion, not Newton's."""
+    e1 = e2 = 0.0
     for k in np.asarray(kappas, dtype=float):
-        for j in range(i, 0, -1):
-            e[j] = e[j] + k * e[j - 1]
-    return float(e[i])
-
-
-def mean_curvatures(sd: ShapeData, i: int) -> float:
-    """i-th symmetric curvature mean H_i = e_i(kappa) / C(d, i)."""
-    if not 1 <= i <= sd.dim:
-        raise ValidationError(f"i must lie in [1, {sd.dim}], got {i}")
-    return _elementary_symmetric(sd.principal_curvatures, i) / math.comb(sd.dim, i)
+        e1, e2 = e1 + k, e2 + k * e1
+    return float(e2)
 
 
 def equicurvature_residual(sd: ShapeData) -> float:

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
+from itertools import product
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -52,12 +54,30 @@ _COARSE_RES = 33
 # Charts
 # ---------------------------------------------------------------------------
 
-def _stack(columns, batch: tuple[int, ...]) -> np.ndarray:
-    """The dense ``(*batch, k)`` array of k columns that broadcast to ``batch``."""
-    dense = np.empty(tuple(batch) + (len(columns),))
-    for i, col in enumerate(columns):
-        dense[..., i] = col
-    return dense
+@cache
+def _positions(d: int, k: int) -> tuple[int | np.ndarray, ...]:
+    """The row-major positions among the d^k index tuples of each sorted
+    tuple's permutations.  A sorted tuple is the first of its permutations,
+    so they come in ``combinations_with_replacement(range(d), k)`` order."""
+    positions = {}
+    for p, t in enumerate(product(range(d), repeat=k)):
+        positions.setdefault(tuple(sorted(t)), []).append(p)
+    # a lone position as an int: numpy writes it by basic indexing
+    return tuple(p[0] if len(p) == 1 else np.array(p) for p in positions.values())
+
+
+def _tensor(rows, batch: tuple[int, ...], d: int, k: int) -> np.ndarray:
+    """The C-contiguous ``(*batch, n, d, ..., d)`` tensor holding each sorted
+    tuple's row of n values (``None`` if zero) at all its permutations; at
+    order 0, the one row of n columns stacked to ``(*batch, n)``."""
+    b = len(batch)
+    tensor = np.zeros(tuple(batch) + (len(rows[0]), d ** k))
+    view = tensor.transpose(b, b + 1, *range(b))
+    for row, pos in zip(rows, _positions(d, k)):
+        for c, value in enumerate(row):
+            if value is not None:
+                view[c, pos] = value
+    return tensor.reshape(tensor.shape[:-1] + (d,) * k)
 
 
 class TensorGrid:
@@ -93,7 +113,7 @@ class TensorGrid:
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         if copy is False:
             raise ValueError("a TensorGrid has no dense array to view")
-        dense = _stack(self.columns, self.shape[:-1])
+        dense = _tensor([self.columns], self.shape[:-1], 1, 0)
         return dense if dtype is None else dense.astype(dtype, copy=False)
 
 
@@ -112,15 +132,14 @@ class Chart:
     derivs : callable
         ``derivs(coords, orders, volume=False)`` maps coordinates
         ``(..., d)``, an array or a :class:`TensorGrid` whose columns it
-        indexes, to the list of the embedding's derivatives of the requested
-        orders, in that order: 0 is the embedding as its n component
-        columns, each of any shape that broadcasts to ``(...)``, and an order
-        k >= 1 the tensor ``(..., n, d, ..., d)`` of k derivative indices,
-        symmetric in them: 1 is the Jacobian ``(..., n, d)`` and 2 the
-        Hessian ``(..., n, d, d)``.  With ``volume`` the list ends with the
-        closed-form volume element ``sqrt(det g)``, of shape ``(...,)`` or
-        on a grid any shape that broadcasts to it, computed from the same
-        evaluation as the derivatives.
+        indexes, to the embedding's derivatives of each requested order, in
+        that order, as one row of n values per nondecreasing index tuple, in
+        ``combinations_with_replacement(range(d), k)`` order: each value
+        broadcasts to ``(...)``, or is ``None`` if identically zero, and
+        order 0 is the one row of the embedding's component columns.  With
+        ``volume`` the list ends with the closed-form volume element
+        ``sqrt(det g)``, of shape ``(...,)`` or on a grid any shape that
+        broadcasts to it, computed from the same evaluation.
     lo, hi : sequence of float
         Axis-aligned coordinate box.
     periodic : sequence of bool
@@ -141,7 +160,7 @@ class Chart:
         if len(self.periodic) != self.dim:
             raise ValidationError("periodic flags must match chart dimension")
         self._derivs = derivs
-        probe = np.asarray(derivs(0.5 * (self.lo + self.hi), (0,))[0], dtype=float)
+        probe = np.asarray(derivs(0.5 * (self.lo + self.hi), (0,))[0][0], float)
         if probe.ndim != 1:
             raise ValidationError("the embedding must map a point to a 1-d vector")
         self.ambient_dim = probe.size
@@ -203,22 +222,24 @@ class Chart:
         derivative tensors of ``orders`` and, with ``volume``, the volume
         element ``sqrt(det g)`` last.
 
-        No determinant floor is enforced: quadrature legitimately samples
-        points where a chart degenerates (sphere poles) and the volume
-        element vanishes smoothly there.  On an array the embedding (order 0)
-        is stacked to ``(..., n)``.  On a :class:`TensorGrid` it stays a
+        An order k >= 1 is the C-contiguous ``(..., n, d, ..., d)`` tensor,
+        each of the closure's sorted rows written at the cached row-major
+        positions of its tuple's permutations.  No determinant floor is
+        enforced: quadrature legitimately samples points where a chart
+        degenerates (sphere poles) and the volume element vanishes smoothly
+        there.  On an array the embedding (order 0) is stacked to
+        ``(..., n)``.  On a :class:`TensorGrid` it stays a
         :class:`TensorGrid` of its component columns, each only as large as
-        the axes it depends on; the tensors of orders k >= 1 have the grid's
-        shape, and a volume element that depends on fewer axes is a
-        broadcast view.
+        the axes it depends on; the tensors have the grid's shape, and a
+        volume element that depends on fewer axes is a broadcast view.
         """
         coords = self.wrap(coords)
         self.require_inside(coords)
         batch = coords.shape[:-1]
-        embed = TensorGrid if isinstance(coords, TensorGrid) else _stack
+        grid = isinstance(coords, TensorGrid)
         values = self._derivs(coords, orders, volume) if orders or volume else []
-        out = [np.asarray(t, dtype=float) if k else embed(t, batch)
-               for k, t in zip(orders, values)]
+        out = [TensorGrid(t[0], batch) if grid and not k
+               else _tensor(t, batch, self.dim, k) for k, t in zip(orders, values)]
         if volume:
             out.append(np.broadcast_to(np.asarray(values[-1], dtype=float), batch))
         return (coords, *out)
@@ -392,21 +413,6 @@ class CurvatureReport:
     frame: np.ndarray
 
 
-def _spd_metric(jac: np.ndarray, p: ChartPoint) -> np.ndarray:
-    """The metric of ``jac``, refused unless symmetric positive definite."""
-    g = _gram(jac)
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        raise DegenerateChartError(f"metric not positive definite at {p}") from None
-    return g
-
-
-def metric_at(M: EmbeddedManifold, p: ChartPoint) -> np.ndarray:
-    """First fundamental form J^T J at ``p`` (symmetric positive definite)."""
-    return _spd_metric(M.chart(p.chart).jet(p.coords, (1,))[1], p)
-
-
 def curvature_at(M: EmbeddedManifold, p: ChartPoint) -> CurvatureReport:
     """Second fundamental form, mean curvature vector and scalar curvature.
 
@@ -415,7 +421,11 @@ def curvature_at(M: EmbeddedManifold, p: ChartPoint) -> CurvatureReport:
     ``R = d^2 |H|^2 - sum_ab |B(e_a, e_b)|^2``.
     """
     _, jac, hess = M.chart(p.chart).jet(p.coords, (1, 2))
-    g = _spd_metric(jac, p)
+    g = _gram(jac)
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        raise DegenerateChartError(f"metric not positive definite at {p}") from None
     d = M.dim
     q, r = _orthonormal_frame(jac)
     a = np.linalg.inv(r)           # frame e_b = sum_i a[i, b] * d_i embed
@@ -524,7 +534,7 @@ class GeodesicPath:
 
 
 def _integrate(M: EmbeddedManifold, ci: int, state: Sequence[np.ndarray],
-               t_total: float, steps: int) -> tuple[list[np.ndarray], bool]:
+               t_total: float, steps: int, jet=None) -> tuple[list, bool, tuple]:
     """RK4 for the geodesic equation from one initial condition.
 
     ``state`` is ``(pos, vel)``, the chart position and velocity ``(1, d)``,
@@ -533,27 +543,28 @@ def _integrate(M: EmbeddedManifold, ci: int, state: Sequence[np.ndarray],
     stages: ``W' = -dGamma(V; v, v) - 2 Gamma(v, W)``, the geodesic equation
     linearized in chart coordinates, with ``dGamma`` from the chart's order-3
     jet.  The velocity keeps its initial metric norm through per-step
-    rescaling, and ``W`` is rescaled with it.  Returns ``(state,
-    left_chart)``: when the path leaves the chart, integration stops at the
-    last inside state.  No RK stage is evaluated outside the chart box.
+    rescaling, and ``W`` is rescaled with it.  Returns ``(state, left_chart,
+    jet)``, ``jet`` the chart's at the returned position, for the caller to
+    pass back: when the path leaves the chart, integration stops at the last
+    inside state.  No RK stage is evaluated outside the chart box.
     """
     chart = M.chart(ci)
     state = [np.array(a, dtype=float) for a in state]
     orders = (1, 2, 3) if len(state) == 4 else (1, 2)
     dt = t_total / steps
-    speed0 = np.sqrt(np.einsum("bi,bij,bj->b", state[1],
-                               M.metric(ci, state[0]), state[1]))
     # the box, unbounded along periodic axes
     box_lo = np.where(chart.periodic, -np.inf, chart.lo)
     box_hi = np.where(chart.periodic, np.inf, chart.hi)
 
-    def rates(stage):
-        """The state's derivative at an RK stage, evaluated at the nearest
-        box point: a path moving away from an edge can still bend out
-        across it within one step."""
-        p, v, *jacobi = stage
-        _, gamma, *dgamma = _connection(
-            *chart.jet(np.clip(p, box_lo, box_hi), orders)[1:])
+    def jet_at(p):
+        """The chart's jet at the nearest box point to ``p``: a path moving
+        away from an edge can still bend out across it within one step."""
+        return chart.jet(np.clip(p, box_lo, box_hi), orders)[1:]
+
+    def rates(stage, jet):
+        """The state's derivative at an RK stage, from the jet at it."""
+        _, v, *jacobi = stage
+        _, gamma, *dgamma = _connection(*jet)
         accel = -np.einsum("bkij,bi,bj->bk", gamma, v, v)
         if not jacobi:
             return v, accel
@@ -562,31 +573,35 @@ def _integrate(M: EmbeddedManifold, ci: int, state: Sequence[np.ndarray],
                 -np.einsum("bmkij,bmc,bi,bj->bkc", dgamma[0], V, v, v)
                 - 2.0 * np.einsum("bkij,bi,bjc->bkc", gamma, v, W))
 
+    # a step's first stage takes the jet its predecessor renormalized by
+    jet = jet or jet_at(state[0])
+    speed0 = np.sqrt(np.einsum("bi,bij,bj->b", state[1], _gram(jet[0]), state[1]))
     for _ in range(steps):
         pos, vel = state[:2]
         # within 1.5 dt |v_i| of the edge that some axis i moves toward, the
         # next step would leave the box
         gap = np.where(vel < 0, pos - box_lo, box_hi - pos)
         if np.any(gap < 1.5 * dt * np.abs(vel)):
-            return state, True
-        ks = [rates(state)]
+            return state, True, jet
+        ks = [rates(state, jet)]
         escaped = False
         for h in (0.5 * dt, 0.5 * dt, dt):
             stage = [a + h * k for a, k in zip(state, ks[-1])]
             escaped |= bool(np.any((stage[0] < box_lo) | (stage[0] > box_hi)))
-            ks.append(rates(stage))
+            ks.append(rates(stage, jet_at(stage[0])))
         y = [a + dt / 6.0 * (r1 + 2 * r2 + 2 * r3 + r4)
              for a, r1, r2, r3, r4 in zip(state, *ks)]
         y[0] = chart.wrap(y[0])
         if escaped or not np.all(chart.contains(y[0])):
-            return state, True
-        speed = np.sqrt(np.einsum("bi,bij,bj->b", y[1], M.metric(ci, y[0]), y[1]))
+            return state, True, jet
+        jet = jet_at(y[0])
+        speed = np.sqrt(np.einsum("bi,bij,bj->b", y[1], _gram(jet[0]), y[1]))
         factor = speed0 / speed
         y[1] = y[1] * factor[:, None]
         if len(y) == 4:
             y[3] = y[3] * factor[:, None, None]
         state = y
-    return state, False
+    return state, False, jet
 
 
 def _start(M: EmbeddedManifold, x: ChartPoint, v) -> tuple[np.ndarray, np.ndarray]:
@@ -645,9 +660,10 @@ def geodesic_shoot(M: EmbeddedManifold, x: ChartPoint, v: np.ndarray,
     pos = np.asarray(x.coords, dtype=float)[None, :]
     vel = sdot[None, :]
     prev_t = 0.0
-    truncated = False
+    truncated, jet = False, None
     for t, nsteps in zip(record_times, seg_steps):
-        (pos, vel), truncated = _integrate(M, ci, (pos, vel), t - prev_t, nsteps)
+        (pos, vel), truncated, jet = _integrate(M, ci, (pos, vel), t - prev_t,
+                                                nsteps, jet)
         if truncated:
             break
         raw.append((pos[0].copy(), vel[0].copy(), t))
@@ -728,7 +744,7 @@ def volume_density(M: EmbeddedManifold, x: ChartPoint, v: np.ndarray,
     state = (np.asarray(x.coords, dtype=float)[None, :], sdot[None, :],
              np.zeros((1, d, d)), np.linalg.inv(r)[None])
     steps = max(int(math.ceil(800 * s)), 16)
-    (pos, _, jacobi, _), left_chart = _integrate(M, ci, state, s, steps)
+    (pos, _, jacobi, _), left_chart, _ = _integrate(M, ci, state, s, steps)
     if left_chart:
         raise TruncatedPathError("the geodesic left the chart")
     images = M.jacobian(ci, pos)[0] @ jacobi[0]

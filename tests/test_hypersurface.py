@@ -26,7 +26,6 @@ from ckl.hypersurface import (
     check_propositions,
     equicurvature_residual,
     limit_criterion_check,
-    mean_curvatures,
     scan_equicurved,
     shape_at,
     synthetic_shape,
@@ -250,35 +249,26 @@ class TestScanEigenvalues:
 
 
 class TestMeanCurvatures:
+    # the curvature means H1 = e1 / d and H2 = e2 / C(d, 2) that ShapeData
+    # carries
+
     def test_quadric_triplet(self):
         sd = synthetic_shape([4.0, 1.0, 1.0])
-        assert mean_curvatures(sd, 1) == pytest.approx(2.0)
-        assert mean_curvatures(sd, 2) == pytest.approx(3.0)
-        assert mean_curvatures(sd, 3) == pytest.approx(4.0)
+        assert sd.e1 / 3 == pytest.approx(2.0)
+        assert sd.e2 / 3 == pytest.approx(3.0)
 
     def test_constant_curvatures(self):
         for c in (0.5, -1.5):
             sd = synthetic_shape([c] * 4)
-            for i in range(1, 5):
-                assert mean_curvatures(sd, i) == pytest.approx(c ** i, rel=1e-12)
-
-    def test_cancelling_partial_sum(self):
-        # e1 of the first two curvatures is 0 while their e2 is not, so the
-        # third curvature must still reach e3
-        sd = synthetic_shape([1.0, -1.0, -2.0])
-        assert mean_curvatures(sd, 3) == 2.0
-        assert mean_curvatures(sd, 2) == pytest.approx(-1.0 / 3.0)
+            assert sd.e1 / 4 == pytest.approx(c, rel=1e-12)
+            assert sd.e2 / 6 == pytest.approx(c ** 2, rel=1e-12)
 
     def test_torus_outer(self):
         # the cofactor normal points into the tube at the outer equator
         sd = shape_at(TORUS, OUTER)
         np.testing.assert_allclose(sd.principal_curvatures, [-1.0 / 3.0, -1.0],
                                    atol=1e-10)
-        assert mean_curvatures(sd, 1) == pytest.approx(-2.0 / 3.0, rel=1e-10)
-
-    def test_range_validation(self):
-        with pytest.raises(ValidationError):
-            mean_curvatures(synthetic_shape([1.0, 2.0]), 3)
+        assert sd.e1 / 2 == pytest.approx(-2.0 / 3.0, rel=1e-10)
 
 
 class TestResidual:

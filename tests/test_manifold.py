@@ -9,7 +9,17 @@ import numpy as np
 import pytest
 
 from ckl import DegenerateChartError, DomainError, TruncatedPathError, ValidationError
-from ckl.catalog import catalog_manifold, load_manifold_text, parse_poly
+from ckl.catalog import (
+    COS,
+    SIN,
+    PolyTerms,
+    catalog_manifold,
+    graph_chart,
+    load_manifold_text,
+    parse_poly,
+    trig_chart,
+    trig_diff,
+)
 from ckl.fields import AmbientCoordField, ChartPolyField, ConstField
 from ckl.manifold import (
     ChartPoint,
@@ -19,7 +29,6 @@ from ckl.manifold import (
     curvature_at,
     geodesic_shoot,
     laplace_beltrami,
-    metric_at,
     ricci_frame,
     scalar_curvature_intrinsic,
     volume_density,
@@ -103,15 +112,15 @@ def embedding_only(chart):
 
 class TestMetric:
     def test_sphere_equator(self):
-        g = metric_at(S2, ChartPoint(0, [math.pi / 2, 0.0]))
+        g = S2.metric(0, [math.pi / 2, 0.0])
         np.testing.assert_allclose(g, np.eye(2), atol=1e-14)
 
     def test_plane_identity(self):
-        g = metric_at(PLANE, ChartPoint(0, [0.3, -0.7]))
+        g = PLANE.metric(0, [0.3, -0.7])
         np.testing.assert_allclose(g, np.eye(2), atol=1e-14)
 
     def test_torus_closed_form(self):
-        g = metric_at(TORUS, ChartPoint(0, [0.0, 0.0]))
+        g = TORUS.metric(0, [0.0, 0.0])
         np.testing.assert_allclose(g, np.diag([9.0, 1.0]), atol=1e-12)
 
     def test_exact_vs_finite_difference(self):
@@ -136,11 +145,11 @@ class TestMetric:
 
     def test_outside_domain_rejected(self):
         with pytest.raises(DomainError):
-            metric_at(QUADRIC, ChartPoint(0, [2.0, 0.0, 0.0]))
+            QUADRIC.metric(0, [2.0, 0.0, 0.0])
 
     def test_degenerate_pole_rejected(self):
         with pytest.raises(DegenerateChartError):
-            metric_at(S2, ChartPoint(0, [1e-9, 0.0]))
+            S2.metric(0, [1e-9, 0.0])
 
     def test_exactly_one_chart(self):
         # a second copy of the chart would double every integral
@@ -472,6 +481,76 @@ class TestJet:
             for perm in itertools.permutations(range(2, 2 + k)):
                 np.testing.assert_array_equal(t.transpose(0, 1, *perm), t)
 
+    # every catalog chart and MIXED, written out: trig components with their
+    # box, or a graph's polynomial with its halfwidth
+    TUBE = (2.0, 0.0, 1.0)
+    WRITTEN = {
+        "sphere2": ([[(1.0, {0: SIN, 1: COS})], [(1.0, {0: SIN, 1: SIN})],
+                     [(1.0, {0: COS})]], [0.0, 0.0], [math.pi, 2 * math.pi],
+                    [False, True]),
+        "sphere3": ([[(1.0, {0: SIN, 1: SIN, 2: COS})],
+                     [(1.0, {0: SIN, 1: SIN, 2: SIN})],
+                     [(1.0, {0: SIN, 1: COS})], [(1.0, {0: COS})]],
+                    [0.0, 0.0, 0.0], [math.pi, math.pi, 2 * math.pi],
+                    [False, False, True]),
+        "torus": ([[(1.0, {0: COS, 1: TUBE})], [(1.0, {0: SIN, 1: TUBE})],
+                   [(1.0, {1: SIN})]], [0.0, 0.0], [2 * math.pi, 2 * math.pi],
+                  [True, True]),
+        "spheroid": ([[(1.0, {0: SIN, 1: COS})], [(1.0, {0: SIN, 1: SIN})],
+                      [(1.6, {0: COS})]], [0.0, 0.0], [math.pi, 2 * math.pi],
+                     [False, True]),
+        "plane": (PolyTerms(2, []), 2.0),
+        "quadric411": (PolyTerms(3, [(0.5, (2, 0, 0)), (0.5, (0, 2, 0)),
+                                     (2.0, (0, 0, 2))]), 1.0),
+        "mixed": (PolyTerms(2, [(0.1, (3, 5)), (0.7, (2, 1)), (1.3, (1, 1))]),
+                  1.0),
+    }
+
+    @pytest.mark.parametrize("name", list(WRITTEN))
+    def test_sorted_rows_match_row_major_reference(self, name, rng):
+        # the reference differentiates each index tuple in its own order
+        M = self.MIXED if name == "mixed" else catalog_manifold(name)
+        written = self.WRITTEN[name]
+        if len(written) == 2:
+            poly, halfwidth = written
+            chart = graph_chart(poly, halfwidth)
+            components = [PolyTerms(M.dim, [(1.0, tuple(np.eye(M.dim, dtype=int)[i]))])
+                          for i in range(M.dim)] + [poly]
+            diff = PolyTerms.partial
+        else:
+            components, lo, hi, periodic = written
+            chart = trig_chart(components, lo, hi, periodic, volume_form=None)
+            diff = trig_diff
+        pts = random_points(M, 5, rng)
+        for k in (8, 10):
+            tensor = chart.jet(pts, (k,))[1]
+            np.testing.assert_array_equal(tensor, M.charts[0].jet(pts, (k,))[1])
+            picks = zip(rng.integers(0, M.ambient_dim, 50),
+                        rng.integers(0, M.dim, (50, k)))
+            for c, idx in picks:
+                entry = components[c]
+                for i in idx:
+                    entry = diff(entry, i)
+                if len(written) == 2:
+                    expected = entry(pts) if entry.terms else 0.0
+                elif entry:
+                    # a chart whose embedding is the one differentiated entry
+                    expected = trig_chart([entry], *written[1:], None).jet(
+                        pts, (0,))[1][:, 0]
+                else:
+                    expected = 0.0
+                np.testing.assert_array_equal(
+                    tensor[(slice(None), c, *idx)],
+                    np.broadcast_to(expected, (len(pts),)))
+
+    @pytest.mark.parametrize("M", [*CHARTS.values(), MIXED],
+                             ids=[*CHARTS.keys(), "mixed"])
+    def test_tensors_are_c_contiguous(self, M, rng):
+        pts = random_points(M, 5, rng)
+        for coords in (pts, pts[0], TensorGrid.product(list(pts[:3].T))):
+            for t in M.charts[0].jet(coords, (1, 2, 3, 8))[1:]:
+                assert t.flags.c_contiguous
+
     def test_graph_vanishes_above_its_degree(self, rng):
         M = load_manifold_text(
             "type=graph d=3 poly=0.3*x1^4+x1^2*x2*x3-0.5*x2^3+x3 box=1.0")
@@ -746,9 +825,9 @@ class TestGeodesics:
         import ckl.manifold as manifold
         taken = []
 
-        def count_steps(M, ci, state, span, nsteps):
+        def count_steps(M, ci, state, span, nsteps, jet):
             taken.append(nsteps)
-            return state, False
+            return state, False, jet
 
         monkeypatch.setattr(manifold, "_integrate", count_steps)
         extra = []
