@@ -1,8 +1,10 @@
 """Coefficient-engine tests: convolution terms, Bell terms, sphere-averaged
 weights, assembly, closed forms, Taylor-data validation."""
 
+import hashlib
 import math
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -323,3 +325,61 @@ class TestTaylorData:
         with pytest.raises(ValidationError):
             TaylorData(dim=2, f_terms=(HP.constant(2, 1.0),),
                        rho_terms=(HP.constant(2, 2.0),), q_terms=())
+
+
+def _dense_taylor_data(d: int, top: int, seed: int) -> TaylorData:
+    """Taylor data with every monomial's coefficient uniform in [-1, 1]:
+    f and rho (rho_0 = 1) through degree ``top``, the chord remainder
+    through ``top + 2``."""
+    rng = np.random.default_rng(seed)
+
+    def poly(k):
+        return HP(d, k, {tuple(t.count(i) for i in range(d)): rng.uniform(-1, 1)
+                         for t in combinations_with_replacement(range(d), k)})
+
+    return TaylorData(
+        dim=d, f_terms=tuple(poly(k) for k in range(top + 1)),
+        rho_terms=(HP.constant(d, 1.0),) + tuple(poly(k) for k in range(1, top + 1)),
+        q_terms=tuple(poly(k) for k in range(4, top + 3)))
+
+
+class TestPinnedEngine:
+    """The engine's a_0..a_4 as ``float.hex``: any change to the polynomial
+    arithmetic that moves one bit of them fails here.  Each Q <= 4 gives the
+    first Q + 1 of the same values.  On the dense data the sphere-averaged
+    weights are pinned too, by a digest of their ``float.hex``: they also
+    move when only the order of a product's sums changes."""
+    PINNED = {
+        (2, 1.0): ("0x1.4cccccccccccdp+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+                   "-0x1.0000000000000p-48"),
+        (2, 0.7): ("0x1.4cccccccccccdp+0", "0x1.0000000000000p-52",
+                   "0x1.0000000000000p-50", "0x1.0000000000000p-47",
+                   "-0x1.0000000000000p-43"),
+        (3, 1.0): ("0x1.4cccccccccccdp+0", "-0x1.f333333333330p-1",
+                   "-0x1.3800000000008p-1", "-0x1.1100000000020p+0",
+                   "-0x1.7fe8000000000p+1"),
+        (3, 0.7): ("0x1.4cccccccccccdp+0", "-0x1.fd6343eb1a1f2p+0",
+                   "-0x1.44dd590791f70p+1", "-0x1.220ec6590b760p+3",
+                   "-0x1.a037d035fa900p+5"),
+    }
+    DENSE = ("0x1.a21afc1146ba8p-2", "-0x1.5f29d49d1a116p+0",
+             "0x1.b9e73228d0c6cp+2", "-0x1.c27af26dd7768p+2",
+             "0x1.c204daa93ad9ap+1")
+
+    @pytest.mark.parametrize("dim, radius", sorted(PINNED))
+    def test_spheres(self, dim, radius):
+        td = sphere_taylor_data(dim, radius, max_degree=10, f_value=1.3)
+        for Q in range(5):
+            got = expansion_from_taylor(td, Q).values
+            assert [v.hex() for v in got] == list(self.PINNED[dim, radius][:Q + 1])
+
+    DENSE_WEIGHTS = ("f104b31a5c65d711d4d4bc603c6e1a21"
+                     "68e26809a555c6b12d688ac3bf01e1b4")
+
+    def test_dense_random(self):
+        ew = eta_w(_dense_taylor_data(3, 8, seed=37), 4)
+        got = assemble_a(ew, 3, 4).values
+        assert [v.hex() for v in got] == list(self.DENSE)
+        weights = [v.hex() for v in ew.eta] + [ew.w[k].hex() for k in sorted(ew.w)]
+        assert hashlib.sha256(" ".join(weights).encode()).hexdigest() \
+            == self.DENSE_WEIGHTS
