@@ -34,9 +34,6 @@ from .moments import (
     radial_power,
 )
 
-_FACT = [math.factorial(i) for i in range(40)]
-
-
 # ---------------------------------------------------------------------------
 # Taylor data
 # ---------------------------------------------------------------------------
@@ -118,10 +115,10 @@ def _sinc_power_series(power: int, top: int) -> list[float]:
     rounded once: the series is multiplied out in integers over the common
     denominator ``((top + 1)!)^power``, and an integer quotient rounds
     correctly, as ``float(Fraction)`` does."""
-    denom = _FACT[top + 1]
+    denom = math.factorial(top + 1)
     sinc = [0] * (top + 1)
     for j in range(0, top + 1, 2):
-        sinc[j] = (-1) ** (j // 2) * (denom // _FACT[j + 1])
+        sinc[j] = (-1) ** (j // 2) * (denom // math.factorial(j + 1))
     out = [0] * (top + 1)
     out[0] = 1
     for _ in range(power):
@@ -158,7 +155,7 @@ def sphere_taylor_data(dim: int, radius: float = 1.0, max_degree: int = 8,
         if c == 0 or k % 2:
             rho_terms.append(HomogeneousPoly.zero(d, k))
         else:
-            value = c * _FACT[k] * radius ** (-k)
+            value = c * math.factorial(k) * radius ** (-k)
             rho_terms.append(radial_power(d, k, value))
 
     q_terms = []
@@ -282,7 +279,8 @@ def assemble_a(etaw: EtaW, d: int, Q: int) -> ExpansionCoefficients:
         raise ValidationError("dimension mismatch between EtaW and request")
     values = []
     for q in range(Q + 1):
-        total = 4.0 ** q * pochhammer(d / 2.0, q) / _FACT[2 * q] * etaw.eta[q]
+        total = (4.0 ** q * pochhammer(d / 2.0, q) / math.factorial(2 * q)
+                 * etaw.eta[q])
         for k in range(1, q + 1):
             for m in range(4 * k, 2 * q + 2 * k + 1):
                 try:
@@ -291,7 +289,8 @@ def assemble_a(etaw: EtaW, d: int, Q: int) -> ExpansionCoefficients:
                     raise ValidationError(
                         f"missing w entry (p={q + k}, m={m}, k={k})") from None
                 total += ((-1.0) ** k * 4.0 ** q * pochhammer(d / 2.0, q + k)
-                          / (_FACT[m] * _FACT[2 * q + 2 * k - m]) * wval)
+                          / (math.factorial(m) * math.factorial(2 * q + 2 * k - m))
+                          * wval)
         values.append(total)
     return ExpansionCoefficients(values=tuple(values))
 

@@ -29,8 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
-from itertools import product
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -41,6 +39,7 @@ from .errors import (
     TruncatedPathError,
     ValidationError,
 )
+from .moments import _positions
 
 if TYPE_CHECKING:
     from .fields import ScalarField
@@ -53,18 +52,6 @@ _COARSE_RES = 33
 # ---------------------------------------------------------------------------
 # Charts
 # ---------------------------------------------------------------------------
-
-@cache
-def _positions(d: int, k: int) -> tuple[int | np.ndarray, ...]:
-    """The row-major positions among the d^k index tuples of each sorted
-    tuple's permutations.  A sorted tuple is the first of its permutations,
-    so they come in ``combinations_with_replacement(range(d), k)`` order."""
-    positions = {}
-    for p, t in enumerate(product(range(d), repeat=k)):
-        positions.setdefault(tuple(sorted(t)), []).append(p)
-    # a lone position as an int: numpy writes it by basic indexing
-    return tuple(p[0] if len(p) == 1 else np.array(p) for p in positions.values())
-
 
 def _tensor(rows, batch: tuple[int, ...], d: int, k: int) -> np.ndarray:
     """The C-contiguous ``(*batch, n, d, ..., d)`` tensor holding each sorted

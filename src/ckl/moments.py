@@ -4,12 +4,20 @@ Homogeneous multi-index polynomials, partial exponential Bell polynomials,
 monomial averages over the unit sphere, rising factorials, truncated radial
 Gaussian moments with their exponential error bound, and assembly of the
 curvature-tensor terms of the normal-coordinate volume density.
+
+A homogeneous polynomial of degree k in d variables is one coefficient vector
+over its monomials ``v_{t_1} ... v_{t_k}``, one per nondecreasing index tuple
+t, in ``combinations_with_replacement(range(d), k)`` order: the order of the
+chart jets' rows.  Products, sums and sphere averages act on the vectors
+through index maps cached per (d, degree).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
+from itertools import combinations_with_replacement, product
 from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
@@ -29,41 +37,93 @@ def _check_multi_index(alpha: Sequence[int], dim: int) -> MultiIndex:
     return alpha
 
 
-class HomogeneousPoly:
-    """A homogeneous polynomial stored as a multi-index -> coefficient map.
+# ---------------------------------------------------------------------------
+# The sorted multi-index table
+# ---------------------------------------------------------------------------
 
-    Every stored multi-index has total degree equal to ``degree``; exact-zero
-    coefficients are dropped.  A poly with no terms is the zero polynomial
-    (its nominal degree is kept for bookkeeping).
+@cache
+def _monomials(d: int, k: int) -> dict[MultiIndex, int]:
+    """The exponent tuples of degree k in d variables, each to its position
+    in ``combinations_with_replacement(range(d), k)`` order."""
+    return {tuple(t.count(i) for i in range(d)): n
+            for n, t in enumerate(combinations_with_replacement(range(d), k))}
+
+
+@cache
+def _positions(d: int, k: int) -> tuple[int | np.ndarray, ...]:
+    """The row-major positions among the d^k index tuples of each sorted
+    tuple's permutations.  A sorted tuple is the first of its permutations,
+    so they come in ``combinations_with_replacement(range(d), k)`` order."""
+    positions = {}
+    for p, t in enumerate(product(range(d), repeat=k)):
+        positions.setdefault(tuple(sorted(t)), []).append(p)
+    # a lone position as an int: numpy writes it by basic indexing
+    return tuple(p[0] if len(p) == 1 else np.array(p) for p in positions.values())
+
+
+@cache
+def _owners(d: int, k: int) -> np.ndarray:
+    """The monomial of each of the d^k row-major index tuples."""
+    owner = np.empty(d ** k, dtype=np.intp)
+    for n, pos in enumerate(_positions(d, k)):
+        owner[pos] = n
+    return owner
+
+
+@cache
+def _product_map(d: int, j: int, k: int) -> np.ndarray:
+    """The degree-(j + k) monomial of each product of a degree-j and a
+    degree-k monomial, the pairs in row-major order."""
+    out = _monomials(d, j + k)
+    return np.array([out[tuple(x + y for x, y in zip(a, b))]
+                     for a in _monomials(d, j) for b in _monomials(d, k)])
+
+
+@cache
+def _sphere_moments(d: int, k: int) -> np.ndarray:
+    """:func:`sphere_moment` of each monomial of degree k."""
+    return np.array([sphere_moment(a, d) for a in _monomials(d, k)])
+
+
+class HomogeneousPoly:
+    """A homogeneous polynomial: one coefficient vector ``coeffs`` over the
+    monomials of its degree, in :func:`_monomials` order.
+
+    ``terms`` may be a mapping from multi-indices of total degree ``degree``
+    to coefficients, or such a vector.  A poly whose coefficients are all
+    zero is the zero polynomial (its nominal degree is kept for bookkeeping).
     """
 
-    __slots__ = ("dim", "degree", "terms")
+    __slots__ = ("dim", "degree", "coeffs")
 
     def __init__(self, dim: int, degree: int,
-                 terms: Mapping[MultiIndex, float] | None = None):
+                 terms: Mapping[MultiIndex, float] | np.ndarray | None = None):
         if dim < 1:
             raise ValidationError(f"dim must be >= 1, got {dim}")
         if degree < 0:
             raise ValidationError(f"degree must be >= 0, got {degree}")
-        clean: dict[MultiIndex, float] = {}
-        if terms:
-            for alpha, c in terms.items():
+        table = _monomials(dim, degree)
+        if not isinstance(terms, np.ndarray):
+            vector = np.zeros(len(table))
+            for alpha, c in (terms or {}).items():
                 alpha = _check_multi_index(alpha, dim)
                 if sum(alpha) != degree:
                     raise ValidationError(
                         f"multi-index {alpha} has degree {sum(alpha)}, expected {degree}")
-                c = float(c)
-                if c != 0.0:
-                    clean[alpha] = clean.get(alpha, 0.0) + c
+                vector[table[alpha]] += float(c)
+            terms = vector
+        if terms.shape != (len(table),):
+            raise ValidationError(f"degree {degree} in {dim} variables has "
+                                  f"{len(table)} coefficients, got {terms.shape}")
         self.dim = int(dim)
         self.degree = int(degree)
-        self.terms = {a: c for a, c in clean.items() if c != 0.0}
+        self.coeffs = terms.astype(float)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, dim: int, degree: int = 0) -> "HomogeneousPoly":
-        return cls(dim, degree, {})
+        return cls(dim, degree)
 
     @classmethod
     def constant(cls, dim: int, value: float) -> "HomogeneousPoly":
@@ -78,33 +138,33 @@ class HomogeneousPoly:
         return cls(dim, 1, {alpha: 1.0})
 
     @classmethod
-    def from_quadratic_form(cls, mat: np.ndarray, scale: float = 1.0) -> "HomogeneousPoly":
-        """``scale * sum_ij mat[i,j] v_i v_j`` as a degree-2 polynomial."""
-        mat = np.asarray(mat, dtype=float)
-        d = mat.shape[0]
-        terms: dict[MultiIndex, float] = {}
-        for i in range(d):
-            for j in range(d):
-                alpha = [0] * d
-                alpha[i] += 1
-                alpha[j] += 1
-                key = tuple(alpha)
-                terms[key] = terms.get(key, 0.0) + scale * mat[i, j]
-        return cls(d, 2, terms)
+    def from_tensor(cls, tensor: np.ndarray, scale: float = 1.0) -> "HomogeneousPoly":
+        """``scale * sum tensor[i_1, ..., i_k] v_{i_1} ... v_{i_k}`` over all
+        index tuples: each monomial sums ``scale`` times the entries at its
+        index tuple's permutations, in row-major order."""
+        tensor = np.asarray(tensor, dtype=float)
+        d, k = max(tensor.shape, default=0), tensor.ndim
+        if not d or tensor.shape != (d,) * k:
+            raise ValidationError(f"tensor of shape {tensor.shape} is not square")
+        return cls(d, k, np.bincount(_owners(d, k), scale * tensor.reshape(-1)))
 
     # -- predicates / arithmetic -------------------------------------------
 
+    @property
+    def terms(self) -> dict[MultiIndex, float]:
+        """The nonzero coefficients by multi-index, as a new dict."""
+        return {a: float(c) for a, c in zip(_monomials(self.dim, self.degree),
+                                            self.coeffs) if c != 0.0}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs.any()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HomogeneousPoly):
             return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms and (
-            self.is_zero() or self.degree == other.degree)
-
-    def __hash__(self):
-        return hash((self.dim, self.degree, frozenset(self.terms.items())))
+        return self.dim == other.dim and (
+            np.array_equal(self.coeffs, other.coeffs) if self.degree == other.degree
+            else self.is_zero() and other.is_zero())
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -124,14 +184,10 @@ class HomogeneousPoly:
         if self.degree != other.degree:
             raise ValidationError(
                 f"cannot add homogeneous polys of degrees {self.degree} and {other.degree}")
-        terms = dict(self.terms)
-        for a, c in other.terms.items():
-            terms[a] = terms.get(a, 0.0) + c
-        return HomogeneousPoly(self.dim, self.degree, terms)
+        return HomogeneousPoly(self.dim, self.degree, self.coeffs + other.coeffs)
 
     def __neg__(self) -> "HomogeneousPoly":
-        return HomogeneousPoly(self.dim, self.degree,
-                               {a: -c for a, c in self.terms.items()})
+        return HomogeneousPoly(self.dim, self.degree, -self.coeffs)
 
     def __sub__(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
         return self + (-other)
@@ -144,10 +200,7 @@ class HomogeneousPoly:
     __rmul__ = __mul__
 
     def scale(self, c: float) -> "HomogeneousPoly":
-        if c == 0.0:
-            return HomogeneousPoly.zero(self.dim, self.degree)
-        return HomogeneousPoly(self.dim, self.degree,
-                               {a: c * v for a, v in self.terms.items()})
+        return HomogeneousPoly(self.dim, self.degree, c * self.coeffs)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at one point (shape ``(dim,)``) or a batch ``(..., dim)``."""
@@ -168,18 +221,17 @@ class HomogeneousPoly:
 
 
 def poly_mul(a: HomogeneousPoly, b: HomogeneousPoly) -> HomogeneousPoly:
-    """Product of two homogeneous polynomials (degrees add, coefficients convolve)."""
+    """Product of two homogeneous polynomials (degrees add, coefficients
+    convolve): each pair's product is added, in row-major pair order, into
+    the monomial :func:`_product_map` gives it."""
     if a.dim != b.dim:
         raise ValidationError(f"dim mismatch: {a.dim} vs {b.dim}")
     degree = a.degree + b.degree
     if a.is_zero() or b.is_zero():
         return HomogeneousPoly.zero(a.dim, degree)
-    terms: dict[MultiIndex, float] = {}
-    for aa, ca in a.terms.items():
-        for ab, cb in b.terms.items():
-            key = tuple(x + y for x, y in zip(aa, ab))
-            terms[key] = terms.get(key, 0.0) + ca * cb
-    return HomogeneousPoly(a.dim, degree, terms)
+    return HomogeneousPoly(a.dim, degree, np.bincount(
+        _product_map(a.dim, a.degree, b.degree),
+        np.multiply.outer(a.coeffs, b.coeffs).reshape(-1)))
 
 
 def poly_pow(p: HomogeneousPoly, k: int) -> HomogeneousPoly:
@@ -195,17 +247,13 @@ def radial_power(dim: int, degree: int, coeff: float = 1.0) -> HomogeneousPoly:
     """``coeff * (v_1^2 + ... + v_dim^2)^(degree/2)``; ``degree`` must be even."""
     if degree % 2:
         raise ValidationError(f"radial power needs an even degree, got {degree}")
-    r2 = HomogeneousPoly(dim, 2, {tuple(2 if j == i else 0 for j in range(dim)): 1.0
-                                  for i in range(dim)})
+    r2 = HomogeneousPoly.from_tensor(np.eye(dim))
     return poly_pow(r2, degree // 2).scale(coeff)
 
 
 # ---------------------------------------------------------------------------
 # Partial exponential Bell polynomials
 # ---------------------------------------------------------------------------
-
-_FACTORIALS = [math.factorial(i) for i in range(21)]
-
 
 def _bell_index_sequences(m: int, k: int) -> Iterator[tuple[int, ...]]:
     """Sequences (j_1..j_{m-k+1}) with sum j_i = k and sum i*j_i = m."""
@@ -234,46 +282,31 @@ def bell_partial(m: int, k: int, xs: Sequence[Union[float, HomogeneousPoly]]):
 
     ``xs`` may hold scalars or :class:`HomogeneousPoly` values; the result has
     the matching type.  The multinomial weights are computed in exact integer
-    arithmetic (all needed factorials are below 21!).
+    arithmetic.
     """
     if not (m >= 1 and 1 <= k <= m):
         raise ValidationError(f"invalid Bell indices (m={m}, k={k})")
     need = m - k + 1
     if len(xs) < need:
         raise ValidationError(f"B_{{{m},{k}}} needs {need} arguments, got {len(xs)}")
-    if m > 20:
-        raise NumericsError(f"Bell order m={m} exceeds the exact factorial table")
 
-    poly_dim = None
-    for x in xs[:need]:
-        if isinstance(x, HomogeneousPoly):
-            poly_dim = x.dim
-            break
-
+    poly_dim = next((x.dim for x in xs[:need] if isinstance(x, HomogeneousPoly)),
+                    None)
     total = None
     for js in _bell_index_sequences(m, k):
         denom = 1
         for i, j in enumerate(js, start=1):
-            denom *= _FACTORIALS[j] * _FACTORIALS[i] ** j
-        coeff = _FACTORIALS[m] // denom
+            denom *= math.factorial(j) * math.factorial(i) ** j
+        coeff = math.factorial(m) // denom
         term: Union[float, HomogeneousPoly, None] = None
-        skip = False
-        for i, j in enumerate(js, start=1):
-            if j == 0:
-                continue
-            x = xs[i - 1]
-            if isinstance(x, HomogeneousPoly) and x.is_zero():
-                skip = True
-                break
-            if not isinstance(x, HomogeneousPoly) and x == 0.0:
-                skip = True
-                break
+        for x, j in zip(xs, js):
+            if j and (x.is_zero() if isinstance(x, HomogeneousPoly) else x == 0.0):
+                break       # a vanishing part: the term is zero
             for _ in range(j):
                 term = x if term is None else term * x
-        if skip:
-            continue
-        piece = float(coeff) if term is None else coeff * term
-        total = piece if total is None else total + piece
+        else:               # k >= 1 parts, so term is set
+            piece = coeff * term
+            total = piece if total is None else total + piece
     if total is None:
         if poly_dim is not None:
             return HomogeneousPoly.zero(poly_dim, m)
@@ -307,7 +340,7 @@ def bell_generating_check(xs: Sequence[float], u: float, t: float,
     order = int(order)
     p = [0.0] * (order + 1)
     for j in range(1, min(order, len(xs)) + 1):
-        p[j] = u * xs[j - 1] / _FACTORIALS[j]
+        p[j] = u * xs[j - 1] / math.factorial(j)
     series = [0.0] * (order + 1)
     series[0] = 1.0
     term = [0.0] * (order + 1)
@@ -325,7 +358,7 @@ def bell_generating_check(xs: Sequence[float], u: float, t: float,
         inner = 0.0
         for k in range(1, m + 1):
             inner += u ** k * bell_partial(m, k, xs[: m - k + 1])
-        rhs += t ** m / _FACTORIALS[m] * inner
+        rhs += t ** m / math.factorial(m) * inner
     return lhs, rhs
 
 
@@ -368,7 +401,7 @@ def poly_sphere_average(p: HomogeneousPoly) -> float:
     """
     if p.degree % 2:
         return 0.0
-    return math.fsum(c * sphere_moment(a, p.dim) for a, c in p.terms.items())
+    return math.fsum(p.coeffs * _sphere_moments(p.dim, p.degree))
 
 
 def pochhammer(q: float, n: int) -> float:
@@ -523,37 +556,11 @@ def density_curvature_terms(ricci: np.ndarray,
         _sym_check(riemann, (0, 1), "riemann", sign=-1.0)
         _sym_check(riemann.transpose(2, 3, 0, 1) - riemann, (0, 1), "riemann pair")
 
-    rho0 = HomogeneousPoly.constant(d, 1.0)
-    rho1 = HomogeneousPoly.zero(d, 1)
-    rho2 = HomogeneousPoly.from_quadratic_form(ricci, scale=-1.0 / 3.0)
-
-    terms3: dict[MultiIndex, float] = {}
-    it = np.ndindex(d, d, d)
-    for i, j, k in it:
-        c = -0.5 * ricci_grad[i, j, k]
-        if c == 0.0:
-            continue
-        alpha = [0] * d
-        alpha[i] += 1
-        alpha[j] += 1
-        alpha[k] += 1
-        key = tuple(alpha)
-        terms3[key] = terms3.get(key, 0.0) + c
-    rho3 = HomogeneousPoly(d, 3, terms3)
-
     riem_contr = np.einsum("iajb,kalb->ijkl", riemann, riemann)
     tensor4 = (-0.6 * ricci_hess
                + np.einsum("ij,kl->ijkl", ricci, ricci) / 3.0
                - (2.0 / 15.0) * riem_contr)
-    terms4: dict[MultiIndex, float] = {}
-    for i, j, k, l in np.ndindex(d, d, d, d):
-        c = tensor4[i, j, k, l]
-        if c == 0.0:
-            continue
-        alpha = [0] * d
-        for idx in (i, j, k, l):
-            alpha[idx] += 1
-        key = tuple(alpha)
-        terms4[key] = terms4.get(key, 0.0) + c
-    rho4 = HomogeneousPoly(d, 4, terms4)
-    return rho0, rho1, rho2, rho3, rho4
+    return (HomogeneousPoly.constant(d, 1.0), HomogeneousPoly.zero(d, 1),
+            HomogeneousPoly.from_tensor(ricci, scale=-1.0 / 3.0),
+            HomogeneousPoly.from_tensor(ricci_grad, scale=-0.5),
+            HomogeneousPoly.from_tensor(tensor4))

@@ -32,6 +32,7 @@ from .manifold import (
 )
 from .moments import (
     HomogeneousPoly,
+    _monomials,
     bell_generating_check,
     bell_partial,
     c_p,
@@ -58,15 +59,6 @@ class CheckResult:
     detail: str
 
 
-def _even_multi_indices(d: int, total: int) -> list[tuple[int, ...]]:
-    """Every length-``d`` multi-index of even entries summing to at most
-    ``total``, in lexicographic order."""
-    if d == 0:
-        return [()]
-    return [(a,) + rest for a in range(0, total + 1, 2)
-            for rest in _even_multi_indices(d - 1, total - a)]
-
-
 @dataclass(frozen=True)
 class Size:
     """What a check may vary with its size; nothing else differs."""
@@ -90,7 +82,8 @@ FAST = Size(
 FULL = Size(
     cp_eps_count=9,
     mc_samples=1_000_000,
-    mc_alphas={d: _even_multi_indices(d, 8) for d in range(1, 6)},
+    mc_alphas={d: [a for k in range(9) for a in _monomials(d, k)
+                   if not any(e % 2 for e in a)] for d in range(1, 6)},
     scans=(("sphere2", (200, 100), False), ("quadric411", (50, 50, 50), True),
            ("spheroid", (60, 30), True), ("torus", (60, 30), True)),
     density_radii=8,

@@ -77,6 +77,14 @@ class TestSphereTaylorData:
                 dim, k, float(c) * math.factorial(k) * radius ** (-k)))
             assert td.rho_terms[k] == expected, k
 
+    def test_degree_39(self):
+        # (sin s / s)^2 = sum_n (-1)^n 2^(2n+1) s^(2n) / (2n+2)!, so rho_38
+        # is 38! times the n = 19 coefficient: -2^39 / (39 * 40)
+        td = sphere_taylor_data(3, max_degree=39)
+        assert len(td.rho_terms) == 40
+        assert td.rho_terms[38].terms[(38, 0, 0)] == pytest.approx(
+            -2.0 ** 39 / 1560, rel=1e-14)
+
 
 class TestBetaTerms:
     def test_b41_is_q4(self):
@@ -140,7 +148,7 @@ class TestEtaW:
         # q4 = -2 (sum kappa_i v_i^2)^2 with kappa = (4,1,1):
         # w_{2,4,1} = -2 * f * <(sum kappa v^2)^2> = -2 * 4.8
         d = 3
-        kappa_form = HP.from_quadratic_form(np.diag([4.0, 1.0, 1.0]))
+        kappa_form = HP.from_tensor(np.diag([4.0, 1.0, 1.0]))
         q4 = poly_mul(kappa_form, kappa_form).scale(-2.0)
         f_terms = [HP.constant(d, 1.0)] + [HP.zero(d, k) for k in range(1, 5)]
         rho = [HP.constant(d, 1.0)] + [HP.zero(d, k) for k in range(1, 5)]

@@ -2,7 +2,7 @@
 moments, rising factorials, truncated radial moments, density terms."""
 
 import math
-from itertools import combinations
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -24,7 +24,8 @@ from ckl import (
     radial_power,
     sphere_moment,
 )
-from ckl.moments import _gammainc
+from ckl.catalog import derivative_rule
+from ckl.moments import _gammainc, _monomials, _positions
 
 HP = HomogeneousPoly
 
@@ -64,14 +65,66 @@ class TestPoly:
         pts = np.array([[1.0, 0.0, 0.0], [1.0, 2.0, 2.0]])
         np.testing.assert_allclose(p(pts), [1.0, 9.0])
 
-    @given(st.lists(st.floats(-2, 2), min_size=2, max_size=2),
-           st.lists(st.floats(-2, 2), min_size=2, max_size=2))
-    def test_mul_matches_pointwise(self, u, v):
-        a = u[0] * HP.variable(2, 0) + u[1] * HP.variable(2, 1)
-        b = v[0] * HP.variable(2, 0) + v[1] * HP.variable(2, 1)
-        pts = np.array([[0.3, -0.7], [1.1, 0.2], [-0.5, -0.4]])
+    @given(st.integers(2, 3), st.integers(0, 4), st.integers(0, 4), st.data())
+    def test_mul_matches_pointwise(self, d, ja, jb, data):
+        def poly(k):
+            alphas = [tuple(t.count(i) for i in range(d))
+                      for t in combinations_with_replacement(range(d), k)]
+            cs = data.draw(st.lists(st.floats(-2, 2), min_size=len(alphas),
+                                    max_size=len(alphas)))
+            return HP(d, k, dict(zip(alphas, cs)))
+
+        a, b = poly(ja), poly(jb)
+        pts = np.array([[0.3, -0.7, 0.5], [1.1, 0.2, -0.9],
+                        [-0.5, -0.4, 0.8]])[:, :d]
         np.testing.assert_allclose(poly_mul(a, b)(pts), a(pts) * b(pts),
-                                   atol=1e-12)
+                                   rtol=1e-12, atol=1e-12)
+        # the pairwise loop over the terms, in the same order, is bit-exact
+        ref = {}
+        for x, cx in a.terms.items():
+            for y, cy in b.terms.items():
+                key = tuple(i + j for i, j in zip(x, y))
+                ref[key] = ref.get(key, 0.0) + cx * cy
+        assert poly_mul(a, b) == HP(d, ja + jb, ref)
+
+    def test_vector_and_mapping_agree(self):
+        p = HP(3, 2, {(1, 0, 1): 2.0, (0, 2, 0): -1.0})
+        assert p == HP(3, 2, p.coeffs)
+        assert p.terms == {(1, 0, 1): 2.0, (0, 2, 0): -1.0}
+        with pytest.raises(ValidationError):
+            HP(3, 2, np.zeros(5))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 3, 3), (4, 4, 4, 4)])
+    def test_from_tensor_matches_loop(self, shape, rng):
+        t = rng.uniform(-1, 1, size=shape)
+        ref = {}
+        for idx in np.ndindex(*shape):
+            alpha = tuple(idx.count(i) for i in range(shape[0]))
+            ref[alpha] = ref.get(alpha, 0.0) + 0.5 * t[idx]
+        p = HP.from_tensor(t, scale=0.5)
+        assert p.terms == ref
+        v = rng.uniform(-1, 1, size=shape[0])
+        full = t
+        for _ in shape:
+            full = full @ v
+        assert p(v) == pytest.approx(0.5 * full, rel=1e-12)
+
+
+class TestMonomialTable:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_one_order_for_polys_jets_and_positions(self, d):
+        # the polynomial vectors, the derivative rule's rows and the jets'
+        # permutation groups all follow the sorted index tuples
+        entries = derivative_rule([0.0], lambda e, i: e, d)
+        for k in range(9):
+            table = list(_monomials(d, k))
+            assert table == [tuple(t.count(i) for i in range(d))
+                             for t in entries(k)]
+            for alpha, pos in zip(table, _positions(d, k), strict=True):
+                first = tuple(int(i) for i in
+                              np.unravel_index(np.min(pos), (d,) * k))
+                assert first == tuple(sorted(first))
+                assert alpha == tuple(first.count(i) for i in range(d))
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +204,15 @@ class TestBell:
     def test_generating_all_zero(self):
         lhs, rhs = bell_generating_check([0.0] * 6, 3.0, 0.05, order=6)
         assert lhs == 1.0 and rhs == 1.0
+
+    def test_orders_above_twenty(self, rng):
+        # B_{m,2} = (1/2) sum_k C(m, k) x_k x_{m-k}
+        xs = rng.uniform(0.5, 1.5, size=21)
+        closed = 0.5 * sum(math.comb(22, k) * xs[k - 1] * xs[21 - k]
+                           for k in range(1, 22))
+        assert bell_partial(22, 2, list(xs)) == pytest.approx(closed, rel=1e-13)
+        lhs, rhs = bell_generating_check([0.5] * 22, 1.0, 0.05, order=22)
+        assert abs(lhs - rhs) <= 1e-12
 
     def test_generating_spec_point(self):
         lhs, rhs = bell_generating_check([1.0] * 8, 2.0, 0.05, order=8)
@@ -250,7 +312,7 @@ class TestSphereMoments:
     def test_poly_average_kappa_form(self):
         # ((4 v1^2 + v2^2 + v3^2))^2 averaged over S^2 = 72/15
         kappa = np.diag([4.0, 1.0, 1.0])
-        q = HP.from_quadratic_form(kappa)
+        q = HP.from_tensor(kappa)
         assert poly_sphere_average(poly_mul(q, q)) == pytest.approx(4.8, rel=1e-12)
 
 
